@@ -197,10 +197,18 @@ def cmd_moment(args: argparse.Namespace) -> int:
     return status
 
 
+def _require_qt_range(args: argparse.Namespace) -> None:
+    """Substituted values must satisfy 0 < t < 1, and |q| < t when q is given too."""
+    if args.t_symbolic:
+        return
+    if not 0 < args.t < 1:
+        raise ValueError("(q,t) substitution requires 0 < t < 1")
+    if args.q is not None and not abs(args.q) < args.t:
+        raise ValueError("(q,t) substitution requires |q| < t")
+
+
 def cmd_qt(args: argparse.Namespace) -> int:
-    mode = _mode(args)
-    if not args.t_symbolic:
-        mode.require_qt_range()
+    _require_qt_range(args)
     n = args.n
     spec = QtSpec.make(1, truncation=max(n, 1))
     unit = (Fraction(1),)
@@ -520,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_fraction, default=Fraction(1, 2))
     p.add_argument("--t-symbolic", dest="t_symbolic", action="store_true")
     p.add_argument("--T", choices=["identity", "zero"], default="identity")
-    p.add_argument("--mode", choices=["symbolic", "rational"], default="symbolic")
     p.add_argument("--check", action="store_true")
     common(p)
     p.set_defaults(func=cmd_qt)

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Sequence
+from itertools import chain, product
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -337,38 +337,48 @@ def type_b(
     return OpSpec("b", x=frac_vector(x), t=frac_matrix(t), lam=Fraction(lam))
 
 
-def _apply_create(x: FracVector, v: FockVector) -> FockVector:
+Terms = Iterator[tuple[Word, Poly]]
+
+
+def _reach(v: FockVector, horizon: int | None, step: int) -> Iterable[tuple[Word, Poly]]:
+    """Terms of v whose words, changed in length by step, stay within the horizon."""
+    if horizon is None:
+        return v.coeffs.items()
+    return [(word, coeff) for word, coeff in v.coeffs.items() if len(word) + step <= horizon]
+
+
+def _collect(space: SpaceSpec, terms: Iterable[tuple[Word, Poly]]) -> FockVector:
     out: dict[Word, Poly] = {}
-    for word, coeff in v.coeffs.items():
+    for word, value in terms:
+        out[word] = out.get(word, ZERO) + value
+    return FockVector(space, out)
+
+
+def _create_terms(x: FracVector, v: FockVector, horizon: int | None) -> Terms:
+    for word, coeff in _reach(v, horizon, 1):
         if len(word) == v.space.truncation:
             raise TruncationError("creation at the truncation level")
         for letter, entry in enumerate(x):
             if entry:
-                key = word + (letter,)
-                out[key] = out.get(key, ZERO) + coeff * entry
-    return FockVector(v.space, out)
+                yield word + (letter,), coeff * entry
 
 
-def _apply_annihilate(x: FracVector, v: FockVector) -> FockVector:
+def _annihilate_terms(x: FracVector, v: FockVector, horizon: int | None) -> Terms:
     jx = v.space.involve(x)
-    out: dict[Word, Poly] = {}
-    for word, coeff in v.coeffs.items():
+    for word, coeff in _reach(v, horizon, -1):
         n = len(word)
         for k in range(1, n + 1):
-            reduced = word[: k - 1] + word[k:]
             letter = word[k - 1]
             weight = Poly.monomial(x[letter], eq=n - k) + Poly.monomial(
                 jx[letter], ea=1, eq=n + k - 2
             )
             if not weight.is_zero:
-                out[reduced] = out.get(reduced, ZERO) + coeff * weight
-    return FockVector(v.space, out)
+                yield word[: k - 1] + word[k:], coeff * weight
 
 
-def _apply_gauge(t: FracMatrix, v: FockVector) -> FockVector:
+def _gauge_terms(t: FracMatrix, v: FockVector, horizon: int | None) -> Terms:
     tj = frac_mat_mul(t, v.space.involution)
-    out: dict[Word, Poly] = {}
-    for word, coeff in v.coeffs.items():
+    for word, coeff in _reach(v, horizon, 0):
         n = len(word)
         for k in range(1, n + 1):
             reduced = word[: k - 1] + word[k:]
@@ -378,28 +388,42 @@ def _apply_gauge(t: FracMatrix, v: FockVector) -> FockVector:
                     tj[new_letter][letter], ea=1, eq=n + k - 2
                 )
                 if not weight.is_zero:
-                    key = reduced + (new_letter,)
-                    out[key] = out.get(key, ZERO) + coeff * weight
-    return FockVector(v.space, out)
+                    yield reduced + (new_letter,), coeff * weight
 
 
-def apply_operator(op: OpSpec, v: FockVector) -> FockVector:
-    if op.kind == "create":
-        return _apply_create(op.x, v)
-    if op.kind == "annihilate":
-        return _apply_annihilate(op.x, v)
-    if op.kind == "gauge":
-        return _apply_gauge(op.t, v)
-    if op.kind == "b":
-        result = _apply_annihilate(op.x, v) + _apply_create(op.x, v) + _apply_gauge(op.t, v)
-        if op.lam:
-            result = result + op.lam * v
-        return result
+def check_dimensions(op: OpSpec, space: SpaceSpec) -> None:
+    """Raise ValueError unless the operator's vector and matrix fit the space."""
+    d = space.d
+    if op.x is not None and len(op.x) != d:
+        raise ValueError(f"{op.kind}: vector has {len(op.x)} coordinates, the space has d = {d}")
+    if op.t is not None and (len(op.t) != d or any(len(row) != d for row in op.t)):
+        raise ValueError(f"{op.kind}: coefficient operator is not {d}x{d}")
+
+
+def apply_operator(op: OpSpec, v: FockVector, horizon: int | None = None) -> FockVector:
+    """op applied to v; words longer than the horizon (if given) are never formed."""
     if op.kind.startswith("qt-"):
         from . import qt  # deferred: qt builds on this module
 
-        return qt.qt_apply(op, v)
-    raise ValueError(f"unknown operator kind {op.kind!r}")
+        return qt.qt_apply(op, v, horizon)
+    check_dimensions(op, v.space)
+    if op.kind == "create":
+        terms = _create_terms(op.x, v, horizon)
+    elif op.kind == "annihilate":
+        terms = _annihilate_terms(op.x, v, horizon)
+    elif op.kind == "gauge":
+        terms = _gauge_terms(op.t, v, horizon)
+    elif op.kind == "b":
+        terms = chain(
+            _annihilate_terms(op.x, v, horizon),
+            _create_terms(op.x, v, horizon),
+            _gauge_terms(op.t, v, horizon),
+        )
+        if op.lam:
+            terms = chain(terms, ((word, coeff * op.lam) for word, coeff in _reach(v, horizon, 0)))
+    else:
+        raise ValueError(f"unknown operator kind {op.kind!r}")
+    return _collect(v.space, terms)
 
 
 def free_annihilator_matrix(x: FracVector, n: int, space: SpaceSpec) -> Matrix:
@@ -468,14 +492,28 @@ def inner(u: FockVector, v: FockVector, flavor: str = "alpha-q") -> Poly:
     return total
 
 
+def vacuum_coefficient(
+    ops: Sequence[OpSpec],
+    space: SpaceSpec,
+    apply: Callable[[OpSpec, FockVector, int], FockVector],
+) -> Poly:
+    """Vacuum coefficient of ops[0]···ops[-1] Ω under ``apply(op, v, horizon)``.
+
+    The rightmost factor applies first.  Every factor changes a word's length
+    by at most one, so a word longer than the number of factors still to
+    apply can never return to Ω: each step passes that number as its horizon.
+    """
+    v = FockVector.vacuum(space)
+    for remaining in range(len(ops) - 1, -1, -1):
+        v = apply(ops[remaining], v, remaining)
+    return v.coeff(())
+
+
 def vacuum_expectation(ops: Sequence[OpSpec], space: SpaceSpec) -> Poly:
     """Vacuum coefficient of ops[0]···ops[-1] Ω (rightmost factor applied first)."""
     if len(ops) > space.truncation:
         raise TruncationError("more operator factors than the truncation allows")
-    v = FockVector.vacuum(space)
-    for op in reversed(ops):
-        v = apply_operator(op, v)
-    return v.coeff(())
+    return vacuum_coefficient(ops, space, apply_operator)
 
 
 # -- float-mode spectral checks ------------------------------------------------
@@ -497,10 +535,14 @@ def r_operator_norm(space: SpaceSpec, n: int, alpha: float, q: float) -> float:
 def gauge_norm_deformed(
     space: SpaceSpec, t: FracMatrix, n: int, alpha: float, q: float
 ) -> float:
-    """Operator norm of gauge(T) on level n w.r.t. the deformed inner product."""
+    """Operator norm of gauge(T) on level n w.r.t. the deformed inner product.
+
+    T must be symmetric (as for every gauge OpSpec).
+    """
     gram = mat_to_float(symmetrizer(n, space), alpha, q)
+    op = OpSpec("gauge", t=t)
     mat = mat_to_float(matrix_of_level_map(
-        lambda v: _apply_gauge(t, v), space, n, n
+        lambda v: apply_operator(op, v), space, n, n
     ), alpha, q)
     eigvals, eigvecs = np.linalg.eigh(gram)
     if eigvals.min() <= 0:

@@ -8,7 +8,16 @@ as a sum over colored partitions:
 
 where the block cumulant K threads the block's interior through the
 coefficient operators T and the involution (one insertion per -1 arc), and
-singleton blocks contribute their lambda.  The vector-level refinement
+singleton blocks contribute their lambda.
+
+``wick_moment`` evaluates this sum color-summed.  rc does not depend on the
+colors, and a -1 arc contributes a, q^(2 cover) and one involution
+insertion, where cover counts the arcs of other blocks strictly covering it.
+So the 2^#arcs colorings of an uncolored partition fold into one chain per
+block with (I + a q^(2 cover) J) at every arc, and the sum runs over the
+Bell(n) uncolored partitions only.  ``colored_wick_moment`` keeps the
+colored sum itself, term by term; it is the small-n oracle the tests hold
+``wick_moment`` to.  The vector-level refinement
 resolves a word of creators / annihilators / gauge factors applied to the
 vacuum as a sum over eps-compatible extended partitions with the enriched
 weight q^(rc + max_c + 2 rnarc + 2 max_l).
@@ -31,7 +40,9 @@ from .partitions import (
     ONE_SYM,
     PRIME,
     STAR,
+    Block,
     ColoredPartition,
+    arc_covers,
     enumerate_colored,
     enumerate_extended_eps,
     set_partitions,
@@ -145,10 +156,63 @@ def cumulant_partition(p: ColoredPartition, prob: MomentProblem) -> Poly:
     return value
 
 
+def _poly_mat_vec(m: FracMatrix, vec: Sequence[Poly]) -> list[Poly]:
+    return [Poly.sum(v * entry for entry, v in zip(row, vec) if entry) for row in m]
+
+
+def summed_chain_value(block: Block, covers: Sequence[int], prob: MomentProblem) -> Poly:
+    """Color sum of a block's closed chains, for m >= 2:
+
+    <x_max, (I + a q^(2 c_{m-1}) J) T_{x_{i_{m-1}}} ··· T_{x_{i_2}} (I + a q^(2 c_1) J) x_min>
+
+    where c_k = covers[k-1] is the cover count of the block's k-th arc.
+    """
+    involution = prob.space.involution
+    vec = [Poly.const(entry) for entry in prob.x(block[0])]
+    for j, cover in enumerate(covers, start=1):
+        flip = Poly.monomial(1, ea=1, eq=2 * cover)
+        vec = [v + flip * w for v, w in zip(vec, _poly_mat_vec(involution, vec))]
+        if j < len(covers):  # the maximum enters through the inner product
+            vec = _poly_mat_vec(prob.t(block[j]), vec)
+    return Poly.sum(v * entry for entry, v in zip(prob.x(block[-1]), vec) if entry)
+
+
 def wick_moment(prob: MomentProblem) -> Poly:
-    """Exact colored-partition sum for phi(B(x_n)···B(x_1))."""
+    """Exact color-summed partition sum for phi(B(x_n)···B(x_1)).
+
+    Sums q^rc times the block factors over uncolored partitions: lambda for a
+    singleton, ``summed_chain_value`` otherwise.  Chains are memoised per
+    call by (block, covers).  Equals ``colored_wick_moment``.
+    """
     if prob.n > MAX_WICK_N:
         raise ResourceLimitError(f"wick_moment is guarded at n <= {MAX_WICK_N}")
+    chains: dict[tuple[Block, tuple[int, ...]], Poly] = {}
+
+    def partition_value(blocks: tuple[Block, ...]) -> Poly:
+        rc, covers = arc_covers(blocks)
+        value = Poly.monomial(1, eq=rc)
+        for block, block_covers in zip(blocks, covers):
+            if len(block) == 1:
+                value = value * prob.lams[block[0] - 1]
+            else:
+                key = (block, block_covers)
+                if key not in chains:
+                    chains[key] = summed_chain_value(block, block_covers, prob)
+                value = value * chains[key]
+            if value.is_zero:
+                break
+        return value
+
+    return Poly.sum(partition_value(blocks) for blocks in set_partitions(prob.n))
+
+
+def colored_wick_moment(prob: MomentProblem) -> Poly:
+    """The colored-partition sum for phi(B(x_n)···B(x_1)), term by term.
+
+    Visits every colored partition; the small-n oracle for ``wick_moment``.
+    """
+    if prob.n > MAX_WICK_N:
+        raise ResourceLimitError(f"colored_wick_moment is guarded at n <= {MAX_WICK_N}")
     total = ZERO
     for p in enumerate_colored(prob.n):
         value = cumulant_partition(p, prob)
@@ -441,7 +505,7 @@ def _vector_str(v: FockVector) -> str:
 
 
 def verify_moment_identity(prob: MomentProblem) -> VerifyReport:
-    """Operator vacuum expectation vs the colored-partition sum."""
+    """Operator vacuum expectation vs the color-summed partition sum."""
     lhs = vacuum_expectation(prob.operators(), prob.space)
     rhs = wick_moment(prob)
     return _poly_report(f"moment-identity-n{prob.n}", lhs, rhs)

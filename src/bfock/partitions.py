@@ -18,6 +18,9 @@ Statistics (all counted over pairs of arcs from distinct blocks):
 * m_left  - like max_l but color-blind
 * out_arc - arcs covered by no other arc; only for noncrossing partitions
 
+``arc_covers`` gives the color-blind part (rc and the per-arc cover counts)
+of an uncolored partition, for the sums that fold the colorings away.
+
 Enumeration order is deterministic: uncolored partitions in restricted-
 growth-string order, colorings in binary order (+1 before -1), markings in
 subset-mask order.
@@ -183,6 +186,31 @@ def statistics(p: ColoredPartition | ExtendedPartition) -> PartitionStats:
         m_left=m_left,
         out_arc=out_arc,
     )
+
+
+def arc_covers(blocks: Sequence[Block]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Color-blind arc statistics of an uncolored partition: ``(rc, covers)``.
+
+    ``covers[b][k]`` counts the arcs strictly covering the k-th arc of block
+    b.  Arcs of one block share endpoints or are disjoint, so every crossing
+    or covering arc lies in another block; the covers therefore sum to rarc,
+    and a coloring's rnarc is the sum of the covers of its -1 arcs.
+    """
+    arcs = [(block[k], block[k + 1]) for block in blocks for k in range(len(block) - 1)]
+    rc = sum(
+        1
+        for idx, (i, j) in enumerate(arcs)
+        for k, l in arcs[idx + 1 :]
+        if i < k < j < l or k < i < l < j
+    )
+    covers = tuple(
+        tuple(
+            sum(1 for k, l in arcs if k < block[m] and block[m + 1] < l)
+            for m in range(len(block) - 1)
+        )
+        for block in blocks
+    )
+    return rc, covers
 
 
 # -- enumeration ---------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .errors import ResourceLimitError
@@ -22,13 +23,17 @@ from .fock import (
     FockVector,
     OpSpec,
     SpaceSpec,
-    Word,
-    _apply_create,
+    Terms,
+    _collect,
+    _create_terms,
+    _reach,
     apply_symmetrizer,
+    check_dimensions,
     inner,
     matrix_of_level_map,
+    vacuum_coefficient,
 )
-from .partitions import set_partitions
+from .partitions import arc_covers, set_partitions
 from .scalars import (
     ONE,
     Poly,
@@ -84,26 +89,17 @@ def qt_y(x: Sequence[Fraction], t: Sequence[Sequence[Fraction]]) -> OpSpec:
     return OpSpec("qt-y", x=frac_vector(x), t=frac_matrix(t))
 
 
-def _qt_create_apply(x: FracVector, v: FockVector) -> FockVector:
-    return _apply_create(x, v)  # creation is weight-free in both models
-
-
-def _qt_annihilate_apply(x: FracVector, v: FockVector) -> FockVector:
-    out: dict[Word, Poly] = {}
-    for word, coeff in v.coeffs.items():
+def _qt_annihilate_terms(x: FracVector, v: FockVector, horizon: int | None) -> Terms:
+    for word, coeff in _reach(v, horizon, -1):
         n = len(word)
         for k in range(1, n + 1):
             entry = x[word[k - 1]]
             if entry:
-                reduced = word[: k - 1] + word[k:]
-                weight = Poly.monomial(entry, eq=n - k, et=k - 1)
-                out[reduced] = out.get(reduced, ZERO) + coeff * weight
-    return FockVector(v.space, out)
+                yield word[: k - 1] + word[k:], coeff * Poly.monomial(entry, eq=n - k, et=k - 1)
 
 
-def _qt_gauge_apply(t: FracMatrix, v: FockVector) -> FockVector:
-    out: dict[Word, Poly] = {}
-    for word, coeff in v.coeffs.items():
+def _qt_gauge_terms(t: FracMatrix, v: FockVector, horizon: int | None) -> Terms:
+    for word, coeff in _reach(v, horizon, 0):
         n = len(word)
         for k in range(1, n + 1):
             reduced = word[: k - 1] + word[k:]
@@ -111,26 +107,28 @@ def _qt_gauge_apply(t: FracMatrix, v: FockVector) -> FockVector:
             for new_letter in range(v.space.d):
                 entry = t[new_letter][letter]
                 if entry:
-                    key = reduced + (new_letter,)
                     weight = Poly.monomial(entry, eq=n - k, et=k - 1)
-                    out[key] = out.get(key, ZERO) + coeff * weight
-    return FockVector(v.space, out)
+                    yield reduced + (new_letter,), coeff * weight
 
 
-def qt_apply(op: OpSpec, v: FockVector) -> FockVector:
-    if op.kind == "qt-create":
-        return _qt_create_apply(op.x, v)
-    if op.kind == "qt-annihilate":
-        return _qt_annihilate_apply(op.x, v)
-    if op.kind == "qt-gauge":
-        return _qt_gauge_apply(op.t, v)
-    if op.kind == "qt-y":
-        return (
-            _qt_annihilate_apply(op.x, v)
-            + _qt_create_apply(op.x, v)
-            + _qt_gauge_apply(op.t, v)
+def qt_apply(op: OpSpec, v: FockVector, horizon: int | None = None) -> FockVector:
+    """op applied to v; words longer than the horizon (if given) are never formed."""
+    check_dimensions(op, v.space)
+    if op.kind == "qt-create":  # creation is weight-free in both models
+        terms = _create_terms(op.x, v, horizon)
+    elif op.kind == "qt-annihilate":
+        terms = _qt_annihilate_terms(op.x, v, horizon)
+    elif op.kind == "qt-gauge":
+        terms = _qt_gauge_terms(op.t, v, horizon)
+    elif op.kind == "qt-y":
+        terms = chain(
+            _qt_annihilate_terms(op.x, v, horizon),
+            _create_terms(op.x, v, horizon),
+            _qt_gauge_terms(op.t, v, horizon),
         )
-    raise ValueError(f"not a (q,t) operator kind: {op.kind!r}")
+    else:
+        raise ValueError(f"not a (q,t) operator kind: {op.kind!r}")
+    return _collect(v.space, terms)
 
 
 def qt_inner(u: FockVector, v: FockVector) -> Poly:
@@ -139,10 +137,7 @@ def qt_inner(u: FockVector, v: FockVector) -> Poly:
 
 def qt_vacuum_expectation(ops: Sequence[OpSpec], spec: QtSpec) -> Poly:
     """Vacuum coefficient of ops[0]···ops[-1] Ω (rightmost applied first)."""
-    v = FockVector.vacuum(spec.space)
-    for op in reversed(ops):
-        v = qt_apply(op, v)
-    return v.coeff(())
+    return vacuum_coefficient(ops, spec.space, qt_apply)
 
 
 def _plain_chain(block: Sequence[int], xs, ts) -> Fraction:
@@ -153,24 +148,6 @@ def _plain_chain(block: Sequence[int], xs, ts) -> Fraction:
     for point in elements[1:-1]:
         vec = frac_mat_vec(ts[point - 1], vec)
     return frac_dot(xs[elements[-1] - 1], vec)
-
-
-def _rc_rarc(blocks) -> tuple[int, int]:
-    arcs = [
-        (block[k], block[k + 1], b)
-        for b, block in enumerate(blocks)
-        for k in range(len(block) - 1)
-    ]
-    rc = rarc = 0
-    for idx, (i, j, b) in enumerate(arcs):
-        for k, l, b2 in arcs[idx + 1 :]:
-            if b == b2:
-                continue
-            if i < k < j < l or k < i < l < j:
-                rc += 1
-            elif (i < k and l < j) or (k < i and j < l):
-                rarc += 1
-    return rc, rarc
 
 
 def qt_wick(
@@ -196,7 +173,8 @@ def qt_wick(
             if not value:
                 break
         if value:
-            rc, rarc = _rc_rarc(blocks)
+            rc, covers = arc_covers(blocks)
+            rarc = sum(map(sum, covers))
             total = total + Poly.monomial(value, eq=rc, et=rarc)
     return total
 

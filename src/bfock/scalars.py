@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -110,6 +110,15 @@ class Poly:
         return Poly(out)
 
     __radd__ = __add__
+
+    @staticmethod
+    def sum(values: Iterable[PolyLike]) -> Poly:
+        """Sum of many polynomials, normalised once rather than per addition."""
+        out: dict[Exponent, Fraction] = {}
+        for value in values:
+            for exp, coeff in Poly._coerce(value).terms.items():
+                out[exp] = out.get(exp, 0) + coeff
+        return Poly(out)
 
     def __sub__(self, other: PolyLike) -> Poly:
         if not isinstance(other, (Poly, Fraction, int)):
@@ -271,10 +280,6 @@ class ScalarMode:
     def require_type_b_range(self) -> None:
         if self.kind != "symbolic" and not (abs(self.alpha) < 1 and abs(self.q) < 1):
             raise ValueError("type-B numeric modes require |alpha| < 1 and |q| < 1")
-
-    def require_qt_range(self) -> None:
-        if self.kind != "symbolic" and not (abs(self.q) < self.t < 1):
-            raise ValueError("(q,t) numeric modes require |q| < t < 1")
 
     def render(self, value: Poly) -> str:
         if self.kind == "symbolic":

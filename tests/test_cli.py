@@ -97,6 +97,24 @@ def test_qt_check(capsys):
     assert json.loads(out)["equal"] is True
 
 
+@pytest.mark.parametrize(
+    "values",
+    [("--q", "5", "--t", "7"), ("--t", "7"), ("--t", "0"), ("--q", "3/4", "--t", "1/2")],
+)
+def test_qt_substituted_values_out_of_range(capsys, values):
+    with pytest.raises(SystemExit) as exc:
+        main(["qt", "--n", "3", *values])
+    assert exc.value.code == 2
+    code, out = run_cli(capsys, "qt", "--n", "3", "--q", "1/4", "--t", "1/2")
+    assert code == 0
+
+
+def test_qt_has_no_mode_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["qt", "--n", "2", "--mode", "rational"])
+    assert exc.value.code == 2
+
+
 def test_orthopoly_tables(capsys):
     code, out = run_cli(
         capsys, "orthopoly", "--family", "alphaq-poisson-B", "--N", "3"

@@ -257,6 +257,26 @@ def test_truncation_guard():
         vacuum_expectation([create(UNIT)] * 2, tight)
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        create(UNIT),
+        annihilate(UNIT),
+        annihilate((F(1), F(0), F(1))),
+        gauge(ID1),
+        type_b(UNIT, frac_identity(2)),
+        type_b((F(1), F(1)), ID1),
+    ],
+    ids=["create", "annihilate-short", "annihilate-long", "gauge", "b-vector", "b-matrix"],
+)
+def test_operator_dimensions_must_match_the_space(op):
+    v = FockVector.basis(D2, (1, 1))
+    with pytest.raises(ValueError, match="d = 2|2x2"):
+        apply_operator(op, v)
+    with pytest.raises(ValueError):
+        vacuum_expectation([op, op], D2)
+
+
 @pytest.mark.parametrize("alpha,q", [(0.4, 0.3), (0.4, -0.3), (-0.4, 0.3), (-0.4, -0.3)])
 def test_float_bounds_and_positivity(alpha, q):
     for n in (1, 2, 3, 4):

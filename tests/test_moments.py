@@ -6,9 +6,10 @@ from itertools import product
 
 import pytest
 
-from bfock.fock import FockVector, SpaceSpec, vacuum_expectation
+from bfock.fock import FockVector, SpaceSpec, apply_operator, vacuum_expectation
 from bfock.moments import (
     MomentProblem,
+    colored_wick_moment,
     corollary_cases,
     cumulant_block,
     eps_word_vector,
@@ -23,6 +24,21 @@ from bfock.moments import (
 from bfock.scalars import ALPHA, ONE, Poly
 
 F = Fraction
+
+# three symmetric involutions on a plane: diagonal, swap, reflection
+INVOLUTIONS = {
+    "diagonal": ((F(1), F(0)), (F(0), F(-1))),
+    "swap": ((F(0), F(1)), (F(1), F(0))),
+    "reflection": ((F(3, 5), F(4, 5)), (F(4, 5), F(-3, 5))),
+}
+
+
+def involution_problem(seed, n, which):
+    """A random instance on the named involution with every lambda nonzero."""
+    space = SpaceSpec(2, INVOLUTIONS[which], truncation=max(n, 1))
+    prob = random_problem(random.Random(seed), n, space)
+    lams = tuple(lam or F(k + 1, 3) for k, lam in enumerate(prob.lams))
+    return MomentProblem(xs=prob.xs, ts=prob.ts, lams=lams, space=space)
 
 
 def unit_problem(n, lam=0, sign="+"):
@@ -88,6 +104,50 @@ def test_moment_identity_affine_in_lambda():
     )
     m0, m1, m2 = wick_moment(base), wick_moment(shifted), wick_moment(doubled)
     assert m2 - m1 == m1 - m0  # affine in lambda_1
+
+
+@pytest.mark.parametrize("which", sorted(INVOLUTIONS))
+def test_color_summed_moment_matches_colored_sum_and_operators(which):
+    for n in range(7):
+        prob = involution_problem(500 + n, n, which)
+        assert all(prob.lams)
+        summed = wick_moment(prob)
+        assert summed == colored_wick_moment(prob), (which, n)
+        assert summed == vacuum_expectation(prob.operators(), prob.space), (which, n)
+
+
+def unpruned_vacuum_expectation(prob):
+    v = FockVector.vacuum(prob.space)
+    for op in reversed(prob.operators()):
+        v = apply_operator(op, v)
+    return v.coeff(())
+
+
+@pytest.mark.parametrize("which", sorted(INVOLUTIONS))
+def test_pruned_vacuum_expectation_matches_unpruned_loop(which):
+    for n in range(7):
+        prob = involution_problem(600 + n, n, which)
+        assert vacuum_expectation(prob.operators(), prob.space) == unpruned_vacuum_expectation(prob)
+
+
+def test_horizon_only_drops_longer_words():
+    prob = involution_problem(7, 4, "reflection")
+    v = FockVector.vacuum(prob.space)
+    for op in prob.operators():
+        full = apply_operator(op, v)
+        for horizon in range(4):
+            kept = {word: c for word, c in full.coeffs.items() if len(word) <= horizon}
+            assert apply_operator(op, v, horizon) == FockVector(prob.space, kept)
+        v = full
+
+
+@pytest.mark.parametrize("which", ["swap", "reflection"])
+def test_vector_identity_general_involution(which):
+    for n in range(1, 5):
+        prob = involution_problem(700 + n, n, which)
+        for eps in product("*1'", repeat=n):
+            report = verify_vector_identity(eps, prob)
+            assert report.equal, (which, eps, report.first_difference)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

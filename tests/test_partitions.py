@@ -6,6 +6,7 @@ from bfock.errors import ResourceLimitError
 from bfock.partitions import (
     ColoredPartition,
     ExtendedPartition,
+    arc_covers,
     enumerate_colored,
     enumerate_extended,
     enumerate_extended_eps,
@@ -93,6 +94,27 @@ def test_color_independence_of_rc_rarc():
         by_skeleton[p.blocks].add((statistics(p).rc, statistics(p).rarc))
     for values in by_skeleton.values():
         assert len(values) == 1
+
+
+def test_arc_covers_fold_the_colorings():
+    # over the colorings of each partition, sum a^narc q^(2 rnarc) equals the
+    # product over arcs of (1 + a q^(2 cover)); rc and rarc are color-blind
+    from bfock.scalars import ONE, ZERO, Poly
+
+    for n in range(7):
+        summed = {}
+        for p in enumerate_colored(n):
+            rc, covers = arc_covers(p.blocks)
+            stats = statistics(p)
+            assert (stats.rc, stats.rarc) == (rc, sum(map(sum, covers)))
+            weight = Poly.monomial(1, ea=stats.narc, eq=2 * stats.rnarc)
+            summed[p.blocks] = summed.get(p.blocks, ZERO) + weight
+        assert len(summed) == len(list(set_partitions(n)))
+        for blocks, value in summed.items():
+            folded = ONE
+            for cover in (c for block_covers in arc_covers(blocks)[1] for c in block_covers):
+                folded = folded * (ONE + Poly.monomial(1, ea=1, eq=2 * cover))
+            assert value == folded, blocks
 
 
 def test_noncrossing_and_nonnesting():

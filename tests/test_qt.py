@@ -147,15 +147,16 @@ def test_qt_t1_matches_type_b_alpha0_moments(n):
 def test_qt_q0_noncrossing_only():
     rng = random.Random(31)
     prob = random_problem(rng, 4, SPEC2.space, zero_lams=True)
-    from bfock.partitions import set_partitions
-    from bfock.qt import _plain_chain, _rc_rarc
+    from bfock.partitions import arc_covers, set_partitions
+    from bfock.qt import _plain_chain
     from bfock.scalars import ZERO, Poly
 
     expected = ZERO
     for blocks in set_partitions(4):
         if any(len(block) < 2 for block in blocks):
             continue
-        rc, rarc = _rc_rarc(blocks)
+        rc, covers = arc_covers(blocks)
+        rarc = sum(map(sum, covers))
         if rc:
             continue
         value = Fraction(1)
@@ -164,6 +165,24 @@ def test_qt_q0_noncrossing_only():
         if value:
             expected = expected + Poly.monomial(value, et=rarc)
     assert qt_wick(prob.xs, prob.ts, SPEC2).subs(q=0) == expected
+
+
+def test_qt_operator_dimensions_must_match_the_space():
+    v = FockVector.basis(SPEC2.space, (1,))
+    for op in (qt_create((F(1),)), qt_annihilate((F(1),)), qt_gauge(frac_identity(1))):
+        with pytest.raises(ValueError):
+            qt_apply(op, v)
+
+
+def test_qt_pruned_vacuum_expectation_matches_unpruned_loop():
+    rng = random.Random(41)
+    for n in range(1, 7):
+        prob = random_problem(rng, n, SPEC2.space, zero_lams=True)
+        ops = [qt_y(x, t) for x, t in zip(reversed(prob.xs), reversed(prob.ts))]
+        v = FockVector.vacuum(SPEC2.space)
+        for op in reversed(ops):
+            v = qt_apply(op, v)
+        assert qt_vacuum_expectation(ops, SPEC2) == v.coeff(())
 
 
 def test_qt_requires_trivial_involution():
