@@ -9,6 +9,12 @@ coefficients, so every operator identity can be asserted exactly.
 Operators follow the right-creator convention: creation appends at the
 right end of a word, the free right annihilator removes the rightmost slot,
 and products apply their rightmost factor first.
+
+One annihilator kernel and one gauge kernel serve both models; they differ
+only in the weight of the slot-k term of a length-n word:
+
+* type B:  q^(n-k) on x plus a q^(n+k-2) on Jx (on T and TJ for the gauge);
+* (q,t):   q^(n-k) t^(k-1) on x (on T), with no involution term.
 """
 
 from __future__ import annotations
@@ -306,7 +312,8 @@ class OpSpec:
     """An operator on the Fock space, by kind and parameters.
 
     Kinds: create, annihilate, gauge, b (= annihilate + create + gauge + λ·I),
-    and the (q,t) variants qt-create, qt-annihilate, qt-gauge, qt-y.
+    all with the type-B slot weight, and the (q,t) variants qt-create,
+    qt-annihilate, qt-gauge, qt-y (= b with λ = 0), with the (q,t) slot weight.
     """
 
     kind: str
@@ -363,20 +370,36 @@ def _create_terms(x: FracVector, v: FockVector, horizon: int | None) -> Terms:
                 yield word + (letter,), coeff * entry
 
 
-def _annihilate_terms(x: FracVector, v: FockVector, horizon: int | None) -> Terms:
+def _type_b_weight(entry: Fraction, j_entry: Fraction, n: int, k: int) -> Poly:
+    """Slot k of a length-n word: q^(n-k) on x plus a q^(n+k-2) on Jx."""
+    return Poly({(0, n - k, 0): entry, (1, n + k - 2, 0): j_entry})
+
+
+def _qt_weight(entry: Fraction, j_entry: Fraction, n: int, k: int) -> Poly:
+    """Slot k of a length-n word: q^(n-k) t^(k-1) on x; the involution plays no part."""
+    return Poly({(0, n - k, k - 1): entry})
+
+
+# slot weight(entry of x or T, same entry of Jx or TJ, word length n, slot k)
+SlotWeight = Callable[[Fraction, Fraction, int, int], Poly]
+
+
+def _annihilate_terms(
+    x: FracVector, v: FockVector, horizon: int | None, weight: SlotWeight
+) -> Terms:
     jx = v.space.involve(x)
     for word, coeff in _reach(v, horizon, -1):
         n = len(word)
         for k in range(1, n + 1):
             letter = word[k - 1]
-            weight = Poly.monomial(x[letter], eq=n - k) + Poly.monomial(
-                jx[letter], ea=1, eq=n + k - 2
-            )
-            if not weight.is_zero:
-                yield word[: k - 1] + word[k:], coeff * weight
+            w = weight(x[letter], jx[letter], n, k)
+            if not w.is_zero:
+                yield word[: k - 1] + word[k:], coeff * w
 
 
-def _gauge_terms(t: FracMatrix, v: FockVector, horizon: int | None) -> Terms:
+def _gauge_terms(
+    t: FracMatrix, v: FockVector, horizon: int | None, weight: SlotWeight
+) -> Terms:
     tj = frac_mat_mul(t, v.space.involution)
     for word, coeff in _reach(v, horizon, 0):
         n = len(word)
@@ -384,11 +407,9 @@ def _gauge_terms(t: FracMatrix, v: FockVector, horizon: int | None) -> Terms:
             reduced = word[: k - 1] + word[k:]
             letter = word[k - 1]
             for new_letter in range(v.space.d):
-                weight = Poly.monomial(t[new_letter][letter], eq=n - k) + Poly.monomial(
-                    tj[new_letter][letter], ea=1, eq=n + k - 2
-                )
-                if not weight.is_zero:
-                    yield reduced + (new_letter,), coeff * weight
+                w = weight(t[new_letter][letter], tj[new_letter][letter], n, k)
+                if not w.is_zero:
+                    yield reduced + (new_letter,), coeff * w
 
 
 def check_dimensions(op: OpSpec, space: SpaceSpec) -> None:
@@ -400,27 +421,30 @@ def check_dimensions(op: OpSpec, space: SpaceSpec) -> None:
         raise ValueError(f"{op.kind}: coefficient operator is not {d}x{d}")
 
 
+# the (q,t) kinds run the type-B kernels with the (q,t) slot weight; Y is b with λ = 0
+_QT_KINDS = {"qt-create": "create", "qt-annihilate": "annihilate", "qt-gauge": "gauge", "qt-y": "b"}
+
+
 def apply_operator(op: OpSpec, v: FockVector, horizon: int | None = None) -> FockVector:
     """op applied to v; words longer than the horizon (if given) are never formed."""
-    if op.kind.startswith("qt-"):
-        from . import qt  # deferred: qt builds on this module
-
-        return qt.qt_apply(op, v, horizon)
     check_dimensions(op, v.space)
-    if op.kind == "create":
+    kind, weight, lam = op.kind, _type_b_weight, op.lam
+    if kind in _QT_KINDS:
+        kind, weight, lam = _QT_KINDS[kind], _qt_weight, 0
+    if kind == "create":
         terms = _create_terms(op.x, v, horizon)
-    elif op.kind == "annihilate":
-        terms = _annihilate_terms(op.x, v, horizon)
-    elif op.kind == "gauge":
-        terms = _gauge_terms(op.t, v, horizon)
-    elif op.kind == "b":
+    elif kind == "annihilate":
+        terms = _annihilate_terms(op.x, v, horizon, weight)
+    elif kind == "gauge":
+        terms = _gauge_terms(op.t, v, horizon, weight)
+    elif kind == "b":
         terms = chain(
-            _annihilate_terms(op.x, v, horizon),
+            _annihilate_terms(op.x, v, horizon, weight),
             _create_terms(op.x, v, horizon),
-            _gauge_terms(op.t, v, horizon),
+            _gauge_terms(op.t, v, horizon, weight),
         )
-        if op.lam:
-            terms = chain(terms, ((word, coeff * op.lam) for word, coeff in _reach(v, horizon, 0)))
+        if lam:
+            terms = chain(terms, ((word, coeff * lam) for word, coeff in _reach(v, horizon, 0)))
     else:
         raise ValueError(f"unknown operator kind {op.kind!r}")
     return _collect(v.space, terms)
@@ -492,28 +516,19 @@ def inner(u: FockVector, v: FockVector, flavor: str = "alpha-q") -> Poly:
     return total
 
 
-def vacuum_coefficient(
-    ops: Sequence[OpSpec],
-    space: SpaceSpec,
-    apply: Callable[[OpSpec, FockVector, int], FockVector],
-) -> Poly:
-    """Vacuum coefficient of ops[0]···ops[-1] Ω under ``apply(op, v, horizon)``.
-
-    The rightmost factor applies first.  Every factor changes a word's length
-    by at most one, so a word longer than the number of factors still to
-    apply can never return to Ω: each step passes that number as its horizon.
-    """
-    v = FockVector.vacuum(space)
-    for remaining in range(len(ops) - 1, -1, -1):
-        v = apply(ops[remaining], v, remaining)
-    return v.coeff(())
-
-
 def vacuum_expectation(ops: Sequence[OpSpec], space: SpaceSpec) -> Poly:
-    """Vacuum coefficient of ops[0]···ops[-1] Ω (rightmost factor applied first)."""
+    """Vacuum coefficient of ops[0]···ops[-1] Ω (rightmost factor applied first).
+
+    Every factor changes a word's length by at most one, so a word longer than
+    the number of factors still to apply can never return to Ω: each step
+    passes that number as its horizon.
+    """
     if len(ops) > space.truncation:
         raise TruncationError("more operator factors than the truncation allows")
-    return vacuum_coefficient(ops, space, apply_operator)
+    v = FockVector.vacuum(space)
+    for remaining in range(len(ops) - 1, -1, -1):
+        v = apply_operator(ops[remaining], v, remaining)
+    return v.coeff(())
 
 
 # -- float-mode spectral checks ------------------------------------------------

@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import ResourceLimitError
-from .fock import FockVector, SpaceSpec, apply_operator, type_b
-from .qt import QtSpec, qt_apply, qt_y
+from .fock import FockVector, OpSpec, SpaceSpec, apply_operator, type_b
+from .qt import QtSpec, qt_y
 from .scalars import ALPHA, ONE, Poly, PolyLike, ZERO, qint, qtint
 
 MAX_VACUUM_IDENTITY_N = 6
@@ -194,36 +194,33 @@ class IdentityReport:
     detail: str
 
 
-def vacuum_polynomial_identity(which: str, upto: int, sign: str = "+") -> IdentityReport:
-    """Check P_n(operator) Ω = x^{⊗n} symbolically for n <= upto.
+def _line_model(which: str, upto: int, sign: str) -> tuple[SpaceSpec, OpSpec]:
+    """The line (d = 1) truncated at upto + 1 and its operator with x = 1, T = Id.
 
-    which: 'alphaq' uses the type-B operator with T = Id on a line with the
-    ±1 involution; 'qt' uses the (q,t) operator (sign must be '+').
+    which: 'alphaq' is the type-B operator with the ±1 involution of sign;
+    'qt' is the (q,t) operator Y (sign must be '+').
     """
-    if upto > MAX_VACUUM_IDENTITY_N:
-        raise ResourceLimitError(f"guarded at n <= {MAX_VACUUM_IDENTITY_N}")
     unit = (Fraction(1),)
     identity = ((Fraction(1),),)
     if which == "alphaq":
-        space = SpaceSpec.diagonal(sign, truncation=upto + 1)
-        jp = alphaq_poisson_b(negate_alpha=(sign == "-"))
-        op = type_b(unit, identity)
-        step = lambda v: apply_operator(op, v)
-    elif which == "qt":
+        return SpaceSpec.diagonal(sign, truncation=upto + 1), type_b(unit, identity)
+    if which == "qt":
         if sign != "+":
             raise ValueError("the (q,t) model has the trivial involution")
-        spec = QtSpec.make(1, truncation=upto + 1)
-        space = spec.space
-        jp = qt_poisson()
-        op = qt_y(unit, identity)
-        step = lambda v: qt_apply(op, v)
-    else:
-        raise ValueError(f"unknown model {which!r}")
+        return QtSpec.make(1, truncation=upto + 1).space, qt_y(unit, identity)
+    raise ValueError(f"unknown model {which!r}")
 
+
+def vacuum_polynomial_identity(which: str, upto: int, sign: str = "+") -> IdentityReport:
+    """Check P_n(operator) Ω = x^{⊗n} symbolically for n <= upto (see ``_line_model``)."""
+    if upto > MAX_VACUUM_IDENTITY_N:
+        raise ResourceLimitError(f"guarded at n <= {MAX_VACUUM_IDENTITY_N}")
+    space, op = _line_model(which, upto, sign)
+    jp = alphaq_poisson_b(negate_alpha=(sign == "-")) if which == "alphaq" else qt_poisson()
     prev = FockVector(space)  # P_{-1} = 0
     current = FockVector.vacuum(space)  # P_0 = 1
     for n in range(upto):
-        nxt = step(current) - jp.beta(n) * current
+        nxt = apply_operator(op, current) - jp.beta(n) * current
         if n >= 1:
             nxt = nxt - jp.gamma(n - 1) * prev
         prev, current = current, nxt
@@ -241,24 +238,12 @@ def vacuum_polynomial_identity(which: str, upto: int, sign: str = "+") -> Identi
 
 def operator_moments(which: str, upto: int, sign: str = "+") -> list[Poly]:
     """phi(B^n) (or the (q,t) analogue) for n <= upto, symbolically."""
-    unit = (Fraction(1),)
-    identity = ((Fraction(1),),)
-    if which == "alphaq":
-        space = SpaceSpec.diagonal(sign, truncation=upto + 1)
-        op = type_b(unit, identity)
-        step = lambda v: apply_operator(op, v)
-    elif which == "qt":
-        spec = QtSpec.make(1, truncation=upto + 1)
-        space = spec.space
-        op = qt_y(unit, identity)
-        step = lambda v: qt_apply(op, v)
-    else:
-        raise ValueError(f"unknown model {which!r}")
+    space, op = _line_model(which, upto, sign)
     out = []
     v = FockVector.vacuum(space)
     for _ in range(upto + 1):
         out.append(v.coeff(()))
-        v = step(v)
+        v = apply_operator(op, v)
     return out
 
 

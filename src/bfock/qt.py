@@ -6,16 +6,16 @@ permutation with l2 <= C(n,2), the rescaling clears all denominators and the
 matrix entries are genuine polynomials in q and t: each sigma contributes
 q^l2 t^(C(n,2) - l2).
 
-Operators carry the weight t^(k-1) q^(n-k) on the slot-k term; the involution
-plays no role here (the base space must have the trivial involution).  The
-moment formula sums q^rc t^rarc over singleton-free uncolored partitions.
+The operators are ``fock``'s kernels with the (q,t) slot weight: the slot-k
+term of a length-n word carries q^(n-k) t^(k-1), and the involution plays no
+role (the base space must have the trivial involution).  The moment formula
+sums q^rc t^rarc over singleton-free uncolored partitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Sequence
 
 from .errors import ResourceLimitError
@@ -23,28 +23,15 @@ from .fock import (
     FockVector,
     OpSpec,
     SpaceSpec,
-    Terms,
-    _collect,
-    _create_terms,
-    _reach,
+    apply_operator,
     apply_symmetrizer,
-    check_dimensions,
     inner,
     matrix_of_level_map,
-    vacuum_coefficient,
+    vacuum_expectation,
 )
+from .moments import MomentProblem, plain_chain_value
 from .partitions import arc_covers, set_partitions
-from .scalars import (
-    ONE,
-    Poly,
-    ZERO,
-    FracMatrix,
-    FracVector,
-    Matrix,
-    frac_identity,
-    frac_matrix,
-    frac_vector,
-)
+from .scalars import ONE, Poly, ZERO, Matrix, frac_identity, frac_matrix, frac_vector
 
 MAX_QT_WICK_N = 8
 
@@ -89,46 +76,11 @@ def qt_y(x: Sequence[Fraction], t: Sequence[Sequence[Fraction]]) -> OpSpec:
     return OpSpec("qt-y", x=frac_vector(x), t=frac_matrix(t))
 
 
-def _qt_annihilate_terms(x: FracVector, v: FockVector, horizon: int | None) -> Terms:
-    for word, coeff in _reach(v, horizon, -1):
-        n = len(word)
-        for k in range(1, n + 1):
-            entry = x[word[k - 1]]
-            if entry:
-                yield word[: k - 1] + word[k:], coeff * Poly.monomial(entry, eq=n - k, et=k - 1)
-
-
-def _qt_gauge_terms(t: FracMatrix, v: FockVector, horizon: int | None) -> Terms:
-    for word, coeff in _reach(v, horizon, 0):
-        n = len(word)
-        for k in range(1, n + 1):
-            reduced = word[: k - 1] + word[k:]
-            letter = word[k - 1]
-            for new_letter in range(v.space.d):
-                entry = t[new_letter][letter]
-                if entry:
-                    weight = Poly.monomial(entry, eq=n - k, et=k - 1)
-                    yield reduced + (new_letter,), coeff * weight
-
-
 def qt_apply(op: OpSpec, v: FockVector, horizon: int | None = None) -> FockVector:
     """op applied to v; words longer than the horizon (if given) are never formed."""
-    check_dimensions(op, v.space)
-    if op.kind == "qt-create":  # creation is weight-free in both models
-        terms = _create_terms(op.x, v, horizon)
-    elif op.kind == "qt-annihilate":
-        terms = _qt_annihilate_terms(op.x, v, horizon)
-    elif op.kind == "qt-gauge":
-        terms = _qt_gauge_terms(op.t, v, horizon)
-    elif op.kind == "qt-y":
-        terms = chain(
-            _qt_annihilate_terms(op.x, v, horizon),
-            _create_terms(op.x, v, horizon),
-            _qt_gauge_terms(op.t, v, horizon),
-        )
-    else:
+    if not op.kind.startswith("qt-"):
         raise ValueError(f"not a (q,t) operator kind: {op.kind!r}")
-    return _collect(v.space, terms)
+    return apply_operator(op, v, horizon)
 
 
 def qt_inner(u: FockVector, v: FockVector) -> Poly:
@@ -137,17 +89,7 @@ def qt_inner(u: FockVector, v: FockVector) -> Poly:
 
 def qt_vacuum_expectation(ops: Sequence[OpSpec], spec: QtSpec) -> Poly:
     """Vacuum coefficient of ops[0]···ops[-1] Ω (rightmost applied first)."""
-    return vacuum_coefficient(ops, spec.space, qt_apply)
-
-
-def _plain_chain(block: Sequence[int], xs, ts) -> Fraction:
-    from .scalars import frac_dot, frac_mat_vec
-
-    elements = list(block)
-    vec = xs[elements[0] - 1]
-    for point in elements[1:-1]:
-        vec = frac_mat_vec(ts[point - 1], vec)
-    return frac_dot(xs[elements[-1] - 1], vec)
+    return vacuum_expectation(ops, spec.space)
 
 
 def qt_wick(
@@ -159,17 +101,14 @@ def qt_wick(
     n = len(xs)
     if n > MAX_QT_WICK_N:
         raise ResourceLimitError(f"qt_wick is guarded at n <= {MAX_QT_WICK_N}")
-    if len(ts) != n:
-        raise ValueError("xs and ts must have equal lengths")
-    xs = [frac_vector(x) for x in xs]
-    ts = [frac_matrix(t) for t in ts]
+    prob = MomentProblem.build(xs, ts, [0] * n, spec.space)
     total = ZERO
     for blocks in set_partitions(n):
         if any(len(block) < 2 for block in blocks):
             continue
         value = Fraction(1)
         for block in blocks:
-            value *= _plain_chain(block, xs, ts)
+            value *= plain_chain_value(block, prob)
             if not value:
                 break
         if value:

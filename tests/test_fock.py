@@ -8,6 +8,7 @@ from bfock.coxeter import enumerate_group, reduced_words
 from bfock.errors import TruncationError
 from bfock.fock import (
     FockVector,
+    OpSpec,
     SpaceSpec,
     act_generator,
     act_sigma,
@@ -275,6 +276,13 @@ def test_operator_dimensions_must_match_the_space(op):
         apply_operator(op, v)
     with pytest.raises(ValueError):
         vacuum_expectation([op, op], D2)
+
+
+@pytest.mark.parametrize("kind", ["shift", "qt-b"])
+def test_apply_operator_rejects_an_unknown_kind(kind):
+    v = FockVector.basis(D1, (0,))
+    with pytest.raises(ValueError, match="unknown operator kind"):
+        apply_operator(OpSpec(kind, x=UNIT, t=ID1), v)
 
 
 @pytest.mark.parametrize("alpha,q", [(0.4, 0.3), (0.4, -0.3), (-0.4, 0.3), (-0.4, -0.3)])

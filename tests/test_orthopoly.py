@@ -135,6 +135,13 @@ def test_operator_moments_negative_sign_variant():
     assert moments_from_jacobi(jp, 6) == operator_moments("alphaq", 6, sign="-")
 
 
+def test_qt_model_rejects_the_negative_sign():
+    with pytest.raises(ValueError, match="trivial involution"):
+        operator_moments("qt", 4, sign="-")
+    with pytest.raises(ValueError, match="trivial involution"):
+        vacuum_polynomial_identity("qt", 4, sign="-")
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_continued_fraction_truncation(k):
     at = (F(1, 3), F(1, 4), F(1, 2))

@@ -1,19 +1,23 @@
 """(q,t) model: symmetrizer, operators, Wick formula, specializations."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from bfock.errors import TruncationError
 from bfock.fock import (
     FockVector,
     SpaceSpec,
     annihilate,
     apply_operator,
     basis_words,
+    create,
     gauge,
     inner,
     symmetrizer,
+    type_b,
 )
 from bfock.moments import random_problem, wick_moment
 from bfock.qt import (
@@ -147,8 +151,8 @@ def test_qt_t1_matches_type_b_alpha0_moments(n):
 def test_qt_q0_noncrossing_only():
     rng = random.Random(31)
     prob = random_problem(rng, 4, SPEC2.space, zero_lams=True)
+    from bfock.moments import plain_chain_value
     from bfock.partitions import arc_covers, set_partitions
-    from bfock.qt import _plain_chain
     from bfock.scalars import ZERO, Poly
 
     expected = ZERO
@@ -161,7 +165,7 @@ def test_qt_q0_noncrossing_only():
             continue
         value = Fraction(1)
         for block in blocks:
-            value *= _plain_chain(block, list(prob.xs), list(prob.ts))
+            value *= plain_chain_value(block, prob)
         if value:
             expected = expected + Poly.monomial(value, et=rarc)
     assert qt_wick(prob.xs, prob.ts, SPEC2).subs(q=0) == expected
@@ -172,6 +176,42 @@ def test_qt_operator_dimensions_must_match_the_space():
     for op in (qt_create((F(1),)), qt_annihilate((F(1),)), qt_gauge(frac_identity(1))):
         with pytest.raises(ValueError):
             qt_apply(op, v)
+
+
+def test_qt_apply_rejects_a_type_b_kind():
+    v = FockVector.basis(SPEC1.space, (0,))
+    for op in (create(UNIT), annihilate(UNIT), gauge(ID1), type_b(UNIT, ID1)):
+        with pytest.raises(ValueError, match="not a \\(q,t\\) operator kind"):
+            qt_apply(op, v)
+
+
+def test_qt_y_has_no_shift():
+    # Y runs the type-B kernels with the (q,t) weight and λ = 0, whatever lam holds
+    v = FockVector.basis(SPEC2.space, (0, 1))
+    op = qt_y((F(1), F(2)), ((F(1), F(3)), (F(3), F(-2))))
+    assert qt_apply(replace(op, lam=F(5)), v) == qt_apply(op, v)
+
+
+@pytest.mark.parametrize(
+    "xs,ts",
+    [
+        ([(F(1), F(5))] * 2, [ID1] * 2),
+        ([UNIT] * 2, [frac_identity(2)] * 2),
+    ],
+    ids=["x-length", "t-size"],
+)
+def test_qt_wick_checks_dimensions(xs, ts):
+    with pytest.raises(ValueError, match="dimensions"):
+        qt_wick(xs, ts, QtSpec.make(1, truncation=4))
+    with pytest.raises(ValueError):
+        qt_y_moment(xs, ts, QtSpec.make(1, truncation=4))
+
+
+def test_qt_vacuum_expectation_truncation_guard():
+    tight = QtSpec.make(1, truncation=1)
+    with pytest.raises(TruncationError):
+        qt_vacuum_expectation([qt_y(UNIT, ID1)] * 3, tight)
+    assert qt_vacuum_expectation([qt_y(UNIT, ID1)], tight) == Poly()
 
 
 def test_qt_pruned_vacuum_expectation_matches_unpruned_loop():
