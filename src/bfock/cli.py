@@ -55,6 +55,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"size must be nonnegative, got {value}")
+    return value
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -478,13 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("group", help="enumerate the signed-permutation group")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonnegative_int, required=True)
     p.add_argument("--stats", action="store_true", help="included for compatibility; stats are always emitted")
     common(p)
     p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("partitions", help="enumerate colored/extended partitions")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonnegative_int, required=True)
     p.add_argument(
         "--filter", choices=["all", "no-singletons", "pairs-only"], default="all"
     )
@@ -494,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_partitions)
 
     p = sub.add_parser("fock", help="emit symmetrizer and recursion-factor matrices")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonnegative_int, required=True)
     p.add_argument("--d", type=int, default=None, help="defaults to len(signature)")
     p.add_argument("--signature", default="+")
     p.add_argument("--alpha", type=_fraction, default=Fraction(0))
@@ -504,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fock)
 
     p = sub.add_parser("moment", help="moment of a type-B operator product")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonnegative_int, required=True)
     p.add_argument("--alpha", type=_fraction, default=Fraction(0))
     p.add_argument("--q", type=_fraction, default=Fraction(0))
     p.add_argument(
@@ -523,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_moment)
 
     p = sub.add_parser("qt", help="(q,t)-model moments")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonnegative_int, required=True)
     p.add_argument("--q", type=_fraction, default=None)
     p.add_argument("--t", type=_fraction, default=Fraction(1, 2))
     p.add_argument("--t-symbolic", dest="t_symbolic", action="store_true")
@@ -538,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["alphaq-poisson-B", "qt-poisson", "alsalam-ismail"],
         required=True,
     )
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_nonnegative_int, required=True)
     p.add_argument("--alpha", type=_fraction, default=Fraction(0))
     p.add_argument("--q", type=_fraction, default=Fraction(0))
     p.add_argument("--t", type=_fraction, default=Fraction(0))
@@ -552,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(SUITES) + ["all"],
         default="all",
     )
-    p.add_argument("--n", type=int, default=4, help="size cap inside the suites")
+    p.add_argument("--n", type=_nonnegative_int, default=4, help="size cap inside the suites")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--timings", action="store_true", help="emit real elapsed_ms (non-deterministic)")
     common(p)

@@ -6,6 +6,12 @@ A :class:`FockVector` stores a finite linear combination of basis words
 (tuples over ``range(d)``, length at most the truncation) with ``Poly``
 coefficients, so every operator identity can be asserted exactly.
 
+A signed permutation w in B_n acts on level n slot by slot: slot k of a
+word moves to slot |w(k)|, through J when w(k) < 0.  The symmetrizer and
+every group action use this rule directly; the generator actions
+(``act_generator``, ``act_word``) replay a word letter by letter and stay
+as the independent path that ``r_operator`` is built from.
+
 Operators follow the right-creator convention: creation appends at the
 right end of a word, the free right annihilator removes the rightmost slot,
 and products apply their rightmost factor first.
@@ -26,10 +32,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .coxeter import GroupElementRecord, enumerate_group
+from .coxeter import GroupElementRecord, Window, enumerate_group
 from .errors import ResourceLimitError, TruncationError
 from .scalars import (
     ONE,
+    Exponent,
     Poly,
     PolyLike,
     FracMatrix,
@@ -51,6 +58,8 @@ from .scalars import (
 MAX_MATRIX_DIM = 4096
 
 Word = tuple[int, ...]
+
+_ONE_FRACTION = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -225,12 +234,43 @@ def act_word(gens: Sequence[int], v: FockVector) -> FockVector:
     return v
 
 
+def _slot_images(window: Window, word: Word, space: SpaceSpec) -> Iterator[tuple[Word, Fraction]]:
+    """Images of a basis word under the signed permutation with this window.
+
+    Slot k moves to slot |w(k)|, through J when w(k) < 0.  A non-diagonal J
+    spreads a letter over several letters, so one word can have several images.
+    """
+    image = list(word)
+    flipped: list[int] = []  # slots reached through J
+    columns: list[list[tuple[int, Fraction]]] = []  # nonzero entries of J e_letter
+    for target, letter in zip(window, word):
+        if target > 0:
+            image[target - 1] = letter
+        else:
+            flipped.append(-target - 1)
+            # J is symmetric, so its row `letter` is the column J e_letter
+            columns.append([(m, e) for m, e in enumerate(space.involution[letter]) if e])
+    for picks in product(*columns):
+        coeff = _ONE_FRACTION
+        for slot, (letter, entry) in zip(flipped, picks):
+            image[slot] = letter
+            coeff *= entry
+        yield tuple(image), coeff
+
+
 def act_sigma(record: GroupElementRecord, v: FockVector) -> FockVector:
-    """Action of a group element through its canonical reduced word."""
+    """Action of a group element on a level-n vector.
+
+    Slot k of each word moves to slot |w(k)|, through J when w(k) < 0.
+    """
     n = record.perm.n
     if any(level != n for level in v.levels()):
         raise ValueError(f"vector has words of length != {n}")
-    return act_word(record.word, v)
+    return _collect(v.space, (
+        (image, coeff * entry)
+        for word, coeff in v.coeffs.items()
+        for image, entry in _slot_images(record.perm.window, word, v.space)
+    ))
 
 
 def basis_words(d: int, n: int) -> list[Word]:
@@ -258,23 +298,29 @@ def matrix_of_level_map(
 
 
 def symmetrizer(n: int, space: SpaceSpec) -> Matrix:
-    """The level-n type-B symmetrizer sum_sigma a^l1 q^l2 sigma as a d^n matrix."""
+    """The level-n type-B symmetrizer sum_sigma a^l1 q^l2 sigma as a d^n matrix.
+
+    Each element acts on the basis words slot by slot (slot k moves to slot
+    |w(k)|, through J when w(k) < 0); each entry gathers its a^l1 q^l2
+    coefficients and becomes one Poly at the end.
+    """
+    if n < 0:
+        raise ValueError(f"level {n} is negative")
     if n > space.truncation:
         raise ValueError(f"level {n} exceeds truncation {space.truncation}")
     if n == 0:
         return [[ONE]]
     _guard_matrix_dim(space.d, n)
-    records = enumerate_group(n)
     cols = basis_words(space.d, n)
     index = {word: k for k, word in enumerate(cols)}
-    out = zero_matrix(len(cols), len(cols))
-    for record in records:
-        weight = Poly.monomial(1, ea=record.l1, eq=record.l2)
+    entries: list[list[dict[Exponent, Fraction]]] = [[{} for _ in cols] for _ in cols]
+    for record in enumerate_group(n):
+        key = (record.l1, record.l2, 0)
         for j, word in enumerate(cols):
-            image = act_word(record.word, FockVector.basis(space, word))
-            for w, coeff in image.coeffs.items():
-                out[index[w]][j] = out[index[w]][j] + weight * coeff
-    return out
+            for image, coeff in _slot_images(record.perm.window, word, space):
+                entry = entries[index[image]][j]
+                entry[key] = entry.get(key, 0) + coeff
+    return [[Poly(entry) for entry in row] for row in entries]
 
 
 def r_operator(n: int, space: SpaceSpec) -> Matrix:

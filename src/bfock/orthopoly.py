@@ -237,13 +237,17 @@ def vacuum_polynomial_identity(which: str, upto: int, sign: str = "+") -> Identi
 
 
 def operator_moments(which: str, upto: int, sign: str = "+") -> list[Poly]:
-    """phi(B^n) (or the (q,t) analogue) for n <= upto, symbolically."""
+    """phi(B^n) (or the (q,t) analogue) for n <= upto, symbolically.
+
+    Each step passes the number of steps still to go as its horizon, so words
+    that can no longer return to Ω are never formed.
+    """
     space, op = _line_model(which, upto, sign)
-    out = []
     v = FockVector.vacuum(space)
-    for _ in range(upto + 1):
+    out = [v.coeff(())]
+    for remaining in range(upto - 1, -1, -1):
+        v = apply_operator(op, v, remaining)
         out.append(v.coeff(()))
-        v = apply_operator(op, v)
     return out
 
 

@@ -192,7 +192,7 @@ class Poly:
     ) -> Poly:
         """Substitute polynomials (or rationals) for chosen variables."""
         values = (alpha, q, t)
-        out = ZERO
+        terms = []
         for exp, coeff in self.terms.items():
             term = Poly.monomial(
                 coeff,
@@ -201,8 +201,8 @@ class Poly:
             for i, value in enumerate(values):
                 if value is not None and exp[i]:
                     term = term * self._coerce(value) ** exp[i]
-            out = out + term
-        return out
+            terms.append(term)
+        return Poly.sum(terms)
 
     # -- canonical form ------------------------------------------------------
 

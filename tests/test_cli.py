@@ -154,3 +154,32 @@ def test_out_file(tmp_path, capsys):
     code = main(["qt", "--n", "2", "--t-symbolic", "--out", str(target)])
     assert code == 0
     assert json.loads(target.read_text())["wick"] == "1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fock", "--n", "-1"],
+        ["partitions", "--n", "-1"],
+        ["group", "--n", "-2"],
+        ["moment", "--n", "-1"],
+        ["qt", "--n", "-1"],
+        ["orthopoly", "--family", "qt-poisson", "--N", "-1"],
+        ["verify", "--n", "-3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_sizes_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_size_zero_is_unchanged(capsys):
+    code, out = run_cli(capsys, "fock", "--n", "0")
+    assert code == 0
+    assert json.loads(out)["symmetrizer"] == [["1"]]
+    code, out = run_cli(capsys, "moment", "--n", "0")
+    assert code == 0
+    assert json.loads(out)["partition_side"] == "1"
+    assert main(["group", "--n", "0"]) == 3

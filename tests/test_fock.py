@@ -123,6 +123,44 @@ def test_symmetrizer_zero_level():
     assert mat_eq(symmetrizer(0, D2), [[ONE]])
 
 
+def test_symmetrizer_rejects_a_negative_level():
+    with pytest.raises(ValueError, match="negative"):
+        symmetrizer(-1, D2)
+
+
+SWAP = SpaceSpec(2, ((F(0), F(1)), (F(1), F(0))), truncation=4)
+REFLECTION = SpaceSpec(2, ((F(3, 5), F(4, 5)), (F(4, 5), F(-3, 5))), truncation=4)
+ORACLE_CASES = [("+-", D2, n) for n in range(1, 5)] + [
+    (name, space, n)
+    for name, space in (("swap", SWAP), ("reflection", REFLECTION), ("+--", SpaceSpec.diagonal("+--", 3)))
+    for n in range(1, 4)
+]
+
+
+@pytest.mark.parametrize(
+    "space,n",
+    [pytest.param(space, n, id=f"{name}-n{n}") for name, space, n in ORACLE_CASES],
+)
+def test_symmetrizer_matches_word_replay(space, n):
+    assert mat_eq(symmetrizer(n, space), sigma_sum_oracle(n, space))
+
+
+def slot_separating_vector(space, n):
+    """Letters are the bits of each slot's index, so no two slots carry the same
+    column of letters; the all-ones word shows a sign on every slot."""
+    words = [tuple((k >> bit) & 1 for k in range(n)) for bit in range((n - 1).bit_length())]
+    words.append((1,) * n)
+    return FockVector(space, {word: Poly.const(m + 2) for m, word in enumerate(words)})
+
+
+@pytest.mark.parametrize("space", [D2, REFLECTION], ids=["+-", "reflection"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_act_sigma_matches_word_replay(space, n):
+    v = slot_separating_vector(space, n)
+    for record in enumerate_group(n):
+        assert act_sigma(record, v) == act_word(record.word, v)
+
+
 @pytest.mark.parametrize("space", [D1, D2])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_factorization(space, n):

@@ -19,6 +19,8 @@ from bfock.orthopoly import (
     substitution_check,
     vacuum_polynomial_identity,
 )
+from bfock.fock import FockVector, SpaceSpec, apply_operator, type_b
+from bfock.qt import QtSpec, qt_y
 from bfock.scalars import ALPHA, ONE, Q, T, ZERO
 
 F = Fraction
@@ -133,6 +135,27 @@ def test_moments_match_operator_moments(which, model):
 def test_operator_moments_negative_sign_variant():
     jp = alphaq_poisson_b(negate_alpha=True)
     assert moments_from_jacobi(jp, 6) == operator_moments("alphaq", 6, sign="-")
+
+
+def unpruned_operator_moments(which, upto, sign):
+    """Oracle: apply the line operator upto + 1 times with no horizon."""
+    unit, identity = (F(1),), ((F(1),),)
+    if which == "alphaq":
+        space, op = SpaceSpec.diagonal(sign, truncation=upto + 1), type_b(unit, identity)
+    else:
+        space, op = QtSpec.make(1, truncation=upto + 1).space, qt_y(unit, identity)
+    out = []
+    v = FockVector.vacuum(space)
+    for _ in range(upto + 1):
+        out.append(v.coeff(()))
+        v = apply_operator(op, v)
+    return out
+
+
+@pytest.mark.parametrize("which,sign", [("alphaq", "+"), ("alphaq", "-"), ("qt", "+")])
+def test_operator_moments_equal_the_unpruned_loop(which, sign):
+    for upto in range(9):
+        assert operator_moments(which, upto, sign=sign) == unpruned_operator_moments(which, upto, sign)
 
 
 def test_qt_model_rejects_the_negative_sign():
