@@ -169,18 +169,21 @@ def cmd_fock(args: argparse.Namespace) -> int:
 
 
 def _moment_problem(args: argparse.Namespace) -> MomentProblem:
+    """The seeded or unit instance, with the given λ values zero-padded to n."""
     n = args.n
+    if len(args.lambdas) > n:
+        raise ValueError(f"{len(args.lambdas)} --lambda values for n = {n}")
+    lams = list(args.lambdas) + [Fraction(0)] * (n - len(args.lambdas))
     if args.seed is not None:
         space = SpaceSpec.diagonal(args.signature, truncation=max(n, 1))
-        return random_problem(
-            random.Random(args.seed), n, space, zero_lams=not args.lambdas
-        )
+        # random_problem draws λ last, so its xs and ts do not depend on zero_lams
+        prob = random_problem(random.Random(args.seed), n, space, zero_lams=True)
+        return MomentProblem.build(prob.xs, prob.ts, lams, space)
     space = SpaceSpec.diagonal("+", truncation=max(n, 1))
-    lams = list(args.lambdas) + [Fraction(0)] * (n - len(args.lambdas))
     return MomentProblem.build(
         xs=[(Fraction(1),)] * n,
         ts=[((Fraction(1),),)] * n,
-        lams=lams[:n],
+        lams=lams,
         space=space,
     )
 
@@ -523,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_fraction,
         action="append",
         default=[],
-        help="shift constants, repeatable (lambda_1 first)",
+        help="shift constants, repeatable (lambda_1 first), at most n, zero-padded; also with --seed",
     )
     p.add_argument("--mode", choices=["symbolic", "rational"], default="symbolic")
     p.add_argument("--check", action="store_true", help="also compute the operator side")

@@ -156,11 +156,6 @@ def length_stats(perm: SignedPermutation) -> tuple[int, int]:
     return record.l1, record.l2
 
 
-def coxeter_length(perm: SignedPermutation) -> int:
-    l1, l2 = length_stats(perm)
-    return l1 + l2
-
-
 def word_to_permutation(word: tuple[int, ...], n: int) -> SignedPermutation:
     perm = SignedPermutation.identity(n)
     for g in word:

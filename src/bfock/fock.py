@@ -7,10 +7,11 @@ A :class:`FockVector` stores a finite linear combination of basis words
 coefficients, so every operator identity can be asserted exactly.
 
 A signed permutation w in B_n acts on level n slot by slot: slot k of a
-word moves to slot |w(k)|, through J when w(k) < 0.  The symmetrizer and
-every group action use this rule directly; the generator actions
-(``act_generator``, ``act_word``) replay a word letter by letter and stay
-as the independent path that ``r_operator`` is built from.
+word moves to slot |w(k)|, through J when w(k) < 0.  One gather of each
+basis word's weighted images serves every symmetrizer: the matrix, the
+vector action and both flavors.  The generator actions (``act_generator``,
+``act_word``) replay a word letter by letter and stay as the independent
+path that ``r_operator`` is built from.
 
 Operators follow the right-creator convention: creation appends at the
 right end of a word, the free right annihilator removes the rightmost slot,
@@ -58,6 +59,7 @@ from .scalars import (
 MAX_MATRIX_DIM = 4096
 
 Word = tuple[int, ...]
+Weights = list[tuple[Window, Exponent]]  # a level's elements with their exponents
 
 _ONE_FRACTION = Fraction(1)
 
@@ -273,6 +275,31 @@ def act_sigma(record: GroupElementRecord, v: FockVector) -> FockVector:
     ))
 
 
+def _level_weights(n: int, flavor: str) -> Weights:
+    """(window, exponent) of every element in the flavor's level-n symmetrizer.
+
+    alpha-q: a^l1 q^l2 over B_n.  qt: t^C(n,2) P^(n)_{0, q/t}, the l1 = 0 part
+    as q^l2 t^(C(n,2) - l2), a polynomial since l2 <= C(n,2).
+    """
+    elements = [(r.perm.window, r.l1, r.l2) for r in enumerate_group(n)] if n else [((), 0, 0)]
+    if flavor == "alpha-q":
+        return [(window, (l1, l2, 0)) for window, l1, l2 in elements]
+    if flavor == "qt":
+        top = n * (n - 1) // 2
+        return [(window, (0, l2, top - l2)) for window, l1, l2 in elements if l1 == 0]
+    raise ValueError(f"unknown symmetrizer flavor {flavor!r}")
+
+
+def _symmetrized_word(word: Word, weights: Weights, space: SpaceSpec) -> dict[Word, Poly]:
+    """Weighted sum of a basis word's images; each image's Poly is built once."""
+    gathered: dict[Word, dict[Exponent, Fraction]] = {}
+    for window, key in weights:
+        for image, coeff in _slot_images(window, word, space):
+            entry = gathered.setdefault(image, {})
+            entry[key] = entry.get(key, 0) + coeff
+    return {image: Poly(entry) for image, entry in gathered.items()}
+
+
 def basis_words(d: int, n: int) -> list[Word]:
     return list(product(range(d), repeat=n))
 
@@ -298,29 +325,20 @@ def matrix_of_level_map(
 
 
 def symmetrizer(n: int, space: SpaceSpec) -> Matrix:
-    """The level-n type-B symmetrizer sum_sigma a^l1 q^l2 sigma as a d^n matrix.
-
-    Each element acts on the basis words slot by slot (slot k moves to slot
-    |w(k)|, through J when w(k) < 0); each entry gathers its a^l1 q^l2
-    coefficients and becomes one Poly at the end.
-    """
+    """The level-n type-B symmetrizer sum_sigma a^l1 q^l2 sigma as a d^n matrix."""
     if n < 0:
         raise ValueError(f"level {n} is negative")
     if n > space.truncation:
         raise ValueError(f"level {n} exceeds truncation {space.truncation}")
-    if n == 0:
-        return [[ONE]]
     _guard_matrix_dim(space.d, n)
+    weights = _level_weights(n, "alpha-q")
     cols = basis_words(space.d, n)
     index = {word: k for k, word in enumerate(cols)}
-    entries: list[list[dict[Exponent, Fraction]]] = [[{} for _ in cols] for _ in cols]
-    for record in enumerate_group(n):
-        key = (record.l1, record.l2, 0)
-        for j, word in enumerate(cols):
-            for image, coeff in _slot_images(record.perm.window, word, space):
-                entry = entries[index[image]][j]
-                entry[key] = entry.get(key, 0) + coeff
-    return [[Poly(entry) for entry in row] for row in entries]
+    out = zero_matrix(len(cols), len(cols))
+    for j, word in enumerate(cols):
+        for image, value in _symmetrized_word(word, weights, space).items():
+            out[index[image]][j] = value
+    return out
 
 
 def r_operator(n: int, space: SpaceSpec) -> Matrix:
@@ -514,38 +532,14 @@ def free_annihilator_matrix(x: FracVector, n: int, space: SpaceSpec) -> Matrix:
 # -- inner products and the vacuum state --------------------------------------
 
 
-def _level_weights(n: int, flavor: str) -> list[tuple[GroupElementRecord, Poly]]:
-    if flavor == "alpha-q":
-        return [
-            (record, Poly.monomial(1, ea=record.l1, eq=record.l2))
-            for record in enumerate_group(n)
-        ]
-    if flavor == "qt":
-        # t^C(n,2) P^(n)_{0, q/t}: the a-degree-0 part with l2 inversions split
-        # as q^l2 t^(C(n,2) - l2); a genuine polynomial since l2 <= C(n,2).
-        top = n * (n - 1) // 2
-        return [
-            (record, Poly.monomial(1, eq=record.l2, et=top - record.l2))
-            for record in enumerate_group(n)
-            if record.l1 == 0
-        ]
-    raise ValueError(f"unknown symmetrizer flavor {flavor!r}")
-
-
 def apply_symmetrizer(v: FockVector, flavor: str) -> FockVector:
     """Level-wise application of the flavor's symmetrizer."""
-    result = FockVector(v.space)
-    by_level: dict[int, dict[Word, Poly]] = {}
-    for word, coeff in v.coeffs.items():
-        by_level.setdefault(len(word), {})[word] = coeff
-    for n, coeffs in sorted(by_level.items()):
-        level = FockVector(v.space, coeffs)
-        if n == 0:
-            result = result + level
-            continue
-        for record, weight in _level_weights(n, flavor):
-            result = result + weight * act_sigma(record, level)
-    return result
+    weights = {n: _level_weights(n, flavor) for n in {0, *v.levels()}}
+    return _collect(v.space, (
+        (image, value * coeff)
+        for word, coeff in v.coeffs.items()
+        for image, value in _symmetrized_word(word, weights[len(word)], v.space).items()
+    ))
 
 
 def inner(u: FockVector, v: FockVector, flavor: str = "alpha-q") -> Poly:

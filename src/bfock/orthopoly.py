@@ -26,6 +26,7 @@ from .scalars import ALPHA, ONE, Poly, PolyLike, ZERO, qint, qtint
 
 MAX_VACUUM_IDENTITY_N = 6
 MAX_SUBSTITUTION_N = 10
+MAX_POLYS_N = 14  # the largest N whose tables take under about 10 s
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,8 @@ YPoly = list[Poly]
 
 def polys(jp: JacobiParams, upto: int) -> list[YPoly]:
     """Coefficient tables of P_0 ... P_upto via the monic recurrence."""
+    if upto > MAX_POLYS_N:
+        raise ResourceLimitError(f"polynomial tables are guarded at N <= {MAX_POLYS_N}")
     table: list[YPoly] = [[ONE]]
     if upto >= 1:
         table.append([-jp.beta(0), ONE])
@@ -268,7 +271,10 @@ def substitution_check(
 
     asi = al_salam_ismail(a=Fraction(-1), b=t_var * t_var)
     u_table = polys(asi, upto)
-    target = [[c.subs(q=0) for c in row] for row in polys(qt_poisson(), upto)]
+    qt = qt_poisson()
+    target = polys(JacobiParams(
+        qt.name, lambda n: qt.beta(n).subs(q=0), lambda n: qt.gamma(n).subs(q=0)
+    ), upto)
     name = "al-salam-ismail-substitution"
     for n, (u_row, p_row) in enumerate(zip(u_table, target)):
         for k in range(n + 1):

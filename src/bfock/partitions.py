@@ -74,12 +74,6 @@ class ColoredPartition:
                 out.append((block[k], block[k + 1], colors[k], b))
         return out
 
-    def singleton_indices(self) -> list[int]:
-        return [b for b, block in enumerate(self.blocks) if len(block) == 1]
-
-    def block_sizes(self) -> list[int]:
-        return [len(block) for block in self.blocks]
-
 
 @dataclass(frozen=True)
 class ExtendedPartition:

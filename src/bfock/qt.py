@@ -31,7 +31,7 @@ from .fock import (
 )
 from .moments import MomentProblem, plain_chain_value
 from .partitions import arc_covers, set_partitions
-from .scalars import ONE, Poly, ZERO, Matrix, frac_identity, frac_matrix, frac_vector
+from .scalars import Poly, ZERO, Matrix, frac_identity, frac_matrix, frac_vector
 
 MAX_QT_WICK_N = 8
 
@@ -53,8 +53,6 @@ class QtSpec:
 
 def qt_symmetrizer(n: int, spec: QtSpec) -> Matrix:
     """t^C(n,2) P^(n)_{0, q/t} assembled without division."""
-    if n == 0:
-        return [[ONE]]
     return matrix_of_level_map(
         lambda v: apply_symmetrizer(v, "qt"), spec.space, n, n
     )

@@ -78,20 +78,6 @@ class Poly:
     def coefficient(self, ea: int = 0, eq: int = 0, et: int = 0) -> Fraction:
         return self.terms.get((ea, eq, et), Fraction(0))
 
-    def total_degree(self) -> int:
-        """Total degree; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(sum(exp) for exp in self.terms)
-
-    def as_fraction(self) -> Fraction:
-        """The value of a constant polynomial; raises if non-constant."""
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) != {(0, 0, 0)}:
-            raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms[(0, 0, 0)]
-
     # -- ring operations ---------------------------------------------------
 
     @staticmethod
@@ -300,14 +286,6 @@ def identity_matrix(n: int) -> Matrix:
 
 def zero_matrix(rows: int, cols: int) -> Matrix:
     return [[ZERO] * cols for _ in range(rows)]
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c: PolyLike, a: Matrix) -> Matrix:
-    return [[Poly._coerce(c) * x for x in row] for row in a]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -1,10 +1,15 @@
 """CLI: output formats, determinism, exit codes."""
 
 import json
+import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from bfock.cli import main
+from bfock.fock import SpaceSpec
+from bfock.moments import random_problem, wick_moment
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +85,32 @@ def test_moment_seeded(capsys):
     assert json.loads(out)["equal"] is True
 
 
+def test_moment_rejects_more_lambdas_than_points():
+    with pytest.raises(SystemExit) as exc:
+        main(["moment", "--n", "2", "--lambda", "1", "--lambda", "2", "--lambda", "3"])
+    assert exc.value.code == 2
+
+
+def test_moment_seeded_without_lambda_is_unchanged(capsys):
+    code, out = run_cli(capsys, "moment", "--n", "3", "--seed", "11")
+    assert code == 0
+    assert json.loads(out)["partition_side"] == "13/40*a^2 + 7/5*a + 15/8"
+
+
+def test_moment_seeded_uses_the_given_lambdas(capsys):
+    seeded = random_problem(random.Random(11), 3, SpaceSpec.diagonal("+-", 3), zero_lams=True)
+    sides = {}
+    for lam in ("5", "7"):
+        code, out = run_cli(capsys, "moment", "--n", "3", "--seed", "11", "--lambda", lam, "--check")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["equal"] is True
+        expected = wick_moment(replace(seeded, lams=(Fraction(lam), Fraction(0), Fraction(0))))
+        assert payload["partition_side"] == str(expected)
+        sides[lam] = payload["partition_side"]
+    assert sides["5"] != sides["7"]
+
+
 def test_qt_fixture(capsys):
     code, out = run_cli(
         capsys, "qt", "--n", "5", "--q", "0", "--t-symbolic", "--T", "identity"
@@ -125,6 +156,13 @@ def test_orthopoly_tables(capsys):
     assert payload["moments"][1] == "0"
     assert payload["polynomials"][1] == ["0", "1"]
     assert payload["gamma"][0] == "a + 1"
+
+
+def test_orthopoly_resource_guard_exit_code(capsys):
+    assert main(["orthopoly", "--family", "qt-poisson", "--N", "15"]) == 3
+    code, out = run_cli(capsys, "orthopoly", "--family", "alsalam-ismail", "--N", "14")
+    assert code == 0
+    assert len(json.loads(out)["polynomials"]) == 15
 
 
 def test_verify_suite_passes(capsys):

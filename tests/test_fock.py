@@ -15,6 +15,7 @@ from bfock.fock import (
     act_word,
     annihilate,
     apply_operator,
+    apply_symmetrizer,
     basis_words,
     create,
     free_annihilator_matrix,
@@ -29,6 +30,7 @@ from bfock.fock import (
     type_b,
     vacuum_expectation,
 )
+from bfock.qt import QtSpec, qt_symmetrizer
 from bfock.scalars import (
     ALPHA,
     ONE,
@@ -52,15 +54,27 @@ UNIT = (F(1),)
 ID1 = ((F(1),),)
 
 
-def sigma_sum_oracle(n, space):
+def alpha_q_weight(record, n):
+    return Poly.monomial(1, ea=record.l1, eq=record.l2)
+
+
+def qt_weight(record, n):
+    """t^C(n,2) P_{0,q/t}: unsigned elements only, as q^l2 t^(C(n,2) - l2)."""
+    if record.l1:
+        return ZERO
+    return Poly.monomial(1, eq=record.l2, et=n * (n - 1) // 2 - record.l2)
+
+
+def sigma_sum_oracle(n, space, weight=alpha_q_weight):
     """Independent symmetrizer oracle: sum weighted actions word by word."""
     words = basis_words(space.d, n)
     cols = []
     for word in words:
         total = FockVector(space)
         for record in enumerate_group(n):
-            weight = Poly.monomial(1, ea=record.l1, eq=record.l2)
-            total = total + weight * act_word(record.word, FockVector.basis(space, word))
+            w = weight(record, n)
+            if not w.is_zero:
+                total = total + w * act_word(record.word, FockVector.basis(space, word))
         cols.append(total)
     out = [[ZERO] * len(words) for _ in words]
     index = {word: k for k, word in enumerate(words)}
@@ -143,6 +157,53 @@ ORACLE_CASES = [("+-", D2, n) for n in range(1, 5)] + [
 )
 def test_symmetrizer_matches_word_replay(space, n):
     assert mat_eq(symmetrizer(n, space), sigma_sum_oracle(n, space))
+
+
+PLUS_PLUS = SpaceSpec.diagonal("++", truncation=4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_qt_symmetrizer_matches_word_replay(n):
+    assert mat_eq(qt_symmetrizer(n, QtSpec(PLUS_PLUS)), sigma_sum_oracle(n, PLUS_PLUS, qt_weight))
+
+
+def level_by_level(v, level_matrix):
+    """Apply each level's matrix to v's coefficients at that level."""
+    out = FockVector(v.space)
+    for n in sorted(v.levels()):
+        words = basis_words(v.space.d, n)
+        matrix = level_matrix(n)
+        out = out + FockVector(v.space, {
+            image: Poly.sum(matrix[i][j] * v.coeff(word) for j, word in enumerate(words))
+            for i, image in enumerate(words)
+        })
+    return out
+
+
+@pytest.mark.parametrize(
+    "flavor,space,level_matrix",
+    [
+        ("alpha-q", D2, lambda n: symmetrizer(n, D2)),
+        ("alpha-q", REFLECTION, lambda n: symmetrizer(n, REFLECTION)),
+        ("qt", PLUS_PLUS, lambda n: qt_symmetrizer(n, QtSpec(PLUS_PLUS))),
+    ],
+    ids=["alpha-q-+-", "alpha-q-reflection", "qt-++"],
+)
+def test_apply_symmetrizer_equals_the_level_matrices(flavor, space, level_matrix):
+    coeffs = {(): ONE + Q}
+    for n in (1, 2, 3):
+        for m, word in enumerate(basis_words(space.d, n)):
+            coeffs[word] = Poly({(0, m, 0): F(m + 1), (1, 0, n): F(-1, n)})
+    v = FockVector(space, coeffs)
+    assert apply_symmetrizer(v, flavor) == level_by_level(v, level_matrix)
+
+
+def test_unknown_flavor_raises_on_the_vacuum():
+    omega = FockVector.vacuum(D2)
+    with pytest.raises(ValueError, match="unknown symmetrizer flavor"):
+        apply_symmetrizer(omega, "bogus")
+    with pytest.raises(ValueError, match="unknown symmetrizer flavor"):
+        inner(omega, omega, "bogus")
 
 
 def slot_separating_vector(space, n):
