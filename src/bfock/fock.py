@@ -40,6 +40,7 @@ from .scalars import (
     Exponent,
     Poly,
     PolyLike,
+    RationalLike,
     FracMatrix,
     FracVector,
     Matrix,
@@ -60,8 +61,6 @@ MAX_MATRIX_DIM = 4096
 
 Word = tuple[int, ...]
 Weights = list[tuple[Window, Exponent]]  # a level's elements with their exponents
-
-_ONE_FRACTION = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -236,24 +235,31 @@ def act_word(gens: Sequence[int], v: FockVector) -> FockVector:
     return v
 
 
-def _slot_images(window: Window, word: Word, space: SpaceSpec) -> Iterator[tuple[Word, Fraction]]:
+def _slot_images(
+    window: Window, word: Word, space: SpaceSpec
+) -> Iterator[tuple[Word, RationalLike]]:
     """Images of a basis word under the signed permutation with this window.
 
     Slot k moves to slot |w(k)|, through J when w(k) < 0.  A non-diagonal J
     spreads a letter over several letters, so one word can have several images.
+    Integral entries of J enter as ints, so a diagonal signature gives ±1.
     """
     image = list(word)
     flipped: list[int] = []  # slots reached through J
-    columns: list[list[tuple[int, Fraction]]] = []  # nonzero entries of J e_letter
+    columns: list[list[tuple[int, RationalLike]]] = []  # nonzero entries of J e_letter
     for target, letter in zip(window, word):
         if target > 0:
             image[target - 1] = letter
         else:
             flipped.append(-target - 1)
             # J is symmetric, so its row `letter` is the column J e_letter
-            columns.append([(m, e) for m, e in enumerate(space.involution[letter]) if e])
+            columns.append([
+                (m, e.numerator if e.denominator == 1 else e)
+                for m, e in enumerate(space.involution[letter])
+                if e
+            ])
     for picks in product(*columns):
-        coeff = _ONE_FRACTION
+        coeff: RationalLike = 1
         for slot, (letter, entry) in zip(flipped, picks):
             image[slot] = letter
             coeff *= entry
@@ -292,7 +298,7 @@ def _level_weights(n: int, flavor: str) -> Weights:
 
 def _symmetrized_word(word: Word, weights: Weights, space: SpaceSpec) -> dict[Word, Poly]:
     """Weighted sum of a basis word's images; each image's Poly is built once."""
-    gathered: dict[Word, dict[Exponent, Fraction]] = {}
+    gathered: dict[Word, dict[Exponent, RationalLike]] = {}
     for window, key in weights:
         for image, coeff in _slot_images(window, word, space):
             entry = gathered.setdefault(image, {})

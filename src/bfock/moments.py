@@ -35,7 +35,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError
-from .fock import FockVector, OpSpec, SpaceSpec, apply_operator, type_b, vacuum_expectation
+from .fock import FockVector, OpSpec, SpaceSpec, Word, apply_operator, type_b, vacuum_expectation
 from .partitions import (
     ONE_SYM,
     PRIME,
@@ -230,7 +230,7 @@ def vector_formula(eps: Sequence[str], prob: MomentProblem) -> FockVector:
         raise ValueError("eps length must match the number of points")
     if prob.n > MAX_VECTOR_N:
         raise ResourceLimitError(f"vector_formula is guarded at n <= {MAX_VECTOR_N}")
-    total = FockVector(prob.space)
+    gathered: dict[Word, list[Poly]] = {}  # summed once per word at the end
     for p in enumerate_extended_eps(eps):
         base = p.base
         scalar = ONE
@@ -251,8 +251,10 @@ def vector_formula(eps: Sequence[str], prob: MomentProblem) -> FockVector:
             open_chain_vector(base.blocks[b], base.colors[b], prob)
             for b in p.open_block_indices()  # already ordered by block maxima
         ]
-        total = total + (weight * scalar) * FockVector.from_tensor(prob.space, factors)
-    return total
+        coeff = weight * scalar
+        for word, entry in FockVector.from_tensor(prob.space, factors).coeffs.items():
+            gathered.setdefault(word, []).append(coeff * entry)
+    return FockVector(prob.space, {word: Poly.sum(terms) for word, terms in gathered.items()})
 
 
 def eps_operator(symbol: str, point: int, prob: MomentProblem) -> OpSpec:

@@ -26,7 +26,7 @@ from .scalars import ALPHA, ONE, Poly, PolyLike, ZERO, qint, qtint
 
 MAX_VACUUM_IDENTITY_N = 6
 MAX_SUBSTITUTION_N = 10
-MAX_POLYS_N = 14  # the largest N whose tables take under about 10 s
+MAX_POLYS_N = 19  # the largest N whose tables take under about 10 s
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,29 @@
 
 Every scalar produced by this package is a ``Poly``: a sparse trivariate
 polynomial in the variables ``a`` (the sign-flip weight), ``q`` and ``t``
-with ``fractions.Fraction`` coefficients.  Plain rationals embed as constant
-polynomials, so there is exactly one equality notion everywhere and all
-identity checks are bit-exact.
+with rational coefficients.  Plain rationals embed as constant polynomials,
+so there is exactly one equality notion everywhere and all identity checks
+are bit-exact.
 
-Representation:
+Representation: integer numerators over one denominator, with packed
+exponents (after Monagan & Pearce, *Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors*, CASC 2007).  A ``Poly`` holds
 
-    Poly.terms : dict mapping (e_a, e_q, e_t) -> Fraction
+    _num : dict mapping packed exponent -> nonzero int numerator
+    _den : one positive int denominator
 
-The zero polynomial is the empty dict; zero coefficients are never stored.
+and stands for sum(_num[k] * monomial(k)) / _den.  The exponents (e_a, e_q,
+e_t) pack into one int with a 21-bit field each, e_a highest, so a monomial
+product is one integer add and the arithmetic runs on ints, not on
+``Fraction``s.  Each exponent must be below 2^20: the sum of two such fields
+stays below 2^21, so a product never carries into the next field, and one
+mask test on the top bit of every field of each product key catches an
+exponent that left the range; it raises ``ValueError`` rather than wrap.
+Every result is kept in normal form: no zero numerator is stored, the gcd of
+the numerators and the denominator is 1, and zero is the empty dict over 1.
+So equal values have equal representations, which ``==`` and ``hash`` use.
+``terms`` gives the familiar view ``{(e_a, e_q, e_t): Fraction}``.
+
 The canonical textual form sorts monomials in descending graded-lexicographic
 order (``a`` before ``q`` before ``t``), e.g. ``t^2 + 2*t + 3``.
 
@@ -21,9 +35,11 @@ only for spectral checks; floats never participate in equality assertions.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from math import gcd, lcm
+from typing import Union
 
 import numpy as np
 
@@ -32,6 +48,12 @@ RationalLike = Union[Fraction, int]
 PolyLike = Union["Poly", Fraction, int]
 
 _VARS = ("a", "q", "t")
+
+_FIELD = 21  # bits per packed exponent
+_LIMIT = 1 << (_FIELD - 1)  # every exponent is below 2^20
+_MASK = (1 << _FIELD) - 1
+# the top bit of each field: set in a product key iff that exponent reached 2^20
+_OVERFLOW = (_LIMIT << 2 * _FIELD) | (_LIMIT << _FIELD) | _LIMIT
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
@@ -42,38 +64,82 @@ def _as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"not a rational value: {value!r}")
 
 
+def _ratio(value: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction."""
+    if isinstance(value, int):
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    raise TypeError(f"not a rational value: {value!r}")
+
+
+def _pack(ea: int, eq: int, et: int) -> int:
+    if not (0 <= ea < _LIMIT and 0 <= eq < _LIMIT and 0 <= et < _LIMIT):
+        raise ValueError(f"exponents {(ea, eq, et)} outside [0, 2^20)")
+    return (ea << 2 * _FIELD) | (eq << _FIELD) | et
+
+
+def _unpack(key: int) -> Exponent:
+    return (key >> 2 * _FIELD, (key >> _FIELD) & _MASK, key & _MASK)
+
+
 def _sort_key(exp: Exponent) -> tuple[int, int, int, int]:
     # ascending sort with this key == descending graded-lex term order
     return (-(exp[0] + exp[1] + exp[2]), -exp[0], -exp[1], -exp[2])
 
 
+def _normal(num: dict[int, int], den: int) -> Poly:
+    """The Poly num / den in normal form: zeros dropped, gcd 1, zero over 1."""
+    if 0 in num.values():
+        num = {key: c for key, c in num.items() if c}
+    if den != 1:
+        g = gcd(den, *num.values())  # den itself when num is empty
+        if g != 1:
+            num = {key: c // g for key, c in num.items()}
+            den //= g
+    poly = object.__new__(Poly)
+    poly._num = num
+    poly._den = den
+    return poly
+
+
 class Poly:
     """Immutable sparse polynomial in (a, q, t) over the rationals."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[Exponent, RationalLike] | None = None):
-        canonical: dict[Exponent, Fraction] = {}
+        # reduced fractions over the lcm of their denominators need no gcd pass
+        ratios = []
+        den = 1
         if terms:
             for exp, coeff in terms.items():
-                c = _as_fraction(coeff)
-                if c != 0:
-                    canonical[exp] = c
-        self.terms = canonical
+                n, d = _ratio(coeff)
+                if n:
+                    ratios.append((_pack(*exp), n, d))
+                    if d != 1:
+                        den = lcm(den, d)
+        self._num = {key: n * (den // d) for key, n, d in ratios}
+        self._den = den
 
     @classmethod
     def const(cls, value: RationalLike) -> Poly:
-        return cls({(0, 0, 0): _as_fraction(value)})
+        return cls({(0, 0, 0): value})
 
     @classmethod
     def monomial(cls, coeff: RationalLike, ea: int = 0, eq: int = 0, et: int = 0) -> Poly:
         if min(ea, eq, et) < 0:
             raise ValueError("negative exponents are not representable")
-        return cls({(ea, eq, et): _as_fraction(coeff)})
+        return cls({(ea, eq, et): coeff})
+
+    @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        """Read-only {(e_a, e_q, e_t): Fraction} view of the nonzero terms."""
+        return _Terms(self._num, self._den)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def coefficient(self, ea: int = 0, eq: int = 0, et: int = 0) -> Fraction:
         return self.terms.get((ea, eq, et), Fraction(0))
@@ -87,24 +153,38 @@ class Poly:
         return Poly.const(value)
 
     def __add__(self, other: PolyLike) -> Poly:
-        if not isinstance(other, (Poly, Fraction, int)):
-            return NotImplemented
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + coeff
-        return Poly(out)
+        if not isinstance(other, Poly):
+            if not isinstance(other, (Fraction, int)):
+                return NotImplemented
+            other = Poly.const(other)
+        if not other._num:
+            return self
+        if not self._num:
+            return other
+        return Poly.sum((self, other))
 
     __radd__ = __add__
 
     @staticmethod
     def sum(values: Iterable[PolyLike]) -> Poly:
-        """Sum of many polynomials, normalised once rather than per addition."""
-        out: dict[Exponent, Fraction] = {}
+        """Sum of many polynomials over the lcm of their denominators, normalised once."""
+        out: dict[int, int] = {}
+        den = 1
         for value in values:
-            for exp, coeff in Poly._coerce(value).terms.items():
-                out[exp] = out.get(exp, 0) + coeff
-        return Poly(out)
+            p = Poly._coerce(value)
+            if den % p._den:  # widen the running denominator to the lcm
+                widen = p._den // gcd(den, p._den)
+                out = {key: c * widen for key, c in out.items()}
+                den *= widen
+            scale = den // p._den
+            get = out.get
+            if scale == 1:
+                for key, c in p._num.items():
+                    out[key] = get(key, 0) + c
+            else:
+                for key, c in p._num.items():
+                    out[key] = get(key, 0) + c * scale
+        return _normal(out, den)
 
     def __sub__(self, other: PolyLike) -> Poly:
         if not isinstance(other, (Poly, Fraction, int)):
@@ -117,18 +197,25 @@ class Poly:
         return self._coerce(other) + (-self)
 
     def __neg__(self) -> Poly:
-        return Poly({exp: -c for exp, c in self.terms.items()})
+        return _normal({key: -c for key, c in self._num.items()}, self._den)
 
     def __mul__(self, other: PolyLike) -> Poly:
-        if not isinstance(other, (Poly, Fraction, int)):
-            return NotImplemented
-        other = self._coerce(other)
-        out: dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-                out[exp] = out.get(exp, Fraction(0)) + ca * cb
-        return Poly(out)
+        if not isinstance(other, Poly):
+            if not isinstance(other, (Fraction, int)):
+                return NotImplemented
+            n, d = _ratio(other)
+            return _normal({key: c * n for key, c in self._num.items()}, self._den * d)
+        out: dict[int, int] = {}
+        get = out.get
+        right = other._num.items()
+        for ka, ca in self._num.items():
+            for kb, cb in right:
+                key = ka + kb
+                out[key] = get(key, 0) + ca * cb
+        overflow = next(filter(_OVERFLOW.__and__, out), None)
+        if overflow is not None:
+            raise ValueError(f"product exponent {_unpack(overflow)} reaches 2^20")
+        return _normal(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -140,8 +227,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no squaring after the last bit: it could overflow for nothing
+                base = base * base
         return result
 
     def __eq__(self, other: object) -> bool:
@@ -149,10 +237,10 @@ class Poly:
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self._num.items()), self._den))
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -160,14 +248,18 @@ class Poly:
         """Exact evaluation; a ring homomorphism Poly -> Fraction."""
         av, qv, tv = _as_fraction(alpha), _as_fraction(q), _as_fraction(t)
         total = Fraction(0)
-        for (ea, eq, et), coeff in self.terms.items():
-            total += coeff * av**ea * qv**eq * tv**et
-        return total
+        for key, c in self._num.items():
+            ea, eq, et = _unpack(key)
+            total += c * av**ea * qv**eq * tv**et
+        return total / self._den
 
     def eval_float(self, alpha: float, q: float, t: float = 0.0) -> float:
+        den = self._den
         total = 0.0
-        for (ea, eq, et), coeff in self.terms.items():
-            total += float(coeff) * alpha**ea * q**eq * t**et
+        for key, c in self._num.items():
+            ea, eq, et = _unpack(key)
+            # int / int is correctly rounded, so c / den == float(Fraction(c, den))
+            total += c / den * alpha**ea * q**eq * t**et
         return total
 
     def subs(
@@ -196,7 +288,7 @@ class Poly:
         return sorted(self.terms.items(), key=lambda item: _sort_key(item[0]))
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
         parts: list[str] = []
         for exp, coeff in self.sorted_terms():
@@ -222,6 +314,29 @@ class Poly:
         return f"Poly({self})"
 
 
+class _Terms(Mapping):
+    """The terms of num / den as exponent triples and Fractions; its len costs nothing."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: dict[int, int], den: int):
+        self._num = num
+        self._den = den
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+    def __iter__(self) -> Iterator[Exponent]:
+        return map(_unpack, self._num)
+
+    def __getitem__(self, exp: Exponent) -> Fraction:
+        if all(0 <= e < _LIMIT for e in exp):
+            c = self._num.get(_pack(*exp))
+            if c is not None:
+                return Fraction(c, self._den)
+        raise KeyError(exp)
+
+
 ZERO = Poly()
 ONE = Poly.const(1)
 ALPHA = Poly.monomial(1, ea=1)
@@ -233,14 +348,14 @@ def qint(n: int) -> Poly:
     """[n]_q = 1 + q + ... + q^(n-1); qint(0) = 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return Poly({(0, i, 0): Fraction(1) for i in range(n)})
+    return Poly({(0, i, 0): 1 for i in range(n)})
 
 
 def qtint(n: int) -> Poly:
     """[n]_{q,t} = sum_{i=1..n} q^(i-1) t^(n-i), homogeneous of degree n-1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return Poly({(0, i - 1, n - i): Fraction(1) for i in range(1, n + 1)})
+    return Poly({(0, i - 1, n - i): 1 for i in range(1, n + 1)})
 
 
 # -- scalar mode (CLI-facing parameter handling) -----------------------------

@@ -159,10 +159,10 @@ def test_orthopoly_tables(capsys):
 
 
 def test_orthopoly_resource_guard_exit_code(capsys):
-    assert main(["orthopoly", "--family", "qt-poisson", "--N", "15"]) == 3
-    code, out = run_cli(capsys, "orthopoly", "--family", "alsalam-ismail", "--N", "14")
+    assert main(["orthopoly", "--family", "qt-poisson", "--N", "20"]) == 3
+    code, out = run_cli(capsys, "orthopoly", "--family", "alsalam-ismail", "--N", "19")
     assert code == 0
-    assert len(json.loads(out)["polynomials"]) == 15
+    assert len(json.loads(out)["polynomials"]) == 20
 
 
 def test_verify_suite_passes(capsys):

@@ -1,4 +1,4 @@
-"""Scalar ring: arithmetic, evaluation homomorphism, q-integers."""
+"""Scalar ring: arithmetic, evaluation homomorphism, q-integers, the Fraction oracle."""
 
 from fractions import Fraction
 
@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfock.scalars import ALPHA, ONE, Q, T, ZERO, Poly, qint, qtint
+from fraction_poly import FractionPoly
 
 F = Fraction
 
@@ -97,3 +98,79 @@ def test_pow_and_coercion():
     assert 2 * Q == Q + Q
     assert F(1, 2) * (Q + Q) == Q
     assert (Q - F(1, 2)).coefficient() == F(-1, 2)
+
+
+# -- the integer core against the Fraction oracle ------------------------------
+
+# denominators up to 12 make sums and products widen and reduce the common one
+oracle_coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+oracle_terms = st.dictionaries(exponents, oracle_coefficients, max_size=5)
+
+
+def agrees(p: Poly, fp: FractionPoly) -> bool:
+    """Same terms, same text and the same float value, term order included."""
+    return (
+        p.terms == fp.terms
+        and str(p) == str(fp)
+        and p.eval_float(0.3, -0.7, 1.1) == fp.eval_float(0.3, -0.7, 1.1)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_terms, oracle_terms, oracle_terms, oracle_coefficients, st.integers(0, 3))
+def test_poly_matches_the_fraction_oracle(a, b, c, scalar, k):
+    p, r, s = Poly(a), Poly(b), Poly(c)
+    fp, fr, fs = FractionPoly(a), FractionPoly(b), FractionPoly(c)
+    assert agrees(p, fp)
+    assert agrees(p + r, fp + fr)
+    assert agrees(p - r, fp - fr)
+    assert agrees(p - p, fp - fp)
+    assert agrees(p * r, fp * fr)
+    assert agrees(p * scalar, fp * scalar)
+    assert agrees(scalar - p, scalar - fp)
+    assert agrees(3 * p + 1, 3 * fp + 1)
+    assert agrees(p**k, fp**k)
+    assert agrees(Poly.sum([p, r, s, scalar, 2]), FractionPoly.sum([fp, fr, fs, scalar, 2]))
+    assert agrees(p.subs(alpha=r, t=scalar), fp.subs(alpha=fr, t=scalar))
+    assert agrees(p.subs(q=-Q), fp.subs(q=-FractionPoly.monomial(1, eq=1)))
+    assert p.evaluate(scalar, F(1, 3), -2) == fp.evaluate(scalar, F(1, 3), -2)
+    assert (p == r) == (fp == fr)
+    assert (p == scalar) == (fp == scalar)
+    assert (p * r - r * p) == ZERO
+    assert hash(p + r) == hash(r + p)  # equal values, terms in another order
+
+
+def test_exponent_bound_raises_at_construction():
+    with pytest.raises(ValueError):
+        Poly.monomial(1, eq=2**20)
+    with pytest.raises(ValueError):
+        Poly({(0, 0, -1): 1})
+
+
+def test_exponent_bound_raises_in_a_product():
+    half = Poly.monomial(1, eq=2**19)
+    with pytest.raises(ValueError):
+        half * half
+    with pytest.raises(ValueError):
+        Poly.monomial(1, ea=2**20 - 1) * ALPHA
+
+
+def test_power_does_not_square_past_its_last_bit():
+    assert Q ** (2**19) == Poly.monomial(1, eq=2**19)
+    assert (ALPHA * T) ** (2**20 - 1) == Poly.monomial(1, ea=2**20 - 1, et=2**20 - 1)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (Poly({(1, 2, 0): F(2, 4)}), Poly({(1, 2, 0): F(1, 2)})),
+        (F(1, 2) * (2 * Q + 4), Q + 2),
+        ((F(1, 6) * Q + F(1, 3)) * 3, F(1, 2) * Q + 1),
+        (Poly.sum([F(1, 3) * Q + F(1, 6), -F(1, 3) * Q, F(-1, 6)]), ZERO),
+        ((ALPHA + F(1, 4)) - (ALPHA + F(1, 4)), Poly()),
+        (Poly.const(F(6, 3)), Poly.const(2)),
+    ],
+)
+def test_equal_values_built_differently_are_equal_and_hash_equal(left, right):
+    assert left == right
+    assert hash(left) == hash(right)
