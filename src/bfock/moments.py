@@ -15,7 +15,9 @@ colors, and a -1 arc contributes a, q^(2 cover) and one involution
 insertion, where cover counts the arcs of other blocks strictly covering it.
 So the 2^#arcs colorings of an uncolored partition fold into one chain per
 block with (I + a q^(2 cover) J) at every arc, and the sum runs over the
-Bell(n) uncolored partitions only.  ``colored_wick_moment`` keeps the
+Bell(n) uncolored partitions only.  The kernel of that sum takes the factor
+at an arc of cover count c as its one parameter: (I + a q^(2c) J) here, and
+t^c I for ``qt.qt_wick``.  ``colored_wick_moment`` keeps the
 colored sum itself, term by term; it is the small-n oracle the tests hold
 ``wick_moment`` to.  The vector-level refinement
 resolves a word of creators / annihilators / gauge factors applied to the
@@ -32,7 +34,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import ResourceLimitError
 from .fock import FockVector, OpSpec, SpaceSpec, Word, apply_operator, type_b, vacuum_expectation
@@ -160,33 +162,30 @@ def _poly_mat_vec(m: FracMatrix, vec: Sequence[Poly]) -> list[Poly]:
     return [Poly.sum(v * entry for entry, v in zip(row, vec) if entry) for row in m]
 
 
-def summed_chain_value(block: Block, covers: Sequence[int], prob: MomentProblem) -> Poly:
-    """Color sum of a block's closed chains, for m >= 2:
+def _color_summed_sum(prob: MomentProblem, arc: Callable[[int, list[Poly]], list[Poly]]) -> Poly:
+    """Sum over the Bell(n) uncolored partitions of q^rc times the block factors.
 
-    <x_max, (I + a q^(2 c_{m-1}) J) T_{x_{i_{m-1}}} ··· T_{x_{i_2}} (I + a q^(2 c_1) J) x_min>
+    A singleton contributes its lambda, a block {i_1 < ... < i_m} the chain
 
-    where c_k = covers[k-1] is the cover count of the block's k-th arc.
-    """
-    involution = prob.space.involution
-    vec = [Poly.const(entry) for entry in prob.x(block[0])]
-    for j, cover in enumerate(covers, start=1):
-        flip = Poly.monomial(1, ea=1, eq=2 * cover)
-        vec = [v + flip * w for v, w in zip(vec, _poly_mat_vec(involution, vec))]
-        if j < len(covers):  # the maximum enters through the inner product
-            vec = _poly_mat_vec(prob.t(block[j]), vec)
-    return Poly.sum(v * entry for entry, v in zip(prob.x(block[-1]), vec) if entry)
+        <x_max, F_{m-1} T_{x_{i_{m-1}}} ··· T_{x_{i_2}} F_1 x_min>
 
-
-def wick_moment(prob: MomentProblem) -> Poly:
-    """Exact color-summed partition sum for phi(B(x_n)···B(x_1)).
-
-    Sums q^rc times the block factors over uncolored partitions: lambda for a
-    singleton, ``summed_chain_value`` otherwise.  Chains are memoised per
-    call by (block, covers).  Equals ``colored_wick_moment``.
+    where ``arc(c_k, vec)`` applies F_k, the factor at the block's k-th arc
+    of cover count c_k, to the chain's vector.  A partition with a
+    singleton whose lambda is 0 is skipped before its arcs are classified.
+    Chains are memoised per call by (block, covers).
     """
     if prob.n > MAX_WICK_N:
-        raise ResourceLimitError(f"wick_moment is guarded at n <= {MAX_WICK_N}")
+        raise ResourceLimitError(f"the color-summed partition sum is guarded at n <= {MAX_WICK_N}")
+    zero_singletons = {(point,) for point, lam in enumerate(prob.lams, start=1) if not lam}
     chains: dict[tuple[Block, tuple[int, ...]], Poly] = {}
+
+    def chain_value(block: Block, covers: tuple[int, ...]) -> Poly:
+        vec = [Poly.const(entry) for entry in prob.x(block[0])]
+        for j, cover in enumerate(covers, start=1):
+            vec = arc(cover, vec)
+            if j < len(covers):  # the maximum enters through the inner product
+                vec = _poly_mat_vec(prob.t(block[j]), vec)
+        return Poly.sum(v * entry for entry, v in zip(prob.x(block[-1]), vec) if entry)
 
     def partition_value(blocks: tuple[Block, ...]) -> Poly:
         rc, covers = arc_covers(blocks)
@@ -197,13 +196,32 @@ def wick_moment(prob: MomentProblem) -> Poly:
             else:
                 key = (block, block_covers)
                 if key not in chains:
-                    chains[key] = summed_chain_value(block, block_covers, prob)
+                    chains[key] = chain_value(block, block_covers)
                 value = value * chains[key]
             if value.is_zero:
                 break
         return value
 
-    return Poly.sum(partition_value(blocks) for blocks in set_partitions(prob.n))
+    return Poly.sum(
+        partition_value(blocks)
+        for blocks in set_partitions(prob.n)
+        if zero_singletons.isdisjoint(blocks)
+    )
+
+
+def wick_moment(prob: MomentProblem) -> Poly:
+    """Exact color-summed partition sum for phi(B(x_n)···B(x_1)).
+
+    The partition sum with (I + a q^(2c) J), both colors of an arc of cover
+    count c, at every arc.  Equals ``colored_wick_moment``.
+    """
+    involution = prob.space.involution
+
+    def arc(cover: int, vec: list[Poly]) -> list[Poly]:
+        flip = Poly.monomial(1, ea=1, eq=2 * cover)
+        return [v + flip * w for v, w in zip(vec, _poly_mat_vec(involution, vec))]
+
+    return _color_summed_sum(prob, arc)
 
 
 def colored_wick_moment(prob: MomentProblem) -> Poly:

@@ -18,8 +18,11 @@ Statistics (all counted over pairs of arcs from distinct blocks):
 * m_left  - like max_l but color-blind
 * out_arc - arcs covered by no other arc; only for noncrossing partitions
 
-``arc_covers`` gives the color-blind part (rc and the per-arc cover counts)
-of an uncolored partition, for the sums that fold the colorings away.
+``arc_covers`` is the one pass over pairs of arcs: it gives the color-blind
+part (rc and the per-arc cover counts) of an uncolored partition, for the
+sums that fold the colorings away.  ``statistics`` reads rc, nest = rarc
+(the sum of the covers), rnarc (the covers of the -1 arcs) and out_arc (the
+arcs of cover 0) from it, and relates open blocks to arcs itself.
 
 Enumeration order is deterministic: uncolored partitions in restricted-
 growth-string order, colorings in binary order (+1 before -1), markings in
@@ -53,6 +56,8 @@ class ColoredPartition:
     colors: tuple[Colors, ...]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError("n must not be negative")
         seen = sorted(x for block in self.blocks for x in block)
         if seen != list(range(1, self.n + 1)):
             raise ValueError("blocks do not partition [n]")
@@ -84,6 +89,8 @@ class ExtendedPartition:
 
     def __post_init__(self) -> None:
         for b in self.marked:
+            if b not in range(len(self.base.blocks)):
+                raise ValueError(f"marked block index {b} is out of range")
             if len(self.base.blocks[b]) < 2:
                 raise ValueError("only blocks of size >= 2 may be marked")
 
@@ -109,41 +116,22 @@ class PartitionStats:
     out_arc: int | None
 
 
-def _crossing(v: tuple[int, int], w: tuple[int, int]) -> bool:
-    (i, j), (k, l) = v, w
-    return i < k < j < l or k < i < l < j
-
-
-def _nests(v: tuple[int, int], w: tuple[int, int]) -> bool:
-    """True when v strictly covers w."""
-    return v[0] < w[0] and w[1] < v[1]
-
-
 def statistics(p: ColoredPartition | ExtendedPartition) -> PartitionStats:
     """All partition statistics; a bare ColoredPartition counts as unmarked."""
     if isinstance(p, ColoredPartition):
         p = ExtendedPartition(base=p, marked=frozenset())
     base = p.base
+    rc, covers = arc_covers(base.blocks)
+    nest = narc = rnarc = out_arc = 0
+    for block_covers, colors in zip(covers, base.colors):
+        for cover, color in zip(block_covers, colors):
+            nest += cover
+            out_arc += not cover
+            if color == -1:
+                narc += 1
+                rnarc += cover
+
     arcs = base.arcs()
-
-    rc = nest = rnarc = 0
-    for idx, (i, j, _, b) in enumerate(arcs):
-        for k, l, color2, b2 in arcs[idx + 1 :]:
-            if b == b2:
-                continue
-            if _crossing((i, j), (k, l)):
-                rc += 1
-            elif _nests((i, j), (k, l)):
-                nest += 1
-                if color2 == -1:
-                    rnarc += 1
-            elif _nests((k, l), (i, j)):
-                nest += 1
-                if arcs[idx][2] == -1:
-                    rnarc += 1
-
-    narc = sum(1 for arc in arcs if arc[2] == -1)
-
     max_c = max_l = m_left = 0
     for b in p.open_block_indices():
         top = max(base.blocks[b])
@@ -155,20 +143,6 @@ def statistics(p: ColoredPartition | ExtendedPartition) -> PartitionStats:
                 if color == -1:
                     max_l += 1
 
-    # arcs within one block share endpoints or are disjoint, so rc == 0
-    # already means the partition is noncrossing
-    out_arc = None
-    if rc == 0:
-        out_arc = sum(
-            1
-            for idx, w in enumerate(arcs)
-            if not any(
-                _nests((v[0], v[1]), (w[0], w[1]))
-                for k, v in enumerate(arcs)
-                if k != idx
-            )
-        )
-
     return PartitionStats(
         rc=rc,
         nest=nest,
@@ -178,7 +152,9 @@ def statistics(p: ColoredPartition | ExtendedPartition) -> PartitionStats:
         max_c=max_c,
         max_l=max_l,
         m_left=m_left,
-        out_arc=out_arc,
+        # arcs within one block share endpoints or are disjoint, so rc == 0
+        # already means the partition is noncrossing
+        out_arc=out_arc if rc == 0 else None,
     )
 
 
@@ -186,25 +162,28 @@ def arc_covers(blocks: Sequence[Block]) -> tuple[int, tuple[tuple[int, ...], ...
     """Color-blind arc statistics of an uncolored partition: ``(rc, covers)``.
 
     ``covers[b][k]`` counts the arcs strictly covering the k-th arc of block
-    b.  Arcs of one block share endpoints or are disjoint, so every crossing
-    or covering arc lies in another block; the covers therefore sum to rarc,
-    and a coloring's rnarc is the sum of the covers of its -1 arcs.
+    b.  The one pass over pairs of arcs that classifies them: no point is the
+    left (or right) end of two arcs, so with arcs ordered by left end, a later
+    arc that starts inside an arc either crosses it or is covered by it.
+    Arcs of one block share endpoints or are disjoint, so every crossing or
+    covering arc lies in another block.
     """
-    arcs = [(block[k], block[k + 1]) for block in blocks for k in range(len(block) - 1)]
-    rc = sum(
-        1
-        for idx, (i, j) in enumerate(arcs)
-        for k, l in arcs[idx + 1 :]
-        if i < k < j < l or k < i < l < j
+    covers = [[0] * (len(block) - 1) for block in blocks]
+    arcs = sorted(
+        (block[k], block[k + 1], row, k)
+        for block, row in zip(blocks, covers)
+        for k in range(len(block) - 1)
     )
-    covers = tuple(
-        tuple(
-            sum(1 for k, l in arcs if k < block[m] and block[m + 1] < l)
-            for m in range(len(block) - 1)
-        )
-        for block in blocks
-    )
-    return rc, covers
+    rc = 0
+    for idx, (_, j, _, _) in enumerate(arcs):
+        for i2, j2, row, k in arcs[idx + 1 :]:
+            if i2 >= j:
+                break
+            if j2 < j:
+                row[k] += 1
+            else:
+                rc += 1
+    return rc, tuple(map(tuple, covers))
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -215,6 +194,8 @@ def set_partitions(n: int) -> Iterator[tuple[Block, ...]]:
 
     Blocks of each partition are re-sorted by their maxima.
     """
+    if n < 0:
+        raise ValueError("n must not be negative")
     if n == 0:
         yield ()
         return

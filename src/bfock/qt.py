@@ -9,7 +9,10 @@ q^l2 t^(C(n,2) - l2).
 The operators are ``fock``'s kernels with the (q,t) slot weight: the slot-k
 term of a length-n word carries q^(n-k) t^(k-1), and the involution plays no
 role (the base space must have the trivial involution).  The moment formula
-sums q^rc t^rarc over singleton-free uncolored partitions.
+sums q^rc t^rarc over singleton-free uncolored partitions: it is
+``moments``' color-summed partition sum with t^c I at an arc of cover count
+c in place of (I + a q^(2c) J), and lambda = 0, so every partition with a
+singleton drops out.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ResourceLimitError
 from .fock import (
     FockVector,
     OpSpec,
@@ -29,11 +31,8 @@ from .fock import (
     matrix_of_level_map,
     vacuum_expectation,
 )
-from .moments import MomentProblem, plain_chain_value
-from .partitions import arc_covers, set_partitions
-from .scalars import Poly, ZERO, Matrix, frac_identity, frac_matrix, frac_vector
-
-MAX_QT_WICK_N = 8
+from .moments import MomentProblem, _color_summed_sum
+from .scalars import Poly, Matrix, frac_identity, frac_matrix, frac_vector
 
 
 @dataclass(frozen=True)
@@ -90,30 +89,20 @@ def qt_vacuum_expectation(ops: Sequence[OpSpec], spec: QtSpec) -> Poly:
     return vacuum_expectation(ops, spec.space)
 
 
+def _qt_arc(cover: int, vec: list[Poly]) -> list[Poly]:
+    """t^c I at an arc of cover count c."""
+    weight = Poly.monomial(1, et=cover)
+    return [weight * v for v in vec]
+
+
 def qt_wick(
     xs: Sequence[Sequence[Fraction]],
     ts: Sequence[Sequence[Sequence[Fraction]]],
     spec: QtSpec,
 ) -> Poly:
     """Sum of q^rc t^rarc weighted chain products over singleton-free partitions."""
-    n = len(xs)
-    if n > MAX_QT_WICK_N:
-        raise ResourceLimitError(f"qt_wick is guarded at n <= {MAX_QT_WICK_N}")
-    prob = MomentProblem.build(xs, ts, [0] * n, spec.space)
-    total = ZERO
-    for blocks in set_partitions(n):
-        if any(len(block) < 2 for block in blocks):
-            continue
-        value = Fraction(1)
-        for block in blocks:
-            value *= plain_chain_value(block, prob)
-            if not value:
-                break
-        if value:
-            rc, covers = arc_covers(blocks)
-            rarc = sum(map(sum, covers))
-            total = total + Poly.monomial(value, eq=rc, et=rarc)
-    return total
+    prob = MomentProblem.build(xs, ts, [0] * len(xs), spec.space)
+    return _color_summed_sum(prob, _qt_arc)
 
 
 def qt_y_moment(

@@ -187,6 +187,12 @@ def test_group_resource_guard_exit_code(capsys):
     assert code == 3
 
 
+def test_qt_resource_guard_exit_code(capsys):
+    assert main(["qt", "--n", "9", "--t-symbolic"]) == 3
+    assert "guarded at n <= 8" in capsys.readouterr().err
+    assert main(["qt", "--n", "8", "--t-symbolic"]) == 0
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(["qt", "--n", "2", "--t-symbolic", "--out", str(target)])

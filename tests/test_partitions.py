@@ -1,5 +1,7 @@
 """Colored/extended partition enumeration and statistics."""
 
+from itertools import permutations
+
 import pytest
 
 from bfock.errors import ResourceLimitError
@@ -96,17 +98,40 @@ def test_color_independence_of_rc_rarc():
         assert len(values) == 1
 
 
+def definitional_counts(p):
+    """(rc, nest, rnarc, rarc, out_arc) straight from the module docstring.
+
+    Every ordered pair (v, w) of arcs from distinct blocks: v crosses w when
+    w starts inside v and ends after it, v covers w when w lies strictly
+    inside v; out_arc counts the arcs nothing covers, for noncrossing p only.
+    """
+    arcs = p.base.arcs()
+    pairs = [(v, w) for v, w in permutations(arcs, 2) if v[3] != w[3]]
+    rc = sum(1 for v, w in pairs if v[0] < w[0] < v[1] < w[1])
+    nesting = [(v, w) for v, w in pairs if v[0] < w[0] and w[1] < v[1]]
+    rnarc = sum(1 for _, w in nesting if w[2] == -1)
+    covered = {w for _, w in nesting}
+    out_arc = len(arcs) - len(covered) if rc == 0 else None
+    return rc, len(nesting), rnarc, len(nesting), out_arc
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_statistics_match_the_definitions(n):
+    for p in enumerate_extended(n):
+        stats = statistics(p)
+        got = (stats.rc, stats.nest, stats.rnarc, stats.rarc, stats.out_arc)
+        assert got == definitional_counts(p), p
+
+
 def test_arc_covers_fold_the_colorings():
     # over the colorings of each partition, sum a^narc q^(2 rnarc) equals the
-    # product over arcs of (1 + a q^(2 cover)); rc and rarc are color-blind
+    # product over arcs of (1 + a q^(2 cover))
     from bfock.scalars import ONE, ZERO, Poly
 
     for n in range(7):
         summed = {}
         for p in enumerate_colored(n):
-            rc, covers = arc_covers(p.blocks)
             stats = statistics(p)
-            assert (stats.rc, stats.rarc) == (rc, sum(map(sum, covers)))
             weight = Poly.monomial(1, ea=stats.narc, eq=2 * stats.rnarc)
             summed[p.blocks] = summed.get(p.blocks, ZERO) + weight
         assert len(summed) == len(list(set_partitions(n)))
@@ -202,6 +227,20 @@ def test_block_order_validation():
             base=ColoredPartition(n=1, blocks=((1,),), colors=((),)),
             marked=frozenset({0}),
         )
+
+
+@pytest.mark.parametrize("marked", [5, 2, -1])
+def test_marked_index_must_name_a_block(marked):
+    base = ColoredPartition(n=3, blocks=((2,), (1, 3)), colors=((), (1,)))
+    with pytest.raises(ValueError, match="out of range"):
+        ExtendedPartition(base=base, marked=frozenset({marked}))
+
+
+def test_negative_n_is_rejected():
+    with pytest.raises(ValueError, match="negative"):
+        next(set_partitions(-1))
+    with pytest.raises(ValueError, match="negative"):
+        ColoredPartition(n=-1, blocks=(), colors=())
 
 
 def test_resource_guards():

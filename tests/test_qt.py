@@ -19,7 +19,8 @@ from bfock.fock import (
     symmetrizer,
     type_b,
 )
-from bfock.moments import random_problem, wick_moment
+from bfock.moments import plain_chain_value, random_problem, wick_moment
+from bfock.partitions import arc_covers, set_partitions
 from bfock.qt import (
     QtSpec,
     qt_annihilate,
@@ -33,7 +34,7 @@ from bfock.qt import (
     qt_y,
     qt_y_moment,
 )
-from bfock.scalars import ONE, Q, T, Poly, frac_identity, mat_eq
+from bfock.scalars import ONE, Q, T, Poly, frac_identity, frac_matrix, mat_eq
 
 F = Fraction
 
@@ -148,26 +149,41 @@ def test_qt_t1_matches_type_b_alpha0_moments(n):
     assert qt_value == b_value
 
 
-def test_qt_q0_noncrossing_only():
-    rng = random.Random(31)
-    prob = random_problem(rng, 4, SPEC2.space, zero_lams=True)
-    from bfock.moments import plain_chain_value
-    from bfock.partitions import arc_covers, set_partitions
-    from bfock.scalars import ZERO, Poly
-
-    expected = ZERO
-    for blocks in set_partitions(4):
+def reference_terms(prob):
+    """(rc, rarc, chain product) of each singleton-free partition, Fraction by Fraction."""
+    for blocks in set_partitions(prob.n):
         if any(len(block) < 2 for block in blocks):
-            continue
-        rc, covers = arc_covers(blocks)
-        rarc = sum(map(sum, covers))
-        if rc:
             continue
         value = Fraction(1)
         for block in blocks:
             value *= plain_chain_value(block, prob)
+            if not value:
+                break
         if value:
-            expected = expected + Poly.monomial(value, et=rarc)
+            rc, covers = arc_covers(blocks)
+            yield rc, sum(map(sum, covers)), value
+
+
+def reference_qt_wick(prob):
+    """The (q,t) Wick sum term by term: q^rc t^rarc times the chain product."""
+    return Poly.sum(Poly.monomial(value, eq=rc, et=rarc) for rc, rarc, value in reference_terms(prob))
+
+
+@pytest.mark.parametrize("zero_t", [False, True], ids=["random-T", "T=0"])
+@pytest.mark.parametrize("n", range(7))
+def test_qt_wick_matches_the_reference_sum(n, zero_t):
+    prob = random_problem(random.Random(500 + n), n, SPEC2.space, zero_lams=True)
+    if zero_t:
+        prob = replace(prob, ts=tuple(frac_matrix([[0, 0], [0, 0]]) for _ in prob.ts))
+    assert qt_wick(prob.xs, prob.ts, SPEC2) == reference_qt_wick(prob)
+
+
+def test_qt_q0_noncrossing_only():
+    rng = random.Random(31)
+    prob = random_problem(rng, 4, SPEC2.space, zero_lams=True)
+    expected = Poly.sum(
+        Poly.monomial(value, et=rarc) for rc, rarc, value in reference_terms(prob) if rc == 0
+    )
     assert qt_wick(prob.xs, prob.ts, SPEC2).subs(q=0) == expected
 
 
