@@ -381,20 +381,20 @@ def _factorization_checks() -> list[Check]:
         return True, "P = (P⊗I)R for n <= 4", "exact"
 
     def bounds() -> tuple[bool, str, str]:
-        from .fock import gram_min_eigenvalue, r_operator_norm
-        from .scalars import qint
+        """||R(n)|| <= (1 + |a| |q|^(n-1)) [n]_|q| and P(n) > 0, certified exactly."""
+        from .scalars import is_semidefinite, mat_to_int, norm_at_most, qint
 
         space = SpaceSpec.diagonal("+-", truncation=5)
-        for alpha, q in ((0.4, 0.3), (0.4, -0.3), (-0.4, 0.3), (-0.4, -0.3)):
-            for n in range(1, 5):
-                bound = (1 + abs(alpha) * abs(q) ** (n - 1)) * qint(n).eval_float(
-                    0, abs(q)
-                )
-                if r_operator_norm(space, n, alpha, q) > bound + 1e-9:
+        points = [(Fraction(a, 5), Fraction(q, 10)) for a in (2, -2) for q in (3, -3)]
+        for n in range(1, 5):
+            gram, r = symmetrizer(n, space), r_operator(n, space)
+            for alpha, q in points:
+                bound = (1 + abs(alpha) * abs(q) ** (n - 1)) * qint(n).evaluate(0, abs(q))
+                if not norm_at_most(r, bound, alpha, q):
                     return False, f"norm bound n={n}", f"({alpha},{q})"
-                if gram_min_eigenvalue(space, n, alpha, q) <= 0:
+                if not is_semidefinite(mat_to_int(gram, alpha, q)[0], definite=True):
                     return False, f"gram positivity n={n}", f"({alpha},{q})"
-        return True, "norm bounds and positivity", "within tolerance"
+        return True, "norm bounds and positivity", "exact"
 
     return [("factorization", run), ("spectral-bounds", bounds)]
 

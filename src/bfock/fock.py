@@ -31,8 +31,6 @@ from fractions import Fraction
 from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .coxeter import GroupElementRecord, Window, enumerate_group
 from .errors import ResourceLimitError, TruncationError
 from .scalars import (
@@ -577,11 +575,19 @@ def vacuum_expectation(ops: Sequence[OpSpec], space: SpaceSpec) -> Poly:
     return v.coeff(())
 
 
-# -- float-mode spectral checks ------------------------------------------------
+# -- float spectral values ------------------------------------------------------
+#
+# verify certifies Gram positivity and the norm bound of R exactly (through
+# scalars.is_semidefinite); these floats are the tests' independent oracle.
 
 
 def gram_min_eigenvalue(space: SpaceSpec, n: int, alpha: float, q: float) -> float:
-    """Smallest eigenvalue of the level-n Gram matrix at float parameters."""
+    """Smallest eigenvalue of the level-n Gram matrix at float parameters.
+
+    The tests' float oracle; imports numpy on call.
+    """
+    import numpy as np
+
     p = symmetrizer(n, space)
     if not mat_eq(p, mat_transpose(p)):  # exact symmetry, so eigvalsh is safe
         raise AssertionError("symmetrizer matrix is not symmetric")
@@ -589,7 +595,12 @@ def gram_min_eigenvalue(space: SpaceSpec, n: int, alpha: float, q: float) -> flo
 
 
 def r_operator_norm(space: SpaceSpec, n: int, alpha: float, q: float) -> float:
-    """Spectral norm of R at level n, w.r.t. the undeformed inner product."""
+    """Spectral norm of R at level n, w.r.t. the undeformed inner product.
+
+    The tests' float oracle; imports numpy on call.
+    """
+    import numpy as np
+
     return float(np.linalg.norm(mat_to_float(r_operator(n, space), alpha, q), ord=2))
 
 
@@ -598,8 +609,11 @@ def gauge_norm_deformed(
 ) -> float:
     """Operator norm of gauge(T) on level n w.r.t. the deformed inner product.
 
-    T must be symmetric (as for every gauge OpSpec).
+    T must be symmetric (as for every gauge OpSpec).  The tests' float oracle;
+    imports numpy on call.
     """
+    import numpy as np
+
     gram = mat_to_float(symmetrizer(n, space), alpha, q)
     op = OpSpec("gauge", t=t)
     mat = mat_to_float(matrix_of_level_map(

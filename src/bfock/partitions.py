@@ -22,7 +22,13 @@ Statistics (all counted over pairs of arcs from distinct blocks):
 part (rc and the per-arc cover counts) of an uncolored partition, for the
 sums that fold the colorings away.  ``statistics`` reads rc, nest = rarc
 (the sum of the covers), rnarc (the covers of the -1 arcs) and out_arc (the
-arcs of cover 0) from it, and relates open blocks to arcs itself.
+arcs of cover 0) from the same pass, and relates open blocks to its list of
+arcs.
+
+The enumerators build their partitions through ``_trusted``, which skips
+``__post_init__``: what they build is valid by construction, and a test
+rebuilds every one of them through the public constructors.  Every other
+construction keeps its full validation.
 
 Enumeration order is deterministic: uncolored partitions in restricted-
 growth-string order, colorings in binary order (+1 before -1), markings in
@@ -96,11 +102,18 @@ class ExtendedPartition:
 
     def open_block_indices(self) -> list[int]:
         """Marked blocks and singletons, in block (max) order."""
-        return [
-            b
-            for b, block in enumerate(self.base.blocks)
-            if b in self.marked or len(block) == 1
-        ]
+        return _open_blocks(self.base.blocks, self.marked)
+
+
+def _open_blocks(blocks: Sequence[Block], marked: frozenset[int]) -> list[int]:
+    return [b for b, block in enumerate(blocks) if b in marked or len(block) == 1]
+
+
+def _trusted(cls, **fields):
+    """An instance of a frozen partition class built without ``__post_init__``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -118,29 +131,30 @@ class PartitionStats:
 
 def statistics(p: ColoredPartition | ExtendedPartition) -> PartitionStats:
     """All partition statistics; a bare ColoredPartition counts as unmarked."""
-    if isinstance(p, ColoredPartition):
-        p = ExtendedPartition(base=p, marked=frozenset())
-    base = p.base
-    rc, covers = arc_covers(base.blocks)
+    if isinstance(p, ExtendedPartition):
+        base, marked = p.base, p.marked
+    else:
+        base, marked = p, frozenset()
+    rc, covers, arcs = _arc_pass(base.blocks)
+    colors = base.colors
     nest = narc = rnarc = out_arc = 0
-    for block_covers, colors in zip(covers, base.colors):
-        for cover, color in zip(block_covers, colors):
-            nest += cover
-            out_arc += not cover
-            if color == -1:
-                narc += 1
-                rnarc += cover
+    for _, _, b, k in arcs:
+        cover = covers[b][k]
+        nest += cover
+        out_arc += not cover
+        if colors[b][k] == -1:
+            narc += 1
+            rnarc += cover
 
-    arcs = base.arcs()
     max_c = max_l = m_left = 0
-    for b in p.open_block_indices():
-        top = max(base.blocks[b])
-        for i, j, color, b2 in arcs:
+    for b in _open_blocks(base.blocks, marked):
+        top = base.blocks[b][-1]
+        for i, j, b2, k in arcs:
             if i < top < j:
                 max_c += 1
-            if top < i:
+            elif top < i:
                 m_left += 1
-                if color == -1:
+                if colors[b2][k] == -1:
                     max_l += 1
 
     return PartitionStats(
@@ -161,8 +175,18 @@ def statistics(p: ColoredPartition | ExtendedPartition) -> PartitionStats:
 def arc_covers(blocks: Sequence[Block]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Color-blind arc statistics of an uncolored partition: ``(rc, covers)``.
 
-    ``covers[b][k]`` counts the arcs strictly covering the k-th arc of block
-    b.  The one pass over pairs of arcs that classifies them: no point is the
+    ``covers[b][k]`` counts the arcs strictly covering the k-th arc of block b.
+    """
+    rc, covers, _ = _arc_pass(blocks)
+    return rc, tuple(map(tuple, covers))
+
+
+def _arc_pass(
+    blocks: Sequence[Block],
+) -> tuple[int, list[list[int]], list[tuple[int, int, int, int]]]:
+    """``(rc, covers, arcs)``, with arcs as (left, right, block, k) ordered by left end.
+
+    The one pass over pairs of arcs that classifies them: no point is the
     left (or right) end of two arcs, so with arcs ordered by left end, a later
     arc that starts inside an arc either crosses it or is covered by it.
     Arcs of one block share endpoints or are disjoint, so every crossing or
@@ -170,20 +194,20 @@ def arc_covers(blocks: Sequence[Block]) -> tuple[int, tuple[tuple[int, ...], ...
     """
     covers = [[0] * (len(block) - 1) for block in blocks]
     arcs = sorted(
-        (block[k], block[k + 1], row, k)
-        for block, row in zip(blocks, covers)
+        (block[k], block[k + 1], b, k)
+        for b, block in enumerate(blocks)
         for k in range(len(block) - 1)
     )
     rc = 0
     for idx, (_, j, _, _) in enumerate(arcs):
-        for i2, j2, row, k in arcs[idx + 1 :]:
+        for i2, j2, b, k in arcs[idx + 1 :]:
             if i2 >= j:
                 break
             if j2 < j:
-                row[k] += 1
+                covers[b][k] += 1
             else:
                 rc += 1
-    return rc, tuple(map(tuple, covers))
+    return rc, covers, arcs
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -247,7 +271,7 @@ def enumerate_colored(n: int, which: str = "all") -> Iterator[ColoredPartition]:
         if not _passes_filter(blocks, which):
             continue
         for colors in _colorings(blocks):
-            yield ColoredPartition(n=n, blocks=blocks, colors=colors)
+            yield _trusted(ColoredPartition, n=n, blocks=blocks, colors=colors)
 
 
 def enumerate_extended(n: int) -> Iterator[ExtendedPartition]:
@@ -262,7 +286,7 @@ def enumerate_extended(n: int) -> Iterator[ExtendedPartition]:
             marked = frozenset(
                 b for pos, b in enumerate(eligible) if mask >> pos & 1
             )
-            yield ExtendedPartition(base=colored, marked=marked)
+            yield _trusted(ExtendedPartition, base=colored, marked=marked)
 
 
 def eps_compatible(p: ExtendedPartition, eps: Sequence[str]) -> bool:
@@ -313,8 +337,9 @@ def enumerate_extended_eps(eps: Sequence[str]) -> Iterator[ExtendedPartition]:
                 for rank, b in enumerate(ordered)
                 if state[b][2] and len(state[b][0]) > 1
             )
-            yield ExtendedPartition(
-                base=ColoredPartition(n=n, blocks=blocks, colors=colors),
+            yield _trusted(
+                ExtendedPartition,
+                base=_trusted(ColoredPartition, n=n, blocks=blocks, colors=colors),
                 marked=marked,
             )
             return

@@ -29,8 +29,11 @@ The canonical textual form sorts monomials in descending graded-lexicographic
 order (``a`` before ``q`` before ``t``), e.g. ``t^2 + 2*t + 3``.
 
 A small amount of dense linear algebra over ``Poly`` (and over bare
-``Fraction`` entries) lives here as well, together with a float view used
-only for spectral checks; floats never participate in equality assertions.
+``Fraction`` entries) lives here as well.  Spectral facts are certified
+exactly: a matrix evaluated at a rational point is cleared to integers
+(``mat_to_int``) and ``is_semidefinite`` runs fraction-free elimination on it.
+The float view ``mat_to_float`` is the tests' independent oracle; it imports
+numpy when called, so importing this module does not.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Exponent = tuple[int, int, int]
 RationalLike = Union[Fraction, int]
@@ -245,13 +249,27 @@ class Poly:
     # -- evaluation and substitution ----------------------------------------
 
     def evaluate(self, alpha: RationalLike, q: RationalLike, t: RationalLike = 0) -> Fraction:
-        """Exact evaluation; a ring homomorphism Poly -> Fraction."""
-        av, qv, tv = _as_fraction(alpha), _as_fraction(q), _as_fraction(t)
-        total = Fraction(0)
-        for key, c in self._num.items():
-            ea, eq, et = _unpack(key)
-            total += c * av**ea * qv**eq * tv**et
-        return total / self._den
+        """Exact evaluation; a ring homomorphism Poly -> Fraction.
+
+        With each value n/d and e_top the variable's top exponent, a term's
+        power n^e becomes the integer n^e d^(e_top - e) over the common d^e_top,
+        so the sum runs on ints and one Fraction is built at the end.
+        """
+        ratios = (_ratio(alpha), _ratio(q), _ratio(t))
+        if not self._num:
+            return Fraction(0)
+        exps = [_unpack(key) for key in self._num]
+        den = self._den
+        powers = []
+        for (n, d), top in zip(ratios, map(max, zip(*exps))):
+            powers.append([n**e * d ** (top - e) for e in range(top + 1)])
+            den *= d**top
+        pa, pq, pt = powers
+        total = sum(
+            c * pa[ea] * pq[eq] * pt[et]
+            for c, (ea, eq, et) in zip(self._num.values(), exps)
+        )
+        return Fraction(total, den)
 
     def eval_float(self, alpha: float, q: float, t: float = 0.0) -> float:
         den = self._den
@@ -366,7 +384,7 @@ class ScalarMode:
     """How CLI commands interpret the deformation parameters.
 
     kind 'symbolic' keeps everything polynomial; 'rational' substitutes the
-    exact triple; 'float' is for spectral checks only.
+    exact triple; 'float' renders floats for display and is never compared.
     """
 
     kind: str  # symbolic | rational | float
@@ -439,9 +457,84 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 
 def mat_to_float(a: Matrix, alpha: float, q: float, t: float = 0.0) -> np.ndarray:
+    """Float view of a at a point: the tests' float oracle; imports numpy on call."""
+    import numpy as np
+
     return np.array(
         [[x.eval_float(alpha, q, t) for x in row] for row in a], dtype=np.float64
     )
+
+
+# -- exact spectral certificates ------------------------------------------------
+
+IntMatrix = list[list[int]]
+
+
+def mat_to_int(
+    a: Matrix, alpha: RationalLike, q: RationalLike, t: RationalLike = 0
+) -> tuple[IntMatrix, int]:
+    """(m, den): the integer matrix m and the positive int den with a(alpha, q, t) = m / den."""
+    values = [[x.evaluate(alpha, q, t) for x in row] for row in a]
+    den = lcm(*(v.denominator for row in values for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in values], den
+
+
+def is_semidefinite(m: IntMatrix, definite: bool = False) -> bool:
+    """Whether the symmetric integer matrix m is positive semidefinite (definite).
+
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) with symmetric
+    pivoting on the largest remaining diagonal entry (Golub & Van Loan,
+    *Matrix Computations*, section 4.2).  After a step with pivot p, the
+    remaining block is p times the Schur complement of the leading block, and
+    the division by the previous pivot is exact.  A Schur complement is
+    semidefinite iff the matrix is (given a definite leading block), so: a
+    negative diagonal entry refutes, and a zero top diagonal entry is accepted
+    only when the whole remaining block is zero, and only for semidefinite.
+    """
+    size = len(m)
+    if any(len(row) != size for row in m) or any(
+        m[i][j] != m[j][i] for i in range(size) for j in range(i)
+    ):
+        raise ValueError("a semidefinite test needs a symmetric matrix")
+    a = [list(row) for row in m]
+    previous = 1
+    for s in range(size):
+        diagonal = [a[i][i] for i in range(s, size)]
+        if min(diagonal) < 0:
+            return False
+        top = max(diagonal)
+        if top == 0:
+            return not definite and not any(any(row[s:]) for row in a[s:])
+        p = s + diagonal.index(top)
+        a[s], a[p] = a[p], a[s]
+        for row in a:
+            row[s], row[p] = row[p], row[s]
+        pivot_row = a[s]
+        for row in a[s + 1 :]:
+            lead = row[s]
+            for j in range(s + 1, size):
+                row[j] = (row[j] * top - lead * pivot_row[j]) // previous
+        previous = top
+    return True
+
+
+def norm_at_most(
+    a: Matrix, bound: RationalLike, alpha: RationalLike, q: RationalLike, t: RationalLike = 0
+) -> bool:
+    """Whether the spectral norm of a(alpha, q, t) is at most bound, exactly.
+
+    With a = m / den and bound * den = nb / db, this is nb^2 I - db^2 m^T m >= 0.
+    """
+    if bound < 0:
+        return False
+    m, den = mat_to_int(a, alpha, q, t)
+    nb, db = _ratio(_as_fraction(bound) * den)
+    cols = list(zip(*m))
+    return is_semidefinite([
+        [(nb * nb if i == j else 0) - db * db * sum(x * y for x, y in zip(u, v))
+         for j, v in enumerate(cols)]
+        for i, u in enumerate(cols)
+    ])
 
 
 # -- rational vectors and matrices (coordinates of H and operators on it) ----

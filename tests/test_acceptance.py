@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, exact unless stated otherwise.
 
 Every equality below is bit-exact (polynomial or rational identity, zero
-tolerance); the only tolerances are the stated 1e-9 slack on float norm
-bounds and strict positivity of float eigenvalues.  Run with ``pytest -s``
-to see one pass/fail line per criterion.
+tolerance), and the spectral bounds are certified exactly, with zero slack,
+at rational parameters.  Run with ``pytest -s`` to see one pass/fail line
+per criterion.
 """
 
 import random
@@ -11,14 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 from bfock.coxeter import enumerate_group, reduced_words, word_to_permutation
-from bfock.fock import (
-    SpaceSpec,
-    gram_min_eigenvalue,
-    r_operator,
-    r_operator_norm,
-    symmetrizer,
-    vacuum_expectation,
-)
+from bfock.fock import SpaceSpec, r_operator, symmetrizer, vacuum_expectation
 from bfock.moments import (
     MomentProblem,
     corollary_cases,
@@ -42,7 +35,21 @@ from bfock.partitions import (
     statistics,
 )
 from bfock.qt import QtSpec, qt_wick, qt_y_moment
-from bfock.scalars import ALPHA, ONE, Q, T, Poly, identity_matrix, mat_eq, mat_kron, mat_mul, qint
+from bfock.scalars import (
+    ALPHA,
+    ONE,
+    Q,
+    T,
+    Poly,
+    identity_matrix,
+    is_semidefinite,
+    mat_eq,
+    mat_kron,
+    mat_mul,
+    mat_to_int,
+    norm_at_most,
+    qint,
+)
 
 F = Fraction
 SEED = 7
@@ -180,19 +187,22 @@ def test_criterion_6_factorization_and_bounds():
             if not mat_eq(lhs, rhs):
                 failures.append(f"factorization n={n} sig={signature}")
     space = SpaceSpec.diagonal("+-", truncation=5)
-    for alpha, q in ((0.4, 0.3), (0.4, -0.3), (-0.4, 0.3), (-0.4, -0.3)):
-        for n in range(1, 6):
-            bound = (1 + abs(alpha) * abs(q) ** (n - 1)) * qint(n).eval_float(0, abs(q))
-            if r_operator_norm(space, n, alpha, q) > bound + 1e-9:
+    points = [(F(a, 5), F(q, 10)) for a in (2, -2) for q in (3, -3)]
+    for n in range(1, 6):
+        r = r_operator(n, space)
+        gram = symmetrizer(n, space) if n <= 4 else None
+        for alpha, q in points:
+            bound = (1 + abs(alpha) * abs(q) ** (n - 1)) * qint(n).evaluate(0, abs(q))
+            if not norm_at_most(r, bound, alpha, q):
                 failures.append(f"norm n={n} at ({alpha},{q})")
-        for n in range(1, 5):
-            if gram_min_eigenvalue(space, n, alpha, q) <= 0:
+            if gram is not None and not is_semidefinite(mat_to_int(gram, alpha, q)[0], definite=True):
                 failures.append(f"positivity n={n} at ({alpha},{q})")
     _report(
         6,
         not failures,
         failures[0] if failures else
-        "P=(P⊗I)R exactly n<=4; R norms within lemma bound (1e-9 slack) n<=5; Gram positive n<=4",
+        "P=(P⊗I)R exactly n<=4; R norms within lemma bound (exact, zero slack) n<=5; "
+        "Gram positive definite (exact) n<=4",
     )
 
 

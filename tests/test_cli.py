@@ -1,12 +1,17 @@
 """CLI: output formats, determinism, exit codes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bfock
 from bfock.cli import main
 from bfock.fock import SpaceSpec
 from bfock.moments import random_problem, wick_moment
@@ -227,3 +232,29 @@ def test_size_zero_is_unchanged(capsys):
     assert code == 0
     assert json.loads(out)["partition_side"] == "1"
     assert main(["group", "--n", "0"]) == 3
+
+
+# prints whether numpy is loaded after `import bfock` and after the default verify
+NUMPY_PROBE = """
+import io, sys
+from contextlib import redirect_stdout
+import bfock
+after_import = "numpy" in sys.modules
+import bfock.cli
+with redirect_stdout(io.StringIO()):
+    code = bfock.cli.main(["verify", "--suite", "all"])
+print(after_import, code, "numpy" in sys.modules)
+"""
+
+
+def test_numpy_stays_off_the_import_path():
+    src = Path(bfock.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "0", "False"]

@@ -41,6 +41,7 @@ from bfock.scalars import (
     mat_eq,
     mat_kron,
     mat_mul,
+    norm_at_most,
     qint,
 )
 
@@ -390,6 +391,25 @@ def test_float_bounds_and_positivity(alpha, q):
         bound = (1 + abs(alpha) * abs(q) ** (n - 1)) * qint(n).eval_float(0, abs(q))
         assert r_operator_norm(D2, n, alpha, q) <= bound + 1e-9
         assert gram_min_eigenvalue(D2, n, alpha, q) > 0
+
+
+POINTS = [(F(a, 5), F(q, 10)) for a in (2, -2) for q in (3, -3)]
+
+
+def test_exact_norm_bound_is_attained_where_the_float_test_needs_slack():
+    # b = (1 + |a||q|^(n-1)) [n]_|q| is certified with zero slack at all 16
+    # cases; shrunk by 1e-12 it fails wherever it is attained: at n = 1
+    # (R = I + aJ, norm 1 + |a|) and at q = 3/10 for every n.
+    shrink = 1 - F(1, 10**12)
+    refuted = set()
+    for n in range(1, 5):
+        r = r_operator(n, D2)
+        for alpha, q in POINTS:
+            bound = (1 + abs(alpha) * abs(q) ** (n - 1)) * qint(n).evaluate(0, abs(q))
+            assert norm_at_most(r, bound, alpha, q)
+            if not norm_at_most(r, bound * shrink, alpha, q):
+                refuted.add((n, alpha, q))
+    assert refuted == {(n, a, q) for n in range(1, 5) for a, q in POINTS if n == 1 or q > 0}
 
 
 def test_r_norm_level_five():

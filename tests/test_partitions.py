@@ -1,11 +1,12 @@
 """Colored/extended partition enumeration and statistics."""
 
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from bfock.errors import ResourceLimitError
 from bfock.partitions import (
+    EPS_ALPHABET,
     ColoredPartition,
     ExtendedPartition,
     arc_covers,
@@ -248,3 +249,20 @@ def test_resource_guards():
         list(enumerate_colored(11))
     with pytest.raises(ResourceLimitError):
         list(enumerate_extended(9))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_enumerated_partitions_pass_the_public_validation(n):
+    # the enumerators skip __post_init__; rebuilding through the public
+    # constructors validates each partition and must give an equal one
+    def rebuilt(p):
+        base = ColoredPartition(n=p.base.n, blocks=p.base.blocks, colors=p.base.colors)
+        return ExtendedPartition(base=base, marked=frozenset(p.marked))
+
+    for p in enumerate_colored(n):
+        assert ColoredPartition(n=p.n, blocks=p.blocks, colors=p.colors) == p
+    extended = list(enumerate_extended(n))
+    assert all(rebuilt(p) == p for p in extended)
+    by_eps = [p for eps in product(EPS_ALPHABET, repeat=n) for p in enumerate_extended_eps(eps)]
+    assert all(rebuilt(p) == p for p in by_eps)
+    assert len(by_eps) == len(extended)  # each extended partition has one eps word

@@ -6,7 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfock.scalars import ALPHA, ONE, Q, T, ZERO, Poly, qint, qtint
+from bfock.fock import SpaceSpec, gram_min_eigenvalue, symmetrizer
+from bfock.scalars import (
+    ALPHA,
+    ONE,
+    Q,
+    T,
+    ZERO,
+    Poly,
+    is_semidefinite,
+    mat_to_int,
+    qint,
+    qtint,
+)
 from fraction_poly import FractionPoly
 
 F = Fraction
@@ -174,3 +186,78 @@ def test_power_does_not_square_past_its_last_bit():
 def test_equal_values_built_differently_are_equal_and_hash_equal(left, right):
     assert left == right
     assert hash(left) == hash(right)
+
+
+# -- the exact semidefinite certificate ------------------------------------------
+
+small_int_matrices = st.integers(1, 5).flatmap(
+    lambda cols: st.lists(
+        st.lists(st.integers(-4, 4), min_size=cols, max_size=cols), min_size=1, max_size=5
+    )
+)
+
+
+def gram_of(a):
+    """A^T A for the integer matrix A (rows of A as lists)."""
+    cols = list(zip(*a))
+    return [[sum(x * y for x, y in zip(u, v)) for v in cols] for u in cols]
+
+
+@settings(max_examples=150)
+@given(small_int_matrices)
+def test_a_gram_matrix_is_semidefinite_and_definite_after_adding_the_identity(a):
+    gram = gram_of(a)
+    assert is_semidefinite(gram)
+    shifted = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(gram)]
+    assert is_semidefinite(shifted, definite=True)
+
+
+def test_a_singular_semidefinite_matrix_is_not_definite():
+    assert is_semidefinite([[1, 1], [1, 1]])
+    assert not is_semidefinite([[1, 1], [1, 1]], definite=True)
+    assert is_semidefinite([[0, 0], [0, 0]])
+    assert is_semidefinite([])
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[0, 1], [1, 0]],  # zero diagonal, nonzero block
+        [[1, 2], [2, 1]],  # eigenvalue -1
+        [[-1]],
+        [[4, 0, 0], [0, -1, 0], [0, 0, 4]],
+        [[2, 1, 0], [1, 2, 0], [0, 0, -3]],
+        [[1, 0, 0], [0, 0, 1], [0, 1, 0]],  # the zero pivot comes after a positive one
+    ],
+)
+def test_an_indefinite_matrix_is_refuted(m):
+    assert not is_semidefinite(m)
+    assert not is_semidefinite(m, definite=True)
+
+
+def test_the_certificate_needs_a_symmetric_matrix():
+    with pytest.raises(ValueError, match="symmetric"):
+        is_semidefinite([[1, 2], [0, 1]])
+    with pytest.raises(ValueError, match="symmetric"):
+        is_semidefinite([[1, 0]])
+
+
+def test_mat_to_int_clears_one_common_denominator():
+    m, den = mat_to_int([[ALPHA, Q], [ONE, ALPHA * Q]], F(2, 5), F(3, 10))
+    assert den == 50
+    assert m == [[20, 15], [50, 6]]
+
+
+GRID = [F(k, 10) for k in range(-9, 10, 3)] + [F(-19, 20), F(19, 20)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exact_gram_verdict_matches_the_float_eigenvalue(n):
+    space = SpaceSpec.diagonal("+-", truncation=3)
+    gram = symmetrizer(n, space)
+    for alpha in GRID:
+        for q in GRID:
+            smallest = gram_min_eigenvalue(space, n, float(alpha), float(q))
+            if abs(smallest) > 1e-9:
+                exact = is_semidefinite(mat_to_int(gram, alpha, q)[0], definite=True)
+                assert exact == (smallest > 0), (alpha, q)
