@@ -15,11 +15,29 @@ colors, and a -1 arc contributes a, q^(2 cover) and one involution
 insertion, where cover counts the arcs of other blocks strictly covering it.
 So the 2^#arcs colorings of an uncolored partition fold into one chain per
 block with (I + a q^(2 cover) J) at every arc, and the sum runs over the
-Bell(n) uncolored partitions only.  The kernel of that sum takes the factor
-at an arc of cover count c as its one parameter: (I + a q^(2c) J) here, and
-t^c I for ``qt.qt_wick``.  ``colored_wick_moment`` keeps the
-colored sum itself, term by term; it is the small-n oracle the tests hold
-``wick_moment`` to.  The vector-level refinement
+Bell(n) uncolored partitions only.  The kernel of that sum takes the list of
+choices at an arc of cover count c as its one parameter: (I, 1) and
+(J, a q^(2c)) here, and (I, t^c) for ``qt.qt_wick``.  It runs on Python
+ints:
+
+* one factor per point: every term takes point i through exactly one of
+  x_i (a block end), T_i (inside a block) or lambda_i (a singleton), so each
+  point's data is cleared by the lcm of its own denominators, J by its
+  integer form delta J, and one denominator, ∏ L_i delta^n, is divided out
+  once at the end;
+* one colour table per block: the chain values with a given choice at each
+  arc do not depend on the covers, so each block's values are computed once
+  and the chain for any covers is exponent arithmetic on them;
+* an open-arc walk in place of enumerating the partitions: scanning the
+  points left to right with the open blocks ordered by last element, a
+  point that joins the r-th oldest of h open blocks makes an arc that the
+  r older blocks' next arcs cover and the h-1-r newer ones' cross.  So the
+  walk knows each arc's cover and rc as it goes, and folds each block's
+  chain into a product that every partition with the same prefix shares.
+
+``colored_wick_moment`` keeps the colored sum itself, term by term; it is
+the small-n oracle the tests hold ``wick_moment`` to, and ``set_partitions``
+with ``arc_covers`` is the oracle for the walk.  The vector-level refinement
 resolves a word of creators / annihilators / gauge factors applied to the
 vacuum as a sum over eps-compatible extended partitions with the enriched
 weight q^(rc + max_c + 2 rnarc + 2 max_l).
@@ -34,7 +52,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from math import lcm, prod
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import ResourceLimitError
 from .fock import FockVector, OpSpec, SpaceSpec, Word, apply_operator, type_b, vacuum_expectation
@@ -42,9 +61,7 @@ from .partitions import (
     ONE_SYM,
     PRIME,
     STAR,
-    Block,
     ColoredPartition,
-    arc_covers,
     enumerate_colored,
     enumerate_extended_eps,
     set_partitions,
@@ -55,16 +72,23 @@ from .scalars import (
     ONE,
     Poly,
     ZERO,
+    Exponent,
     FracMatrix,
     FracVector,
+    _normal,
+    _pack,
     frac_dot,
+    frac_identity,
     frac_mat_vec,
     frac_matrix,
     frac_vector,
 )
 
-MAX_WICK_N = 8
+MAX_WICK_N = 9
 MAX_VECTOR_N = 6
+_MAX_COLORED_WICK_N = 8
+
+_State = TypeVar("_State")
 
 
 @dataclass(frozen=True)
@@ -158,55 +182,166 @@ def cumulant_partition(p: ColoredPartition, prob: MomentProblem) -> Poly:
     return value
 
 
-def _poly_mat_vec(m: FracMatrix, vec: Sequence[Poly]) -> list[Poly]:
-    return [Poly.sum(v * entry for entry, v in zip(row, vec) if entry) for row in m]
+# one term of the factor at an arc: the matrix inserted there, and the
+# exponents (e_a, e_q, e_t) of its monomial weight at each cover count
+_ArcChoice = tuple[FracMatrix, Callable[[int], Exponent]]
 
 
-def _color_summed_sum(prob: MomentProblem, arc: Callable[[int, list[Poly]], list[Poly]]) -> Poly:
+def _open_arc_walk(
+    n: int,
+    close: Callable[[_State, int, tuple[int, ...]], _State | None],
+    finish: Callable[[_State, int], None],
+    state: _State,
+) -> None:
+    """Walk the set partitions of [n] as left-to-right scans of open arcs.
+
+    At each point j the open blocks (begun, not yet at their maximum) are kept
+    ordered by their last element, oldest first.  Point j either is a
+    singleton, opens a block, or joins the r-th oldest (r from 0) of the h
+    open blocks, which it may close.  Let the new arc be (l, j).  An arc
+    that ends after j is the next arc (l', j') of another open block, so
+    l' < l for the r older blocks, whose arcs cover (l, j), and l < l' < j
+    < j' for the h-1-r newer ones, whose arcs cross it.  An arc that ends
+    before j was classified against (l, j) when its own right end was
+    scanned.  So the new arc gets cover r and adds h-1-r restricted
+    crossings, and every pair of arcs is classified exactly once: the path
+    encoding of Flajolet, *Combinatorial aspects of continued fractions*,
+    Discrete Math. 32 (1980).
+
+    Blocks close in the order of their maxima.  ``close(state, mask, covers)``
+    folds the closed block (a bitmask of its points, bit j-1 for point j,
+    and the cover of each of its arcs in order) into the state, or returns
+    None to prune every partition with that prefix; ``finish(state, rc)``
+    takes each partition's folded state and its restricted crossings.  A
+    branch that leaves more open blocks than points to close them is never
+    entered.
+    """
+
+    def scan(j: int, opened: list[tuple[int, tuple[int, ...]]], state: _State, rc: int) -> None:
+        if j > n:
+            finish(state, rc)
+            return
+        # points after j, each of which can close one open block; h <= room + 1
+        # holds on entry, so closing a block always leaves enough of them
+        room = n - j
+        h = len(opened)
+        bit = 1 << (j - 1)
+        for r, (mask, covers) in enumerate(opened):
+            rest = opened[:r] + opened[r + 1 :]
+            mask, covers, crossed = mask | bit, covers + (r,), rc + h - 1 - r
+            folded = close(state, mask, covers)
+            if folded is not None:
+                scan(j + 1, rest, folded, crossed)
+            if h <= room:
+                scan(j + 1, rest + [(mask, covers)], state, crossed)
+        if h <= room:
+            folded = close(state, bit, ())
+            if folded is not None:
+                scan(j + 1, opened, folded, rc)
+        if h < room:
+            scan(j + 1, opened + [(bit, ())], state, rc)
+
+    scan(1, [], state, 0)
+
+
+def _color_summed_sum(prob: MomentProblem, choices: Sequence[_ArcChoice]) -> Poly:
     """Sum over the Bell(n) uncolored partitions of q^rc times the block factors.
 
     A singleton contributes its lambda, a block {i_1 < ... < i_m} the chain
 
         <x_max, F_{m-1} T_{x_{i_{m-1}}} ··· T_{x_{i_2}} F_1 x_min>
 
-    where ``arc(c_k, vec)`` applies F_k, the factor at the block's k-th arc
-    of cover count c_k, to the chain's vector.  A partition with a
-    singleton whose lambda is 0 is skipped before its arcs are classified.
-    Chains are memoised per call by (block, covers).
+    where F_k, the factor at the block's k-th arc of cover count c_k, is the
+    sum over ``choices`` of M monomial(weight(c_k)), each choice a pair
+    (M, weight).  The sum runs on Python ints and is normalised once:
+
+    * Each point i enters every term through exactly one factor: x_i at a
+      block end, T_i inside a block, lambda_i as a singleton.  So x_i, T_i
+      and lambda_i are scaled by L_i, the lcm of their denominators, and
+      every M by delta, the lcm of all the M's denominators.  A block of m
+      points has m-1 arcs, so one more delta per block makes every term
+      ∏ L_i · delta^n times its value: the numerators are int dicts over
+      packed exponents, and ``_normal`` divides once at the end.
+    * Expanding the product of the F_k gives one chain value per choice at
+      each arc, none of which depends on the covers.  The colour table of a
+      block, keyed by its point bitmask, holds them; the chain for given
+      covers puts the value of the choices (s_1, ..., s_{m-1}) at the packed
+      exponent sum of weight_{s_k}(c_k), which is exponent arithmetic only.
+    * ``_open_arc_walk`` supplies the partitions with rc and the covers and
+      folds each chain into the running product as its block closes, so
+      partitions with a common prefix share its products.  A singleton whose
+      lambda is 0 and a zero chain prune the walk: Z[a, q, t] has no zero
+      divisors, so nothing else makes a product 0.
     """
-    if prob.n > MAX_WICK_N:
+    n = prob.n
+    if n > MAX_WICK_N:
         raise ResourceLimitError(f"the color-summed partition sum is guarded at n <= {MAX_WICK_N}")
-    zero_singletons = {(point,) for point, lam in enumerate(prob.lams, start=1) if not lam}
-    chains: dict[tuple[Block, tuple[int, ...]], Poly] = {}
+    scales = [
+        lcm(*(v.denominator for v in x), *(v.denominator for row in t for v in row), lam.denominator)
+        for x, t, lam in zip(prob.xs, prob.ts, prob.lams)
+    ]
+    delta = lcm(*(v.denominator for m, _ in choices for row in m for v in row))
+    xs = [[int(v * s) for v in x] for x, s in zip(prob.xs, scales)]
+    ts = [[[int(v * s) for v in row] for row in t] for t, s in zip(prob.ts, scales)]
+    lams = [int(lam * s * delta) for lam, s in zip(prob.lams, scales)]
+    mats = [[[int(v * delta) for v in row] for row in m] for m, _ in choices]
+    weights = [[_pack(*weight(c)) for c in range(n)] for _, weight in choices]
+    tables: dict[int, list[int]] = {}
+    chains: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
 
-    def chain_value(block: Block, covers: tuple[int, ...]) -> Poly:
-        vec = [Poly.const(entry) for entry in prob.x(block[0])]
-        for j, cover in enumerate(covers, start=1):
-            vec = arc(cover, vec)
-            if j < len(covers):  # the maximum enters through the inner product
-                vec = _poly_mat_vec(prob.t(block[j]), vec)
-        return Poly.sum(v * entry for entry, v in zip(prob.x(block[-1]), vec) if entry)
+    def table(mask: int) -> list[int]:
+        points = [i for i in range(n) if mask >> i & 1]
+        vecs = [[delta * v for v in xs[points[0]]]]  # the one more delta of the block
+        for point in points[1:-1]:
+            vecs = [_int_mat_vec(ts[point], _int_mat_vec(m, v)) for m in mats for v in vecs]
+        last = xs[points[-1]]
+        return [sum(a * b for a, b in zip(last, _int_mat_vec(m, v))) for m in mats for v in vecs]
 
-    def partition_value(blocks: tuple[Block, ...]) -> Poly:
-        rc, covers = arc_covers(blocks)
-        value = Poly.monomial(1, eq=rc)
-        for block, block_covers in zip(blocks, covers):
-            if len(block) == 1:
-                value = value * prob.lams[block[0] - 1]
-            else:
-                key = (block, block_covers)
-                if key not in chains:
-                    chains[key] = chain_value(block, block_covers)
-                value = value * chains[key]
-            if value.is_zero:
-                break
-        return value
+    def chain(mask: int, covers: tuple[int, ...]) -> dict[int, int]:
+        if mask not in tables:
+            tables[mask] = table(mask)
+        keys = [0]
+        for c in covers:
+            keys = [key + w[c] for w in weights for key in keys]
+        out: dict[int, int] = {}
+        for key, value in zip(keys, tables[mask]):
+            out[key] = out.get(key, 0) + value
+        return {key: c for key, c in out.items() if c}
 
-    return Poly.sum(
-        partition_value(blocks)
-        for blocks in set_partitions(prob.n)
-        if zero_singletons.isdisjoint(blocks)
-    )
+    def close(running: dict[int, int], mask: int, covers: tuple[int, ...]) -> dict[int, int] | None:
+        if not covers:
+            lam = lams[mask.bit_length() - 1]
+            return {key: c * lam for key, c in running.items()} if lam else None
+        key = (mask, covers)
+        if key not in chains:
+            chains[key] = chain(mask, covers)
+        factor = chains[key]
+        if not factor:
+            return None
+        out: dict[int, int] = {}
+        get = out.get
+        for kb, cb in factor.items():
+            for ka, ca in running.items():
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        return out
+
+    total: dict[int, int] = {}
+    q_step = _pack(0, 1, 0)
+
+    def finish(running: dict[int, int], rc: int) -> None:
+        shift = rc * q_step
+        get = total.get
+        for key, c in running.items():
+            k = key + shift
+            total[k] = get(k, 0) + c
+
+    _open_arc_walk(n, close, finish, {0: 1})
+    return _normal(total, prod(scales) * delta**n)
+
+
+def _int_mat_vec(m: list[list[int]], vec: list[int]) -> list[int]:
+    return [sum(a * b for a, b in zip(row, vec)) for row in m]
 
 
 def wick_moment(prob: MomentProblem) -> Poly:
@@ -215,13 +350,11 @@ def wick_moment(prob: MomentProblem) -> Poly:
     The partition sum with (I + a q^(2c) J), both colors of an arc of cover
     count c, at every arc.  Equals ``colored_wick_moment``.
     """
-    involution = prob.space.involution
-
-    def arc(cover: int, vec: list[Poly]) -> list[Poly]:
-        flip = Poly.monomial(1, ea=1, eq=2 * cover)
-        return [v + flip * w for v, w in zip(vec, _poly_mat_vec(involution, vec))]
-
-    return _color_summed_sum(prob, arc)
+    choices = (
+        (frac_identity(prob.space.d), lambda c: (0, 0, 0)),
+        (prob.space.involution, lambda c: (1, 2 * c, 0)),
+    )
+    return _color_summed_sum(prob, choices)
 
 
 def colored_wick_moment(prob: MomentProblem) -> Poly:
@@ -229,8 +362,8 @@ def colored_wick_moment(prob: MomentProblem) -> Poly:
 
     Visits every colored partition; the small-n oracle for ``wick_moment``.
     """
-    if prob.n > MAX_WICK_N:
-        raise ResourceLimitError(f"colored_wick_moment is guarded at n <= {MAX_WICK_N}")
+    if prob.n > _MAX_COLORED_WICK_N:
+        raise ResourceLimitError(f"colored_wick_moment is guarded at n <= {_MAX_COLORED_WICK_N}")
     total = ZERO
     for p in enumerate_colored(prob.n):
         value = cumulant_partition(p, prob)

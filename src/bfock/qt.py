@@ -10,9 +10,9 @@ The operators are ``fock``'s kernels with the (q,t) slot weight: the slot-k
 term of a length-n word carries q^(n-k) t^(k-1), and the involution plays no
 role (the base space must have the trivial involution).  The moment formula
 sums q^rc t^rarc over singleton-free uncolored partitions: it is
-``moments``' color-summed partition sum with t^c I at an arc of cover count
-c in place of (I + a q^(2c) J), and lambda = 0, so every partition with a
-singleton drops out.
+``moments``' color-summed partition sum with the one choice (I, t^c) at an
+arc of cover count c in place of (I, 1) and (J, a q^(2c)), and lambda = 0,
+so every partition with a singleton drops out.
 """
 
 from __future__ import annotations
@@ -89,12 +89,6 @@ def qt_vacuum_expectation(ops: Sequence[OpSpec], spec: QtSpec) -> Poly:
     return vacuum_expectation(ops, spec.space)
 
 
-def _qt_arc(cover: int, vec: list[Poly]) -> list[Poly]:
-    """t^c I at an arc of cover count c."""
-    weight = Poly.monomial(1, et=cover)
-    return [weight * v for v in vec]
-
-
 def qt_wick(
     xs: Sequence[Sequence[Fraction]],
     ts: Sequence[Sequence[Sequence[Fraction]]],
@@ -102,7 +96,7 @@ def qt_wick(
 ) -> Poly:
     """Sum of q^rc t^rarc weighted chain products over singleton-free partitions."""
     prob = MomentProblem.build(xs, ts, [0] * len(xs), spec.space)
-    return _color_summed_sum(prob, _qt_arc)
+    return _color_summed_sum(prob, ((frac_identity(spec.space.d), lambda c: (0, 0, c)),))
 
 
 def qt_y_moment(

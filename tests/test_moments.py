@@ -1,14 +1,20 @@
 """Moment formulas: cumulants, the colored-partition identity, corollaries."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bfock.errors import ResourceLimitError
 from bfock.fock import FockVector, SpaceSpec, apply_operator, vacuum_expectation
 from bfock.moments import (
+    MAX_WICK_N,
     MomentProblem,
+    _open_arc_walk,
     colored_wick_moment,
     corollary_cases,
     cumulant_block,
@@ -21,6 +27,7 @@ from bfock.moments import (
     verify_vector_identity,
     wick_moment,
 )
+from bfock.partitions import arc_covers, set_partitions
 from bfock.scalars import ALPHA, ONE, Poly
 
 F = Fraction
@@ -114,6 +121,82 @@ def test_color_summed_moment_matches_colored_sum_and_operators(which):
         summed = wick_moment(prob)
         assert summed == colored_wick_moment(prob), (which, n)
         assert summed == vacuum_expectation(prob.operators(), prob.space), (which, n)
+
+
+def walked_partitions(n, keep=lambda mask, covers: True):
+    """Multiset of (blocks, rc, covers) over the partitions the open-arc walk finishes."""
+    seen = Counter()
+
+    def close(state, mask, covers):
+        if not keep(mask, covers):
+            return None
+        block = tuple(point for point in range(1, n + 1) if mask >> (point - 1) & 1)
+        return state + ((block, covers),)
+
+    def finish(state, rc):
+        seen[tuple(block for block, _ in state), rc, tuple(covers for _, covers in state)] += 1
+
+    _open_arc_walk(n, close, finish, ())
+    return seen
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_open_arc_walk_matches_set_partitions_and_arc_covers(n):
+    expected = Counter((blocks, *arc_covers(blocks)) for blocks in set_partitions(n))
+    assert walked_partitions(n) == expected
+    # a close that returns None prunes every partition with that block
+    singleton_free = Counter(
+        {key: count for key, count in expected.items() if all(len(b) > 1 for b in key[0])}
+    )
+    assert walked_partitions(n, lambda mask, covers: bool(covers)) == singleton_free
+
+
+# a 3-d involution with denominator 3 besides the planar ones
+ROTATION_3D = tuple(
+    tuple(F(v, 3) for v in row) for row in ((1, 2, 2), (2, 1, -2), (2, -2, 1))
+)
+FUZZ_SPACES = (
+    SpaceSpec.diagonal("+-", truncation=5),
+    SpaceSpec.diagonal("+--", truncation=5),
+    SpaceSpec(2, INVOLUTIONS["reflection"], truncation=5),
+    SpaceSpec(3, ROTATION_3D, truncation=5),
+)
+fuzz_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def fuzz_problems(draw):
+    """n <= 5 on one of FUZZ_SPACES, with zero lambdas likely and denominators up to 7."""
+    space = draw(st.sampled_from(FUZZ_SPACES))
+    n = draw(st.integers(0, 5))
+    d = space.d
+
+    def symmetric():
+        upper = draw(st.lists(fuzz_rationals, min_size=d * (d + 1) // 2, max_size=d * (d + 1) // 2))
+        entries = iter(upper)
+        rows = [[F(0)] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                rows[i][j] = rows[j][i] = next(entries)
+        return rows
+
+    xs = [draw(st.lists(fuzz_rationals, min_size=d, max_size=d)) for _ in range(n)]
+    ts = [symmetric() for _ in range(n)]
+    lams = [draw(st.one_of(st.just(F(0)), fuzz_rationals)) for _ in range(n)]
+    return MomentProblem.build(xs, ts, lams, space)
+
+
+@settings(max_examples=50, deadline=None)
+@given(fuzz_problems())
+def test_wick_moment_matches_the_colored_sum(prob):
+    assert wick_moment(prob) == colored_wick_moment(prob)
+
+
+def test_partition_sums_are_guarded():
+    with pytest.raises(ResourceLimitError, match=f"n <= {MAX_WICK_N}"):
+        wick_moment(unit_problem(MAX_WICK_N + 1))
+    with pytest.raises(ResourceLimitError, match="n <= 8"):
+        colored_wick_moment(unit_problem(9))
 
 
 def unpruned_vacuum_expectation(prob):

@@ -89,16 +89,6 @@ def test_all_positive_embedding():
             assert stats.rnarc == 0 and stats.narc == 0
 
 
-def test_color_independence_of_rc_rarc():
-    from collections import defaultdict
-
-    by_skeleton = defaultdict(set)
-    for p in enumerate_colored(5):
-        by_skeleton[p.blocks].add((statistics(p).rc, statistics(p).rarc))
-    for values in by_skeleton.values():
-        assert len(values) == 1
-
-
 def definitional_counts(p):
     """(rc, nest, rnarc, rarc, out_arc) straight from the module docstring.
 

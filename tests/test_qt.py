@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfock.errors import TruncationError
 from bfock.fock import (
@@ -19,7 +21,7 @@ from bfock.fock import (
     symmetrizer,
     type_b,
 )
-from bfock.moments import plain_chain_value, random_problem, wick_moment
+from bfock.moments import MomentProblem, plain_chain_value, random_problem, wick_moment
 from bfock.partitions import arc_covers, set_partitions
 from bfock.qt import (
     QtSpec,
@@ -176,6 +178,21 @@ def test_qt_wick_matches_the_reference_sum(n, zero_t):
     if zero_t:
         prob = replace(prob, ts=tuple(frac_matrix([[0, 0], [0, 0]]) for _ in prob.ts))
     assert qt_wick(prob.xs, prob.ts, SPEC2) == reference_qt_wick(prob)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 6), st.randoms(use_true_random=False), st.booleans())
+def test_qt_wick_matches_the_reference_sum_on_random_data(d, n, rng, zero_t):
+    """Coordinates with denominators up to 7 in dimension 1 to 3, T = 0 or random."""
+
+    def rational():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+
+    spec = QtSpec.make(d, truncation=max(n, 1))
+    xs = [[rational() for _ in range(d)] for _ in range(n)]
+    ts = [[[Fraction(0) if zero_t else rational() for _ in range(d)] for _ in range(d)] for _ in range(n)]
+    prob = MomentProblem.build(xs, ts, [0] * n, spec.space)
+    assert qt_wick(xs, ts, spec) == reference_qt_wick(prob)
 
 
 def test_qt_q0_noncrossing_only():
