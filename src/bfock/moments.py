@@ -28,19 +28,22 @@ ints:
 * one colour table per block: the chain values with a given choice at each
   arc do not depend on the covers, so each block's values are computed once
   and the chain for any covers is exponent arithmetic on them;
-* an open-arc walk in place of enumerating the partitions: scanning the
-  points left to right with the open blocks ordered by last element, a
-  point that joins the r-th oldest of h open blocks makes an arc that the
-  r older blocks' next arcs cover and the h-1-r newer ones' cross.  So the
-  walk knows each arc's cover and rc as it goes, and folds each block's
-  chain into a product that every partition with the same prefix shares.
+* a sum per open-block state in place of enumerating the partitions:
+  scanning the points left to right with the open blocks ordered by last
+  element, a point that joins the r-th oldest of h open blocks makes an arc
+  that the r older blocks' next arcs cover and the h-1-r newer ones' cross,
+  so each move knows its arc's cover and crossings.  What the rest of a
+  partition contributes depends only on the open blocks, their point masks
+  and covers, so every prefix that leaves the same open blocks merges into
+  one partial sum: 930 states at n=8 in place of 10,576 prefixes.
 
 ``colored_wick_moment`` keeps the colored sum itself, term by term; it is
 the small-n oracle the tests hold ``wick_moment`` to, and ``set_partitions``
-with ``arc_covers`` is the oracle for the walk.  The vector-level refinement
-resolves a word of creators / annihilators / gauge factors applied to the
-vacuum as a sum over eps-compatible extended partitions with the enriched
-weight q^(rc + max_c + 2 rnarc + 2 max_l).
+with ``arc_covers`` is the oracle for the moves, expanded one partition at a
+time.  The vector-level refinement resolves a word of creators /
+annihilators / gauge factors applied to the vacuum as a sum over
+eps-compatible extended partitions with the enriched weight
+q^(rc + max_c + 2 rnarc + 2 max_l).
 
 Index convention: xs[0] is x_1, the factor applied first (the rightmost
 factor of the operator product).
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence
 
 from .errors import ResourceLimitError
 from .fock import FockVector, OpSpec, SpaceSpec, Word, apply_operator, type_b, vacuum_expectation
@@ -84,11 +87,9 @@ from .scalars import (
     frac_vector,
 )
 
-MAX_WICK_N = 9
+MAX_WICK_N = 10
 MAX_VECTOR_N = 6
 _MAX_COLORED_WICK_N = 8
-
-_State = TypeVar("_State")
 
 
 @dataclass(frozen=True)
@@ -187,61 +188,50 @@ def cumulant_partition(p: ColoredPartition, prob: MomentProblem) -> Poly:
 _ArcChoice = tuple[FracMatrix, Callable[[int], Exponent]]
 
 
-def _open_arc_walk(
-    n: int,
-    close: Callable[[_State, int, tuple[int, ...]], _State | None],
-    finish: Callable[[_State, int], None],
-    state: _State,
-) -> None:
-    """Walk the set partitions of [n] as left-to-right scans of open arcs.
+# one open block as the scan keeps it: the bitmask of its points (bit j-1 for
+# point j) and the cover count of each of its arcs so far
+_Block = tuple[int, tuple[int, ...]]
 
-    At each point j the open blocks (begun, not yet at their maximum) are kept
-    ordered by their last element, oldest first.  Point j either is a
-    singleton, opens a block, or joins the r-th oldest (r from 0) of the h
-    open blocks, which it may close.  Let the new arc be (l, j).  An arc
-    that ends after j is the next arc (l', j') of another open block, so
-    l' < l for the r older blocks, whose arcs cover (l, j), and l < l' < j
-    < j' for the h-1-r newer ones, whose arcs cross it.  An arc that ends
-    before j was classified against (l, j) when its own right end was
-    scanned.  So the new arc gets cover r and adds h-1-r restricted
-    crossings, and every pair of arcs is classified exactly once: the path
-    encoding of Flajolet, *Combinatorial aspects of continued fractions*,
-    Discrete Math. 32 (1980).
 
-    Blocks close in the order of their maxima.  ``close(state, mask, covers)``
-    folds the closed block (a bitmask of its points, bit j-1 for point j,
-    and the cover of each of its arcs in order) into the state, or returns
-    None to prune every partition with that prefix; ``finish(state, rc)``
-    takes each partition's folded state and its restricted crossings.  A
-    branch that leaves more open blocks than points to close them is never
-    entered.
+def _open_arc_steps(
+    j: int, n: int, opened: tuple[_Block, ...]
+) -> Iterator[tuple[tuple[_Block, ...], _Block | None, int]]:
+    """The moves at point j of a left-to-right scan of the set partitions of [n].
+
+    ``opened`` holds the open blocks (begun, not yet at their maximum) ordered
+    by their last element, oldest first.  Point j either joins the r-th oldest
+    (r from 0) of the h open blocks, which it closes or keeps open, or is a
+    singleton, or opens a block.  Let the new arc be (l, j).  An arc that
+    ends after j is the next arc (l', j') of another open block, so l' < l
+    for the r older blocks, whose arcs cover (l, j), and l < l' < j < j' for
+    the h-1-r newer ones, whose arcs cross it.  An arc that ends before j was
+    classified against (l, j) when its own right end was scanned.  So the new
+    arc gets cover r and adds h-1-r restricted crossings, and every pair of
+    arcs is classified exactly once: the path encoding of Flajolet,
+    *Combinatorial aspects of continued fractions*, Discrete Math. 32 (1980).
+
+    Yields (the next open blocks, the block closed at j or None, the new
+    restricted crossings).  A singleton is closed with no covers.  A move that
+    leaves more open blocks than points to close them is not yielded, so
+    every sequence of moves from point 1 to point n ends with none open, and
+    the sequences are the set partitions of [n], blocks closed in the order
+    of their maxima.
     """
-
-    def scan(j: int, opened: list[tuple[int, tuple[int, ...]]], state: _State, rc: int) -> None:
-        if j > n:
-            finish(state, rc)
-            return
-        # points after j, each of which can close one open block; h <= room + 1
-        # holds on entry, so closing a block always leaves enough of them
-        room = n - j
-        h = len(opened)
-        bit = 1 << (j - 1)
-        for r, (mask, covers) in enumerate(opened):
-            rest = opened[:r] + opened[r + 1 :]
-            mask, covers, crossed = mask | bit, covers + (r,), rc + h - 1 - r
-            folded = close(state, mask, covers)
-            if folded is not None:
-                scan(j + 1, rest, folded, crossed)
-            if h <= room:
-                scan(j + 1, rest + [(mask, covers)], state, crossed)
+    # points after j, each of which can close one open block; h <= room + 1
+    # holds on entry, so closing a block always leaves enough of them
+    room = n - j
+    h = len(opened)
+    bit = 1 << (j - 1)
+    for r, (mask, covers) in enumerate(opened):
+        rest = opened[:r] + opened[r + 1 :]
+        block = (mask | bit, covers + (r,))
+        yield rest, block, h - 1 - r
         if h <= room:
-            folded = close(state, bit, ())
-            if folded is not None:
-                scan(j + 1, opened, folded, rc)
-        if h < room:
-            scan(j + 1, opened + [(bit, ())], state, rc)
-
-    scan(1, [], state, 0)
+            yield rest + (block,), None, h - 1 - r
+    if h <= room:
+        yield opened, (bit, ()), 0
+    if h < room:
+        yield opened + ((bit, ()),), None, 0
 
 
 def _color_summed_sum(prob: MomentProblem, choices: Sequence[_ArcChoice]) -> Poly:
@@ -267,11 +257,18 @@ def _color_summed_sum(prob: MomentProblem, choices: Sequence[_ArcChoice]) -> Pol
       block, keyed by its point bitmask, holds them; the chain for given
       covers puts the value of the choices (s_1, ..., s_{m-1}) at the packed
       exponent sum of weight_{s_k}(c_k), which is exponent arithmetic only.
-    * ``_open_arc_walk`` supplies the partitions with rc and the covers and
-      folds each chain into the running product as its block closes, so
-      partitions with a common prefix share its products.  A singleton whose
-      lambda is 0 and a zero chain prune the walk: Z[a, q, t] has no zero
-      divisors, so nothing else makes a product 0.
+      An open block's vectors, one per choice at each arc so far, extend
+      those of its mask without its last point.
+    * The sum runs level by level over the moves of ``_open_arc_steps``.
+      After point j, what the rest of a partition contributes depends only
+      on the open blocks: their masks and covers fix their chains, and their
+      order fixes every later cover and crossing.  So the partial sums of
+      all prefixes with the same open blocks merge into one int dict per
+      state, and each move from a state multiplies that dict once: by the
+      closed block's chain (lambda_j for a singleton) and q^crossings.  The
+      answer is the dict of the empty state after point n.  A singleton
+      whose lambda is 0 and a zero chain add nothing, so a state that no
+      move reaches with a nonzero factor is never made.
     """
     n = prob.n
     if n > MAX_WICK_N:
@@ -286,20 +283,37 @@ def _color_summed_sum(prob: MomentProblem, choices: Sequence[_ArcChoice]) -> Pol
     lams = [int(lam * s * delta) for lam, s in zip(prob.lams, scales)]
     mats = [[[int(v * delta) for v in row] for row in m] for m, _ in choices]
     weights = [[_pack(*weight(c)) for c in range(n)] for _, weight in choices]
+    # per point p and choice M: T_p M, which extends an open block through p
+    # (never the first or the last point), and x_p^T M, which closes a block
+    # at p (never the first point)
+    transposed = [[list(col) for col in zip(*m)] for m in mats]
+    steps = [
+        [[_int_mat_vec(mt, row) for row in t] for mt in transposed] if 0 < p < n - 1 else []
+        for p, t in enumerate(ts)
+    ]
+    ends = [[_int_mat_vec(mt, x) for mt in transposed] if p else [] for p, x in enumerate(xs)]
+    vectors: dict[int, list[list[int]]] = {}
     tables: dict[int, list[int]] = {}
-    chains: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
+    chains: dict[_Block, dict[int, int]] = {}
 
-    def table(mask: int) -> list[int]:
-        points = [i for i in range(n) if mask >> i & 1]
-        vecs = [[delta * v for v in xs[points[0]]]]  # the one more delta of the block
-        for point in points[1:-1]:
-            vecs = [_int_mat_vec(ts[point], _int_mat_vec(m, v)) for m in mats for v in vecs]
-        last = xs[points[-1]]
-        return [sum(a * b for a, b in zip(last, _int_mat_vec(m, v))) for m in mats for v in vecs]
+    def open_vectors(mask: int) -> list[list[int]]:
+        """T_last F ··· F x_min of an open block, one vector per choice at each arc."""
+        if mask not in vectors:
+            last = mask.bit_length() - 1
+            rest = mask ^ 1 << last
+            if rest:
+                vectors[mask] = [_int_mat_vec(tm, v) for tm in steps[last] for v in open_vectors(rest)]
+            else:
+                vectors[mask] = [[delta * v for v in xs[last]]]  # the one more delta of the block
+        return vectors[mask]
 
     def chain(mask: int, covers: tuple[int, ...]) -> dict[int, int]:
+        last = mask.bit_length() - 1
+        if not covers:
+            return {0: lams[last]} if lams[last] else {}
         if mask not in tables:
-            tables[mask] = table(mask)
+            vecs = open_vectors(mask ^ 1 << last)
+            tables[mask] = [sum(a * b for a, b in zip(row, v)) for row in ends[last] for v in vecs]
         keys = [0]
         for c in covers:
             keys = [key + w[c] for w in weights for key in keys]
@@ -308,36 +322,36 @@ def _color_summed_sum(prob: MomentProblem, choices: Sequence[_ArcChoice]) -> Pol
             out[key] = out.get(key, 0) + value
         return {key: c for key, c in out.items() if c}
 
-    def close(running: dict[int, int], mask: int, covers: tuple[int, ...]) -> dict[int, int] | None:
-        if not covers:
-            lam = lams[mask.bit_length() - 1]
-            return {key: c * lam for key, c in running.items()} if lam else None
-        key = (mask, covers)
-        if key not in chains:
-            chains[key] = chain(mask, covers)
-        factor = chains[key]
-        if not factor:
-            return None
-        out: dict[int, int] = {}
-        get = out.get
-        for kb, cb in factor.items():
-            for ka, ca in running.items():
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
-        return out
-
-    total: dict[int, int] = {}
+    unit = {0: 1}
     q_step = _pack(0, 1, 0)
-
-    def finish(running: dict[int, int], rc: int) -> None:
-        shift = rc * q_step
-        get = total.get
-        for key, c in running.items():
-            k = key + shift
-            total[k] = get(k, 0) + c
-
-    _open_arc_walk(n, close, finish, {0: 1})
-    return _normal(total, prod(scales) * delta**n)
+    level: dict[tuple[_Block, ...], dict[int, int]] = {(): unit}
+    for j in range(1, n + 1):
+        nxt: dict[tuple[_Block, ...], dict[int, int]] = {}
+        # a block closes at its maximum, so its chain is needed at one level only
+        tables.clear()
+        chains.clear()
+        for opened, running in level.items():
+            for state, block, crossed in _open_arc_steps(j, n, opened):
+                if block is None:
+                    factor = unit
+                else:
+                    if block not in chains:
+                        chains[block] = chain(*block)
+                    factor = chains[block]
+                    if not factor:
+                        continue
+                shift = crossed * q_step
+                out = nxt.get(state)
+                if out is None:
+                    out = nxt[state] = {}
+                get = out.get
+                for kb, cb in factor.items():
+                    kb += shift
+                    for ka, ca in running.items():
+                        k = ka + kb
+                        out[k] = get(k, 0) + ca * cb
+        level = nxt
+    return _normal(level.get((), {}), prod(scales) * delta**n)
 
 
 def _int_mat_vec(m: list[list[int]], vec: list[int]) -> list[int]:

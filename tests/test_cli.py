@@ -193,9 +193,9 @@ def test_group_resource_guard_exit_code(capsys):
 
 
 def test_qt_resource_guard_exit_code(capsys):
-    assert main(["qt", "--n", "10", "--t-symbolic"]) == 3
-    assert "guarded at n <= 9" in capsys.readouterr().err
-    assert main(["qt", "--n", "9", "--t-symbolic"]) == 0
+    assert main(["qt", "--n", "11", "--t-symbolic"]) == 3
+    assert "guarded at n <= 10" in capsys.readouterr().err
+    assert main(["qt", "--n", "10", "--t-symbolic"]) == 0
 
 
 def test_out_file(tmp_path, capsys):

@@ -14,7 +14,7 @@ from bfock.fock import FockVector, SpaceSpec, apply_operator, vacuum_expectation
 from bfock.moments import (
     MAX_WICK_N,
     MomentProblem,
-    _open_arc_walk,
+    _open_arc_steps,
     colored_wick_moment,
     corollary_cases,
     cumulant_block,
@@ -124,19 +124,28 @@ def test_color_summed_moment_matches_colored_sum_and_operators(which):
 
 
 def walked_partitions(n, keep=lambda mask, covers: True):
-    """Multiset of (blocks, rc, covers) over the partitions the open-arc walk finishes."""
+    """Multiset of (blocks, rc, covers) over the move sequences of ``_open_arc_steps``.
+
+    Expands the moves depth-first, one branch per partition; a closed block
+    that ``keep`` rejects ends its branch.
+    """
     seen = Counter()
 
-    def close(state, mask, covers):
-        if not keep(mask, covers):
-            return None
-        block = tuple(point for point in range(1, n + 1) if mask >> (point - 1) & 1)
-        return state + ((block, covers),)
+    def expand(j, opened, closed, rc):
+        if j > n:
+            assert opened == ()
+            blocks = tuple(
+                tuple(point for point in range(1, n + 1) if mask >> (point - 1) & 1) for mask, _ in closed
+            )
+            seen[blocks, rc, tuple(covers for _, covers in closed)] += 1
+            return
+        for state, block, crossed in _open_arc_steps(j, n, opened):
+            if block is None:
+                expand(j + 1, state, closed, rc + crossed)
+            elif keep(*block):
+                expand(j + 1, state, closed + (block,), rc + crossed)
 
-    def finish(state, rc):
-        seen[tuple(block for block, _ in state), rc, tuple(covers for _, covers in state)] += 1
-
-    _open_arc_walk(n, close, finish, ())
+    expand(1, (), (), 0)
     return seen
 
 
@@ -144,7 +153,7 @@ def walked_partitions(n, keep=lambda mask, covers: True):
 def test_open_arc_walk_matches_set_partitions_and_arc_covers(n):
     expected = Counter((blocks, *arc_covers(blocks)) for blocks in set_partitions(n))
     assert walked_partitions(n) == expected
-    # a close that returns None prunes every partition with that block
+    # dropping the closed singletons leaves the singleton-free partitions
     singleton_free = Counter(
         {key: count for key, count in expected.items() if all(len(b) > 1 for b in key[0])}
     )
