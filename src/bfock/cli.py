@@ -37,9 +37,12 @@ from .moments import (
     verify_vector_identity,
     wick_moment,
 )
-from .partitions import enumerate_colored, enumerate_extended, statistics
+from .partitions import enumerate_colored, enumerate_extended, set_partitions, statistics
 from .qt import QtSpec, qt_wick, qt_y_moment
-from .scalars import Matrix, ScalarMode, frac_identity
+from .scalars import (
+    T, Matrix, ScalarMode, frac_identity, identity_matrix, is_semidefinite,
+    mat_eq, mat_kron, mat_mul, mat_to_int, norm_at_most, qint,
+)
 
 REPORT_VERSION = 1
 
@@ -258,9 +261,7 @@ def cmd_orthopoly(args: argparse.Namespace) -> int:
     mode = _mode(args)
     kwargs = {}
     if args.family == "alsalam-ismail":
-        from .scalars import T as t_var
-
-        kwargs = {"a": Fraction(-1), "b": t_var * t_var}
+        kwargs = {"a": Fraction(-1), "b": T * T}
     jp = orthopoly.family(args.family, **kwargs)
     table = orthopoly.polys(jp, args.N)
     moments = orthopoly.moments_from_jacobi(jp, args.N)
@@ -356,9 +357,7 @@ def _qt_checks(n_max: int, seed: int) -> list[Check]:
         spec = QtSpec.make(1, truncation=5)
         unit = (Fraction(1),)
         value = qt_wick([unit] * 5, [frac_identity(1)] * 5, spec).subs(q=0)
-        from .scalars import T as t_var
-
-        expected = t_var**2 + 2 * t_var + 3
+        expected = T**2 + 2 * T + 3
         return value == expected, str(value), str(expected)
 
     return [("qt-identity", run), ("qt-y5-fixture", fixture)]
@@ -366,8 +365,6 @@ def _qt_checks(n_max: int, seed: int) -> list[Check]:
 
 def _factorization_checks() -> list[Check]:
     def run() -> tuple[bool, str, str]:
-        from .scalars import mat_eq, mat_kron, mat_mul, identity_matrix
-
         for signature in ("+", "+-"):
             space = SpaceSpec.diagonal(signature, truncation=4)
             for n in range(1, 5):
@@ -382,8 +379,6 @@ def _factorization_checks() -> list[Check]:
 
     def bounds() -> tuple[bool, str, str]:
         """||R(n)|| <= (1 + |a| |q|^(n-1)) [n]_|q| and P(n) > 0, certified exactly."""
-        from .scalars import is_semidefinite, mat_to_int, norm_at_most, qint
-
         space = SpaceSpec.diagonal("+-", truncation=5)
         points = [(Fraction(a, 5), Fraction(q, 10)) for a in (2, -2) for q in (3, -3)]
         for n in range(1, 5):
@@ -422,8 +417,6 @@ def _orthopoly_checks() -> list[Check]:
 
 def _group_checks() -> list[Check]:
     def run() -> tuple[bool, str, str]:
-        from .partitions import set_partitions
-
         for n in range(1, 6):
             expected = 2**n
             for k in range(2, n + 1):

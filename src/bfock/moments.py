@@ -45,6 +45,16 @@ annihilators / gauge factors applied to the vacuum as a sum over
 eps-compatible extended partitions with the enriched weight
 q^(rc + max_c + 2 rnarc + 2 max_l).
 
+The corollary evaluators are the paper's three specialisations, summed
+term by term as independent oracles for ``wick_moment``.  They read the
+partition layer and the Fraction chain only: ``set_partitions`` with
+``arc_covers`` for q^rc at alpha = 0 and, at q = 0, for the noncrossing
+partitions (rc == 0) and their outer arcs (cover 0);
+``enumerate_colored(n, "pairs-only")`` with ``statistics`` for the Gaussian
+case; ``closed_chain_value`` for every block.  None of them goes through
+``_open_arc_steps`` or ``_color_summed_sum``, so a fault in the kernel's
+moves, state merges or integer sums cannot cancel out of the comparison.
+
 Index convention: xs[0] is x_1, the factor applied first (the rightmost
 factor of the operator product).
 """
@@ -54,7 +64,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import lcm, prod
 from typing import Callable, Iterator, Sequence
 
@@ -65,6 +74,7 @@ from .partitions import (
     PRIME,
     STAR,
     ColoredPartition,
+    arc_covers,
     enumerate_colored,
     enumerate_extended_eps,
     set_partitions,
@@ -105,7 +115,9 @@ class MomentProblem:
         if not len(self.xs) == len(self.ts) == len(self.lams):
             raise ValueError("xs, ts and lams must have equal lengths")
         d = self.space.d
-        if any(len(x) != d for x in self.xs) or any(len(t) != d for t in self.ts):
+        if any(len(x) != d for x in self.xs) or any(
+            len(t) != d or any(len(row) != d for row in t) for t in self.ts
+        ):
             raise ValueError("vector/operator dimensions must match the space")
 
     @classmethod
@@ -148,22 +160,15 @@ def _color_apply(color: int, vec: FracVector, space: SpaceSpec) -> FracVector:
 
 def closed_chain_value(block: Sequence[int], colors: Sequence[int], prob: MomentProblem) -> Fraction:
     """<x_max, f_{m-1} T_{x_{i_{m-1}}} ··· f_2 T_{x_{i_2}} f_1 x_min> for m >= 2."""
-    elements = list(block)
-    vec = prob.x(elements[0])
-    for j, color in enumerate(colors, start=1):
-        vec = _color_apply(color, vec, prob.space)
-        if j < len(colors):  # the maximum enters through the inner product
-            vec = frac_mat_vec(prob.t(elements[j]), vec)
-    return frac_dot(prob.x(elements[-1]), vec)
+    vec = open_chain_vector(block[:-1], colors[:-1], prob)
+    return frac_dot(prob.x(block[-1]), _color_apply(colors[-1], vec, prob.space))
 
 
 def open_chain_vector(block: Sequence[int], colors: Sequence[int], prob: MomentProblem) -> FracVector:
     """T_{x_{i_m}} f_{m-1} ··· f_1 x_min; the identity chain for singletons."""
-    elements = list(block)
-    vec = prob.x(elements[0])
+    vec = prob.x(block[0])
     for j, color in enumerate(colors, start=1):
-        vec = _color_apply(color, vec, prob.space)
-        vec = frac_mat_vec(prob.t(elements[j]), vec)
+        vec = frac_mat_vec(prob.t(block[j]), _color_apply(color, vec, prob.space))
     return vec
 
 
@@ -444,166 +449,55 @@ def eps_word_vector(eps: Sequence[str], prob: MomentProblem) -> FockVector:
 # -- independent corollary evaluators -------------------------------------------
 
 
-def pair_partitions(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Perfect matchings of [n] by always pairing the least remaining point."""
-    points = tuple(range(1, n + 1))
-
-    def recurse(remaining: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-        if not remaining:
-            yield ()
-            return
-        first = remaining[0]
-        for idx in range(1, len(remaining)):
-            partner = remaining[idx]
-            rest = remaining[1:idx] + remaining[idx + 1 :]
-            for tail in recurse(rest):
-                yield ((first, partner),) + tail
-
-    if n % 2:
-        return iter(())
-    return recurse(points)
+def _singleton_free(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The uncolored partitions of [n] with no singleton block."""
+    return (blocks for blocks in set_partitions(n) if all(len(block) >= 2 for block in blocks))
 
 
-def noncrossing_partitions(n: int, min_block: int = 1) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Noncrossing partitions via the interval decomposition of the first block."""
-
-    def over_interval(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if not points:
-            yield ()
-            return
-        first = points[0]
-        rest = points[1:]
-        # choose the rest of first's block; gaps between chosen elements
-        # must be partitioned among themselves for noncrossing
-        for mask in range(1 << len(rest)):
-            chosen = [rest[i] for i in range(len(rest)) if mask >> i & 1]
-            block = (first, *chosen)
-            if len(block) < min_block:
-                continue
-            segments = []
-            prev = first
-            ok = True
-            for boundary in chosen + [None]:
-                segment = tuple(
-                    p for p in rest if prev < p and (boundary is None or p < boundary)
-                )
-                segments.append(segment)
-                if boundary is not None:
-                    prev = boundary
-            tails: list[list[tuple[tuple[int, ...], ...]]] = []
-            for segment in segments:
-                sub = list(over_interval(segment))
-                if not sub:
-                    ok = False
-                    break
-                tails.append(sub)
-            if not ok:
-                continue
-            for combo in product(*tails):
-                inner: tuple[tuple[int, ...], ...] = ()
-                for part in combo:
-                    inner += part
-                yield (block,) + inner
-
-    for raw in over_interval(tuple(range(1, n + 1))):
-        yield tuple(sorted(raw, key=max))
-
-
-def plain_chain_value(block: Sequence[int], prob: MomentProblem) -> Fraction:
-    """<x_max, prod over interior points of T x_min>, no involution insertions."""
-    elements = list(block)
-    vec = prob.x(elements[0])
-    for point in elements[1:-1]:
-        vec = frac_mat_vec(prob.t(point), vec)
-    return frac_dot(prob.x(elements[-1]), vec)
-
-
-def _count_outer_arcs(blocks: Sequence[tuple[int, ...]]) -> int:
-    arcs = [
-        (block[k], block[k + 1]) for block in blocks for k in range(len(block) - 1)
-    ]
-    return sum(
-        1
-        for idx, (i, j) in enumerate(arcs)
-        if not any(v[0] < i and j < v[1] for k, v in enumerate(arcs) if k != idx)
-    )
-
-
-def _uncolored_rc(blocks: Sequence[tuple[int, ...]]) -> int:
-    tagged = [
-        (block[k], block[k + 1], b)
-        for b, block in enumerate(blocks)
-        for k in range(len(block) - 1)
-    ]
-    count = 0
-    for idx, (i, j, b) in enumerate(tagged):
-        for k, l, b2 in tagged[idx + 1 :]:
-            if b != b2 and (i < k < j < l or k < i < l < j):
-                count += 1
-    return count
+def _plain_chains(blocks: Sequence[Sequence[int]], prob: MomentProblem) -> Fraction:
+    """The product of the blocks' chains with every color +1."""
+    return prod(closed_chain_value(block, (1,) * (len(block) - 1), prob) for block in blocks)
 
 
 def corollary_q_case(prob: MomentProblem) -> Poly:
     """Specialized sum at alpha = 0, lambda = 0: q^rc over singleton-free partitions."""
     _require_zero_lams(prob)
-    total = ZERO
-    for blocks in set_partitions(prob.n):
-        if any(len(block) < 2 for block in blocks):
-            continue
-        value = Fraction(1)
-        for block in blocks:
-            value *= plain_chain_value(block, prob)
-            if not value:
-                break
-        if value:
-            total = total + Poly.monomial(value, eq=_uncolored_rc(blocks))
-    return total
+    return Poly.sum(
+        Poly.monomial(_plain_chains(blocks, prob), eq=arc_covers(blocks)[0])
+        for blocks in _singleton_free(prob.n)
+    )
 
 
 def corollary_gaussian(prob: MomentProblem) -> Poly:
     """Specialized sum at T = 0, lambda = 0: colored pair partitions only."""
     _require_zero_lams(prob)
     total = ZERO
-    for pairs in pair_partitions(prob.n):
-        blocks = tuple(sorted(pairs, key=max))
-        for colors in product((1, -1), repeat=len(blocks)):
-            p = ColoredPartition(
-                n=prob.n, blocks=blocks, colors=tuple((c,) for c in colors)
-            )
+    for p in enumerate_colored(prob.n, "pairs-only"):
+        value = prod(closed_chain_value(block, colors, prob) for block, colors in zip(p.blocks, p.colors))
+        if value:
             stats = statistics(p)
-            value = Fraction(1)
-            for (i, j), color in zip(p.blocks, (c[0] for c in p.colors)):
-                left = prob.x(i) if color == 1 else prob.space.involve(prob.x(i))
-                value *= frac_dot(prob.x(j), left)
-                if not value:
-                    break
-            if value:
-                total = total + Poly.monomial(
-                    value, ea=stats.narc, eq=stats.rc + 2 * stats.rnarc
-                )
+            total = total + Poly.monomial(value, ea=stats.narc, eq=stats.rc + 2 * stats.rnarc)
     return total
 
 
 def corollary_free_alpha(prob: MomentProblem) -> Poly:
     """Specialized sum at q = 0, lambda = 0: (1+a)^out_arc over noncrossing partitions.
 
-    Requires involution-fixed vectors (x̄ = x); otherwise the collapsed form
-    does not represent the colored sum.
+    A partition is noncrossing exactly when rc == 0, and its outer arcs are
+    the arcs of cover 0.  Requires involution-fixed vectors (x̄ = x);
+    otherwise the collapsed form does not represent the colored sum.
     """
     _require_zero_lams(prob)
     for x in prob.xs:
         if prob.space.involve(x) != x:
             raise ValueError("free-alpha case requires involution-fixed vectors")
-    total = ZERO
-    for blocks in noncrossing_partitions(prob.n, min_block=2):
-        value = Fraction(1)
-        for block in blocks:
-            value *= plain_chain_value(block, prob)
-            if not value:
-                break
-        if value:
-            total = total + value * (ONE + ALPHA) ** _count_outer_arcs(blocks)
-    return total
+    terms = []
+    for blocks in _singleton_free(prob.n):
+        rc, covers = arc_covers(blocks)
+        if rc == 0:
+            out_arc = sum(cover == 0 for block_covers in covers for cover in block_covers)
+            terms.append(_plain_chains(blocks, prob) * (ONE + ALPHA) ** out_arc)
+    return Poly.sum(terms)
 
 
 def _require_zero_lams(prob: MomentProblem) -> None:

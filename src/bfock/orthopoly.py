@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 from .errors import ResourceLimitError
 from .fock import FockVector, OpSpec, SpaceSpec, apply_operator, type_b
 from .qt import QtSpec, qt_y
-from .scalars import ALPHA, ONE, Poly, PolyLike, ZERO, qint, qtint
+from .scalars import ALPHA, ONE, T, Poly, PolyLike, ZERO, qint, qtint
 
 MAX_VACUUM_IDENTITY_N = 6
 MAX_SUBSTITUTION_N = 10
@@ -267,9 +267,7 @@ def substitution_check(
         raise ResourceLimitError(f"guarded at n <= {MAX_SUBSTITUTION_N}")
     if any(not 0 < t_value < 1 for t_value in t_values):
         raise ValueError("t values must lie in (0, 1)")
-    from .scalars import T as t_var
-
-    asi = al_salam_ismail(a=Fraction(-1), b=t_var * t_var)
+    asi = al_salam_ismail(a=Fraction(-1), b=T * T)
     u_table = polys(asi, upto)
     qt = qt_poisson()
     target = polys(JacobiParams(

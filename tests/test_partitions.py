@@ -70,7 +70,9 @@ def test_counting_identity(n):
 
 def test_small_counts():
     assert len(list(enumerate_colored(3))) == 11
-    assert len(list(enumerate_colored(2, "pairs-only"))) == 2
+    # pairs-only: the (n-1)!! perfect matchings, 2^(n/2) colorings each
+    pairs = [len(list(enumerate_colored(n, "pairs-only"))) for n in range(7)]
+    assert pairs == [1, 0, 2, 0, 12, 0, 120]
     # no-singletons at n=3: the 4 colorings of {1,2,3} only
     assert len(list(enumerate_colored(3, "no-singletons"))) == 4
 
@@ -142,6 +144,15 @@ def test_noncrossing_and_nonnesting():
             assert stats.out_arc is None
         if stats.rarc == 0:
             assert stats.rnarc == 0
+
+
+def test_noncrossing_counts():
+    # rc == 0 selects the noncrossing partitions: the Catalan numbers, and
+    # 1, 0, 1, 1, 3, 6, 15, 36 of them without singletons
+    noncrossing = [[b for b in set_partitions(n) if arc_covers(b)[0] == 0] for n in range(8)]
+    assert [len(found) for found in noncrossing] == [1, 1, 2, 5, 14, 42, 132, 429]
+    no_singletons = [sum(all(len(block) >= 2 for block in b) for b in found) for found in noncrossing]
+    assert no_singletons == [1, 0, 1, 1, 3, 6, 15, 36]
 
 
 def test_extended_enumeration_contains_marked_triples():

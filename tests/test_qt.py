@@ -21,7 +21,7 @@ from bfock.fock import (
     symmetrizer,
     type_b,
 )
-from bfock.moments import MomentProblem, plain_chain_value, random_problem, wick_moment
+from bfock.moments import MomentProblem, closed_chain_value, random_problem, wick_moment
 from bfock.partitions import arc_covers, set_partitions
 from bfock.qt import (
     QtSpec,
@@ -158,7 +158,7 @@ def reference_terms(prob):
             continue
         value = Fraction(1)
         for block in blocks:
-            value *= plain_chain_value(block, prob)
+            value *= closed_chain_value(block, (1,) * (len(block) - 1), prob)
             if not value:
                 break
         if value:
@@ -172,7 +172,7 @@ def reference_qt_wick(prob):
 
 
 @pytest.mark.parametrize("zero_t", [False, True], ids=["random-T", "T=0"])
-@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("n", range(8))
 def test_qt_wick_matches_the_reference_sum(n, zero_t):
     prob = random_problem(random.Random(500 + n), n, SPEC2.space, zero_lams=True)
     if zero_t:
