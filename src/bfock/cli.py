@@ -21,9 +21,12 @@ import json
 import random
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import product
-from typing import Callable, Sequence
+from math import factorial
+from typing import Callable, Iterator, Sequence
 
 from . import orthopoly
 from .coxeter import enumerate_group
@@ -31,6 +34,8 @@ from .errors import ResourceLimitError, TruncationError
 from .fock import SpaceSpec, r_operator, symmetrizer, vacuum_expectation
 from .moments import (
     MomentProblem,
+    VerifyReport,
+    compare,
     corollary_cases,
     random_problem,
     verify_moment_identity,
@@ -40,8 +45,8 @@ from .moments import (
 from .partitions import enumerate_colored, enumerate_extended, set_partitions, statistics
 from .qt import QtSpec, qt_wick, qt_y_moment
 from .scalars import (
-    T, Matrix, ScalarMode, frac_identity, identity_matrix, is_semidefinite,
-    mat_eq, mat_kron, mat_mul, mat_to_int, norm_at_most, qint,
+    T, Matrix, ScalarMode, frac_identity, frac_matrix, identity_matrix, is_semidefinite,
+    mat_kron, mat_mul, mat_to_int, norm_at_most, qint,
 )
 
 REPORT_VERSION = 1
@@ -280,91 +285,62 @@ def cmd_orthopoly(args: argparse.Namespace) -> int:
 
 # -- verify suite -----------------------------------------------------------------
 
-Check = tuple[str, Callable[[], tuple[bool, str, str]]]
+Check = tuple[str, Callable[[], Iterator[VerifyReport]]]
 
 
 def _wick_checks(n_max: int, seed: int) -> list[Check]:
-    checks: list[Check] = []
-    for n in range(1, n_max + 1):
+    def run(n: int) -> Iterator[VerifyReport]:
+        space = SpaceSpec.diagonal("+-", truncation=n)
+        yield verify_moment_identity(random_problem(random.Random(seed + n), n, space))
 
-        def run(n=n) -> tuple[bool, str, str]:
-            rng = random.Random(seed + n)
-            space = SpaceSpec.diagonal("+-", truncation=max(n, 1))
-            prob = random_problem(rng, n, space)
-            report = verify_moment_identity(prob)
-            return report.equal, report.lhs, report.rhs
-
-        checks.append((f"wick-n{n}", run))
-    return checks
+    return [(f"wick-n{n}", partial(run, n)) for n in range(1, n_max + 1)]
 
 
 def _vector_checks(n_max: int, seed: int) -> list[Check]:
-    checks: list[Check] = []
-    for n in range(1, n_max + 1):
+    def run(n: int) -> Iterator[VerifyReport]:
+        space = SpaceSpec.diagonal("+-", truncation=n)
+        prob = random_problem(random.Random(seed + 100 + n), n, space)
+        for eps in product("*1'", repeat=n):
+            yield verify_vector_identity(eps, prob)
 
-        def run(n=n) -> tuple[bool, str, str]:
-            rng = random.Random(seed + 100 + n)
-            space = SpaceSpec.diagonal("+-", truncation=max(n, 1))
-            prob = random_problem(rng, n, space)
-            for eps in product("*1'", repeat=n):
-                report = verify_vector_identity(eps, prob)
-                if not report.equal:
-                    return False, report.lhs, report.rhs
-            return True, "all eps equal", "all eps equal"
-
-        checks.append((f"vector-n{n}", run))
-    return checks
+    return [(f"vector-n{n}", partial(run, n)) for n in range(1, n_max + 1)]
 
 
 def _corollary_checks(n_max: int, seed: int) -> list[Check]:
-    def run() -> tuple[bool, str, str]:
+    def run() -> Iterator[VerifyReport]:
         for n in range(1, n_max + 1):
-            rng = random.Random(seed + 200 + n)
-            space = SpaceSpec.diagonal("++", truncation=max(n, 1))
-            prob = random_problem(rng, n, space, zero_lams=True)
+            space = SpaceSpec.diagonal("++", truncation=n)
+            prob = random_problem(random.Random(seed + 200 + n), n, space, zero_lams=True)
             full = wick_moment(prob)
-            if full.subs(alpha=0) != corollary_cases("q-case", prob):
-                return False, str(full.subs(alpha=0)), "q-case mismatch"
-            if full.subs(q=0) != corollary_cases("free-alpha", prob):
-                return False, str(full.subs(q=0)), "free-alpha mismatch"
-            zero_t = tuple(
-                tuple(tuple(Fraction(0) for _ in range(2)) for _ in range(2))
-                for _ in range(n)
+            yield compare(f"q-case n={n}", full.subs(alpha=0), corollary_cases("q-case", prob))
+            yield compare(f"free-alpha n={n}", full.subs(q=0), corollary_cases("free-alpha", prob))
+            gaussian = replace(prob, ts=(frac_matrix([[0, 0], [0, 0]]),) * n)
+            yield compare(
+                f"gaussian n={n}", wick_moment(gaussian), corollary_cases("gaussian", gaussian)
             )
-            gaussian = MomentProblem(
-                xs=prob.xs, ts=zero_t, lams=prob.lams, space=space
-            )
-            if wick_moment(gaussian) != corollary_cases("gaussian", gaussian):
-                return False, "gaussian mismatch", ""
-        return True, "all specializations equal", "all specializations equal"
 
     return [("corollaries", run)]
 
 
 def _qt_checks(n_max: int, seed: int) -> list[Check]:
-    def run() -> tuple[bool, str, str]:
-        spec = QtSpec.make(2, truncation=max(n_max, 1))
+    def run() -> Iterator[VerifyReport]:
+        spec = QtSpec.make(2, truncation=n_max)
         for n in range(1, n_max + 1):
-            rng = random.Random(seed + 300 + n)
-            prob = random_problem(rng, n, spec.space, zero_lams=True)
-            lhs = qt_y_moment(prob.xs, prob.ts, spec)
-            rhs = qt_wick(prob.xs, prob.ts, spec)
-            if lhs != rhs:
-                return False, str(lhs), str(rhs)
-        return True, "operator = partition", "operator = partition"
+            prob = random_problem(random.Random(seed + 300 + n), n, spec.space, zero_lams=True)
+            lhs, rhs = qt_y_moment(prob.xs, prob.ts, spec), qt_wick(prob.xs, prob.ts, spec)
+            yield compare(f"qt n={n}", lhs, rhs)
 
-    def fixture() -> tuple[bool, str, str]:
+    def fixture() -> Iterator[VerifyReport]:
         spec = QtSpec.make(1, truncation=5)
         unit = (Fraction(1),)
         value = qt_wick([unit] * 5, [frac_identity(1)] * 5, spec).subs(q=0)
-        expected = T**2 + 2 * T + 3
-        return value == expected, str(value), str(expected)
+        yield compare("qt-y5 at q=0", value, T**2 + 2 * T + 3)
 
     return [("qt-identity", run), ("qt-y5-fixture", fixture)]
 
 
 def _factorization_checks() -> list[Check]:
-    def run() -> tuple[bool, str, str]:
+    def run() -> Iterator[VerifyReport]:
         for signature in ("+", "+-"):
             space = SpaceSpec.diagonal(signature, truncation=4)
             for n in range(1, 5):
@@ -373,11 +349,9 @@ def _factorization_checks() -> list[Check]:
                     mat_kron(symmetrizer(n - 1, space), identity_matrix(space.d)),
                     r_operator(n, space),
                 )
-                if not mat_eq(lhs, rhs):
-                    return False, f"P({n}) factorization", signature
-        return True, "P = (P⊗I)R for n <= 4", "exact"
+                yield compare(f"P({n}) factorization {signature}", lhs, rhs)
 
-    def bounds() -> tuple[bool, str, str]:
+    def bounds() -> Iterator[VerifyReport]:
         """||R(n)|| <= (1 + |a| |q|^(n-1)) [n]_|q| and P(n) > 0, certified exactly."""
         space = SpaceSpec.diagonal("+-", truncation=5)
         points = [(Fraction(a, 5), Fraction(q, 10)) for a in (2, -2) for q in (3, -3)]
@@ -385,50 +359,37 @@ def _factorization_checks() -> list[Check]:
             gram, r = symmetrizer(n, space), r_operator(n, space)
             for alpha, q in points:
                 bound = (1 + abs(alpha) * abs(q) ** (n - 1)) * qint(n).evaluate(0, abs(q))
-                if not norm_at_most(r, bound, alpha, q):
-                    return False, f"norm bound n={n}", f"({alpha},{q})"
-                if not is_semidefinite(mat_to_int(gram, alpha, q)[0], definite=True):
-                    return False, f"gram positivity n={n}", f"({alpha},{q})"
-        return True, "norm bounds and positivity", "exact"
+                at = f"n={n} at ({alpha},{q})"
+                yield compare(f"norm bound {at}", norm_at_most(r, bound, alpha, q), True)
+                positive = is_semidefinite(mat_to_int(gram, alpha, q)[0], definite=True)
+                yield compare(f"gram positivity {at}", positive, True)
 
     return [("factorization", run), ("spectral-bounds", bounds)]
 
 
 def _orthopoly_checks() -> list[Check]:
-    def identities() -> tuple[bool, str, str]:
+    def identities() -> Iterator[VerifyReport]:
         for which, sign in (("alphaq", "+"), ("alphaq", "-"), ("qt", "+")):
-            report = orthopoly.vacuum_polynomial_identity(which, 5, sign=sign)
-            if not report.equal:
-                return False, report.name, report.detail
+            yield orthopoly.vacuum_polynomial_identity(which, 5, sign=sign)
         for which, model in (("alphaq-poisson-B", "alphaq"), ("qt-poisson", "qt")):
-            jp = orthopoly.family(which)
-            if orthopoly.moments_from_jacobi(jp, 6) != orthopoly.operator_moments(
-                model, 6
-            ):
-                return False, which, "moment mismatch"
-        return True, "polynomial and moment identities", "exact"
+            jacobi = orthopoly.moments_from_jacobi(orthopoly.family(which), 6)
+            operator = orthopoly.operator_moments(model, 6)
+            for k, (lhs, rhs) in enumerate(zip(jacobi, operator)):
+                yield compare(f"{which} m_{k}", lhs, rhs)
 
-    def substitution() -> tuple[bool, str, str]:
-        report = orthopoly.substitution_check(10)
-        return report.equal, report.name, report.detail
+    def substitution() -> Iterator[VerifyReport]:
+        yield orthopoly.substitution_check(10)
 
     return [("orthopoly-identities", identities), ("orthopoly-substitution", substitution)]
 
 
 def _group_checks() -> list[Check]:
-    def run() -> tuple[bool, str, str]:
+    def run() -> Iterator[VerifyReport]:
         for n in range(1, 6):
-            expected = 2**n
-            for k in range(2, n + 1):
-                expected *= k
-            if len(enumerate_group(n)) != expected:
-                return False, f"|group({n})|", str(expected)
+            yield compare(f"|group({n})|", len(enumerate_group(n)), 2**n * factorial(n))
         for n in range(1, 8):
-            partitions = list(set_partitions(n))
-            expected_colored = sum(2 ** (n - len(blocks)) for blocks in partitions)
-            if sum(1 for _ in enumerate_colored(n)) != expected_colored:
-                return False, f"colored count n={n}", str(expected_colored)
-        return True, "group and partition counts", "exact"
+            expected = sum(2 ** (n - len(blocks)) for blocks in set_partitions(n))
+            yield compare(f"colored count n={n}", sum(1 for _ in enumerate_colored(n)), expected)
 
     return [("group-partition-counts", run)]
 
@@ -445,29 +406,26 @@ SUITES: dict[str, Callable[[int, int], list[Check]]] = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise ValueError(f"verify needs --n >= 1, got {args.n}")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    checks: list[Check] = []
-    for name in names:
-        checks.extend(SUITES[name](args.n, args.seed))
+    checks = [check for name in names for check in SUITES[name](args.n, args.seed)]
     results = []
-    all_ok = True
     for name, run in sorted(checks, key=lambda item: item[0]):
         started = time.perf_counter()
-        ok, lhs, rhs = run()
+        failure = next((report for report in run() if not report.equal), None)
         elapsed = int((time.perf_counter() - started) * 1000)
-        all_ok = all_ok and ok
         results.append(
             {
                 "name": name,
-                "status": "pass" if ok else "fail",
-                "lhs": lhs if not ok else "",
-                "rhs": rhs if not ok else "",
+                "status": "pass" if failure is None else "fail",
+                "lhs": "" if failure is None else f"{failure.name}: {failure.lhs}",
+                "rhs": "" if failure is None else failure.rhs,
                 "elapsed_ms": elapsed if args.timings else 0,
             }
         )
-    payload = {"version": REPORT_VERSION, "checks": results}
-    _emit(args, json.dumps(payload, indent=2) + "\n")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    _emit(args, json.dumps({"version": REPORT_VERSION, "checks": results}, indent=2) + "\n")
+    return EXIT_OK if all(row["status"] == "pass" for row in results) else EXIT_CHECK_FAILED
 
 
 # -- parser -----------------------------------------------------------------------
@@ -558,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(SUITES) + ["all"],
         default="all",
     )
-    p.add_argument("--n", type=_nonnegative_int, default=4, help="size cap inside the suites")
+    p.add_argument("--n", type=_nonnegative_int, default=4, help="size cap inside the suites, >= 1")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--timings", action="store_true", help="emit real elapsed_ms (non-deterministic)")
     common(p)

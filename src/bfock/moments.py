@@ -55,6 +55,9 @@ case; ``closed_chain_value`` for every block.  None of them goes through
 ``_open_arc_steps`` or ``_color_summed_sum``, so a fault in the kernel's
 moves, state merges or integer sums cannot cancel out of the comparison.
 
+Every comparison of the harness, here, in ``orthopoly`` and in ``bfock
+verify``, is a ``VerifyReport`` from ``compare``, which renders failures only.
+
 Index convention: xs[0] is x_1, the factor applied first (the rightmost
 factor of the operator product).
 """
@@ -520,6 +523,8 @@ def corollary_cases(which: str, prob: MomentProblem) -> Poly:
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """One comparison; a passing one has empty sides and no first difference."""
+
     name: str
     equal: bool
     lhs: str
@@ -527,32 +532,21 @@ class VerifyReport:
     first_difference: str | None
 
 
-def _poly_report(name: str, lhs: Poly, rhs: Poly) -> VerifyReport:
-    first = None
-    if lhs != rhs:
-        diff = lhs - rhs
-        exp, coeff = diff.sorted_terms()[0]
-        first = f"monomial {Poly.monomial(1, *exp)} differs by {coeff}"
-    return VerifyReport(name, lhs == rhs, str(lhs), str(rhs), first)
-
-
-def _vector_report(name: str, lhs: FockVector, rhs: FockVector) -> VerifyReport:
-    first = None
-    if lhs != rhs:
+def compare(name: str, lhs: object, rhs: object) -> VerifyReport:
+    """lhs == rhs; a disagreement renders both sides and, for two Polys or two
+    FockVectors, the first differing monomial or word."""
+    if lhs == rhs:
+        return VerifyReport(name, True, "", "", None)
+    if isinstance(lhs, FockVector) and isinstance(rhs, FockVector):
         words = sorted(set(lhs.coeffs) | set(rhs.coeffs))
-        for word in words:
-            if lhs.coeff(word) != rhs.coeff(word):
-                first = (
-                    f"word {word}: {lhs.coeff(word)} vs {rhs.coeff(word)}"
-                )
-                break
-    return VerifyReport(
-        name,
-        lhs == rhs,
-        _vector_str(lhs),
-        _vector_str(rhs),
-        first,
-    )
+        word = next((w for w in words if lhs.coeff(w) != rhs.coeff(w)), None)
+        first = None if word is None else f"word {word}: {lhs.coeff(word)} vs {rhs.coeff(word)}"
+        return VerifyReport(name, False, _vector_str(lhs), _vector_str(rhs), first)
+    first = None
+    if isinstance(lhs, Poly) and isinstance(rhs, Poly):
+        exp, coeff = (lhs - rhs).sorted_terms()[0]
+        first = f"monomial {Poly.monomial(1, *exp)} differs by {coeff}"
+    return VerifyReport(name, False, str(lhs), str(rhs), first)
 
 
 def _vector_str(v: FockVector) -> str:
@@ -569,14 +563,14 @@ def verify_moment_identity(prob: MomentProblem) -> VerifyReport:
     """Operator vacuum expectation vs the color-summed partition sum."""
     lhs = vacuum_expectation(prob.operators(), prob.space)
     rhs = wick_moment(prob)
-    return _poly_report(f"moment-identity-n{prob.n}", lhs, rhs)
+    return compare(f"moment-identity-n{prob.n}", lhs, rhs)
 
 
 def verify_vector_identity(eps: Sequence[str], prob: MomentProblem) -> VerifyReport:
     """Operator word on the vacuum vs the extended-partition expansion."""
     lhs = eps_word_vector(eps, prob)
     rhs = vector_formula(eps, prob)
-    return _vector_report(f"vector-identity-{''.join(eps)}", lhs, rhs)
+    return compare(f"vector-identity-{''.join(eps)}", lhs, rhs)
 
 
 def random_problem(

@@ -5,22 +5,27 @@ Families:
 * ``alphaq_poisson_b`` - beta_n = gamma_{n-1} = [n]_q (1 + a q^(n-1)), beta_0 = 0
 * ``qt_poisson``       - beta_n = gamma_{n-1} = [n]_{q,t}, beta_0 = 0
 * ``al_salam_ismail``  - y U_n = U_{n+1} - a t^n U_n + b t^(n-1) U_{n-1},
-  restricted here to monic start (c = 1, so U_1 = y and beta_0 = 0)
+  with the monic start U_1 = y (so beta_0 = 0)
 
 Moments come from powers of the truncated monic tridiagonal operator
 (superdiagonal 1, diagonal beta, subdiagonal gamma), whose (0,0) entries are
 the weighted Motzkin path sums; the classical continued fraction carries the
 same data and is kept as a secondary cross-check at rational parameters.
+
+The identities against the operator model return ``moments.VerifyReport``s:
+the first failing comparison, which names its level and first difference,
+or a passing report under the identity's own name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import ResourceLimitError
 from .fock import FockVector, OpSpec, SpaceSpec, apply_operator, type_b
+from .moments import VerifyReport, compare
 from .qt import QtSpec, qt_y
 from .scalars import ALPHA, ONE, T, Poly, PolyLike, ZERO, qint, qtint
 
@@ -60,10 +65,8 @@ def qt_poisson() -> JacobiParams:
     )
 
 
-def al_salam_ismail(a: PolyLike, b: PolyLike, c: int = 1) -> JacobiParams:
-    """The displayed recurrence with U_0 = 1, U_1 = c y; only c = 1 supported."""
-    if c != 1:
-        raise ValueError("only the monic start c = 1 is supported")
+def al_salam_ismail(a: PolyLike, b: PolyLike) -> JacobiParams:
+    """The displayed recurrence with the monic start U_0 = 1, U_1 = y."""
     a_poly = Poly._coerce(a)
     b_poly = Poly._coerce(b)
     return JacobiParams(
@@ -190,13 +193,6 @@ def continued_fraction_moments(
 # -- identities against the operator model -------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    name: str
-    equal: bool
-    detail: str
-
-
 def _line_model(which: str, upto: int, sign: str) -> tuple[SpaceSpec, OpSpec]:
     """The line (d = 1) truncated at upto + 1 and its operator with x = 1, T = Id.
 
@@ -214,12 +210,13 @@ def _line_model(which: str, upto: int, sign: str) -> tuple[SpaceSpec, OpSpec]:
     raise ValueError(f"unknown model {which!r}")
 
 
-def vacuum_polynomial_identity(which: str, upto: int, sign: str = "+") -> IdentityReport:
+def vacuum_polynomial_identity(which: str, upto: int, sign: str = "+") -> VerifyReport:
     """Check P_n(operator) Ω = x^{⊗n} symbolically for n <= upto (see ``_line_model``)."""
     if upto > MAX_VACUUM_IDENTITY_N:
         raise ResourceLimitError(f"guarded at n <= {MAX_VACUUM_IDENTITY_N}")
     space, op = _line_model(which, upto, sign)
     jp = alphaq_poisson_b(negate_alpha=(sign == "-")) if which == "alphaq" else qt_poisson()
+    name = f"vacuum-polynomial-{which}-{sign}"
     prev = FockVector(space)  # P_{-1} = 0
     current = FockVector.vacuum(space)  # P_0 = 1
     for n in range(upto):
@@ -227,16 +224,10 @@ def vacuum_polynomial_identity(which: str, upto: int, sign: str = "+") -> Identi
         if n >= 1:
             nxt = nxt - jp.gamma(n - 1) * prev
         prev, current = current, nxt
-        expected = FockVector.basis(space, (0,) * (n + 1))
-        if current != expected:
-            return IdentityReport(
-                name=f"vacuum-polynomial-{which}-{sign}",
-                equal=False,
-                detail=f"P_{n + 1}(B)Ω differs from the basis word at level {n + 1}",
-            )
-    return IdentityReport(
-        name=f"vacuum-polynomial-{which}-{sign}", equal=True, detail=f"n <= {upto}"
-    )
+        report = compare(f"{name} P_{n + 1}", current, FockVector.basis(space, (0,) * (n + 1)))
+        if not report.equal:
+            return report
+    return VerifyReport(name, True, "", "", None)
 
 
 def operator_moments(which: str, upto: int, sign: str = "+") -> list[Poly]:
@@ -254,19 +245,15 @@ def operator_moments(which: str, upto: int, sign: str = "+") -> list[Poly]:
     return out
 
 
-def substitution_check(
-    upto: int, t_values: Sequence[Fraction] = (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4))
-) -> IdentityReport:
+def substitution_check(upto: int) -> VerifyReport:
     """U_n(y t, -1, t^2) is divisible by t^n with quotient the (0,t) family.
 
-    The coefficient of y^k in U_n(yt) is u_{n,k}(t) t^k; divisibility and the
-    quotient are checked at the symbolic level and then coefficient-wise at
-    the given exact rational t values.
+    The coefficient of y^k in U_n(yt) is u_{n,k}(t) t^k; each is divided by
+    t^n symbolically and compared with the (0,t) entry, so a failure names
+    its n and k and the first differing monomial.
     """
     if upto > MAX_SUBSTITUTION_N:
         raise ResourceLimitError(f"guarded at n <= {MAX_SUBSTITUTION_N}")
-    if any(not 0 < t_value < 1 for t_value in t_values):
-        raise ValueError("t values must lie in (0, 1)")
     asi = al_salam_ismail(a=Fraction(-1), b=T * T)
     u_table = polys(asi, upto)
     qt = qt_poisson()
@@ -276,32 +263,13 @@ def substitution_check(
     name = "al-salam-ismail-substitution"
     for n, (u_row, p_row) in enumerate(zip(u_table, target)):
         for k in range(n + 1):
-            shifted: dict[tuple[int, int, int], Fraction] = {}
-            for (ea, eq, et), coeff in u_row[k].terms.items():
-                power = et + k - n
-                if power < 0:
-                    return IdentityReport(
-                        name,
-                        equal=False,
-                        detail=f"n={n}, y^{k}: coefficient not divisible by t^{n}",
-                    )
-                shifted[(ea, eq, power)] = coeff
-            quotient = Poly(shifted)
-            if quotient != p_row[k]:
-                return IdentityReport(
-                    name,
-                    equal=False,
-                    detail=f"n={n}, y^{k}: {quotient} != {p_row[k]}",
-                )
-            for t_value in t_values:
-                if quotient.evaluate(0, 0, t_value) != p_row[k].evaluate(0, 0, t_value):
-                    return IdentityReport(
-                        name,
-                        equal=False,
-                        detail=f"t={t_value}, n={n}, y^{k}: rational mismatch",
-                    )
-    return IdentityReport(
-        name,
-        equal=True,
-        detail=f"n <= {upto} at t in {tuple(str(t) for t in t_values)}",
-    )
+            instance = f"{name} n={n} y^{k}"
+            terms = u_row[k].terms
+            if any(et + k < n for _, _, et in terms):
+                multiple = f"a multiple of t^{n - k}"
+                return VerifyReport(instance, False, str(u_row[k]), multiple, "not divisible")
+            quotient = Poly({(ea, eq, et + k - n): coeff for (ea, eq, et), coeff in terms.items()})
+            report = compare(instance, quotient, p_row[k])
+            if not report.equal:
+                return report
+    return VerifyReport(name, True, "", "", None)

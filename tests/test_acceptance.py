@@ -211,13 +211,13 @@ def test_criterion_7_orthogonal_polynomial_identities():
     for sign in ("+", "-"):
         report = vacuum_polynomial_identity("alphaq", 5, sign=sign)
         if not report.equal:
-            failures.append(report.detail)
+            failures.append(report.first_difference)
     for which, model in (("alphaq-poisson-B", "alphaq"), ("qt-poisson", "qt")):
         if moments_from_jacobi(family(which), 6) != operator_moments(model, 6):
             failures.append(f"moments {which}")
     sub = substitution_check(10)
     if not sub.equal:
-        failures.append(sub.detail)
+        failures.append(sub.first_difference)
     _report(
         7,
         not failures,

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import bfock
+from bfock import cli, moments
 from bfock.cli import main
 from bfock.fock import SpaceSpec
 from bfock.moments import random_problem, wick_moment
@@ -181,6 +182,49 @@ def test_verify_suite_passes(capsys):
     assert all(check["elapsed_ms"] == 0 for check in payload["checks"])
 
 
+# comparisons each check makes at the verify defaults: a check that stops
+# yielding reports would otherwise pass without comparing anything
+DEFAULT_REPORT_COUNTS = {
+    **{f"wick-n{n}": 1 for n in range(1, 5)},
+    **{f"vector-n{n}": 3**n for n in range(1, 5)},
+    "corollaries": 12,
+    "qt-identity": 4,
+    "qt-y5-fixture": 1,
+    "factorization": 8,
+    "spectral-bounds": 32,
+    "orthopoly-identities": 17,
+    "orthopoly-substitution": 1,
+    "group-partition-counts": 12,
+}
+
+
+def test_default_checks_compare_every_instance():
+    args = cli.build_parser().parse_args(["verify"])
+    checks = [check for suite in cli.SUITES.values() for check in suite(args.n, args.seed)]
+    counts = {}
+    for name, run in checks:
+        reports = list(run())
+        assert all(report.equal for report in reports), name
+        counts[name] = len(reports)
+    assert counts == DEFAULT_REPORT_COUNTS
+
+
+def test_a_failing_check_names_its_instance(monkeypatch, capsys):
+    monkeypatch.setattr(
+        moments, "wick_moment", lambda prob: wick_moment(prob) + (1 if prob.n == 3 else 0)
+    )
+    code, out = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 1
+    rows = json.loads(out)["checks"]
+    assert [row["name"] for row in rows if row["status"] == "fail"] == ["wick-n3"]
+    # the check's instance, as the wick suite draws it: seed 7 + n on "+-"
+    prob = random_problem(random.Random(7 + 3), 3, SpaceSpec.diagonal("+-", truncation=3))
+    (failed,) = [row for row in rows if row["name"] == "wick-n3"]
+    assert failed["lhs"] == f"moment-identity-n3: {wick_moment(prob)}"
+    assert failed["rhs"] == str(wick_moment(prob) + 1)
+    assert all(row["lhs"] == row["rhs"] == "" for row in rows if row["status"] == "pass")
+
+
 def test_verify_deterministic(capsys):
     _, first = run_cli(capsys, "verify", "--suite", "vector", "--n", "2", "--seed", "3")
     _, second = run_cli(capsys, "verify", "--suite", "vector", "--n", "2", "--seed", "3")
@@ -215,6 +259,7 @@ def test_out_file(tmp_path, capsys):
         ["qt", "--n", "-1"],
         ["orthopoly", "--family", "qt-poisson", "--N", "-1"],
         ["verify", "--n", "-3"],
+        pytest.param(["verify", "--n", "0"], id="verify-zero"),
     ],
     ids=lambda argv: argv[0],
 )

@@ -14,8 +14,10 @@ from bfock.fock import FockVector, SpaceSpec, apply_operator, vacuum_expectation
 from bfock.moments import (
     MAX_WICK_N,
     MomentProblem,
+    VerifyReport,
     _open_arc_steps,
     colored_wick_moment,
+    compare,
     corollary_cases,
     cumulant_block,
     eps_word_vector,
@@ -26,7 +28,7 @@ from bfock.moments import (
     wick_moment,
 )
 from bfock.partitions import arc_covers, enumerate_colored, set_partitions
-from bfock.scalars import ALPHA, ONE, Poly
+from bfock.scalars import ALPHA, ONE, Q, Poly
 
 F = Fraction
 
@@ -381,3 +383,29 @@ def test_moment_problem_rejects_a_t_of_the_wrong_shape(t):
     x = (F(1), F(1))
     with pytest.raises(ValueError, match="dimensions"):
         MomentProblem(xs=(x, x, x), ts=(t, t, t), lams=(F(0),) * 3, space=space)
+
+
+def test_compare_names_the_first_differing_monomial():
+    report = compare("p", Q * Q + ALPHA, ALPHA)
+    assert not report.equal
+    assert (report.lhs, report.rhs) == ("q^2 + a", "a")
+    assert report.first_difference == "monomial q^2 differs by 1"
+
+
+def test_compare_names_the_first_differing_word():
+    space = SpaceSpec.diagonal("+-", truncation=2)
+    lhs = FockVector(space, {(0,): ONE, (1, 0): ALPHA})
+    rhs = FockVector(space, {(0,): ONE, (0, 1): Q, (1, 0): ALPHA})
+    report = compare("v", lhs, rhs)
+    assert not report.equal
+    assert (report.lhs, report.rhs) == ("[1](1) + [2 1](a)", "[1](1) + [1 2](q) + [2 1](a)")
+    assert report.first_difference == "word (0, 1): 0 vs q"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [ONE + ALPHA, FockVector.basis(SpaceSpec.diagonal("+", truncation=1), (0,)), 3, True],
+    ids=["poly", "vector", "int", "bool"],
+)
+def test_compare_renders_nothing_for_equal_values(value):
+    assert compare("same", value, value) == VerifyReport("same", True, "", "", None)
