@@ -343,13 +343,12 @@ def _factorization_checks() -> list[Check]:
     def run() -> Iterator[VerifyReport]:
         for signature in ("+", "+-"):
             space = SpaceSpec.diagonal(signature, truncation=4)
+            previous = symmetrizer(0, space)
             for n in range(1, 5):
                 lhs = symmetrizer(n, space)
-                rhs = mat_mul(
-                    mat_kron(symmetrizer(n - 1, space), identity_matrix(space.d)),
-                    r_operator(n, space),
-                )
+                rhs = mat_mul(mat_kron(previous, identity_matrix(space.d)), r_operator(n, space))
                 yield compare(f"P({n}) factorization {signature}", lhs, rhs)
+                previous = lhs
 
     def bounds() -> Iterator[VerifyReport]:
         """||R(n)|| <= (1 + |a| |q|^(n-1)) [n]_|q| and P(n) > 0, certified exactly."""

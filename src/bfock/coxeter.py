@@ -9,7 +9,9 @@ Enumeration is breadth-first from the identity, which yields one canonical
 minimal word per element (generator indices ascending as tie-break).  The
 statistics l1 (count of pi_0 letters) and l2 (count of pi_i, i >= 1, letters)
 are read off that word; they are invariants of the element, which the test
-suite checks exhaustively for small n rather than assuming.
+suite checks exhaustively for small n rather than assuming.  The table's
+windows are valid by construction, so its records skip the validation of
+``SignedPermutation``; a test rebuilds each one through the public constructors.
 
 A word (g_1, ..., g_k) denotes the product pi_{g_1} · pi_{g_2} ··· pi_{g_k},
 i.e. the rightmost letter acts first.
@@ -17,7 +19,6 @@ i.e. the rightmost letter acts first.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -29,7 +30,7 @@ MAX_GROUP_RANK = 7
 Window = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedPermutation:
     """A signed permutation in window notation."""
 
@@ -85,7 +86,7 @@ class SignedPermutation:
         return sum(1 for v in self.window if v < 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElementRecord:
     """A group element with its canonical minimal word and (l1, l2)."""
 
@@ -110,26 +111,20 @@ def _group_table(n: int) -> tuple[tuple[GroupElementRecord, ...], dict[Window, G
     start = SignedPermutation.identity(n).window
     words: dict[Window, tuple[int, ...]] = {start: ()}
     order: list[Window] = [start]
-    queue: deque[Window] = deque([start])
-    while queue:
-        window = queue.popleft()
+    for window in order:  # the list grows while it is read: a breadth-first queue
         word = words[window]
         for g in range(n):
             neighbor = _right_multiply(window, g)
             if neighbor not in words:
                 words[neighbor] = word + (g,)
                 order.append(neighbor)
-                queue.append(neighbor)
-    records = tuple(
-        GroupElementRecord(
-            perm=SignedPermutation(window),
-            l1=words[window].count(0),
-            l2=len(words[window]) - words[window].count(0),
-            word=words[window],
-        )
-        for window in order
-    )
-    return records, {record.perm.window: record for record in records}
+    records = []
+    for window, word in words.items():  # BFS order
+        perm = object.__new__(SignedPermutation)  # valid by construction: no __post_init__
+        object.__setattr__(perm, "window", window)
+        l1 = word.count(0)
+        records.append(GroupElementRecord(perm, l1, len(word) - l1, word))
+    return tuple(records), {record.perm.window: record for record in records}
 
 
 def _check_rank(n: int) -> None:

@@ -7,11 +7,14 @@ A :class:`FockVector` stores a finite linear combination of basis words
 coefficients, so every operator identity can be asserted exactly.
 
 A signed permutation w in B_n acts on level n slot by slot: slot k of a
-word moves to slot |w(k)|, through J when w(k) < 0.  One gather of each
-basis word's weighted images serves every symmetrizer: the matrix, the
-vector action and both flavors.  The generator actions (``act_generator``,
-``act_word``) replay a word letter by letter and stay as the independent
-path that ``r_operator`` is built from.
+word moves to slot |w(k)|, through J when w(k) < 0.  A level's slot table
+holds, per element, the source slot of each image slot, the mask of source
+slots sent through J, and the element's exponent.  A basis word is spread
+through J once per distinct mask, and each element only permutes the spread
+words.  That one gather serves every symmetrizer (the matrix, the vector
+action and both flavors), and ``act_sigma`` reads the same entry.  The
+generator actions (``act_generator``, ``act_word``) replay a word letter by
+letter and stay as the independent path that ``r_operator`` is built from.
 
 Operators follow the right-creator convention: creation appends at the
 right end of a word, the free right annihilator removes the rightmost slot,
@@ -29,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
+from math import prod
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .coxeter import GroupElementRecord, Window, enumerate_group
@@ -58,7 +63,8 @@ from .scalars import (
 MAX_MATRIX_DIM = 4096
 
 Word = tuple[int, ...]
-Weights = list[tuple[Window, Exponent]]  # a level's elements with their exponents
+# a level's elements: (take, flipped mask, exponent), see _slot_entry
+Weights = list[tuple[Callable[[Word], Word], int, Exponent]]
 
 
 @dataclass(frozen=True)
@@ -233,35 +239,29 @@ def act_word(gens: Sequence[int], v: FockVector) -> FockVector:
     return v
 
 
-def _slot_images(
-    window: Window, word: Word, space: SpaceSpec
-) -> Iterator[tuple[Word, RationalLike]]:
-    """Images of a basis word under the signed permutation with this window.
+def _slot_entry(window: Window) -> tuple[Callable[[Word], Word], int]:
+    """(take, flipped) of a signed permutation: take(word)[s] is the letter of
+    the source slot that moves to slot s, and bit k of flipped marks a source
+    slot k that goes through J (w(k) < 0)."""
+    sources, flipped = [0] * len(window), 0
+    for k, target in enumerate(window):
+        sources[abs(target) - 1] = k
+        flipped |= (target < 0) << k
+    return (itemgetter(*sources) if len(window) > 1 else tuple), flipped  # n <= 1: identity
 
-    Slot k moves to slot |w(k)|, through J when w(k) < 0.  A non-diagonal J
-    spreads a letter over several letters, so one word can have several images.
-    Integral entries of J enter as ints, so a diagonal signature gives ±1.
-    """
-    image = list(word)
-    flipped: list[int] = []  # slots reached through J
-    columns: list[list[tuple[int, RationalLike]]] = []  # nonzero entries of J e_letter
-    for target, letter in zip(window, word):
-        if target > 0:
-            image[target - 1] = letter
-        else:
-            flipped.append(-target - 1)
-            # J is symmetric, so its row `letter` is the column J e_letter
-            columns.append([
-                (m, e.numerator if e.denominator == 1 else e)
-                for m, e in enumerate(space.involution[letter])
-                if e
-            ])
-    for picks in product(*columns):
-        coeff: RationalLike = 1
-        for slot, (letter, entry) in zip(flipped, picks):
-            image[slot] = letter
-            coeff *= entry
-        yield tuple(image), coeff
+
+def _involution_columns(space: SpaceSpec) -> list[list[tuple[int, RationalLike]]]:
+    """Nonzero entries of J e_letter (J's symmetric row) per letter; integral ones as ints."""
+    return [[(m, e.numerator if e.denominator == 1 else e) for m, e in enumerate(row) if e]
+            for row in space.involution]
+
+
+def _spread(word: Word, flipped: int, columns: list) -> list[tuple[Word, RationalLike]]:
+    """The word with every flipped slot sent through J, before any slot moves: one
+    word with ±1 for a signature, several for a non-diagonal J."""
+    choices = [columns[c] if flipped >> k & 1 else ((c, 1),) for k, c in enumerate(word)]
+    return [(tuple(letter for letter, _ in picks), prod(entry for _, entry in picks))
+            for picks in product(*choices)]
 
 
 def act_sigma(record: GroupElementRecord, v: FockVector) -> FockVector:
@@ -272,34 +272,43 @@ def act_sigma(record: GroupElementRecord, v: FockVector) -> FockVector:
     n = record.perm.n
     if any(level != n for level in v.levels()):
         raise ValueError(f"vector has words of length != {n}")
+    take, flipped = _slot_entry(record.perm.window)
+    columns = _involution_columns(v.space)
     return _collect(v.space, (
-        (image, coeff * entry)
+        (take(spread), coeff * entry)
         for word, coeff in v.coeffs.items()
-        for image, entry in _slot_images(record.perm.window, word, v.space)
+        for spread, entry in _spread(word, flipped, columns)
     ))
 
 
 def _level_weights(n: int, flavor: str) -> Weights:
-    """(window, exponent) of every element in the flavor's level-n symmetrizer.
+    """(take, flipped, exponent) of every element in the flavor's level-n
+    symmetrizer, in ``enumerate_group`` order.
 
     alpha-q: a^l1 q^l2 over B_n.  qt: t^C(n,2) P^(n)_{0, q/t}, the l1 = 0 part
     as q^l2 t^(C(n,2) - l2), a polynomial since l2 <= C(n,2).
     """
     elements = [(r.perm.window, r.l1, r.l2) for r in enumerate_group(n)] if n else [((), 0, 0)]
     if flavor == "alpha-q":
-        return [(window, (l1, l2, 0)) for window, l1, l2 in elements]
+        return [(*_slot_entry(window), (l1, l2, 0)) for window, l1, l2 in elements]
     if flavor == "qt":
         top = n * (n - 1) // 2
-        return [(window, (0, l2, top - l2)) for window, l1, l2 in elements if l1 == 0]
+        return [(*_slot_entry(window), (0, l2, top - l2))
+                for window, l1, l2 in elements if l1 == 0]
     raise ValueError(f"unknown symmetrizer flavor {flavor!r}")
 
 
-def _symmetrized_word(word: Word, weights: Weights, space: SpaceSpec) -> dict[Word, Poly]:
-    """Weighted sum of a basis word's images; each image's Poly is built once."""
+def _symmetrized_word(word: Word, weights: Weights, columns: list) -> dict[Word, Poly]:
+    """Weighted sum of a basis word's images; each image's Poly is built once.
+    The word is spread once per flipped mask; each element permutes the spreads."""
+    spreads: dict[int, list[tuple[Word, RationalLike]]] = {}
     gathered: dict[Word, dict[Exponent, RationalLike]] = {}
-    for window, key in weights:
-        for image, coeff in _slot_images(window, word, space):
-            entry = gathered.setdefault(image, {})
+    for take, flipped, key in weights:
+        spread = spreads.get(flipped)
+        if spread is None:
+            spread = spreads[flipped] = _spread(word, flipped, columns)
+        for source, coeff in spread:
+            entry = gathered.setdefault(take(source), {})
             entry[key] = entry.get(key, 0) + coeff
     return {image: Poly(entry) for image, entry in gathered.items()}
 
@@ -336,11 +345,12 @@ def symmetrizer(n: int, space: SpaceSpec) -> Matrix:
         raise ValueError(f"level {n} exceeds truncation {space.truncation}")
     _guard_matrix_dim(space.d, n)
     weights = _level_weights(n, "alpha-q")
+    columns = _involution_columns(space)
     cols = basis_words(space.d, n)
     index = {word: k for k, word in enumerate(cols)}
     out = zero_matrix(len(cols), len(cols))
     for j, word in enumerate(cols):
-        for image, value in _symmetrized_word(word, weights, space).items():
+        for image, value in _symmetrized_word(word, weights, columns).items():
             out[index[image]][j] = value
     return out
 
@@ -539,10 +549,11 @@ def free_annihilator_matrix(x: FracVector, n: int, space: SpaceSpec) -> Matrix:
 def apply_symmetrizer(v: FockVector, flavor: str) -> FockVector:
     """Level-wise application of the flavor's symmetrizer."""
     weights = {n: _level_weights(n, flavor) for n in {0, *v.levels()}}
+    columns = _involution_columns(v.space)
     return _collect(v.space, (
         (image, value * coeff)
         for word, coeff in v.coeffs.items()
-        for image, value in _symmetrized_word(word, weights[len(word)], v.space).items()
+        for image, value in _symmetrized_word(word, weights[len(word)], columns).items()
     ))
 
 

@@ -533,8 +533,8 @@ class VerifyReport:
 
 
 def compare(name: str, lhs: object, rhs: object) -> VerifyReport:
-    """lhs == rhs; a disagreement renders both sides and, for two Polys or two
-    FockVectors, the first differing monomial or word."""
+    """lhs == rhs; a disagreement renders both sides and, for two Polys, two
+    FockVectors or two matrices, the first differing monomial, word or entry."""
     if lhs == rhs:
         return VerifyReport(name, True, "", "", None)
     if isinstance(lhs, FockVector) and isinstance(rhs, FockVector):
@@ -542,11 +542,20 @@ def compare(name: str, lhs: object, rhs: object) -> VerifyReport:
         word = next((w for w in words if lhs.coeff(w) != rhs.coeff(w)), None)
         first = None if word is None else f"word {word}: {lhs.coeff(word)} vs {rhs.coeff(word)}"
         return VerifyReport(name, False, _vector_str(lhs), _vector_str(rhs), first)
+    if isinstance(lhs, list) and isinstance(rhs, list):  # two matrices, entry by entry
+        cells = ((i, j, x, y) for i, pair in enumerate(zip(lhs, rhs))
+                 for j, (x, y) in enumerate(zip(*pair)))
+        first = next((f"entry ({i}, {j}): {x} vs {y}" for i, j, x, y in cells if x != y), None)
+        return VerifyReport(name, False, _matrix_str(lhs), _matrix_str(rhs), first)
     first = None
     if isinstance(lhs, Poly) and isinstance(rhs, Poly):
         exp, coeff = (lhs - rhs).sorted_terms()[0]
         first = f"monomial {Poly.monomial(1, *exp)} differs by {coeff}"
     return VerifyReport(name, False, str(lhs), str(rhs), first)
+
+
+def _matrix_str(m: list) -> str:
+    return "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in m) + "]"
 
 
 def _vector_str(v: FockVector) -> str:

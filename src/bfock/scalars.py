@@ -473,10 +473,25 @@ IntMatrix = list[list[int]]
 def mat_to_int(
     a: Matrix, alpha: RationalLike, q: RationalLike, t: RationalLike = 0
 ) -> tuple[IntMatrix, int]:
-    """(m, den): the integer matrix m and the positive int den with a(alpha, q, t) = m / den."""
-    values = [[x.evaluate(alpha, q, t) for x in row] for row in a]
-    den = lcm(*(v.denominator for row in values for v in row))
-    return [[v.numerator * (den // v.denominator) for v in row] for row in values], den
+    """(m, den): the integer matrix m and the positive int den with a(alpha, q, t) = m / den.
+
+    One power table over the matrix's top exponents (as in ``Poly.evaluate``),
+    numerators over the lcm of the entries' ``_den``, then one gcd pass: den
+    is the lcm of the reduced entry denominators.
+    """
+    keys = {key for row in a for x in row for key in x._num}
+    value, scale = dict.fromkeys(keys, 1), 1
+    for (n, d), shift in zip((_ratio(alpha), _ratio(q), _ratio(t)), (2 * _FIELD, _FIELD, 0)):
+        top = max(((key >> shift) & _MASK for key in keys), default=0)
+        power = [n**e * d ** (top - e) for e in range(top + 1)]
+        for key in keys:
+            value[key] *= power[(key >> shift) & _MASK]
+        scale *= d**top
+    common = lcm(*(x._den for row in a for x in row))
+    m = [[sum(c * value[key] for key, c in x._num.items()) * (common // x._den) for x in row]
+         for row in a]
+    g = gcd(common * scale, *(v for row in m for v in row))
+    return [[v // g for v in row] for row in m], common * scale // g
 
 
 def is_semidefinite(m: IntMatrix, definite: bool = False) -> bool:

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from bfock.coxeter import (
+    GroupElementRecord,
     SignedPermutation,
     enumerate_group,
     length_stats,
@@ -82,6 +83,17 @@ def test_words_reproduce_elements():
     for n in (2, 3):
         for record in enumerate_group(n):
             assert word_to_permutation(record.word, n) == record.perm
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_table_records_match_the_public_constructors(n):
+    # the table skips SignedPermutation's validation; rebuilding each record
+    # through the public constructors validates it and must give an equal one
+    for record in enumerate_group(n):
+        perm = SignedPermutation(record.perm.window)
+        assert word_to_permutation(record.word, n) == perm
+        l1 = record.word.count(0)
+        assert GroupElementRecord(perm, l1, len(record.word) - l1, record.word) == record
 
 
 def test_length_stats_of_generators():

@@ -402,6 +402,13 @@ def test_compare_names_the_first_differing_word():
     assert report.first_difference == "word (0, 1): 0 vs q"
 
 
+def test_compare_names_the_first_differing_matrix_entry():
+    report = compare("m", [[ONE, ALPHA]], [[ONE, ONE]])
+    assert not report.equal
+    assert (report.lhs, report.rhs) == ("[[1, a]]", "[[1, 1]]")
+    assert report.first_difference == "entry (0, 1): a vs 1"
+
+
 @pytest.mark.parametrize(
     "value",
     [ONE + ALPHA, FockVector.basis(SpaceSpec.diagonal("+", truncation=1), (0,)), 3, True],

@@ -1,12 +1,13 @@
 """Scalar ring: arithmetic, evaluation homomorphism, q-integers, the Fraction oracle."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfock.fock import SpaceSpec, gram_min_eigenvalue, symmetrizer
+from bfock.fock import SpaceSpec, gram_min_eigenvalue, r_operator, symmetrizer
 from bfock.scalars import (
     ALPHA,
     ONE,
@@ -246,6 +247,34 @@ def test_mat_to_int_clears_one_common_denominator():
     m, den = mat_to_int([[ALPHA, Q], [ONE, ALPHA * Q]], F(2, 5), F(3, 10))
     assert den == 50
     assert m == [[20, 15], [50, 6]]
+
+
+def mat_to_int_oracle(a, alpha, q, t=0):
+    """mat_to_int entry by entry: one Fraction per entry, then their lcm."""
+    values = [[x.evaluate(alpha, q, t) for x in row] for row in a]
+    den = lcm(*(v.denominator for row in values for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in values], den
+
+
+MAT_TO_INT_POINTS = [(F(a, 5), F(b, 10)) for a in (2, -2) for b in (3, -3)] + [(0, 0)]
+
+
+@pytest.mark.parametrize("signature", ["+", "+-"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mat_to_int_matches_the_entrywise_oracle(signature, n):
+    space = SpaceSpec.diagonal(signature, truncation=4)
+    for a in (symmetrizer(n, space), r_operator(n, space)):
+        for alpha, q in MAT_TO_INT_POINTS:
+            assert mat_to_int(a, alpha, q) == mat_to_int_oracle(a, alpha, q)
+
+
+def test_mat_to_int_matches_the_oracle_with_t_and_on_zero():
+    a = [[T * Q * F(1, 3) + ALPHA, Poly.const(F(1, 7))], [ZERO, T**3 - Q * Q * F(1, 2)]]
+    for point in [(F(1, 3), F(-2, 7), F(3, 4)), (0, 0, F(5, 6)), (2, F(1, 2), -1)]:
+        assert mat_to_int(a, *point) == mat_to_int_oracle(a, *point)
+    zero = [[ZERO, ZERO], [ZERO, ZERO]]
+    assert mat_to_int(zero, F(2, 5), F(3, 10), F(1, 2)) == ([[0, 0], [0, 0]], 1)
+    assert mat_to_int_oracle(zero, F(2, 5), F(3, 10), F(1, 2)) == ([[0, 0], [0, 0]], 1)
 
 
 GRID = [F(k, 10) for k in range(-9, 10, 3)] + [F(-19, 20), F(19, 20)]
