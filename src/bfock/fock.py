@@ -20,11 +20,13 @@ Operators follow the right-creator convention: creation appends at the
 right end of a word, the free right annihilator removes the rightmost slot,
 and products apply their rightmost factor first.
 
-One annihilator kernel and one gauge kernel serve both models; they differ
-only in the weight of the slot-k term of a length-n word:
+One slot kernel serves the annihilator (the row x, appending nothing) and
+the gauge (the rows T_m, appending m), and each word's terms are summed
+once.  The two models differ only in the weight of the slot-k term of a
+length-n word, read off a row and J·row (J is symmetric, so (TJ)[m] = J T_m):
 
-* type B:  q^(n-k) on x plus a q^(n+k-2) on Jx (on T and TJ for the gauge);
-* (q,t):   q^(n-k) t^(k-1) on x (on T), with no involution term.
+* type B:  q^(n-k) on x plus a q^(n+k-2) on Jx (on T_m and J T_m for the gauge);
+* (q,t):   q^(n-k) t^(k-1) on x (on T_m), with no involution term.
 """
 
 from __future__ import annotations
@@ -337,14 +339,15 @@ def matrix_of_level_map(
     return out
 
 
-def symmetrizer(n: int, space: SpaceSpec) -> Matrix:
-    """The level-n type-B symmetrizer sum_sigma a^l1 q^l2 sigma as a d^n matrix."""
+def symmetrizer(n: int, space: SpaceSpec, flavor: str = "alpha-q") -> Matrix:
+    """The flavor's level-n symmetrizer as a d^n matrix: sum_sigma a^l1 q^l2 sigma
+    for alpha-q, t^C(n,2) P^(n)_{0, q/t} for qt (see _level_weights)."""
     if n < 0:
         raise ValueError(f"level {n} is negative")
     if n > space.truncation:
         raise ValueError(f"level {n} exceeds truncation {space.truncation}")
     _guard_matrix_dim(space.d, n)
-    weights = _level_weights(n, "alpha-q")
+    weights = _level_weights(n, flavor)
     columns = _involution_columns(space)
     cols = basis_words(space.d, n)
     index = {word: k for k, word in enumerate(cols)}
@@ -433,10 +436,11 @@ def _reach(v: FockVector, horizon: int | None, step: int) -> Iterable[tuple[Word
 
 
 def _collect(space: SpaceSpec, terms: Iterable[tuple[Word, Poly]]) -> FockVector:
-    out: dict[Word, Poly] = {}
+    """Gather the terms by word and sum each word's terms once."""
+    grouped: dict[Word, list[Poly]] = {}
     for word, value in terms:
-        out[word] = out.get(word, ZERO) + value
-    return FockVector(space, out)
+        grouped.setdefault(word, []).append(value)
+    return FockVector(space, {word: Poly.sum(values) for word, values in grouped.items()})
 
 
 def _create_terms(x: FracVector, v: FockVector, horizon: int | None) -> Terms:
@@ -458,49 +462,45 @@ def _qt_weight(entry: Fraction, j_entry: Fraction, n: int, k: int) -> Poly:
     return Poly({(0, n - k, k - 1): entry})
 
 
-# slot weight(entry of x or T, same entry of Jx or TJ, word length n, slot k)
+# slot weight(entry of the row, same entry of J·row, word length n, slot k)
 SlotWeight = Callable[[Fraction, Fraction, int, int], Poly]
 
 
-def _annihilate_terms(
-    x: FracVector, v: FockVector, horizon: int | None, weight: SlotWeight
+def _slot_terms(
+    rows: list[tuple[Word, FracVector]], v: FockVector, horizon: int | None, weight: SlotWeight
 ) -> Terms:
-    jx = v.space.involve(x)
-    for word, coeff in _reach(v, horizon, -1):
-        n = len(word)
-        for k in range(1, n + 1):
-            letter = word[k - 1]
-            w = weight(x[letter], jx[letter], n, k)
-            if not w.is_zero:
-                yield word[: k - 1] + word[k:], coeff * w
-
-
-def _gauge_terms(
-    t: FracMatrix, v: FockVector, horizon: int | None, weight: SlotWeight
-) -> Terms:
-    tj = frac_mat_mul(t, v.space.involution)
-    for word, coeff in _reach(v, horizon, 0):
+    """Remove slot k of each word under weight(row[letter], (J·row)[letter], n, k)
+    and append the row's suffix, for every (suffix, row) pair; all suffixes
+    have one length."""
+    with_j = [(suffix, row, v.space.involve(row)) for suffix, row in rows]
+    for word, coeff in _reach(v, horizon, len(rows[0][0]) - 1):
         n = len(word)
         for k in range(1, n + 1):
             reduced = word[: k - 1] + word[k:]
             letter = word[k - 1]
-            for new_letter in range(v.space.d):
-                w = weight(t[new_letter][letter], tj[new_letter][letter], n, k)
+            for suffix, row, j_row in with_j:
+                w = weight(row[letter], j_row[letter], n, k)
                 if not w.is_zero:
-                    yield reduced + (new_letter,), coeff * w
+                    yield reduced + suffix, coeff * w
+
+
+# the (q,t) kinds run the type-B kernels with the (q,t) slot weight; Y is b with λ = 0
+_QT_KINDS = {"qt-create": "create", "qt-annihilate": "annihilate", "qt-gauge": "gauge", "qt-y": "b"}
 
 
 def check_dimensions(op: OpSpec, space: SpaceSpec) -> None:
-    """Raise ValueError unless the operator's vector and matrix fit the space."""
+    """Raise ValueError unless the operator has the vector and matrix its kind
+    reads, and they fit the space."""
+    kind = _QT_KINDS.get(op.kind, op.kind)
+    if op.x is None and kind in ("create", "annihilate", "b"):
+        raise ValueError(f"{op.kind}: the vector x is missing")
+    if op.t is None and kind in ("gauge", "b"):
+        raise ValueError(f"{op.kind}: the coefficient operator T is missing")
     d = space.d
     if op.x is not None and len(op.x) != d:
         raise ValueError(f"{op.kind}: vector has {len(op.x)} coordinates, the space has d = {d}")
     if op.t is not None and (len(op.t) != d or any(len(row) != d for row in op.t)):
         raise ValueError(f"{op.kind}: coefficient operator is not {d}x{d}")
-
-
-# the (q,t) kinds run the type-B kernels with the (q,t) slot weight; Y is b with λ = 0
-_QT_KINDS = {"qt-create": "create", "qt-annihilate": "annihilate", "qt-gauge": "gauge", "qt-y": "b"}
 
 
 def apply_operator(op: OpSpec, v: FockVector, horizon: int | None = None) -> FockVector:
@@ -509,17 +509,19 @@ def apply_operator(op: OpSpec, v: FockVector, horizon: int | None = None) -> Foc
     kind, weight, lam = op.kind, _type_b_weight, op.lam
     if kind in _QT_KINDS:
         kind, weight, lam = _QT_KINDS[kind], _qt_weight, 0
+    x_row = [((), op.x)]  # the annihilator appends nothing
+    t_rows = [((m,), row) for m, row in enumerate(op.t or ())]  # the gauge appends m
     if kind == "create":
         terms = _create_terms(op.x, v, horizon)
     elif kind == "annihilate":
-        terms = _annihilate_terms(op.x, v, horizon, weight)
+        terms = _slot_terms(x_row, v, horizon, weight)
     elif kind == "gauge":
-        terms = _gauge_terms(op.t, v, horizon, weight)
+        terms = _slot_terms(t_rows, v, horizon, weight)
     elif kind == "b":
         terms = chain(
-            _annihilate_terms(op.x, v, horizon, weight),
+            _slot_terms(x_row, v, horizon, weight),
             _create_terms(op.x, v, horizon),
-            _gauge_terms(op.t, v, horizon, weight),
+            _slot_terms(t_rows, v, horizon, weight),
         )
         if lam:
             terms = chain(terms, ((word, coeff * lam) for word, coeff in _reach(v, horizon, 0)))
@@ -563,12 +565,7 @@ def inner(u: FockVector, v: FockVector, flavor: str = "alpha-q") -> Poly:
     u._check_space(v)
     if flavor != "zero-zero":
         v = apply_symmetrizer(v, flavor)
-    total = ZERO
-    for word, coeff in u.coeffs.items():
-        other = v.coeffs.get(word)
-        if other is not None:
-            total = total + coeff * other
-    return total
+    return Poly.sum(coeff * v.coeffs[word] for word, coeff in u.coeffs.items() if word in v.coeffs)
 
 
 def vacuum_expectation(ops: Sequence[OpSpec], space: SpaceSpec) -> Poly:

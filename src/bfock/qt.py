@@ -4,12 +4,13 @@ The (q,t)-symmetrizer is the t^C(n,2)-rescaling of the sign-free symmetrizer
 at deformation q/t.  Since every surviving group element is an ordinary
 permutation with l2 <= C(n,2), the rescaling clears all denominators and the
 matrix entries are genuine polynomials in q and t: each sigma contributes
-q^l2 t^(C(n,2) - l2).
+q^l2 t^(C(n,2) - l2).  ``qt_symmetrizer`` is the ``qt`` flavor of
+``fock.symmetrizer``.
 
-The operators are ``fock``'s kernels with the (q,t) slot weight: the slot-k
-term of a length-n word carries q^(n-k) t^(k-1), and the involution plays no
-role (the base space must have the trivial involution).  The moment formula
-sums q^rc t^rarc over singleton-free uncolored partitions: it is
+The operators run ``fock``'s one slot kernel with the (q,t) slot weight: the
+slot-k term of a length-n word carries q^(n-k) t^(k-1), and the involution
+plays no role (the base space must have the trivial involution).  The moment
+formula sums q^rc t^rarc over singleton-free uncolored partitions: it is
 ``moments``' color-summed partition sum with the one choice (I, t^c) at an
 arc of cover count c in place of (I, 1) and (J, a q^(2c)), and lambda = 0,
 so every partition with a singleton drops out.
@@ -26,9 +27,8 @@ from .fock import (
     OpSpec,
     SpaceSpec,
     apply_operator,
-    apply_symmetrizer,
     inner,
-    matrix_of_level_map,
+    symmetrizer,
     vacuum_expectation,
 )
 from .moments import MomentProblem, _color_summed_sum
@@ -51,10 +51,9 @@ class QtSpec:
 
 
 def qt_symmetrizer(n: int, spec: QtSpec) -> Matrix:
-    """t^C(n,2) P^(n)_{0, q/t} assembled without division."""
-    return matrix_of_level_map(
-        lambda v: apply_symmetrizer(v, "qt"), spec.space, n, n
-    )
+    """t^C(n,2) P^(n)_{0, q/t} assembled without division: the qt flavor of
+    ``fock.symmetrizer``."""
+    return symmetrizer(n, spec.space, "qt")
 
 
 def qt_create(x: Sequence[Fraction]) -> OpSpec:

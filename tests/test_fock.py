@@ -139,8 +139,12 @@ def test_symmetrizer_zero_level():
 
 
 def test_symmetrizer_rejects_a_negative_level():
-    with pytest.raises(ValueError, match="negative"):
-        symmetrizer(-1, D2)
+    qt_space = QtSpec.make(2, truncation=6)
+    for build, space in ((symmetrizer, D2), (qt_symmetrizer, qt_space)):
+        with pytest.raises(ValueError, match="negative"):
+            build(-1, space)
+        with pytest.raises(ValueError, match="exceeds truncation 6"):
+            build(7, space)
 
 
 SWAP = SpaceSpec(2, ((F(0), F(1)), (F(1), F(0))), truncation=4)
@@ -278,14 +282,18 @@ def test_gauge_explicit_level_two():
     assert result == expected
 
 
-def test_annihilator_factorization():
+TWO_SPACES = pytest.mark.parametrize("space", [D2, REFLECTION], ids=["+-", "reflection"])
+
+
+@TWO_SPACES
+def test_annihilator_factorization(space):
     # matrix of annihilate(x) at level n equals free right annihilator · R
     x = (F(2, 3), F(-1, 5))
     for n in (1, 2, 3, 4):
         lhs = matrix_of_level_map(
-            lambda v: apply_operator(annihilate(x), v), D2, n, n - 1
+            lambda v: apply_operator(annihilate(x), v), space, n, n - 1
         )
-        rhs = mat_mul(free_annihilator_matrix(x, n, D2), r_operator(n, D2))
+        rhs = mat_mul(free_annihilator_matrix(x, n, space), r_operator(n, space))
         assert mat_eq(lhs, rhs)
 
 
@@ -313,32 +321,34 @@ def test_gauge_symmetry():
                 assert inner(apply_operator(op, u), v) == inner(u, apply_operator(op, v))
 
 
-def test_gauge_symmetry_matrix_form_level_four():
+@TWO_SPACES
+def test_gauge_symmetry_matrix_form_level_four(space):
     # <gauge u, v>_{a,q} = <u, gauge v>_{a,q} on a level is Aᵀ G = G A
     from bfock.scalars import mat_transpose
 
     t = ((F(1), F(1, 3)), (F(1, 3), F(-2)))
     op = gauge(t)
     for n in (1, 2, 3, 4):
-        gram = symmetrizer(n, D2)
-        a = matrix_of_level_map(lambda v: apply_operator(op, v), D2, n, n)
+        gram = symmetrizer(n, space)
+        a = matrix_of_level_map(lambda v: apply_operator(op, v), space, n, n)
         assert mat_eq(mat_mul(mat_transpose(a), gram), mat_mul(gram, a))
 
 
-def test_adjointness_matrix_form_up_to_level_four():
+@TWO_SPACES
+def test_adjointness_matrix_form_up_to_level_four(space):
     # <b*(x) u, v>_{a,q} = <u, b(x) v>_{a,q} on levels is Cᵀ G_(n+1) = G_n A
     from bfock.scalars import mat_transpose
 
     x = (F(2, 5), F(-1, 2))
     for n in (0, 1, 2, 3):
         c = matrix_of_level_map(
-            lambda v: apply_operator(create(x), v), D2, n, n + 1
+            lambda v: apply_operator(create(x), v), space, n, n + 1
         )
         a = matrix_of_level_map(
-            lambda v: apply_operator(annihilate(x), v), D2, n + 1, n
+            lambda v: apply_operator(annihilate(x), v), space, n + 1, n
         )
-        lhs = mat_mul(mat_transpose(c), symmetrizer(n + 1, D2))
-        rhs = mat_mul(symmetrizer(n, D2), a)
+        lhs = mat_mul(mat_transpose(c), symmetrizer(n + 1, space))
+        rhs = mat_mul(symmetrizer(n, space), a)
         assert mat_eq(lhs, rhs)
 
 
@@ -376,6 +386,23 @@ def test_operator_dimensions_must_match_the_space(op):
         apply_operator(op, v)
     with pytest.raises(ValueError):
         vacuum_expectation([op, op], D2)
+
+
+@pytest.mark.parametrize(
+    "op,missing",
+    [
+        (OpSpec("create"), "vector x"),
+        (OpSpec("annihilate"), "vector x"),
+        (OpSpec("gauge"), "coefficient operator T"),
+        (OpSpec("b", x=(F(1), F(0))), "coefficient operator T"),
+        (OpSpec("qt-gauge"), "coefficient operator T"),
+    ],
+    ids=["create", "annihilate", "gauge", "b-without-t", "qt-gauge"],
+)
+def test_operator_without_its_vector_or_matrix_is_rejected(op, missing):
+    v = FockVector.basis(D2, (1, 1))
+    with pytest.raises(ValueError, match=f"^{op.kind}: the {missing} is missing$"):
+        apply_operator(op, v)
 
 
 @pytest.mark.parametrize("kind", ["shift", "qt-b"])
