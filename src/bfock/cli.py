@@ -340,22 +340,34 @@ def _qt_checks(n_max: int, seed: int) -> list[Check]:
 
 
 def _factorization_checks() -> list[Check]:
+    plus_minus = SpaceSpec.diagonal("+-", truncation=4)
+    built: list[tuple[Matrix, Matrix]] = []  # (P(n), R(n)) on +- for n = 1, 2, ...
+
+    def pair(n: int) -> tuple[Matrix, Matrix]:
+        """P(n) and R(n) on +-, built by whichever check reaches level n first: a
+        level-n matrix does not depend on the truncation, so both checks share it."""
+        if len(built) < n:
+            built.append((symmetrizer(n, plus_minus), r_operator(n, plus_minus)))
+        return built[n - 1]
+
     def run() -> Iterator[VerifyReport]:
         for signature in ("+", "+-"):
             space = SpaceSpec.diagonal(signature, truncation=4)
             previous = symmetrizer(0, space)
             for n in range(1, 5):
-                lhs = symmetrizer(n, space)
-                rhs = mat_mul(mat_kron(previous, identity_matrix(space.d)), r_operator(n, space))
+                if signature == "+-":
+                    lhs, r = pair(n)
+                else:
+                    lhs, r = symmetrizer(n, space), r_operator(n, space)
+                rhs = mat_mul(mat_kron(previous, identity_matrix(space.d)), r)
                 yield compare(f"P({n}) factorization {signature}", lhs, rhs)
                 previous = lhs
 
     def bounds() -> Iterator[VerifyReport]:
         """||R(n)|| <= (1 + |a| |q|^(n-1)) [n]_|q| and P(n) > 0, certified exactly."""
-        space = SpaceSpec.diagonal("+-", truncation=5)
         points = [(Fraction(a, 5), Fraction(q, 10)) for a in (2, -2) for q in (3, -3)]
         for n in range(1, 5):
-            gram, r = symmetrizer(n, space), r_operator(n, space)
+            gram, r = pair(n)
             for alpha, q in points:
                 bound = (1 + abs(alpha) * abs(q) ** (n - 1)) * qint(n).evaluate(0, abs(q))
                 at = f"n={n} at ({alpha},{q})"

@@ -20,13 +20,25 @@ Operators follow the right-creator convention: creation appends at the
 right end of a word, the free right annihilator removes the rightmost slot,
 and products apply their rightmost factor first.
 
-One slot kernel serves the annihilator (the row x, appending nothing) and
-the gauge (the rows T_m, appending m), and each word's terms are summed
-once.  The two models differ only in the weight of the slot-k term of a
+One kernel applies every operator, on Python ints: a vector is a dict
+{word: {packed exponent: int numerator}} over one denominator, as in
+``scalars``.  Each factor clears its own denominators once: x, T and lambda
+by their lcm L, J by its integer form delta J, and every term the factor
+makes carries L delta, so the product of factors divides out once, when each
+word's ``Poly`` is built at the end.  ``apply_operator`` is the one-factor
+case; ``vacuum_expectation`` and ``moments.eps_word_vector`` run all their
+factors through it without leaving ints.  The annihilator (the row x,
+appending nothing) and the gauge (the rows T_m, appending m) share the slot
+loop; the two models differ only in the weight of the slot-k term of a
 length-n word, read off a row and J·row (J is symmetric, so (TJ)[m] = J T_m):
 
 * type B:  q^(n-k) on x plus a q^(n+k-2) on Jx (on T_m and J T_m for the gauge);
 * (q,t):   q^(n-k) t^(k-1) on x (on T_m), with no involution term.
+
+Each factor computes its integer rows and J·rows once, and each slot adds a
+packed exponent.  The Poly-level path, a ``Poly`` weight per (word, slot,
+row) term, stays as the tests' oracle in ``tests/oracles.py``; it clears no
+denominators, so a wrong scale here cannot cancel out of the comparison.
 """
 
 from __future__ import annotations
@@ -34,9 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from math import prod
+from math import lcm, prod
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .coxeter import GroupElementRecord, Window, enumerate_group
 from .errors import ResourceLimitError, TruncationError
@@ -50,6 +62,10 @@ from .scalars import (
     FracVector,
     Matrix,
     ZERO,
+    _OVERFLOW,
+    _normal,
+    _pack,
+    _unpack,
     frac_identity,
     frac_mat_mul,
     frac_mat_vec,
@@ -425,16 +441,6 @@ def type_b(
     return OpSpec("b", x=frac_vector(x), t=frac_matrix(t), lam=Fraction(lam))
 
 
-Terms = Iterator[tuple[Word, Poly]]
-
-
-def _reach(v: FockVector, horizon: int | None, step: int) -> Iterable[tuple[Word, Poly]]:
-    """Terms of v whose words, changed in length by step, stay within the horizon."""
-    if horizon is None:
-        return v.coeffs.items()
-    return [(word, coeff) for word, coeff in v.coeffs.items() if len(word) + step <= horizon]
-
-
 def _collect(space: SpaceSpec, terms: Iterable[tuple[Word, Poly]]) -> FockVector:
     """Gather the terms by word and sum each word's terms once."""
     grouped: dict[Word, list[Poly]] = {}
@@ -443,59 +449,26 @@ def _collect(space: SpaceSpec, terms: Iterable[tuple[Word, Poly]]) -> FockVector
     return FockVector(space, {word: Poly.sum(values) for word, values in grouped.items()})
 
 
-def _create_terms(x: FracVector, v: FockVector, horizon: int | None) -> Terms:
-    for word, coeff in _reach(v, horizon, 1):
-        if len(word) == v.space.truncation:
-            raise TruncationError("creation at the truncation level")
-        for letter, entry in enumerate(x):
-            if entry:
-                yield word + (letter,), coeff * entry
-
-
-def _type_b_weight(entry: Fraction, j_entry: Fraction, n: int, k: int) -> Poly:
-    """Slot k of a length-n word: q^(n-k) on x plus a q^(n+k-2) on Jx."""
-    return Poly({(0, n - k, 0): entry, (1, n + k - 2, 0): j_entry})
-
-
-def _qt_weight(entry: Fraction, j_entry: Fraction, n: int, k: int) -> Poly:
-    """Slot k of a length-n word: q^(n-k) t^(k-1) on x; the involution plays no part."""
-    return Poly({(0, n - k, k - 1): entry})
-
-
-# slot weight(entry of the row, same entry of J·row, word length n, slot k)
-SlotWeight = Callable[[Fraction, Fraction, int, int], Poly]
-
-
-def _slot_terms(
-    rows: list[tuple[Word, FracVector]], v: FockVector, horizon: int | None, weight: SlotWeight
-) -> Terms:
-    """Remove slot k of each word under weight(row[letter], (J·row)[letter], n, k)
-    and append the row's suffix, for every (suffix, row) pair; all suffixes
-    have one length."""
-    with_j = [(suffix, row, v.space.involve(row)) for suffix, row in rows]
-    for word, coeff in _reach(v, horizon, len(rows[0][0]) - 1):
-        n = len(word)
-        for k in range(1, n + 1):
-            reduced = word[: k - 1] + word[k:]
-            letter = word[k - 1]
-            for suffix, row, j_row in with_j:
-                w = weight(row[letter], j_row[letter], n, k)
-                if not w.is_zero:
-                    yield reduced + suffix, coeff * w
-
-
-# the (q,t) kinds run the type-B kernels with the (q,t) slot weight; Y is b with λ = 0
+# the (q,t) kinds run the type-B kernel with the (q,t) slot weight; Y is b with λ = 0
 _QT_KINDS = {"qt-create": "create", "qt-annihilate": "annihilate", "qt-gauge": "gauge", "qt-y": "b"}
 
 
 def check_dimensions(op: OpSpec, space: SpaceSpec) -> None:
-    """Raise ValueError unless the operator has the vector and matrix its kind
-    reads, and they fit the space."""
+    """Raise ValueError unless the kind is known, the operator has the vector and
+    matrix its kind reads and no field it does not read, and they fit the space."""
     kind = _QT_KINDS.get(op.kind, op.kind)
-    if op.x is None and kind in ("create", "annihilate", "b"):
+    if kind not in ("create", "annihilate", "gauge", "b"):
+        raise ValueError(f"unknown operator kind {op.kind!r}")
+    if op.x is None and kind != "gauge":
         raise ValueError(f"{op.kind}: the vector x is missing")
     if op.t is None and kind in ("gauge", "b"):
         raise ValueError(f"{op.kind}: the coefficient operator T is missing")
+    if op.x is not None and kind == "gauge":
+        raise ValueError(f"{op.kind}: reads no vector x")
+    if op.t is not None and kind in ("create", "annihilate"):
+        raise ValueError(f"{op.kind}: reads no coefficient operator T")
+    if op.lam and op.kind != "b":
+        raise ValueError(f"{op.kind}: reads no shift lambda, got {op.lam}")
     d = space.d
     if op.x is not None and len(op.x) != d:
         raise ValueError(f"{op.kind}: vector has {len(op.x)} coordinates, the space has d = {d}")
@@ -503,31 +476,120 @@ def check_dimensions(op: OpSpec, space: SpaceSpec) -> None:
         raise ValueError(f"{op.kind}: coefficient operator is not {d}x{d}")
 
 
+# a vector on the operator kernel: word -> {packed exponent: int numerator},
+# over one denominator kept beside it
+_IntVector = dict[Word, dict[int, int]]
+
+_A, _Q, _T = _pack(1, 0, 0), _pack(0, 1, 0), _pack(0, 0, 1)
+
+
+def _scaled(values: Iterable[Fraction], common: int) -> list[int]:
+    """The values times common, a multiple of each denominator, as ints."""
+    return [v.numerator * (common // v.denominator) for v in values]
+
+
+def _int_step(
+    op: OpSpec, vec: _IntVector, space: SpaceSpec, j_int: list[list[int]], delta: int,
+    horizon: int | None,
+) -> tuple[_IntVector, int]:
+    """(op·vec scaled, scale): op applied to vec with every term times L·delta.
+
+    L clears x, T and lambda, delta J is the integer form of J, and each term
+    carries both: L delta x for a creation, L delta lambda, and at slot k of a
+    length-n word L delta row (q^(n-k), times t^(k-1) for the (q,t) kinds) and
+    (delta J)(L row) (a q^(n+k-2), type B only).  Words longer than the
+    horizon (if given) are never formed.
+    """
+    qt = op.kind in _QT_KINDS
+    kind = _QT_KINDS.get(op.kind, op.kind)
+    x, t = op.x or (), op.t or ()
+    scale = lcm(*(v.denominator for v in chain(x, *t)), op.lam.denominator)
+    x_int = _scaled(x, scale)
+    rows = [((), x_int)] if kind in ("annihilate", "b") else []  # the annihilator appends nothing
+    if kind in ("gauge", "b"):
+        rows += [((m,), _scaled(row, scale)) for m, row in enumerate(t)]  # the gauge appends m
+    # per slot weight (the row: 0, J·row: 1), the (suffix, weights by letter) pairs
+    slots: list[list[tuple[Word, list[int]]]] = [
+        [(suffix, [delta * v for v in row]) for suffix, row in rows],
+        [] if qt else [(suffix, [sum(a * b for a, b in zip(j_row, row)) for j_row in j_int])
+                       for suffix, row in rows],
+    ]
+    shortening = [[(suffix, weights) for suffix, weights in weighted if not suffix]
+                  for weighted in slots]
+    creating = kind in ("create", "b")
+    creates = [(letter, delta * v) for letter, v in enumerate(x_int) if v] if creating else []
+    lam = op.lam.numerator * (scale // op.lam.denominator) * delta
+
+    out: _IntVector = {}
+
+    def scatter(word: Word, terms, w: int) -> None:
+        target = out.get(word)
+        if target is None:
+            out[word] = {key: c * w for key, c in terms}
+            return
+        get = target.get
+        for key, c in terms:
+            target[key] = get(key, 0) + c * w
+
+    for word, num in vec.items():
+        n = len(word)
+        items = num.items()
+        if creating and (horizon is None or n < horizon):
+            if n == space.truncation:
+                raise TruncationError("creation at the truncation level")
+            for letter, w in creates:
+                scatter(word + (letter,), items, w)
+        if lam and (horizon is None or n <= horizon):
+            scatter(word, items, lam)
+        # an annihilator term (no suffix) is one letter shorter, a gauge term is not
+        if horizon is None or n <= horizon:
+            live = slots
+        else:
+            live = shortening if n == horizon + 1 else ()
+        for k in range(1, n + 1):
+            letter, reduced = word[k - 1], word[: k - 1] + word[k:]
+            shifts = ((n - k) * _Q + (k - 1) * _T if qt else (n - k) * _Q, _A + (n + k - 2) * _Q)
+            for shift, weighted in zip(shifts, live):
+                moved = None
+                for suffix, weights in weighted:
+                    w = weights[letter]
+                    if w:
+                        if moved is None:
+                            moved = [(key + shift, c) for key, c in items]
+                        scatter(reduced + suffix, moved, w)
+    for num in out.values():
+        overflow = next(filter(_OVERFLOW.__and__, num), None)
+        if overflow is not None:
+            raise ValueError(f"exponent {_unpack(overflow)} reaches 2^20")
+    return out, scale * delta
+
+
+def _apply_product(ops: Sequence[OpSpec], v: FockVector, horizon: int | None) -> FockVector:
+    """ops[0]···ops[-1] v (rightmost factor applied first) on Python ints.
+
+    v's numerators are brought over their lcm once, every factor multiplies
+    the running denominator by its L·delta (see ``_int_step``), and each word's
+    Poly is built once at the end.  With a horizon h, the factor ops[i] forms
+    no word longer than h + i.
+    """
+    space = v.space
+    for op in ops:
+        check_dimensions(op, space)
+    den = lcm(*(p._den for p in v.coeffs.values()))
+    vec = {word: {key: c * (den // p._den) for key, c in p._num.items()}
+           for word, p in v.coeffs.items()}
+    delta = lcm(*(e.denominator for row in space.involution for e in row))
+    j_int = [_scaled(row, delta) for row in space.involution]
+    for i in range(len(ops) - 1, -1, -1):
+        vec, scale = _int_step(ops[i], vec, space, j_int, delta,
+                               None if horizon is None else horizon + i)
+        den *= scale
+    return FockVector(space, {word: _normal(num, den) for word, num in vec.items()})
+
+
 def apply_operator(op: OpSpec, v: FockVector, horizon: int | None = None) -> FockVector:
     """op applied to v; words longer than the horizon (if given) are never formed."""
-    check_dimensions(op, v.space)
-    kind, weight, lam = op.kind, _type_b_weight, op.lam
-    if kind in _QT_KINDS:
-        kind, weight, lam = _QT_KINDS[kind], _qt_weight, 0
-    x_row = [((), op.x)]  # the annihilator appends nothing
-    t_rows = [((m,), row) for m, row in enumerate(op.t or ())]  # the gauge appends m
-    if kind == "create":
-        terms = _create_terms(op.x, v, horizon)
-    elif kind == "annihilate":
-        terms = _slot_terms(x_row, v, horizon, weight)
-    elif kind == "gauge":
-        terms = _slot_terms(t_rows, v, horizon, weight)
-    elif kind == "b":
-        terms = chain(
-            _slot_terms(x_row, v, horizon, weight),
-            _create_terms(op.x, v, horizon),
-            _slot_terms(t_rows, v, horizon, weight),
-        )
-        if lam:
-            terms = chain(terms, ((word, coeff * lam) for word, coeff in _reach(v, horizon, 0)))
-    else:
-        raise ValueError(f"unknown operator kind {op.kind!r}")
-    return _collect(v.space, terms)
+    return _apply_product([op], v, horizon)
 
 
 def free_annihilator_matrix(x: FracVector, n: int, space: SpaceSpec) -> Matrix:
@@ -572,15 +634,12 @@ def vacuum_expectation(ops: Sequence[OpSpec], space: SpaceSpec) -> Poly:
     """Vacuum coefficient of ops[0]···ops[-1] Ω (rightmost factor applied first).
 
     Every factor changes a word's length by at most one, so a word longer than
-    the number of factors still to apply can never return to Ω: each step
-    passes that number as its horizon.
+    the number of factors still to apply can never return to Ω: each factor
+    runs with that number as its horizon.
     """
     if len(ops) > space.truncation:
         raise TruncationError("more operator factors than the truncation allows")
-    v = FockVector.vacuum(space)
-    for remaining in range(len(ops) - 1, -1, -1):
-        v = apply_operator(ops[remaining], v, remaining)
-    return v.coeff(())
+    return _apply_product(ops, FockVector.vacuum(space), 0).coeff(())
 
 
 # -- float spectral values ------------------------------------------------------

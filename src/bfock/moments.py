@@ -55,6 +55,12 @@ case; ``closed_chain_value`` for every block.  None of them goes through
 ``_open_arc_steps`` or ``_color_summed_sum``, so a fault in the kernel's
 moves, state merges or integer sums cannot cancel out of the comparison.
 
+The operator side of every comparison, ``vacuum_expectation`` and
+``eps_word_vector``, runs on ``fock``'s operator kernel: integer numerators
+over one denominator, cleared factor by factor with its own exact code.  It
+shares no scaling with ``_color_summed_sum``, so a wrong scale on either side
+shows as a difference instead of cancelling out.
+
 Every comparison of the harness, here, in ``orthopoly`` and in ``bfock
 verify``, is a ``VerifyReport`` from ``compare``, which renders failures only.
 
@@ -71,7 +77,7 @@ from math import lcm, prod
 from typing import Callable, Iterator, Sequence
 
 from .errors import ResourceLimitError
-from .fock import FockVector, OpSpec, SpaceSpec, Word, apply_operator, type_b, vacuum_expectation
+from .fock import FockVector, OpSpec, SpaceSpec, Word, _apply_product, type_b, vacuum_expectation
 from .partitions import (
     ONE_SYM,
     PRIME,
@@ -443,10 +449,8 @@ def eps_operator(symbol: str, point: int, prob: MomentProblem) -> OpSpec:
 
 def eps_word_vector(eps: Sequence[str], prob: MomentProblem) -> FockVector:
     """Operator side: apply the symbol word to the vacuum, first symbol first."""
-    v = FockVector.vacuum(prob.space)
-    for point, symbol in enumerate(eps, start=1):
-        v = apply_operator(eps_operator(symbol, point, prob), v)
-    return v
+    ops = [eps_operator(symbol, point, prob) for point, symbol in enumerate(eps, start=1)]
+    return _apply_product(ops[::-1], FockVector.vacuum(prob.space), None)
 
 
 # -- independent corollary evaluators -------------------------------------------

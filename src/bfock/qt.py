@@ -7,13 +7,13 @@ matrix entries are genuine polynomials in q and t: each sigma contributes
 q^l2 t^(C(n,2) - l2).  ``qt_symmetrizer`` is the ``qt`` flavor of
 ``fock.symmetrizer``.
 
-The operators run ``fock``'s one slot kernel with the (q,t) slot weight: the
-slot-k term of a length-n word carries q^(n-k) t^(k-1), and the involution
-plays no role (the base space must have the trivial involution).  The moment
-formula sums q^rc t^rarc over singleton-free uncolored partitions: it is
-``moments``' color-summed partition sum with the one choice (I, t^c) at an
-arc of cover count c in place of (I, 1) and (J, a q^(2c)), and lambda = 0,
-so every partition with a singleton drops out.
+The operators run ``fock``'s one operator kernel with the (q,t) slot
+weight: the slot-k term of a length-n word carries q^(n-k) t^(k-1), and the
+involution plays no role (the base space must have the trivial involution).
+The moment formula sums q^rc t^rarc over singleton-free uncolored
+partitions: it is ``moments``' color-summed partition sum with the one
+choice (I, t^c) at an arc of cover count c in place of (I, 1) and
+(J, a q^(2c)), and lambda = 0, so every partition with a singleton drops out.
 """
 
 from __future__ import annotations

@@ -1,0 +1,110 @@
+"""Small-n oracles for the operator side: the Poly-level path.
+
+``bfock.fock`` applies operators on packed int dicts with one denominator.
+This module keeps the path it replaced: every (word, slot, row) term is a
+``Poly``, the slot weight is a ``Poly`` built per term, and each word's terms
+are summed once.  It clears no denominators and shares no scaling code with
+the kernel or with ``moments``, so a wrong scale in either cannot cancel out
+of a comparison with it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
+
+from bfock.errors import TruncationError
+from bfock.fock import FockVector, OpSpec, SpaceSpec, _collect, check_dimensions
+from bfock.scalars import FracVector, Poly
+
+Word = tuple[int, ...]
+Terms = Iterator[tuple[Word, Poly]]
+
+# the (q,t) kinds run the type-B kernels with the (q,t) slot weight; Y is b with λ = 0
+QT_KINDS = {"qt-create": "create", "qt-annihilate": "annihilate", "qt-gauge": "gauge", "qt-y": "b"}
+
+
+def _reach(v: FockVector, horizon: int | None, step: int) -> Iterable[tuple[Word, Poly]]:
+    """Terms of v whose words, changed in length by step, stay within the horizon."""
+    if horizon is None:
+        return v.coeffs.items()
+    return [(word, coeff) for word, coeff in v.coeffs.items() if len(word) + step <= horizon]
+
+
+def _create_terms(x: FracVector, v: FockVector, horizon: int | None) -> Terms:
+    for word, coeff in _reach(v, horizon, 1):
+        if len(word) == v.space.truncation:
+            raise TruncationError("creation at the truncation level")
+        for letter, entry in enumerate(x):
+            if entry:
+                yield word + (letter,), coeff * entry
+
+
+def _type_b_weight(entry: Fraction, j_entry: Fraction, n: int, k: int) -> Poly:
+    """Slot k of a length-n word: q^(n-k) on x plus a q^(n+k-2) on Jx."""
+    return Poly({(0, n - k, 0): entry, (1, n + k - 2, 0): j_entry})
+
+
+def _qt_weight(entry: Fraction, j_entry: Fraction, n: int, k: int) -> Poly:
+    """Slot k of a length-n word: q^(n-k) t^(k-1) on x; the involution plays no part."""
+    return Poly({(0, n - k, k - 1): entry})
+
+
+# slot weight(entry of the row, same entry of J·row, word length n, slot k)
+SlotWeight = Callable[[Fraction, Fraction, int, int], Poly]
+
+
+def _slot_terms(
+    rows: list[tuple[Word, FracVector]], v: FockVector, horizon: int | None, weight: SlotWeight
+) -> Terms:
+    """Remove slot k of each word under weight(row[letter], (J·row)[letter], n, k)
+    and append the row's suffix, for every (suffix, row) pair; all suffixes
+    have one length."""
+    with_j = [(suffix, row, v.space.involve(row)) for suffix, row in rows]
+    for word, coeff in _reach(v, horizon, len(rows[0][0]) - 1):
+        n = len(word)
+        for k in range(1, n + 1):
+            reduced = word[: k - 1] + word[k:]
+            letter = word[k - 1]
+            for suffix, row, j_row in with_j:
+                w = weight(row[letter], j_row[letter], n, k)
+                if not w.is_zero:
+                    yield reduced + suffix, coeff * w
+
+
+def apply_operator(op: OpSpec, v: FockVector, horizon: int | None = None) -> FockVector:
+    """op applied to v, term by term in Poly arithmetic."""
+    check_dimensions(op, v.space)
+    kind, weight = op.kind, _type_b_weight
+    if kind in QT_KINDS:
+        kind, weight = QT_KINDS[kind], _qt_weight
+    x_row = [((), op.x)]  # the annihilator appends nothing
+    t_rows = [((m,), row) for m, row in enumerate(op.t or ())]  # the gauge appends m
+    if kind == "create":
+        terms = _create_terms(op.x, v, horizon)
+    elif kind == "annihilate":
+        terms = _slot_terms(x_row, v, horizon, weight)
+    elif kind == "gauge":
+        terms = _slot_terms(t_rows, v, horizon, weight)
+    else:
+        terms = chain(
+            _slot_terms(x_row, v, horizon, weight),
+            _create_terms(op.x, v, horizon),
+            _slot_terms(t_rows, v, horizon, weight),
+        )
+        if op.lam:
+            terms = chain(terms, ((word, coeff * op.lam) for word, coeff in _reach(v, horizon, 0)))
+    return _collect(v.space, terms)
+
+
+def apply_product(ops: Sequence[OpSpec], v: FockVector, horizon: int | None = None) -> FockVector:
+    """ops[0]···ops[-1] v one factor at a time; ops[i] runs with horizon h + i."""
+    for i in range(len(ops) - 1, -1, -1):
+        v = apply_operator(ops[i], v, None if horizon is None else horizon + i)
+    return v
+
+
+def vacuum_expectation(ops: Sequence[OpSpec], space: SpaceSpec) -> Poly:
+    """Vacuum coefficient of ops[0]···ops[-1] Ω, with the horizon pruning."""
+    return apply_product(ops, FockVector.vacuum(space), 0).coeff(())

@@ -218,11 +218,12 @@ def test_qt_apply_rejects_a_type_b_kind():
             qt_apply(op, v)
 
 
-def test_qt_y_has_no_shift():
-    # Y runs the type-B kernels with the (q,t) weight and λ = 0, whatever lam holds
+def test_qt_y_rejects_a_shift():
+    # Y is b with λ = 0 and reads no λ, so a nonzero one is an error, not dropped
     v = FockVector.basis(SPEC2.space, (0, 1))
     op = qt_y((F(1), F(2)), ((F(1), F(3)), (F(3), F(-2))))
-    assert qt_apply(replace(op, lam=F(5)), v) == qt_apply(op, v)
+    with pytest.raises(ValueError, match="^qt-y: reads no shift lambda, got 5$"):
+        qt_apply(replace(op, lam=F(5)), v)
 
 
 @pytest.mark.parametrize(
