@@ -157,19 +157,6 @@ class FockVector:
     def basis(cls, space: SpaceSpec, word: Word) -> FockVector:
         return cls(space, {tuple(word): ONE})
 
-    @classmethod
-    def from_tensor(cls, space: SpaceSpec, factors: Sequence[Sequence[Fraction]]) -> FockVector:
-        """Pure tensor of coordinate vectors (empty sequence gives the vacuum)."""
-        coeffs: dict[Word, Poly] = {(): ONE}
-        for factor in factors:
-            nxt: dict[Word, Poly] = {}
-            for word, coeff in coeffs.items():
-                for letter, entry in enumerate(factor):
-                    if entry:
-                        nxt[word + (letter,)] = coeff * entry
-            coeffs = nxt
-        return cls(space, coeffs)
-
     def coeff(self, word: Word) -> Poly:
         return self.coeffs.get(tuple(word), ZERO)
 

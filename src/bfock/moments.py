@@ -15,35 +15,29 @@ colors, and a -1 arc contributes a, q^(2 cover) and one involution
 insertion, where cover counts the arcs of other blocks strictly covering it.
 So the 2^#arcs colorings of an uncolored partition fold into one chain per
 block with (I + a q^(2 cover) J) at every arc, and the sum runs over the
-Bell(n) uncolored partitions only.  The kernel of that sum takes the list of
-choices at an arc of cover count c as its one parameter: (I, 1) and
-(J, a q^(2c)) here, and (I, t^c) for ``qt.qt_wick``.  It runs on Python
-ints:
+Bell(n) uncolored partitions only.  The vector-level theorem resolves a word
+of creators / annihilators / gauge factors applied to the vacuum as a sum
+over eps-compatible extended partitions with the weight
+a^narc q^(rc + max_c + 2 rnarc + 2 max_l); its open blocks (the marked ones
+and the singletons) each give one tensor letter.  Color-summed, an arc of
+cover c with f_left open-block maxima left of it and f_in inside it carries
+q^f_in (I + a q^(2(c + f_left)) J).
 
-* one factor per point: every term takes point i through exactly one of
-  x_i (a block end), T_i (inside a block) or lambda_i (a singleton), so each
-  point's data is cleared by the lcm of its own denominators, J by its
-  integer form delta J, and one denominator, ∏ L_i delta^n, is divided out
-  once at the end;
-* one colour table per block: the chain values with a given choice at each
-  arc do not depend on the covers, so each block's values are computed once
-  and the chain for any covers is exponent arithmetic on them;
-* a sum per open-block state in place of enumerating the partitions:
-  scanning the points left to right with the open blocks ordered by last
-  element, a point that joins the r-th oldest of h open blocks makes an arc
-  that the r older blocks' next arcs cover and the h-1-r newer ones' cross,
-  so each move knows its arc's cover and crossings.  What the rest of a
-  partition contributes depends only on the open blocks, their point masks
-  and covers, so every prefix that leaves the same open blocks merges into
-  one partial sum: 930 states at n=8 in place of 10,576 prefixes.
+One kernel, ``_color_summed_sum`` over the moves of ``_open_arc_steps``,
+evaluates every partition-side sum: it scans the points left to right with
+the active blocks ordered by last element, so a point that joins the r-th
+oldest of h active blocks makes an arc of cover r and h-1-r crossings, and
+every prefix that leaves the same active blocks and frozen count merges into
+one int dict (930 states at n=8 in place of 10,576 prefixes).  Its parameters are the
+choices at an arc and an optional eps word: ``wick_moment`` and
+``vector_formula`` share the type-B choices above (f = 0 without a word),
+and ``qt.qt_wick`` has the one choice (I, t^c).
 
 ``colored_wick_moment`` keeps the colored sum itself, term by term; it is
-the small-n oracle the tests hold ``wick_moment`` to, and ``set_partitions``
-with ``arc_covers`` is the oracle for the moves, expanded one partition at a
-time.  The vector-level refinement resolves a word of creators /
-annihilators / gauge factors applied to the vacuum as a sum over
-eps-compatible extended partitions with the enriched weight
-q^(rc + max_c + 2 rnarc + 2 max_l).
+the small-n oracle the tests hold ``wick_moment`` to, and
+``tests/oracles.py`` keeps the vector formula one colored extended partition
+at a time.  ``set_partitions`` with ``arc_covers``, and
+``enumerate_extended_eps``, are the oracles for the moves.
 
 The corollary evaluators are the paper's three specialisations, summed
 term by term as independent oracles for ``wick_moment``.  They read the
@@ -74,18 +68,19 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from typing import Callable, Iterator, Sequence
+from operator import mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ResourceLimitError
 from .fock import FockVector, OpSpec, SpaceSpec, Word, _apply_product, type_b, vacuum_expectation
 from .partitions import (
+    EPS_ALPHABET,
     ONE_SYM,
     PRIME,
     STAR,
     ColoredPartition,
     arc_covers,
     enumerate_colored,
-    enumerate_extended_eps,
     set_partitions,
     statistics,
 )
@@ -97,6 +92,7 @@ from .scalars import (
     Exponent,
     FracMatrix,
     FracVector,
+    _FIELD,
     _normal,
     _pack,
     frac_dot,
@@ -198,120 +194,141 @@ def cumulant_partition(p: ColoredPartition, prob: MomentProblem) -> Poly:
 
 
 # one term of the factor at an arc: the matrix inserted there, and the
-# exponents (e_a, e_q, e_t) of its monomial weight at each cover count
-_ArcChoice = tuple[FracMatrix, Callable[[int], Exponent]]
+# exponents (e_a, e_q, e_t) of its monomial weight at the arc's cover count c
+# and frozen counts f_left and f_in
+_ArcChoice = tuple[FracMatrix, Callable[[int, int, int], Exponent]]
 
-
-# one open block as the scan keeps it: the bitmask of its points (bit j-1 for
-# point j) and the cover count of each of its arcs so far
+# A block as the scan keeps it: the bitmask of its points (bit j-1 for point
+# j) and one code per arc, c, f_left and the frozen count at its right end in
+# 4 bits each (all below n <= MAX_WICK_N < 16): the bare cover if nothing is
+# frozen.  An active block also keeps the frozen count at its last point.
 _Block = tuple[int, tuple[int, ...]]
+_Active = tuple[int, tuple[int, ...], int]
+_ARC_BITS = 4
+_WORD_BIT = 3 * _FIELD  # the letters of a word ride above a packed key's exponents
+
+
+def _arc_fields(code: int) -> tuple[int, int, int]:
+    """(c, f_left, f_in) of an arc's code."""
+    low = (1 << _ARC_BITS) - 1
+    f_left = code >> _ARC_BITS & low
+    return code & low, f_left, (code >> 2 * _ARC_BITS) - f_left
 
 
 def _open_arc_steps(
-    j: int, n: int, opened: tuple[_Block, ...]
-) -> Iterator[tuple[tuple[_Block, ...], _Block | None, int]]:
-    """The moves at point j of a left-to-right scan of the set partitions of [n].
+    j: int, room: int, opened: tuple[_Active, ...], frozen: int, symbol: str | None
+) -> Iterator[tuple[tuple[_Active, ...], _Block | None, int]]:
+    """The moves at point j of a left-to-right scan of the partitions of [n].
 
-    ``opened`` holds the open blocks (begun, not yet at their maximum) ordered
-    by their last element, oldest first.  Point j either joins the r-th oldest
-    (r from 0) of the h open blocks, which it closes or keeps open, or is a
-    singleton, or opens a block.  Let the new arc be (l, j).  An arc that
-    ends after j is the next arc (l', j') of another open block, so l' < l
-    for the r older blocks, whose arcs cover (l, j), and l < l' < j < j' for
-    the h-1-r newer ones, whose arcs cross it.  An arc that ends before j was
-    classified against (l, j) when its own right end was scanned.  So the new
-    arc gets cover r and adds h-1-r restricted crossings, and every pair of
-    arcs is classified exactly once: the path encoding of Flajolet,
-    *Combinatorial aspects of continued fractions*, Discrete Math. 32 (1980).
+    ``opened`` holds the active blocks (begun, not yet at their maximum)
+    ordered by their last element, oldest first; ``frozen`` counts the frozen
+    ones.  With no symbol, point j joins the r-th oldest (r from 0) of the h
+    active blocks, which it closes or keeps active, or is a singleton, or
+    opens a block.  An eps symbol allows the moves of the eps-compatible
+    extended partitions, whose open blocks (marked or singletons) freeze at
+    their maximum: ``*`` opens a block or is a frozen singleton, ``'`` joins
+    the r-th oldest, which stays active or freezes, and ``1`` joins and
+    closes it.  The new arc (l, j) is covered by the next arcs (l', j') of
+    the r older active blocks (l' < l) and crossed by those of the h-1-r newer
+    ones (l < l' < j < j'); an arc that ends before j was classified against
+    it when its own right end was scanned.  So it gets cover r and adds h-1-r
+    restricted crossings, and every pair of arcs is classified once: the path
+    encoding of Flajolet, *Combinatorial aspects of continued fractions*,
+    Discrete Math. 32 (1980).  Its f_left counts the frozen maxima below l,
+    which the block kept at l, and f_in those inside (l, j).
 
-    Yields (the next open blocks, the block closed at j or None, the new
-    restricted crossings).  A singleton is closed with no covers.  A move that
-    leaves more open blocks than points to close them is not yielded, so
-    every sequence of moves from point 1 to point n ends with none open, and
-    the sequences are the set partitions of [n], blocks closed in the order
-    of their maxima.
+    Yields (the next active blocks, the block ended at j or None, the new
+    restricted crossings); the ended block is frozen under ``*`` and ``'``,
+    closed otherwise.  ``room`` counts the later points that can end a block
+    (all of them, or an eps word's later non-``*`` points), and no move leaves
+    more active blocks than that, so every move sequence ends with none
+    active, blocks ended in the order of their maxima.
     """
-    # points after j, each of which can close one open block; h <= room + 1
-    # holds on entry, so closing a block always leaves enough of them
-    room = n - j
+    # h <= room + 1 holds on entry (h <= room at a star), so ending a block
+    # always leaves enough points
     h = len(opened)
     bit = 1 << (j - 1)
-    for r, (mask, covers) in enumerate(opened):
-        rest = opened[:r] + opened[r + 1 :]
-        block = (mask | bit, covers + (r,))
-        yield rest, block, h - 1 - r
+    now = frozen << 2 * _ARC_BITS
+    if symbol != STAR:
+        for r, (mask, arcs, f_left) in enumerate(opened):
+            rest = opened[:r] + opened[r + 1 :]
+            block = (mask | bit, arcs + (r | f_left << _ARC_BITS | now,))
+            yield rest, block, h - 1 - r
+            if symbol != ONE_SYM and h <= room:
+                yield rest + (block + (frozen,),), None, h - 1 - r
+    if symbol is None or symbol == STAR:
         if h <= room:
-            yield rest + (block,), None, h - 1 - r
-    if h <= room:
-        yield opened, (bit, ()), 0
-    if h < room:
-        yield opened + ((bit, ()),), None, 0
+            yield opened, (bit, ()), 0
+        if h < room:
+            yield opened + ((bit, (), frozen),), None, 0
 
 
-def _color_summed_sum(prob: MomentProblem, choices: Sequence[_ArcChoice]) -> Poly:
-    """Sum over the Bell(n) uncolored partitions of q^rc times the block factors.
+def _color_summed_sum(
+    prob: MomentProblem, choices: Sequence[_ArcChoice], eps: Sequence[str] | None = None
+) -> dict[Word, Poly]:
+    """Sum over the partitions of [n] of q^rc times the block factors, per word.
 
     A singleton contributes its lambda, a block {i_1 < ... < i_m} the chain
 
         <x_max, F_{m-1} T_{x_{i_{m-1}}} ··· T_{x_{i_2}} F_1 x_min>
 
-    where F_k, the factor at the block's k-th arc of cover count c_k, is the
-    sum over ``choices`` of M monomial(weight(c_k)), each choice a pair
-    (M, weight).  The sum runs on Python ints and is normalised once:
+    where F_k, the factor at the block's k-th arc, is the sum over
+    ``choices`` of M monomial(weight(c, f_left, f_in)), each choice a pair
+    (M, weight).  Without ``eps`` nothing freezes and the one word is ().
+    With ``eps`` the sum runs over the eps-compatible extended partitions,
+    and each open block's vector T_max F ··· F x_min (x_j for a singleton)
+    is one more letter of the word.  The sum runs on Python ints:
 
-    * Each point i enters every term through exactly one factor: x_i at a
-      block end, T_i inside a block, lambda_i as a singleton.  So x_i, T_i
-      and lambda_i are scaled by L_i, the lcm of their denominators, and
-      every M by delta, the lcm of all the M's denominators.  A block of m
-      points has m-1 arcs, so one more delta per block makes every term
-      ∏ L_i · delta^n times its value: the numerators are int dicts over
-      packed exponents, and ``_normal`` divides once at the end.
-    * Expanding the product of the F_k gives one chain value per choice at
-      each arc, none of which depends on the covers.  The colour table of a
-      block, keyed by its point bitmask, holds them; the chain for given
-      covers puts the value of the choices (s_1, ..., s_{m-1}) at the packed
-      exponent sum of weight_{s_k}(c_k), which is exponent arithmetic only.
-      An open block's vectors, one per choice at each arc so far, extend
-      those of its mask without its last point.
-    * The sum runs level by level over the moves of ``_open_arc_steps``.
-      After point j, what the rest of a partition contributes depends only
-      on the open blocks: their masks and covers fix their chains, and their
-      order fixes every later cover and crossing.  So the partial sums of
-      all prefixes with the same open blocks merge into one int dict per
-      state, and each move from a state multiplies that dict once: by the
-      closed block's chain (lambda_j for a singleton) and q^crossings.  The
-      answer is the dict of the empty state after point n.  A singleton
-      whose lambda is 0 and a zero chain add nothing, so a state that no
-      move reaches with a nonzero factor is never made.
+    * Each point i enters every term through one factor: x_i at a block end,
+      T_i inside a block or at an open block's maximum, lambda_i as a
+      singleton.  So they are scaled by L_i, the lcm of their denominators,
+      and every M by delta, the lcm of the M's denominators; with one more
+      delta per block, every term is ∏ L_i · delta^n times its value, which
+      ``_normal`` divides out once at the end.
+    * Expanding the F_k gives one value per choice at each arc, none of which
+      depends on the arcs' counts.  The colour table of a block, keyed by its
+      point bitmask, holds them, and the block's factor puts each at the
+      packed sum of its choices' weights, one key list per tuple of arc
+      codes.  An active block's vectors, one per choice at each arc so far,
+      extend those of its mask without its last point.
+    * After point j, what the rest of a partition contributes depends only on
+      the active blocks and the frozen count: they fix every later factor,
+      cover, crossing and frozen count.  So the prefixes with one state merge
+      into one int dict, and each move of ``_open_arc_steps`` multiplies it
+      once: by the closed block's chain (lambda_j for a singleton) or the
+      frozen block's vector, whose letter each key carries in the word's
+      next field above the exponents, and by q^crossings.  A zero factor adds
+      nothing, so a state that no move reaches with a nonzero factor is never
+      made.
     """
     n = prob.n
     if n > MAX_WICK_N:
         raise ResourceLimitError(f"the color-summed partition sum is guarded at n <= {MAX_WICK_N}")
+    symbols = (None,) * n if eps is None else tuple(eps)
     scales = [
         lcm(*(v.denominator for v in x), *(v.denominator for row in t for v in row), lam.denominator)
         for x, t, lam in zip(prob.xs, prob.ts, prob.lams)
     ]
     delta = lcm(*(v.denominator for m, _ in choices for row in m for v in row))
-    xs = [[int(v * s) for v in x] for x, s in zip(prob.xs, scales)]
-    ts = [[[int(v * s) for v in row] for row in t] for t, s in zip(prob.ts, scales)]
-    lams = [int(lam * s * delta) for lam, s in zip(prob.lams, scales)]
-    mats = [[[int(v * delta) for v in row] for row in m] for m, _ in choices]
-    weights = [[_pack(*weight(c)) for c in range(n)] for _, weight in choices]
-    # per point p and choice M: T_p M, which extends an open block through p
-    # (never the first or the last point), and x_p^T M, which closes a block
-    # at p (never the first point)
-    transposed = [[list(col) for col in zip(*m)] for m in mats]
-    steps = [
-        [[_int_mat_vec(mt, row) for row in t] for mt in transposed] if 0 < p < n - 1 else []
-        for p, t in enumerate(ts)
-    ]
-    ends = [[_int_mat_vec(mt, x) for mt in transposed] if p else [] for p, x in enumerate(xs)]
+    xs = [_cleared(x, s) for x, s in zip(prob.xs, scales)]
+    ts = [[_cleared(row, s) for row in t] for t, s in zip(prob.ts, scales)]
+    lams = [lam.numerator * (s // lam.denominator) * delta for lam, s in zip(prob.lams, scales)]
+    # per point p and choice M: T_p M, which extends a block through p, and
+    # x_p^T M, which closes one at p; in an eps word only a prime does the
+    # one and only a one the other
+    transposed = [[_cleared(col, delta) for col in zip(*m)] for m, _ in choices]
+    steps = [[[_int_mat_vec(mt, row) for row in t] for mt in transposed] if symbol in (None, PRIME) else []
+             for t, symbol in zip(ts, symbols)]
+    ends = [[_int_mat_vec(mt, x) for mt in transposed] if symbol in (None, ONE_SYM) else []
+            for x, symbol in zip(xs, symbols)]
+    width = prob.space.d.bit_length()  # bits per letter
+    keyed: dict[tuple[int, ...], list[int]] = {(): [0]}
     vectors: dict[int, list[list[int]]] = {}
     tables: dict[int, list[int]] = {}
-    chains: dict[_Block, dict[int, int]] = {}
+    ended: dict[_Block, dict[int, int]] = {}
 
     def open_vectors(mask: int) -> list[list[int]]:
-        """T_last F ··· F x_min of an open block, one vector per choice at each arc."""
+        """T_last F ··· F x_min of a block, one vector per choice at each arc."""
         if mask not in vectors:
             last = mask.bit_length() - 1
             rest = mask ^ 1 << last
@@ -321,55 +338,90 @@ def _color_summed_sum(prob: MomentProblem, choices: Sequence[_ArcChoice]) -> Pol
                 vectors[mask] = [[delta * v for v in xs[last]]]  # the one more delta of the block
         return vectors[mask]
 
-    def chain(mask: int, covers: tuple[int, ...]) -> dict[int, int]:
-        last = mask.bit_length() - 1
-        if not covers:
-            return {0: lams[last]} if lams[last] else {}
-        if mask not in tables:
-            vecs = open_vectors(mask ^ 1 << last)
-            tables[mask] = [sum(a * b for a, b in zip(row, v)) for row in ends[last] for v in vecs]
-        keys = [0]
-        for c in covers:
-            keys = [key + w[c] for w in weights for key in keys]
+    def arc_keys(arcs: tuple[int, ...]) -> list[int]:
+        """The packed weight of each choice at each arc, the last arc's choice outermost."""
+        if arcs not in keyed:
+            weights = [_pack(*weight(*_arc_fields(arcs[-1]))) for _, weight in choices]
+            keyed[arcs] = [key + w for w in weights for key in arc_keys(arcs[:-1])]
+        return keyed[arcs]
+
+    def weighted(arcs: tuple[int, ...], values: Iterable[int]) -> dict[int, int]:
+        """The values, one per choice at each arc, summed at their packed weights."""
         out: dict[int, int] = {}
-        for key, value in zip(keys, tables[mask]):
+        for key, value in zip(arc_keys(arcs), values):
             out[key] = out.get(key, 0) + value
         return {key: c for key, c in out.items() if c}
 
+    def closing(mask: int, arcs: tuple[int, ...]) -> dict[int, int]:
+        last = mask.bit_length() - 1
+        if not arcs:
+            return {0: lams[last]} if lams[last] else {}
+        if mask not in tables:
+            vecs = open_vectors(mask ^ 1 << last)
+            tables[mask] = [sum(map(mul, row, v)) for row in ends[last] for v in vecs]
+        return weighted(arcs, tables[mask])
+
+    def freezing(field: int, mask: int, arcs: tuple[int, ...]) -> dict[int, int]:
+        columns = enumerate(zip(*open_vectors(mask)))
+        return {key + (e << field): c for e, column in columns for key, c in weighted(arcs, column).items()}
+
     unit = {0: 1}
     q_step = _pack(0, 1, 0)
-    level: dict[tuple[_Block, ...], dict[int, int]] = {(): unit}
-    for j in range(1, n + 1):
-        nxt: dict[tuple[_Block, ...], dict[int, int]] = {}
-        # a block closes at its maximum, so its chain is needed at one level only
-        tables.clear()
-        chains.clear()
-        for opened, running in level.items():
-            for state, block, crossed in _open_arc_steps(j, n, opened):
-                if block is None:
-                    factor = unit
-                else:
-                    if block not in chains:
-                        chains[block] = chain(*block)
-                    factor = chains[block]
-                    if not factor:
-                        continue
-                shift = crossed * q_step
-                out = nxt.get(state)
-                if out is None:
-                    out = nxt[state] = {}
-                get = out.get
-                for kb, cb in factor.items():
-                    kb += shift
-                    for ka, ca in running.items():
-                        k = ka + kb
-                        out[k] = get(k, 0) + ca * cb
+    level: list[dict[tuple[_Active, ...], dict[int, int]]] = [{(): unit}]  # by frozen count
+    for j, symbol in enumerate(symbols, start=1):
+        room = sum(s != STAR for s in symbols[j:])
+        freezes = symbol in (STAR, PRIME)
+        nxt: list[dict[tuple[_Active, ...], dict[int, int]]] = [{} for _ in range(len(level) + freezes)]
+        tables.clear()  # a block ends at its maximum, so its factor is needed at one level only
+        for frozen, states in enumerate(level):
+            ended.clear()  # a block frozen here fills the word's next letter
+            for opened, running in states.items():
+                for state, block, crossed in _open_arc_steps(j, room, opened, frozen, symbol):
+                    if block is None:
+                        factor, into = unit, nxt[frozen]
+                    else:
+                        if block not in ended:
+                            field = _WORD_BIT + frozen * width
+                            ended[block] = freezing(field, *block) if freezes else closing(*block)
+                        factor, into = ended[block], nxt[frozen + freezes]
+                        if not factor:
+                            continue
+                    shift = crossed * q_step
+                    out = into.get(state)
+                    if out is None:
+                        out = into[state] = {}
+                    get = out.get
+                    for kb, cb in factor.items():
+                        kb += shift
+                        for ka, ca in running.items():
+                            k = ka + kb
+                            out[k] = get(k, 0) + ca * cb
         level = nxt
-    return _normal(level.get((), {}), prod(scales) * delta**n)
+    den = prod(scales) * delta**n
+    words: dict[Word, dict[int, int]] = {}
+    for frozen, states in enumerate(level):
+        for key, c in states.get((), {}).items():
+            word = tuple(key >> _WORD_BIT + k * width & (1 << width) - 1 for k in range(frozen))
+            words.setdefault(word, {})[key & (1 << _WORD_BIT) - 1] = c
+    return {word: _normal(num, den) for word, num in words.items()}
+
+
+def _cleared(values: Sequence[Fraction], scale: int) -> list[int]:
+    """scale times each value, for a scale that each denominator divides; the
+    operator side clears with its own ``fock._scaled``, so no scaling is shared."""
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _int_mat_vec(m: list[list[int]], vec: list[int]) -> list[int]:
-    return [sum(a * b for a, b in zip(row, vec)) for row in m]
+    return [sum(map(mul, row, vec)) for row in m]
+
+
+def _type_b_choices(space: SpaceSpec) -> tuple[_ArcChoice, ...]:
+    """q^f_in (I + a q^(2(c + f_left)) J), both colors of an arc."""
+    return (
+        (frac_identity(space.d), lambda c, f_left, f_in: (0, f_in, 0)),
+        (space.involution, lambda c, f_left, f_in: (1, 2 * (c + f_left) + f_in, 0)),
+    )
 
 
 def wick_moment(prob: MomentProblem) -> Poly:
@@ -378,11 +430,7 @@ def wick_moment(prob: MomentProblem) -> Poly:
     The partition sum with (I + a q^(2c) J), both colors of an arc of cover
     count c, at every arc.  Equals ``colored_wick_moment``.
     """
-    choices = (
-        (frac_identity(prob.space.d), lambda c: (0, 0, 0)),
-        (prob.space.involution, lambda c: (1, 2 * c, 0)),
-    )
-    return _color_summed_sum(prob, choices)
+    return _color_summed_sum(prob, _type_b_choices(prob.space)).get((), ZERO)
 
 
 def colored_wick_moment(prob: MomentProblem) -> Poly:
@@ -404,36 +452,13 @@ def colored_wick_moment(prob: MomentProblem) -> Poly:
 
 
 def vector_formula(eps: Sequence[str], prob: MomentProblem) -> FockVector:
-    """Extended-partition expansion of b^eps(n)···b^eps(1) Ω."""
-    if prob.n != len(eps):
-        raise ValueError("eps length must match the number of points")
+    """Extended-partition expansion of b^eps(n)···b^eps(1) Ω: the partition
+    sum with q^f_in (I + a q^(2(c + f_left)) J) at every arc."""
+    if prob.n != len(eps) or any(symbol not in EPS_ALPHABET for symbol in eps):
+        raise ValueError("eps must be over {*, 1, '} with one symbol per point")
     if prob.n > MAX_VECTOR_N:
         raise ResourceLimitError(f"vector_formula is guarded at n <= {MAX_VECTOR_N}")
-    gathered: dict[Word, list[Poly]] = {}  # summed once per word at the end
-    for p in enumerate_extended_eps(eps):
-        base = p.base
-        scalar = ONE
-        for b, (block, colors) in enumerate(zip(base.blocks, base.colors)):
-            if len(block) >= 2 and b not in p.marked:
-                scalar = scalar * closed_chain_value(block, colors, prob)
-                if scalar.is_zero:
-                    break
-        if scalar.is_zero:
-            continue
-        stats = statistics(p)
-        weight = Poly.monomial(
-            1,
-            ea=stats.narc,
-            eq=stats.rc + stats.max_c + 2 * stats.rnarc + 2 * stats.max_l,
-        )
-        factors = [  # singleton chains are empty, so this is T-hat applied to x_min
-            open_chain_vector(base.blocks[b], base.colors[b], prob)
-            for b in p.open_block_indices()  # already ordered by block maxima
-        ]
-        coeff = weight * scalar
-        for word, entry in FockVector.from_tensor(prob.space, factors).coeffs.items():
-            gathered.setdefault(word, []).append(coeff * entry)
-    return FockVector(prob.space, {word: Poly.sum(terms) for word, terms in gathered.items()})
+    return FockVector(prob.space, _color_summed_sum(prob, _type_b_choices(prob.space), eps))
 
 
 def eps_operator(symbol: str, point: int, prob: MomentProblem) -> OpSpec:

@@ -11,9 +11,9 @@ The operators run ``fock``'s one operator kernel with the (q,t) slot
 weight: the slot-k term of a length-n word carries q^(n-k) t^(k-1), and the
 involution plays no role (the base space must have the trivial involution).
 The moment formula sums q^rc t^rarc over singleton-free uncolored
-partitions: it is ``moments``' color-summed partition sum with the one
-choice (I, t^c) at an arc of cover count c in place of (I, 1) and
-(J, a q^(2c)), and lambda = 0, so every partition with a singleton drops out.
+partitions: it is ``moments``' one partition-side kernel with no eps word,
+the one choice (I, t^c) at an arc of cover count c, whatever its frozen
+counts, and lambda = 0, so every partition with a singleton drops out.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .fock import (
     vacuum_expectation,
 )
 from .moments import MomentProblem, _color_summed_sum
-from .scalars import Poly, Matrix, frac_identity, frac_matrix, frac_vector
+from .scalars import ZERO, Poly, Matrix, frac_identity, frac_matrix, frac_vector
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,8 @@ def qt_wick(
 ) -> Poly:
     """Sum of q^rc t^rarc weighted chain products over singleton-free partitions."""
     prob = MomentProblem.build(xs, ts, [0] * len(xs), spec.space)
-    return _color_summed_sum(prob, ((frac_identity(spec.space.d), lambda c: (0, 0, c)),))
+    choices = ((frac_identity(spec.space.d), lambda c, f_left, f_in: (0, 0, c)),)
+    return _color_summed_sum(prob, choices).get((), ZERO)
 
 
 def qt_y_moment(

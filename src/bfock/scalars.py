@@ -87,11 +87,6 @@ def _unpack(key: int) -> Exponent:
     return (key >> 2 * _FIELD, (key >> _FIELD) & _MASK, key & _MASK)
 
 
-def _sort_key(exp: Exponent) -> tuple[int, int, int, int]:
-    # ascending sort with this key == descending graded-lex term order
-    return (-(exp[0] + exp[1] + exp[2]), -exp[0], -exp[1], -exp[2])
-
-
 def _normal(num: dict[int, int], den: int) -> Poly:
     """The Poly num / den in normal form: zeros dropped, gcd 1, zero over 1."""
     if 0 in num.values():
@@ -303,30 +298,21 @@ class Poly:
     # -- canonical form ------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
-        return sorted(self.terms.items(), key=lambda item: _sort_key(item[0]))
+        """The terms in descending graded-lex order: by degree, then by packed key."""
+        keys = sorted(self._num, key=lambda key: (sum(_unpack(key)), key), reverse=True)
+        return [(_unpack(key), Fraction(self._num[key], self._den)) for key in keys]
 
     def __str__(self) -> str:
         if not self._num:
             return "0"
         parts: list[str] = []
         for exp, coeff in self.sorted_terms():
-            factors = [
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(_VARS, exp)
-                if e
-            ]
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(f"-{body}" if coeff < 0 else body)
-            else:
-                parts.append(f"- {body}" if coeff < 0 else f"+ {body}")
-        return " ".join(parts)
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(_VARS, exp) if e]
+            mag = str(coeff).lstrip("-")
+            body = "*".join(factors if factors and mag == "1" else [mag, *factors])
+            parts.append(f"- {body}" if coeff < 0 else f"+ {body}")
+        text = " ".join(parts)  # the first term takes its sign without the space
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"Poly({self})"

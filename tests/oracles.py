@@ -1,4 +1,4 @@
-"""Small-n oracles for the operator side: the Poly-level path.
+"""Small-n oracles: the Poly-level operator path and the per-partition vector formula.
 
 ``bfock.fock`` applies operators on packed int dicts with one denominator.
 This module keeps the path it replaced: every (word, slot, row) term is a
@@ -6,6 +6,11 @@ This module keeps the path it replaced: every (word, slot, row) term is a
 are summed once.  It clears no denominators and shares no scaling code with
 the kernel or with ``moments``, so a wrong scale in either cannot cancel out
 of a comparison with it.
+
+``colored_vector_formula`` is the vector-level theorem summed one colored
+extended partition at a time: ``partitions.statistics`` gives each weight and
+the ``Fraction`` chains of ``moments`` give each block, so it shares none of
+the moves, frozen counts or integer sums of ``moments.vector_formula``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from bfock.errors import TruncationError
 from bfock.fock import FockVector, OpSpec, SpaceSpec, _collect, check_dimensions
-from bfock.scalars import FracVector, Poly
+from bfock.moments import MomentProblem, closed_chain_value, open_chain_vector
+from bfock.partitions import enumerate_extended_eps, statistics
+from bfock.scalars import ONE, FracVector, Poly
 
 Word = tuple[int, ...]
 Terms = Iterator[tuple[Word, Poly]]
@@ -108,3 +115,32 @@ def apply_product(ops: Sequence[OpSpec], v: FockVector, horizon: int | None = No
 def vacuum_expectation(ops: Sequence[OpSpec], space: SpaceSpec) -> Poly:
     """Vacuum coefficient of ops[0]···ops[-1] Ω, with the horizon pruning."""
     return apply_product(ops, FockVector.vacuum(space), 0).coeff(())
+
+
+def colored_vector_formula(eps: Sequence[str], prob: MomentProblem) -> FockVector:
+    """b^eps(n)···b^eps(1) Ω as the sum over the eps-compatible extended partitions
+    of a^narc q^(rc + max_c + 2 rnarc + 2 max_l) times the closed blocks' chains
+    and the tensor of the open blocks' vectors, one partition at a time."""
+    gathered: dict[Word, list[Poly]] = {}
+    for p in enumerate_extended_eps(eps):
+        base = p.base
+        scalar = ONE
+        for b, (block, colors) in enumerate(zip(base.blocks, base.colors)):
+            if len(block) >= 2 and b not in p.marked:
+                scalar = scalar * closed_chain_value(block, colors, prob)
+        if scalar.is_zero:
+            continue
+        stats = statistics(p)
+        eq = stats.rc + stats.max_c + 2 * stats.rnarc + 2 * stats.max_l
+        tensor = {(): Poly.monomial(1, ea=stats.narc, eq=eq)}
+        for b in p.open_block_indices():  # ordered by block maxima; a singleton's chain is x_min
+            vec = open_chain_vector(base.blocks[b], base.colors[b], prob)
+            tensor = {
+                word + (letter,): coeff * entry
+                for word, coeff in tensor.items()
+                for letter, entry in enumerate(vec)
+                if entry
+            }
+        for word, coeff in tensor.items():
+            gathered.setdefault(word, []).append(coeff * scalar)
+    return FockVector(prob.space, {word: Poly.sum(terms) for word, terms in gathered.items()})

@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from bfock.errors import ResourceLimitError
 from bfock.fock import FockVector, SpaceSpec, apply_operator, vacuum_expectation
 from bfock.moments import (
+    MAX_VECTOR_N,
     MAX_WICK_N,
     MomentProblem,
     VerifyReport,
+    _arc_fields,
     _open_arc_steps,
     colored_wick_moment,
     compare,
@@ -27,7 +30,7 @@ from bfock.moments import (
     verify_vector_identity,
     wick_moment,
 )
-from bfock.partitions import arc_covers, enumerate_colored, set_partitions
+from bfock.partitions import arc_covers, enumerate_colored, enumerate_extended_eps, set_partitions
 from bfock.scalars import ALPHA, ONE, Q, Poly
 
 F = Fraction
@@ -123,27 +126,37 @@ def test_color_summed_moment_matches_colored_sum_and_operators(which):
         assert summed == vacuum_expectation(prob.operators(), prob.space), (which, n)
 
 
-def walked_partitions(n, keep=lambda mask, covers: True):
-    """Multiset of (blocks, rc, covers) over the move sequences of ``_open_arc_steps``.
+def walked_partitions(n, eps=None, keep=lambda mask, arcs: True):
+    """Multiset of (blocks, frozen, rc, arc fields) over the move sequences of ``_open_arc_steps``.
 
-    Expands the moves depth-first, one branch per partition; a closed block
-    that ``keep`` rejects ends its branch.
+    Expands the moves depth-first, one branch per partition, with the room and
+    frozen count the kernel passes: ``frozen`` holds the indices of the blocks
+    that ended frozen, and each block's arcs are given as (c, f_left, f_in).
+    A closed block that ``keep`` rejects ends its branch.
     """
+    symbols = (None,) * n if eps is None else tuple(eps)
     seen = Counter()
 
-    def expand(j, opened, closed, rc):
+    def expand(j, opened, ended, rc):
         if j > n:
             assert opened == ()
             blocks = tuple(
-                tuple(point for point in range(1, n + 1) if mask >> (point - 1) & 1) for mask, _ in closed
+                tuple(point for point in range(1, n + 1) if mask >> (point - 1) & 1) for (mask, _), _ in ended
             )
-            seen[blocks, rc, tuple(covers for _, covers in closed)] += 1
+            frozen = frozenset(b for b, (_, freezes) in enumerate(ended) if freezes)
+            fields = tuple(tuple(map(_arc_fields, arcs)) for (_, arcs), _ in ended)
+            seen[blocks, frozen, rc, fields] += 1
             return
-        for state, block, crossed in _open_arc_steps(j, n, opened):
+        symbol = symbols[j - 1]
+        room = sum(s != "*" for s in symbols[j:])
+        frozen_count = sum(freezes for _, freezes in ended)
+        for state, block, crossed in _open_arc_steps(j, room, opened, frozen_count, symbol):
             if block is None:
-                expand(j + 1, state, closed, rc + crossed)
+                expand(j + 1, state, ended, rc + crossed)
+            elif symbol in ("*", "'"):
+                expand(j + 1, state, ended + ((block, True),), rc + crossed)
             elif keep(*block):
-                expand(j + 1, state, closed + (block,), rc + crossed)
+                expand(j + 1, state, ended + ((block, False),), rc + crossed)
 
     expand(1, (), (), 0)
     return seen
@@ -151,13 +164,46 @@ def walked_partitions(n, keep=lambda mask, covers: True):
 
 @pytest.mark.parametrize("n", range(9))
 def test_open_arc_walk_matches_set_partitions_and_arc_covers(n):
-    expected = Counter((blocks, *arc_covers(blocks)) for blocks in set_partitions(n))
+    expected = Counter()
+    for blocks in set_partitions(n):
+        rc, covers = arc_covers(blocks)
+        expected[blocks, frozenset(), rc, tuple(tuple((c, 0, 0) for c in cs) for cs in covers)] += 1
     assert walked_partitions(n) == expected
     # dropping the closed singletons leaves the singleton-free partitions
     singleton_free = Counter(
         {key: count for key, count in expected.items() if all(len(b) > 1 for b in key[0])}
     )
-    assert walked_partitions(n, lambda mask, covers: bool(covers)) == singleton_free
+    assert walked_partitions(n, keep=lambda mask, arcs: bool(arcs)) == singleton_free
+
+
+def extended_walk_key(p):
+    """What the walk gives for an extended partition: its blocks, its open
+    blocks (the marked ones and the singletons), rc and each arc's (c, f_left,
+    f_in), where f_left counts the open blocks' maxima left of the arc and
+    f_in those inside it."""
+    blocks = p.base.blocks
+    rc, covers = arc_covers(blocks)
+    opened = frozenset(p.open_block_indices())
+    tops = [blocks[b][-1] for b in opened]
+    fields = tuple(
+        tuple(
+            (c, sum(top < left for top in tops), sum(left < top < right for top in tops))
+            for c, left, right in zip(cs, block, block[1:])
+        )
+        for block, cs in zip(blocks, covers)
+    )
+    return blocks, opened, rc, fields
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_open_arc_walk_matches_the_eps_compatible_extended_partitions(n):
+    for eps in product("*1'", repeat=n):
+        expected = Counter(
+            extended_walk_key(p)
+            for p in enumerate_extended_eps(eps)
+            if all(color == 1 for colors in p.base.colors for color in colors)
+        )
+        assert walked_partitions(n, eps) == expected, eps
 
 
 # a 3-d involution with denominator 3 besides the planar ones
@@ -250,6 +296,30 @@ def test_vector_identity_all_eps(n):
     for eps in product("*1'", repeat=n):
         report = verify_vector_identity(eps, prob)
         assert report.equal, (eps, report.first_difference)
+
+
+@pytest.mark.parametrize("which", sorted(INVOLUTIONS))
+def test_vector_formula_matches_the_colored_extended_sum(which):
+    for n in range(5):
+        prob = involution_problem(800 + n, n, which)
+        for eps in product("*1'", repeat=n):
+            assert vector_formula(eps, prob) == oracles.colored_vector_formula(eps, prob), (which, eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fuzz_problems(), st.data())
+def test_vector_formula_matches_the_colored_extended_sum_fuzzed(prob, data):
+    eps = data.draw(st.lists(st.sampled_from("*1'"), min_size=prob.n, max_size=prob.n))
+    assert vector_formula(eps, prob) == oracles.colored_vector_formula(eps, prob)
+
+
+def test_vector_formula_is_guarded_and_checks_its_word():
+    with pytest.raises(ResourceLimitError, match=f"n <= {MAX_VECTOR_N}"):
+        vector_formula("*" * (MAX_VECTOR_N + 1), unit_problem(MAX_VECTOR_N + 1))
+    with pytest.raises(ValueError, match="eps must be over"):
+        vector_formula(("*", "x"), unit_problem(2))
+    with pytest.raises(ValueError, match="one symbol per point"):
+        vector_formula(("*", "1"), unit_problem(3))
 
 
 def test_vector_star_gives_x1():
