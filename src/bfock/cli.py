@@ -124,6 +124,8 @@ def _format_colors(colors) -> str:
 
 
 def cmd_partitions(args: argparse.Namespace) -> int:
+    if args.extended and args.filter != "all":
+        raise ValueError(f"--filter {args.filter} does not apply to --extended")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(

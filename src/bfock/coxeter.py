@@ -7,6 +7,11 @@ transpositions pi_i (i <-> i+1).
 
 Enumeration is breadth-first from the identity, which yields one canonical
 minimal word per element (generator indices ascending as tie-break).  The
+search expands only right ascents: w·pi_g is shorter than w exactly when g
+is a right descent of w, that is w(1) < 0 for g = 0 and w(g) > w(g+1)
+otherwise (Björner & Brenti, *Combinatorics of Coxeter Groups*,
+Prop. 8.1.2), and a shorter neighbour was recorded one level earlier.
+Skipping descents leaves every word and the record order unchanged.  The
 statistics l1 (count of pi_0 letters) and l2 (count of pi_i, i >= 1, letters)
 are read off that word; they are invariants of the element, which the test
 suite checks exhaustively for small n rather than assuming.  The table's
@@ -114,6 +119,8 @@ def _group_table(n: int) -> tuple[tuple[GroupElementRecord, ...], dict[Window, G
     for window in order:  # the list grows while it is read: a breadth-first queue
         word = words[window]
         for g in range(n):
+            if (window[0] < 0) if g == 0 else (window[g - 1] > window[g]):
+                continue  # a right descent: the neighbour is shorter, so already recorded
             neighbor = _right_multiply(window, g)
             if neighbor not in words:
                 words[neighbor] = word + (g,)

@@ -45,7 +45,8 @@ partition layer and the Fraction chain only: ``set_partitions`` with
 ``arc_covers`` for q^rc at alpha = 0 and, at q = 0, for the noncrossing
 partitions (rc == 0) and their outer arcs (cover 0);
 ``enumerate_colored(n, "pairs-only")`` with ``statistics`` for the Gaussian
-case; ``closed_chain_value`` for every block.  None of them goes through
+case; ``closed_chain_value`` for every block, computed once per (block,
+colors) in a dict local to the call.  None of them goes through
 ``_open_arc_steps`` or ``_color_summed_sum``, so a fault in the kernel's
 moves, state merges or integer sums cannot cancel out of the comparison.
 
@@ -486,16 +487,35 @@ def _singleton_free(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     return (blocks for blocks in set_partitions(n) if all(len(block) >= 2 for block in blocks))
 
 
-def _plain_chains(blocks: Sequence[Sequence[int]], prob: MomentProblem) -> Fraction:
+def _chain_values(prob: MomentProblem) -> Callable[[tuple[int, ...], tuple[int, ...]], Fraction]:
+    """``closed_chain_value`` on prob, computed once per (block, colors).
+
+    A block's chain does not depend on the rest of the partition.  Each
+    evaluator call makes its own, so no values are shared between calls or
+    with the kernel.
+    """
+    values: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
+
+    def value(block: tuple[int, ...], colors: tuple[int, ...]) -> Fraction:
+        key = (block, colors)
+        if key not in values:
+            values[key] = closed_chain_value(block, colors, prob)
+        return values[key]
+
+    return value
+
+
+def _plain_chains(blocks: Sequence[tuple[int, ...]], chain: Callable[..., Fraction]) -> Fraction:
     """The product of the blocks' chains with every color +1."""
-    return prod(closed_chain_value(block, (1,) * (len(block) - 1), prob) for block in blocks)
+    return prod(chain(block, (1,) * (len(block) - 1)) for block in blocks)
 
 
 def corollary_q_case(prob: MomentProblem) -> Poly:
     """Specialized sum at alpha = 0, lambda = 0: q^rc over singleton-free partitions."""
     _require_zero_lams(prob)
+    chain = _chain_values(prob)
     return Poly.sum(
-        Poly.monomial(_plain_chains(blocks, prob), eq=arc_covers(blocks)[0])
+        Poly.monomial(_plain_chains(blocks, chain), eq=arc_covers(blocks)[0])
         for blocks in _singleton_free(prob.n)
     )
 
@@ -503,9 +523,10 @@ def corollary_q_case(prob: MomentProblem) -> Poly:
 def corollary_gaussian(prob: MomentProblem) -> Poly:
     """Specialized sum at T = 0, lambda = 0: colored pair partitions only."""
     _require_zero_lams(prob)
+    chain = _chain_values(prob)
     total = ZERO
     for p in enumerate_colored(prob.n, "pairs-only"):
-        value = prod(closed_chain_value(block, colors, prob) for block, colors in zip(p.blocks, p.colors))
+        value = prod(chain(block, colors) for block, colors in zip(p.blocks, p.colors))
         if value:
             stats = statistics(p)
             total = total + Poly.monomial(value, ea=stats.narc, eq=stats.rc + 2 * stats.rnarc)
@@ -523,12 +544,13 @@ def corollary_free_alpha(prob: MomentProblem) -> Poly:
     for x in prob.xs:
         if prob.space.involve(x) != x:
             raise ValueError("free-alpha case requires involution-fixed vectors")
+    chain = _chain_values(prob)
     terms = []
     for blocks in _singleton_free(prob.n):
         rc, covers = arc_covers(blocks)
         if rc == 0:
             out_arc = sum(cover == 0 for block_covers in covers for cover in block_covers)
-            terms.append(_plain_chains(blocks, prob) * (ONE + ALPHA) ** out_arc)
+            terms.append(_plain_chains(blocks, chain) * (ONE + ALPHA) ** out_arc)
     return Poly.sum(terms)
 
 

@@ -25,10 +25,10 @@ sums that fold the colorings away.  ``statistics`` reads rc, nest = rarc
 arcs of cover 0) from the same pass, and relates open blocks to its list of
 arcs.
 
-The enumerators build their partitions through ``_trusted``, which skips
-``__post_init__``: what they build is valid by construction, and a test
-rebuilds every one of them through the public constructors.  Every other
-construction keeps its full validation.
+The enumerators build their partitions through ``_colored`` and
+``_extended``, which skip ``__post_init__``: what they build is valid by
+construction, and a test rebuilds every one of them through the public
+constructors.  Every other construction keeps its full validation.
 
 Enumeration order is deterministic: uncolored partitions in restricted-
 growth-string order, colorings in binary order (+1 before -1), markings in
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError
@@ -109,11 +110,26 @@ def _open_blocks(blocks: Sequence[Block], marked: frozenset[int]) -> list[int]:
     return [b for b, block in enumerate(blocks) if b in marked or len(block) == 1]
 
 
-def _trusted(cls, **fields):
-    """An instance of a frozen partition class built without ``__post_init__``."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
+# The enumerators' constructors, without ``__post_init__`` (see the module
+# docstring): each field goes straight into the instance dict, which costs
+# far less per object than a keyword call.
+
+
+def _colored(n: int, blocks: tuple[Block, ...], colors: tuple[Colors, ...]) -> ColoredPartition:
+    p = object.__new__(ColoredPartition)
+    fields = p.__dict__
+    fields["n"] = n
+    fields["blocks"] = blocks
+    fields["colors"] = colors
+    return p
+
+
+def _extended(base: ColoredPartition, marked: frozenset[int]) -> ExtendedPartition:
+    p = object.__new__(ExtendedPartition)
+    fields = p.__dict__
+    fields["base"] = base
+    fields["marked"] = marked
+    return p
 
 
 @dataclass(frozen=True)
@@ -212,33 +228,38 @@ def _arc_pass(
 
 # -- enumeration ---------------------------------------------------------------
 
+_last = itemgetter(-1)
+
 
 def set_partitions(n: int) -> Iterator[tuple[Block, ...]]:
     """Uncolored partitions of [n] in restricted-growth-string order.
 
-    Blocks of each partition are re-sorted by their maxima.
+    Blocks grow directly: point k joins each existing block in order of
+    minima, then opens a new block, which is the restricted-growth-string
+    order with no string to regroup (Knuth, TAOCP 4A, §7.2.1.5).  The blocks
+    of each partition are ordered by their last (largest) element.  A lazy
+    generator: each partition is built only when it is asked for.
     """
     if n < 0:
         raise ValueError("n must not be negative")
     if n == 0:
         yield ()
         return
-    rgs = [0] * n
 
-    def recurse(pos: int, top: int) -> Iterator[tuple[Block, ...]]:
-        if pos == n:
-            blocks: dict[int, list[int]] = {}
-            for idx, label in enumerate(rgs, start=1):
-                blocks.setdefault(label, []).append(idx)
-            yield tuple(
-                sorted((tuple(block) for block in blocks.values()), key=max)
-            )
+    def grow(state: tuple[Block, ...], point: int) -> Iterator[tuple[Block, ...]]:
+        # state: the blocks of [point - 1] in order of minima
+        if point == n:  # the last point: order the blocks by maxima once for all its moves
+            by_max = sorted(state, key=_last)
+            for block in state:
+                at = by_max.index(block)
+                yield (*by_max[:at], *by_max[at + 1 :], block + (n,))
+            yield (*by_max, (n,))
             return
-        for label in range(top + 2):
-            rgs[pos] = label
-            yield from recurse(pos + 1, max(top, label))
+        for b, block in enumerate(state):
+            yield from grow(state[:b] + (block + (point,),) + state[b + 1 :], point + 1)
+        yield from grow(state + ((point,),), point + 1)
 
-    yield from recurse(1, 0)
+    yield from grow((), 1)
 
 
 def _passes_filter(blocks: tuple[Block, ...], which: str) -> bool:
@@ -251,27 +272,36 @@ def _passes_filter(blocks: tuple[Block, ...], which: str) -> bool:
     raise ValueError(f"unknown filter {which!r}")
 
 
-def _colorings(blocks: tuple[Block, ...]) -> Iterator[tuple[Colors, ...]]:
-    arc_counts = [len(block) - 1 for block in blocks]
-    total = sum(arc_counts)
-    for assignment in product((1, -1), repeat=total):
-        out = []
-        pos = 0
-        for count in arc_counts:
-            out.append(tuple(assignment[pos : pos + count]))
-            pos += count
-        yield tuple(out)
+def _colorings(
+    blocks: tuple[Block, ...], per_block: dict[int, tuple[Colors, ...]]
+) -> Iterator[tuple[Colors, ...]]:
+    """The colorings of blocks in binary order of their concatenation (+1 before -1).
+
+    A product of per-block lexicographic products is the binary order of the
+    concatenated colorings.  ``per_block`` maps an arc count to the colorings
+    of one block with that many arcs; the caller owns it, and each entry is
+    built the first time a block needs it.
+    """
+    tables = []
+    for block in blocks:
+        arcs = len(block) - 1
+        table = per_block.get(arcs)
+        if table is None:
+            table = per_block[arcs] = tuple(product((1, -1), repeat=arcs))
+        tables.append(table)
+    return product(*tables)
 
 
 def enumerate_colored(n: int, which: str = "all") -> Iterator[ColoredPartition]:
     """All colored partitions of [n]; 2^{#arcs} colorings per partition."""
     if n > MAX_COLORED_N or n < 0:
         raise ResourceLimitError(f"colored enumeration supports 0 <= n <= {MAX_COLORED_N}")
+    per_block: dict[int, tuple[Colors, ...]] = {}
     for blocks in set_partitions(n):
         if not _passes_filter(blocks, which):
             continue
-        for colors in _colorings(blocks):
-            yield _trusted(ColoredPartition, n=n, blocks=blocks, colors=colors)
+        for colors in _colorings(blocks, per_block):
+            yield _colored(n, blocks, colors)
 
 
 def enumerate_extended(n: int) -> Iterator[ExtendedPartition]:
@@ -286,7 +316,7 @@ def enumerate_extended(n: int) -> Iterator[ExtendedPartition]:
             marked = frozenset(
                 b for pos, b in enumerate(eligible) if mask >> pos & 1
             )
-            yield _trusted(ExtendedPartition, base=colored, marked=marked)
+            yield _extended(colored, marked)
 
 
 def eps_compatible(p: ExtendedPartition, eps: Sequence[str]) -> bool:
@@ -337,11 +367,7 @@ def enumerate_extended_eps(eps: Sequence[str]) -> Iterator[ExtendedPartition]:
                 for rank, b in enumerate(ordered)
                 if state[b][2] and len(state[b][0]) > 1
             )
-            yield _trusted(
-                ExtendedPartition,
-                base=_trusted(ColoredPartition, n=n, blocks=blocks, colors=colors),
-                marked=marked,
-            )
+            yield _extended(_colored(n, blocks, colors), marked)
             return
         symbol = eps[pos]
         point = pos + 1

@@ -1,4 +1,5 @@
-"""Small-n oracles: the Poly-level operator path and the per-partition vector formula.
+"""Small-n oracles: the Poly-level operator path, the per-partition vector
+formula, and the enumeration orders of the partition and group layers.
 
 ``bfock.fock`` applies operators on packed int dicts with one denominator.
 This module keeps the path it replaced: every (word, slot, row) term is a
@@ -11,12 +12,19 @@ of a comparison with it.
 extended partition at a time: ``partitions.statistics`` gives each weight and
 the ``Fraction`` chains of ``moments`` give each block, so it shares none of
 the moves, frozen counts or integer sums of ``moments.vector_formula``.
+
+The enumerators keep the algorithms that ``bfock.partitions`` and
+``bfock.coxeter`` replaced, so the tests can hold the faster ones to the same
+sequences: ``set_partitions`` runs over restricted growth strings and
+regroups each through a dict, ``colorings`` cuts one flat ±1 assignment of
+all arcs into blocks, and ``group_words`` is the breadth-first search that
+multiplies by every generator, descents included.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from bfock.errors import TruncationError
@@ -144,3 +152,87 @@ def colored_vector_formula(eps: Sequence[str], prob: MomentProblem) -> FockVecto
         for word, coeff in tensor.items():
             gathered.setdefault(word, []).append(coeff * scalar)
     return FockVector(prob.space, {word: Poly.sum(terms) for word, terms in gathered.items()})
+
+
+# -- enumeration orders ----------------------------------------------------------
+
+Block = tuple[int, ...]
+
+
+def set_partitions(n: int) -> Iterator[tuple[Block, ...]]:
+    """Partitions of [n] in restricted-growth-string order, blocks ordered by maxima."""
+    rgs = [0] * n
+
+    def recurse(pos: int, top: int) -> Iterator[tuple[Block, ...]]:
+        if pos >= n:
+            blocks: dict[int, list[int]] = {}
+            for point, label in enumerate(rgs, start=1):
+                blocks.setdefault(label, []).append(point)
+            yield tuple(sorted((tuple(block) for block in blocks.values()), key=max))
+            return
+        for label in range(top + 2):
+            rgs[pos] = label
+            yield from recurse(pos + 1, max(top, label))
+
+    yield from recurse(1, 0)
+
+
+def colorings(blocks: tuple[Block, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every ±1 assignment of all arcs in binary order (+1 first), cut into blocks."""
+    counts = [len(block) - 1 for block in blocks]
+    for assignment in product((1, -1), repeat=sum(counts)):
+        out, pos = [], 0
+        for count in counts:
+            out.append(assignment[pos : pos + count])
+            pos += count
+        yield tuple(out)
+
+
+FILTERS = {
+    "all": lambda size: True,
+    "no-singletons": lambda size: size >= 2,
+    "pairs-only": lambda size: size == 2,
+}
+
+
+def colored_partitions(n: int, which: str = "all") -> Iterator[tuple[tuple[Block, ...], tuple]]:
+    """(blocks, colors) of every colored partition that passes the filter, in order."""
+    for blocks in set_partitions(n):
+        if all(FILTERS[which](len(block)) for block in blocks):
+            for colors in colorings(blocks):
+                yield blocks, colors
+
+
+def extended_partitions(n: int) -> Iterator[tuple[tuple[Block, ...], tuple, frozenset[int]]]:
+    """(blocks, colors, marked): the markings of blocks of size >= 2 in subset-mask order."""
+    for blocks, colors in colored_partitions(n):
+        eligible = [b for b, block in enumerate(blocks) if len(block) >= 2]
+        for mask in range(1 << len(eligible)):
+            yield blocks, colors, frozenset(b for pos, b in enumerate(eligible) if mask >> pos & 1)
+
+
+def group_words(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Window -> minimal word of every element of B_n, in breadth-first discovery order.
+
+    Each element is multiplied on the right by every generator, lower index
+    first; the first word to reach an element is kept.
+    """
+
+    def times_generator(window: tuple[int, ...], g: int) -> tuple[int, ...]:
+        image = list(range(1, n + 1))  # the window of pi_g
+        if g == 0:
+            image[0] = -1
+        else:
+            image[g - 1], image[g] = image[g], image[g - 1]
+        return tuple(window[v - 1] if v > 0 else -window[-v - 1] for v in image)
+
+    start = tuple(range(1, n + 1))
+    words = {start: ()}
+    queue = [start]
+    for window in queue:  # the list grows while it is read
+        for g in range(n):
+            neighbor = times_generator(window, g)
+            if neighbor not in words:
+                words[neighbor] = words[window] + (g,)
+                queue.append(neighbor)
+    return words

@@ -48,6 +48,18 @@ def test_partitions_extended(capsys):
     assert len(rows) == 5
 
 
+@pytest.mark.parametrize("which", ["no-singletons", "pairs-only"])
+def test_partitions_extended_rejects_a_filter(capsys, which):
+    # the extended enumeration has no filter; a filter must not be dropped silently
+    with pytest.raises(SystemExit) as exc:
+        main(["partitions", "--n", "3", "--extended", "--filter", which])
+    assert exc.value.code == 2
+    assert "--extended" in capsys.readouterr().err
+    code, out = run_cli(capsys, "partitions", "--n", "3", "--extended", "--filter", "all")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 22  # header + 21 extended partitions
+
+
 def test_fock_json_symbolic(capsys):
     code, out = run_cli(capsys, "fock", "--n", "1", "--signature", "+-")
     assert code == 0

@@ -4,9 +4,11 @@ from collections import Counter
 
 import pytest
 
+import oracles
 from bfock.coxeter import (
     GroupElementRecord,
     SignedPermutation,
+    element_record,
     enumerate_group,
     length_stats,
     reduced_words,
@@ -14,24 +16,6 @@ from bfock.coxeter import (
 )
 from bfock.errors import ResourceLimitError
 from bfock.scalars import ALPHA, ONE, Q, Poly, qint
-
-
-def brute_force_bfs(n):
-    """Independent BFS oracle: plain dict/list search over windows."""
-    from collections import deque
-
-    gens = [SignedPermutation.generator(n, i) for i in range(n)]
-    start = SignedPermutation.identity(n)
-    seen = {start.window: ()}
-    queue = deque([start])
-    while queue:
-        sigma = queue.popleft()
-        for g, gen in enumerate(gens):
-            tau = sigma * gen
-            if tau.window not in seen:
-                seen[tau.window] = seen[sigma.window] + (g,)
-                queue.append(tau)
-    return seen
 
 
 def test_group_sizes():
@@ -46,6 +30,32 @@ def _factorial(n):
     return out
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_group_records_keep_the_bfs_words_and_order(n):
+    # the table expands right ascents only; the search over every generator
+    # must find the same words in the same order
+    got = [(r.perm.window, r.l1, r.l2, r.word) for r in enumerate_group(n)]
+    expected = [
+        (window, word.count(0), len(word) - word.count(0), word)
+        for window, word in oracles.group_words(n).items()
+    ]
+    assert got == expected
+
+
+def _is_right_descent(window, g):
+    # Björner & Brenti, Prop. 8.1.2: w(1) < 0 for g = 0, w(g) > w(g+1) otherwise
+    return window[0] < 0 if g == 0 else window[g - 1] > window[g]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_a_generator_shortens_exactly_the_right_descents(n):
+    for record in enumerate_group(n):
+        for g in range(n):
+            neighbor = element_record(record.perm * SignedPermutation.generator(n, g))
+            step = len(neighbor.word) - len(record.word)
+            assert step == (-1 if _is_right_descent(record.perm.window, g) else 1)
+
+
 def test_n1_elements():
     records = enumerate_group(1)
     assert len(records) == 2
@@ -56,7 +66,7 @@ def test_n1_elements():
 
 def test_n2_stat_multiset():
     # oracle: exhaustive BFS over the 8-element group
-    oracle = brute_force_bfs(2)
+    oracle = oracles.group_words(2)
     expected = Counter(
         (word.count(0), len(word) - word.count(0)) for word in oracle.values()
     )

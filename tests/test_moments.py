@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from bfock import moments
 from bfock.errors import ResourceLimitError
 from bfock.fock import FockVector, SpaceSpec, apply_operator, vacuum_expectation
 from bfock.moments import (
@@ -19,6 +20,7 @@ from bfock.moments import (
     VerifyReport,
     _arc_fields,
     _open_arc_steps,
+    closed_chain_value,
     colored_wick_moment,
     compare,
     corollary_cases,
@@ -404,6 +406,27 @@ def test_corollary_specializations_match_wick(n):
     )
     gaussian_prob = MomentProblem(xs=prob.xs, ts=zero_t, lams=prob.lams, space=space)
     assert wick_moment(gaussian_prob) == corollary_cases("gaussian", gaussian_prob)
+
+
+@pytest.mark.parametrize("which", ["q-case", "free-alpha", "gaussian"])
+def test_corollaries_compute_each_block_chain_once_per_call(monkeypatch, which):
+    # a block's chain does not depend on the rest of the partition; each call
+    # keeps its own values, so a second call computes them all again
+    rng = random.Random(206)
+    prob = random_problem(rng, 6, SpaceSpec.diagonal("++", truncation=6), zero_lams=True)
+    expected = corollary_cases(which, prob)
+    calls = []
+
+    def counted(block, colors, problem):
+        calls.append((tuple(block), tuple(colors)))
+        return closed_chain_value(block, colors, problem)
+
+    monkeypatch.setattr(moments, "closed_chain_value", counted)
+    assert corollary_cases(which, prob) == expected
+    assert calls and len(calls) == len(set(calls))
+    first = list(calls)
+    assert corollary_cases(which, prob) == expected
+    assert calls == first + first
 
 
 def test_free_alpha_outer_arc_structure():

@@ -1,9 +1,11 @@
 """Colored/extended partition enumeration and statistics."""
 
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
 
+import oracles
 from bfock.errors import ResourceLimitError
 from bfock.partitions import (
     EPS_ALPHABET,
@@ -66,6 +68,41 @@ def test_counting_identity(n):
     assert len(partitions) == bell_numbers(n)
     expected = sum(2 ** (n - len(blocks)) for blocks in partitions)
     assert len(list(enumerate_colored(n))) == expected
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_set_partitions_keep_the_restricted_growth_order(n):
+    assert list(set_partitions(n)) == list(oracles.set_partitions(n))
+
+
+@pytest.mark.parametrize("which", ["all", "no-singletons", "pairs-only"])
+@pytest.mark.parametrize("n", range(8))
+def test_colored_enumeration_keeps_its_order(n, which):
+    got = [(p.n, p.blocks, p.colors) for p in enumerate_colored(n, which)]
+    assert got == [(n, blocks, colors) for blocks, colors in oracles.colored_partitions(n, which)]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_extended_enumeration_keeps_its_order(n):
+    got = [(p.base.blocks, p.base.colors, p.marked) for p in enumerate_extended(n)]
+    assert got == list(oracles.extended_partitions(n))
+
+
+# The first partition at n = 10 is the one block [10]; its 512 colorings are
+# built as one table of about 70 KB.  Building all 115,975 partitions of [10]
+# takes about 19 MB.
+LAZY_PEAK_BYTES = 128 * 1024
+
+
+@pytest.mark.parametrize("enumerate_", [set_partitions, enumerate_colored])
+def test_enumerators_stay_lazy(enumerate_):
+    tracemalloc.start()
+    try:
+        next(enumerate_(10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < LAZY_PEAK_BYTES
 
 
 def test_small_counts():
