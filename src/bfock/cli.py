@@ -4,8 +4,13 @@ Subcommands: group, partitions, fock, moment, qt, orthopoly, verify.
 
 Exactness crosses the CLI boundary as strings: rationals as ``p/q`` and
 polynomials in canonical text form; floats appear only under ``--mode float``.
-Every command is deterministic byte-for-byte for a fixed (config, seed);
-the verify report therefore emits ``elapsed_ms: 0`` unless ``--timings`` is
+``_render`` is the one place that turns a ``Poly`` into output text for the
+chosen mode, and ``moment`` and ``qt`` share one ``--check`` tail
+(``_emit_sides``): the partition side, then under ``--check`` the operator
+side and whether the two are equal, with exit 1 when they are not.
+
+Every command is deterministic byte-for-byte for a fixed (config, seed); the
+verify report therefore emits ``elapsed_ms: 0`` unless ``--timings`` is
 requested.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
@@ -23,7 +28,7 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from math import factorial
 from typing import Callable, Iterator, Sequence
@@ -42,11 +47,11 @@ from .moments import (
     verify_vector_identity,
     wick_moment,
 )
-from .partitions import enumerate_colored, enumerate_extended, set_partitions, statistics
+from .partitions import enumerate_colored, enumerate_extended, statistics
 from .qt import QtSpec, qt_wick, qt_y_moment
 from .scalars import (
-    T, Matrix, ScalarMode, frac_identity, frac_matrix, identity_matrix, is_semidefinite,
-    mat_kron, mat_mul, mat_to_int, norm_at_most, qint,
+    T, Matrix, Poly, frac_identity, frac_matrix, identity_matrix, is_semidefinite, mat_kron,
+    mat_mul, mat_to_int, norm_at_most, qint,
 )
 
 REPORT_VERSION = 1
@@ -81,17 +86,36 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _mode(args: argparse.Namespace) -> ScalarMode:
-    return ScalarMode(
-        kind=args.mode,
-        alpha=getattr(args, "alpha", Fraction(0)) or Fraction(0),
-        q=getattr(args, "q", Fraction(0)) or Fraction(0),
-        t=getattr(args, "t", Fraction(0)) or Fraction(0),
-    )
+def _render(args: argparse.Namespace) -> Callable[[Poly], str]:
+    """How --mode shows a Poly: its canonical text, its exact value at the given
+    (--alpha, --q, --t), or the repr of its float value there."""
+    point = [getattr(args, name, None) or Fraction(0) for name in ("alpha", "q", "t")]
+    if args.mode == "rational":
+        return lambda value: str(value.evaluate(*point))
+    if args.mode == "float":
+        floats = [float(x) for x in point]
+        return lambda value: repr(value.eval_float(*floats))
+    return str
 
 
-def _render_matrix(matrix: Matrix, mode: ScalarMode) -> list[list[str]]:
-    return [[mode.render(entry) for entry in row] for row in matrix]
+def _require_type_b_range(args: argparse.Namespace) -> None:
+    if args.mode != "symbolic" and not (abs(args.alpha) < 1 and abs(args.q) < 1):
+        raise ValueError("type-B numeric modes require |alpha| < 1 and |q| < 1")
+
+
+def _emit_sides(
+    args: argparse.Namespace, payload: dict, key: str, partition_side: Poly,
+    operator_side: Callable[[], Poly], render: Callable[[Poly], str] = str,
+) -> int:
+    """Emit payload with the partition side under key; under --check also the
+    operator side and whether the two are equal, exiting 1 when they are not."""
+    payload[key] = render(partition_side)
+    if args.check:
+        other = operator_side()
+        payload["operator_side"] = render(other)
+        payload["equal"] = other == partition_side
+    _emit(args, json.dumps(payload, indent=2) + "\n")
+    return EXIT_OK if payload.get("equal", True) else EXIT_CHECK_FAILED
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -159,8 +183,8 @@ def cmd_partitions(args: argparse.Namespace) -> int:
 
 
 def cmd_fock(args: argparse.Namespace) -> int:
-    mode = _mode(args)
-    mode.require_type_b_range()
+    _require_type_b_range(args)
+    render = _render(args)
     if args.d is not None and args.d != len(args.signature):
         raise ValueError("--d must equal the signature length")
     space = SpaceSpec.diagonal(args.signature, truncation=max(args.n, 1))
@@ -170,10 +194,10 @@ def cmd_fock(args: argparse.Namespace) -> int:
         "d": space.d,
         "signature": args.signature,
         "mode": args.mode,
-        "symmetrizer": _render_matrix(symmetrizer(args.n, space), mode),
+        "symmetrizer": [[render(x) for x in row] for row in symmetrizer(args.n, space)],
     }
     if args.n >= 1:
-        payload["r_operator"] = _render_matrix(r_operator(args.n, space), mode)
+        payload["r_operator"] = [[render(x) for x in row] for row in r_operator(args.n, space)]
     _emit(args, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
@@ -199,25 +223,13 @@ def _moment_problem(args: argparse.Namespace) -> MomentProblem:
 
 
 def cmd_moment(args: argparse.Namespace) -> int:
-    mode = _mode(args)
-    mode.require_type_b_range()
+    _require_type_b_range(args)
     prob = _moment_problem(args)
-    partition_side = wick_moment(prob)
-    payload = {
-        "version": REPORT_VERSION,
-        "n": args.n,
-        "mode": args.mode,
-        "partition_side": mode.render(partition_side),
-    }
-    status = EXIT_OK
-    if args.check:
-        operator_side = vacuum_expectation(prob.operators(), prob.space)
-        payload["operator_side"] = mode.render(operator_side)
-        payload["equal"] = operator_side == partition_side
-        if not payload["equal"]:
-            status = EXIT_CHECK_FAILED
-    _emit(args, json.dumps(payload, indent=2) + "\n")
-    return status
+    payload = {"version": REPORT_VERSION, "n": args.n, "mode": args.mode}
+    return _emit_sides(
+        args, payload, "partition_side", wick_moment(prob),
+        lambda: vacuum_expectation(prob.operators(), prob.space), _render(args),
+    )
 
 
 def _require_qt_range(args: argparse.Namespace) -> None:
@@ -232,40 +244,24 @@ def _require_qt_range(args: argparse.Namespace) -> None:
 
 def cmd_qt(args: argparse.Namespace) -> int:
     _require_qt_range(args)
-    n = args.n
-    spec = QtSpec.make(1, truncation=max(n, 1))
-    unit = (Fraction(1),)
-    identity = frac_identity(1)
-    zero = ((Fraction(0),),)
-    t_matrix = identity if args.T == "identity" else zero
-    wick = qt_wick([unit] * n, [t_matrix] * n, spec)
-    if args.q is not None:
-        wick = wick.subs(q=args.q)
-    if not args.t_symbolic:
-        wick = wick.subs(t=args.t)
-    payload = {
-        "version": REPORT_VERSION,
-        "n": n,
-        "T": args.T,
-        "wick": str(wick),
-    }
-    status = EXIT_OK
-    if args.check:
-        operator_side = qt_y_moment([unit] * n, [t_matrix] * n, spec)
-        if args.q is not None:
-            operator_side = operator_side.subs(q=args.q)
-        if not args.t_symbolic:
-            operator_side = operator_side.subs(t=args.t)
-        payload["operator_side"] = str(operator_side)
-        payload["equal"] = operator_side == wick
-        if not payload["equal"]:
-            status = EXIT_CHECK_FAILED
-    _emit(args, json.dumps(payload, indent=2) + "\n")
-    return status
+    spec = QtSpec.make(1, truncation=max(args.n, 1))
+    xs = [(Fraction(1),)] * args.n
+    ts = [frac_identity(1) if args.T == "identity" else ((Fraction(0),),)] * args.n
+
+    def settle(poly: Poly) -> Poly:
+        """Substitute --q when given and --t unless --t-symbolic; the two sides are
+        compared after this."""
+        return poly.subs(q=args.q, t=None if args.t_symbolic else args.t)
+
+    payload = {"version": REPORT_VERSION, "n": args.n, "T": args.T}
+    return _emit_sides(
+        args, payload, "wick", settle(qt_wick(xs, ts, spec)),
+        lambda: settle(qt_y_moment(xs, ts, spec)),
+    )
 
 
 def cmd_orthopoly(args: argparse.Namespace) -> int:
-    mode = _mode(args)
+    render = _render(args)
     kwargs = {}
     if args.family == "alsalam-ismail":
         kwargs = {"a": Fraction(-1), "b": T * T}
@@ -276,10 +272,10 @@ def cmd_orthopoly(args: argparse.Namespace) -> int:
         "version": REPORT_VERSION,
         "family": args.family,
         "N": args.N,
-        "beta": [mode.render(jp.beta(k)) for k in range(args.N + 1)],
-        "gamma": [mode.render(jp.gamma(k)) for k in range(args.N + 1)],
-        "polynomials": [[mode.render(c) for c in row] for row in table],
-        "moments": [mode.render(m) for m in moments],
+        "beta": [render(jp.beta(k)) for k in range(args.N + 1)],
+        "gamma": [render(jp.gamma(k)) for k in range(args.N + 1)],
+        "polynomials": [[render(c) for c in row] for row in table],
+        "moments": [render(m) for m in moments],
     }
     _emit(args, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
@@ -342,25 +338,19 @@ def _qt_checks(n_max: int, seed: int) -> list[Check]:
 
 
 def _factorization_checks() -> list[Check]:
-    plus_minus = SpaceSpec.diagonal("+-", truncation=4)
-    built: list[tuple[Matrix, Matrix]] = []  # (P(n), R(n)) on +- for n = 1, 2, ...
-
-    def pair(n: int) -> tuple[Matrix, Matrix]:
-        """P(n) and R(n) on +-, built by whichever check reaches level n first: a
-        level-n matrix does not depend on the truncation, so both checks share it."""
-        if len(built) < n:
-            built.append((symmetrizer(n, plus_minus), r_operator(n, plus_minus)))
-        return built[n - 1]
+    @cache
+    def pair(signature: str, n: int) -> tuple[Matrix, Matrix]:
+        """P(n) and R(n), built by whichever check reaches them first: both checks
+        use truncation 4, and a level-n matrix does not depend on it anyway."""
+        space = SpaceSpec.diagonal(signature, truncation=4)
+        return symmetrizer(n, space), r_operator(n, space)
 
     def run() -> Iterator[VerifyReport]:
         for signature in ("+", "+-"):
             space = SpaceSpec.diagonal(signature, truncation=4)
             previous = symmetrizer(0, space)
             for n in range(1, 5):
-                if signature == "+-":
-                    lhs, r = pair(n)
-                else:
-                    lhs, r = symmetrizer(n, space), r_operator(n, space)
+                lhs, r = pair(signature, n)
                 rhs = mat_mul(mat_kron(previous, identity_matrix(space.d)), r)
                 yield compare(f"P({n}) factorization {signature}", lhs, rhs)
                 previous = lhs
@@ -369,7 +359,7 @@ def _factorization_checks() -> list[Check]:
         """||R(n)|| <= (1 + |a| |q|^(n-1)) [n]_|q| and P(n) > 0, certified exactly."""
         points = [(Fraction(a, 5), Fraction(q, 10)) for a in (2, -2) for q in (3, -3)]
         for n in range(1, 5):
-            gram, r = pair(n)
+            gram, r = pair("+-", n)
             for alpha, q in points:
                 bound = (1 + abs(alpha) * abs(q) ** (n - 1)) * qint(n).evaluate(0, abs(q))
                 at = f"n={n} at ({alpha},{q})"
@@ -396,13 +386,23 @@ def _orthopoly_checks() -> list[Check]:
     return [("orthopoly-identities", identities), ("orthopoly-substitution", substitution)]
 
 
+def _colored_count(n: int) -> int:
+    """The number of colored partitions of [n], sum_k S(n, k) 2^(n - k): a k-block
+    partition has n - k arcs of two colors each.  The Stirling numbers of the second
+    kind come from S(m, k) = k S(m-1, k) + S(m-1, k-1), with no partition walk."""
+    row = [1]  # S(m, k) for k = 0..m
+    for _ in range(n):
+        row = [k * s + below for k, (s, below) in enumerate(zip(row + [0], [0] + row))]
+    return sum(s * 2 ** (n - k) for k, s in enumerate(row))
+
+
 def _group_checks() -> list[Check]:
     def run() -> Iterator[VerifyReport]:
         for n in range(1, 6):
             yield compare(f"|group({n})|", len(enumerate_group(n)), 2**n * factorial(n))
         for n in range(1, 8):
-            expected = sum(2 ** (n - len(blocks)) for blocks in set_partitions(n))
-            yield compare(f"colored count n={n}", sum(1 for _ in enumerate_colored(n)), expected)
+            count = sum(1 for _ in enumerate_colored(n))
+            yield compare(f"colored count n={n}", count, _colored_count(n))
 
     return [("group-partition-counts", run)]
 

@@ -29,9 +29,12 @@ The canonical textual form sorts monomials in descending graded-lexicographic
 order (``a`` before ``q`` before ``t``), e.g. ``t^2 + 2*t + 3``.
 
 A small amount of dense linear algebra over ``Poly`` (and over bare
-``Fraction`` entries) lives here as well.  Spectral facts are certified
-exactly: a matrix evaluated at a rational point is cleared to integers
-(``mat_to_int``) and ``is_semidefinite`` runs fraction-free elimination on it.
+``Fraction`` entries) lives here as well.  Evaluation at a rational point
+has one algorithm: ``mat_to_int`` clears a matrix to integers over one
+denominator, and ``Poly.evaluate`` is its 1x1 case.  Spectral facts are
+certified exactly: ``is_semidefinite`` runs fraction-free elimination on the
+cleared matrix.  How a value is shown (symbolic, rational or float) is the
+CLI's concern, not this module's.
 The float view ``mat_to_float`` is the tests' independent oracle; it imports
 numpy when called, so importing this module does not.
 """
@@ -39,7 +42,6 @@ numpy when called, so importing this module does not.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Union
@@ -244,27 +246,9 @@ class Poly:
     # -- evaluation and substitution ----------------------------------------
 
     def evaluate(self, alpha: RationalLike, q: RationalLike, t: RationalLike = 0) -> Fraction:
-        """Exact evaluation; a ring homomorphism Poly -> Fraction.
-
-        With each value n/d and e_top the variable's top exponent, a term's
-        power n^e becomes the integer n^e d^(e_top - e) over the common d^e_top,
-        so the sum runs on ints and one Fraction is built at the end.
-        """
-        ratios = (_ratio(alpha), _ratio(q), _ratio(t))
-        if not self._num:
-            return Fraction(0)
-        exps = [_unpack(key) for key in self._num]
-        den = self._den
-        powers = []
-        for (n, d), top in zip(ratios, map(max, zip(*exps))):
-            powers.append([n**e * d ** (top - e) for e in range(top + 1)])
-            den *= d**top
-        pa, pq, pt = powers
-        total = sum(
-            c * pa[ea] * pq[eq] * pt[et]
-            for c, (ea, eq, et) in zip(self._num.values(), exps)
-        )
-        return Fraction(total, den)
+        """Exact evaluation; a ring homomorphism Poly -> Fraction (``mat_to_int`` on [[self]])."""
+        m, den = mat_to_int([[self]], alpha, q, t)
+        return Fraction(m[0][0], den)
 
     def eval_float(self, alpha: float, q: float, t: float = 0.0) -> float:
         den = self._den
@@ -362,38 +346,6 @@ def qtint(n: int) -> Poly:
     return Poly({(0, i - 1, n - i): 1 for i in range(1, n + 1)})
 
 
-# -- scalar mode (CLI-facing parameter handling) -----------------------------
-
-
-@dataclass(frozen=True)
-class ScalarMode:
-    """How CLI commands interpret the deformation parameters.
-
-    kind 'symbolic' keeps everything polynomial; 'rational' substitutes the
-    exact triple; 'float' renders floats for display and is never compared.
-    """
-
-    kind: str  # symbolic | rational | float
-    alpha: Fraction = Fraction(0)
-    q: Fraction = Fraction(0)
-    t: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("symbolic", "rational", "float"):
-            raise ValueError(f"unknown scalar mode {self.kind!r}")
-
-    def require_type_b_range(self) -> None:
-        if self.kind != "symbolic" and not (abs(self.alpha) < 1 and abs(self.q) < 1):
-            raise ValueError("type-B numeric modes require |alpha| < 1 and |q| < 1")
-
-    def render(self, value: Poly) -> str:
-        if self.kind == "symbolic":
-            return str(value)
-        if self.kind == "rational":
-            return str(value.evaluate(self.alpha, self.q, self.t))
-        return repr(value.eval_float(float(self.alpha), float(self.q), float(self.t)))
-
-
 # -- dense matrices over Poly -------------------------------------------------
 
 Matrix = list[list[Poly]]
@@ -461,9 +413,12 @@ def mat_to_int(
 ) -> tuple[IntMatrix, int]:
     """(m, den): the integer matrix m and the positive int den with a(alpha, q, t) = m / den.
 
-    One power table over the matrix's top exponents (as in ``Poly.evaluate``),
-    numerators over the lcm of the entries' ``_den``, then one gcd pass: den
-    is the lcm of the reduced entry denominators.
+    With each value n/d and e_top the variable's top exponent over the whole
+    matrix, a term's power n^e becomes the integer n^e d^(e_top - e) over the
+    common d^e_top, so one power table per variable serves every entry and the
+    sums run on ints.  The numerators go over the lcm of the entries' ``_den``,
+    then one gcd pass makes den the lcm of the reduced entry denominators.
+    ``Poly.evaluate`` is the 1x1 case.
     """
     keys = {key for row in a for x in row for key in x._num}
     value, scale = dict.fromkeys(keys, 1), 1

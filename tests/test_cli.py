@@ -12,10 +12,14 @@ from pathlib import Path
 import pytest
 
 import bfock
-from bfock import cli, moments
+import oracles
+from bfock import cli, moments, partitions
 from bfock.cli import main
 from bfock.fock import SpaceSpec
 from bfock.moments import random_problem, wick_moment
+from bfock.scalars import ALPHA, T
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +82,51 @@ def test_fock_rational_mode(capsys):
     payload = json.loads(out)
     # (1+a)(1+aq)(1+q) at (1/2, 1/3) = (3/2)(7/6)(4/3) = 7/3
     assert payload["symmetrizer"] == [["7/3"]]
+
+
+RENDERING_GOLDENS = [
+    ("fock-n3-rational.json", "fock --n 3 --signature +- --mode rational --alpha 1/2 --q=-1/3"),
+    ("fock-n3-float.json", "fock --n 3 --signature +- --mode float --alpha 1/2 --q=-1/3"),
+    (
+        "moment-seed11-n5-rational.json",
+        "moment --seed 11 --n 5 --mode rational --alpha 1/3 --q 1/2 --check",
+    ),
+    (
+        "orthopoly-alsalam-ismail-N6-rational.json",
+        "orthopoly --family alsalam-ismail --N 6 --mode rational --t 1/2",
+    ),
+    ("qt-n6-q-t-check.json", "qt --n 6 --q 1/5 --t 1/2 --check"),
+]
+
+
+@pytest.mark.parametrize("name, command", RENDERING_GOLDENS, ids=[g[0] for g in RENDERING_GOLDENS])
+def test_rendering_modes_match_the_committed_output(capsys, name, command):
+    code, out = run_cli(capsys, *command.split())
+    assert code == 0
+    assert out == (DATA / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "command, target, shift, value",
+    [
+        (
+            "moment --seed 11 --n 3 --mode rational --alpha 1/3 --check",
+            "vacuum_expectation", ALPHA, Fraction(1, 3),
+        ),
+        ("qt --n 4 --q 1/5 --t 1/2 --check", "qt_y_moment", T, Fraction(1, 2)),
+    ],
+)
+def test_a_check_mismatch_exits_1_with_both_sides(monkeypatch, capsys, command, target, shift, value):
+    """The operator side goes through the same rendering or substitution as the
+    partition side: a shift by a variable shows as that variable's value."""
+    original = getattr(cli, target)
+    monkeypatch.setattr(cli, target, lambda *args: original(*args) + shift)
+    code, out = run_cli(capsys, *command.split())
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["equal"] is False
+    side = payload.get("partition_side", payload.get("wick"))
+    assert Fraction(payload["operator_side"]) == Fraction(side) + value
 
 
 def test_fock_range_enforcement(capsys):
@@ -235,6 +284,26 @@ def test_a_failing_check_names_its_instance(monkeypatch, capsys):
     assert failed["lhs"] == f"moment-identity-n3: {wick_moment(prob)}"
     assert failed["rhs"] == str(wick_moment(prob) + 1)
     assert all(row["lhs"] == row["rhs"] == "" for row in rows if row["status"] == "pass")
+
+
+def test_colored_count_follows_the_stirling_recurrence():
+    assert [cli._colored_count(n) for n in range(1, 8)] == [1, 3, 11, 49, 257, 1539, 10299]
+    for n in range(10):
+        expected = sum(2 ** (n - len(blocks)) for blocks in oracles.set_partitions(n))
+        assert cli._colored_count(n) == expected
+
+
+def test_group_check_sees_lost_set_partitions(monkeypatch, capsys):
+    """A set_partitions that never yields n as a singleton loses colored partitions,
+    and the expected count, taken from no partition walk, shows it."""
+    original = partitions.set_partitions
+    monkeypatch.setattr(
+        partitions, "set_partitions", lambda n: (p for p in original(n) if (n,) not in p)
+    )
+    code, out = run_cli(capsys, "verify", "--suite", "group")
+    assert code == 1
+    (row,) = json.loads(out)["checks"]
+    assert (row["lhs"], row["rhs"]) == ("colored count n=1: 0", "1")
 
 
 def test_verify_deterministic(capsys):

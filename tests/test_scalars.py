@@ -41,6 +41,8 @@ def test_eval_substitution():
     p = (ONE + ALPHA) * (ONE + Q)
     assert p.evaluate(F(-2, 5), F(3, 10)) == F(3, 5) * F(13, 10)
     assert p.evaluate(F(-2, 5), F(3, 10)) == F(39, 50)
+    with pytest.raises(TypeError):
+        ZERO.evaluate(0.5, F(1, 3))
 
 
 def test_arith_basics():
@@ -250,8 +252,10 @@ def test_mat_to_int_clears_one_common_denominator():
 
 
 def mat_to_int_oracle(a, alpha, q, t=0):
-    """mat_to_int entry by entry: one Fraction per entry, then their lcm."""
-    values = [[x.evaluate(alpha, q, t) for x in row] for row in a]
+    """mat_to_int entry by entry, through the FractionPoly evaluator (``Poly.evaluate``
+    is mat_to_int's 1x1 case, so it cannot be the reference): one Fraction per
+    entry, then their lcm."""
+    values = [[FractionPoly(x.terms).evaluate(alpha, q, t) for x in row] for row in a]
     den = lcm(*(v.denominator for row in values for v in row))
     return [[v.numerator * (den // v.denominator) for v in row] for row in values], den
 
