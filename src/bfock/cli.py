@@ -14,7 +14,8 @@ verify report therefore emits ``elapsed_ms: 0`` unless ``--timings`` is
 requested.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage errors (argparse), 3 resource-guard violations.
+2 usage errors (argparse, out-of-range values, and options the command would
+not read), 3 resource-guard violations.
 """
 
 from __future__ import annotations
@@ -98,8 +99,18 @@ def _render(args: argparse.Namespace) -> Callable[[Poly], str]:
     return str
 
 
+def _reject_given(args: argparse.Namespace, names: Sequence[str], reason: str) -> None:
+    """Exit 2 on the first of these options that was given, since nothing reads it."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name} {reason}")
+
+
 def _require_type_b_range(args: argparse.Namespace) -> None:
-    if args.mode != "symbolic" and not (abs(args.alpha) < 1 and abs(args.q) < 1):
+    """--alpha and --q (default 0) are read only in a numeric mode, with |alpha|, |q| < 1."""
+    if args.mode == "symbolic":
+        _reject_given(args, ("alpha", "q"), "is not read in --mode symbolic")
+    elif not (abs(args.alpha or 0) < 1 and abs(args.q or 0) < 1):
         raise ValueError("type-B numeric modes require |alpha| < 1 and |q| < 1")
 
 
@@ -203,16 +214,18 @@ def cmd_fock(args: argparse.Namespace) -> int:
 
 
 def _moment_problem(args: argparse.Namespace) -> MomentProblem:
-    """The seeded or unit instance, with the given λ values zero-padded to n."""
+    """The seeded (on --signature, default +-) or unit instance, with the given
+    λ values zero-padded to n."""
     n = args.n
     if len(args.lambdas) > n:
         raise ValueError(f"{len(args.lambdas)} --lambda values for n = {n}")
     lams = list(args.lambdas) + [Fraction(0)] * (n - len(args.lambdas))
     if args.seed is not None:
-        space = SpaceSpec.diagonal(args.signature, truncation=max(n, 1))
+        space = SpaceSpec.diagonal(args.signature or "+-", truncation=max(n, 1))
         # random_problem draws λ last, so its xs and ts do not depend on zero_lams
         prob = random_problem(random.Random(args.seed), n, space, zero_lams=True)
         return MomentProblem.build(prob.xs, prob.ts, lams, space)
+    _reject_given(args, ("signature",), "applies only to a seeded instance (--seed)")
     space = SpaceSpec.diagonal("+", truncation=max(n, 1))
     return MomentProblem.build(
         xs=[(Fraction(1),)] * n,
@@ -232,26 +245,29 @@ def cmd_moment(args: argparse.Namespace) -> int:
     )
 
 
-def _require_qt_range(args: argparse.Namespace) -> None:
+def _require_qt_range(t: Fraction, q: Fraction | None) -> None:
     """Substituted values must satisfy 0 < t < 1, and |q| < t when q is given too."""
-    if args.t_symbolic:
-        return
-    if not 0 < args.t < 1:
+    if not 0 < t < 1:
         raise ValueError("(q,t) substitution requires 0 < t < 1")
-    if args.q is not None and not abs(args.q) < args.t:
+    if q is not None and not abs(q) < t:
         raise ValueError("(q,t) substitution requires |q| < t")
 
 
 def cmd_qt(args: argparse.Namespace) -> int:
-    _require_qt_range(args)
+    if args.t_symbolic:
+        _reject_given(args, ("t",), "is not read with --t-symbolic")
+        t = None
+    else:
+        t = Fraction(1, 2) if args.t is None else args.t
+        _require_qt_range(t, args.q)
     spec = QtSpec.make(1, truncation=max(args.n, 1))
     xs = [(Fraction(1),)] * args.n
     ts = [frac_identity(1) if args.T == "identity" else ((Fraction(0),),)] * args.n
 
     def settle(poly: Poly) -> Poly:
-        """Substitute --q when given and --t unless --t-symbolic; the two sides are
+        """Substitute --q when given and t unless --t-symbolic; the two sides are
         compared after this."""
-        return poly.subs(q=args.q, t=None if args.t_symbolic else args.t)
+        return poly.subs(q=args.q, t=t)
 
     payload = {"version": REPORT_VERSION, "n": args.n, "T": args.T}
     return _emit_sides(
@@ -260,7 +276,20 @@ def cmd_qt(args: argparse.Namespace) -> int:
     )
 
 
+# the parameters each family reads in --mode rational; the symbolic mode reads none
+_ORTHOPOLY_READS = {
+    "alphaq-poisson-B": ("alpha", "q"), "qt-poisson": ("q", "t"), "alsalam-ismail": ("t",),
+}
+
+
 def cmd_orthopoly(args: argparse.Namespace) -> int:
+    reads = _ORTHOPOLY_READS[args.family] if args.mode == "rational" else ()
+    unread = [name for name in ("alpha", "q", "t") if name not in reads]
+    _reject_given(args, unread, f"is not read by {args.family} in --mode {args.mode}")
+    if args.family == "alphaq-poisson-B":
+        _require_type_b_range(args)
+    elif args.mode == "rational":
+        _require_qt_range(args.t or Fraction(0), args.q)
     render = _render(args)
     kwargs = {}
     if args.family == "alsalam-ismail":
@@ -474,16 +503,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_nonnegative_int, required=True)
     p.add_argument("--d", type=int, default=None, help="defaults to len(signature)")
     p.add_argument("--signature", default="+")
-    p.add_argument("--alpha", type=_fraction, default=Fraction(0))
-    p.add_argument("--q", type=_fraction, default=Fraction(0))
+    p.add_argument("--alpha", type=_fraction, default=None, help="numeric modes only, default 0")
+    p.add_argument("--q", type=_fraction, default=None, help="numeric modes only, default 0")
     p.add_argument("--mode", choices=["symbolic", "rational", "float"], default="symbolic")
     common(p)
     p.set_defaults(func=cmd_fock)
 
     p = sub.add_parser("moment", help="moment of a type-B operator product")
     p.add_argument("--n", type=_nonnegative_int, required=True)
-    p.add_argument("--alpha", type=_fraction, default=Fraction(0))
-    p.add_argument("--q", type=_fraction, default=Fraction(0))
+    p.add_argument("--alpha", type=_fraction, default=None, help="--mode rational only, default 0")
+    p.add_argument("--q", type=_fraction, default=None, help="--mode rational only, default 0")
     p.add_argument(
         "--lambda",
         dest="lambdas",
@@ -495,14 +524,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["symbolic", "rational"], default="symbolic")
     p.add_argument("--check", action="store_true", help="also compute the operator side")
     p.add_argument("--seed", type=int, default=None, help="random instance instead of the unit one")
-    p.add_argument("--signature", default="+-", help="signature for seeded instances")
+    p.add_argument("--signature", default=None, help="signature of a seeded instance, default +-")
     common(p)
     p.set_defaults(func=cmd_moment)
 
     p = sub.add_parser("qt", help="(q,t)-model moments")
     p.add_argument("--n", type=_nonnegative_int, required=True)
     p.add_argument("--q", type=_fraction, default=None)
-    p.add_argument("--t", type=_fraction, default=Fraction(1, 2))
+    p.add_argument("--t", type=_fraction, default=None, help="default 1/2; not with --t-symbolic")
     p.add_argument("--t-symbolic", dest="t_symbolic", action="store_true")
     p.add_argument("--T", choices=["identity", "zero"], default="identity")
     p.add_argument("--check", action="store_true")
@@ -516,9 +545,10 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--N", type=_nonnegative_int, required=True)
-    p.add_argument("--alpha", type=_fraction, default=Fraction(0))
-    p.add_argument("--q", type=_fraction, default=Fraction(0))
-    p.add_argument("--t", type=_fraction, default=Fraction(0))
+    for name in ("alpha", "q", "t"):
+        readers = ", ".join(family for family, names in _ORTHOPOLY_READS.items() if name in names)
+        p.add_argument(f"--{name}", type=_fraction, default=None,
+                       help=f"--mode rational only, read by {readers}; default 0")
     p.add_argument("--mode", choices=["symbolic", "rational"], default="symbolic")
     common(p)
     p.set_defaults(func=cmd_orthopoly)

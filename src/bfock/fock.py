@@ -6,15 +6,17 @@ A :class:`FockVector` stores a finite linear combination of basis words
 (tuples over ``range(d)``, length at most the truncation) with ``Poly``
 coefficients, so every operator identity can be asserted exactly.
 
-A signed permutation w in B_n acts on level n slot by slot: slot k of a
-word moves to slot |w(k)|, through J when w(k) < 0.  A level's slot table
-holds, per element, the source slot of each image slot, the mask of source
-slots sent through J, and the element's exponent.  A basis word is spread
-through J once per distinct mask, and each element only permutes the spread
-words.  That one gather serves every symmetrizer (the matrix, the vector
-action and both flavors), and ``act_sigma`` reads the same entry.  The
-generator actions (``act_generator``, ``act_word``) replay a word letter by
-letter and stay as the independent path that ``r_operator`` is built from.
+Every ``Poly``-level map is a word map (a basis word's weighted images) with
+one gather: ``_images`` applies it to a vector, ``_level_matrix`` assembles its
+level matrix, and each output word or entry is summed once.  A signed
+permutation w in B_n moves slot k of a level-n word to slot |w(k)|, through J
+when w(k) < 0; a level's slot table holds each element's slot sources, mask of
+slots sent through J, and exponent.  A basis word is spread through J once per
+mask and each element only permutes the spreads, for every symmetrizer (matrix,
+vector action, both flavors) and ``act_sigma``.  The generators replay a word
+letter by letter and read J through ``SpaceSpec.involve_basis``, never the slot
+table: ``r_operator`` is built from them, so the factorization
+P(n) = (P(n-1) ⊗ I) R(n) holds two independent paths against each other.
 
 Operators follow the right-creator convention: creation appends at the
 right end of a word, the free right annihilator removes the rightmost slot,
@@ -169,10 +171,7 @@ class FockVector:
 
     def __add__(self, other: FockVector) -> FockVector:
         self._check_space(other)
-        out = dict(self.coeffs)
-        for word, coeff in other.coeffs.items():
-            out[word] = out.get(word, ZERO) + coeff
-        return FockVector(self.space, out)
+        return _collect(self.space, chain(self.coeffs.items(), other.coeffs.items()))
 
     def __sub__(self, other: FockVector) -> FockVector:
         return self + (-1) * other
@@ -206,6 +205,36 @@ class FockVector:
 # -- generator and group actions ----------------------------------------------
 
 
+def _collect(space: SpaceSpec, terms: Iterable[tuple[Word, Poly]]) -> FockVector:
+    """Gather the terms by word and sum each word's terms once."""
+    grouped: dict[Word, list[Poly]] = {}
+    for word, value in terms:
+        grouped.setdefault(word, []).append(value)
+    return FockVector(space, {word: Poly.sum(values) for word, values in grouped.items()})
+
+
+# a word-level linear map: a basis word's images, each image word once
+Column = Callable[[Word], Iterable[tuple[Word, PolyLike]]]
+
+
+def _images(column: Column, v: FockVector) -> FockVector:
+    """The word map applied to v: every word's images times its coefficient, gathered once."""
+    return _collect(v.space, (
+        (image, coeff * value) for word, coeff in v.coeffs.items() for image, value in column(word)
+    ))
+
+
+def _generator_images(i: int, word: Word, space: SpaceSpec) -> list[tuple[Word, RationalLike]]:
+    """pi_i on a basis word: J on slot 1 for i = 0 (read through ``involve_basis``),
+    the swap of slots i and i + 1 otherwise; a word too short for them is fixed."""
+    if len(word) <= i:
+        return [(word, 1)]
+    if i == 0:
+        return [((letter,) + word[1:], entry)
+                for letter, entry in enumerate(space.involve_basis(word[0])) if entry]
+    return [(word[: i - 1] + (word[i], word[i - 1]) + word[i + 1 :], 1)]
+
+
 def act_generator(i: int, v: FockVector) -> FockVector:
     """Tensor action of pi_i: slot swap for i >= 1, involution on slot 1 for i = 0.
 
@@ -213,28 +242,7 @@ def act_generator(i: int, v: FockVector) -> FockVector:
     """
     if i < 0 or i >= v.space.truncation:
         raise ValueError(f"generator index {i} out of range")
-    out: dict[Word, Poly] = {}
-
-    def add(word: Word, coeff: Poly) -> None:
-        out[word] = out.get(word, ZERO) + coeff
-
-    for word, coeff in v.coeffs.items():
-        n = len(word)
-        if i == 0:
-            if n == 0:
-                add(word, coeff)
-                continue
-            for letter, entry in enumerate(v.space.involve_basis(word[0])):
-                if entry:
-                    add((letter,) + word[1:], coeff * entry)
-        else:
-            if n < i + 1:
-                add(word, coeff)
-                continue
-            swapped = list(word)
-            swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-            add(tuple(swapped), coeff)
-    return FockVector(v.space, out)
+    return _images(lambda word: _generator_images(i, word, v.space), v)
 
 
 def act_word(gens: Sequence[int], v: FockVector) -> FockVector:
@@ -277,13 +285,8 @@ def act_sigma(record: GroupElementRecord, v: FockVector) -> FockVector:
     n = record.perm.n
     if any(level != n for level in v.levels()):
         raise ValueError(f"vector has words of length != {n}")
-    take, flipped = _slot_entry(record.perm.window)
-    columns = _involution_columns(v.space)
-    return _collect(v.space, (
-        (take(spread), coeff * entry)
-        for word, coeff in v.coeffs.items()
-        for spread, entry in _spread(word, flipped, columns)
-    ))
+    weights, columns = [(*_slot_entry(record.perm.window), (0, 0, 0))], _involution_columns(v.space)
+    return _images(lambda word: _symmetrized_word(word, weights, columns), v)
 
 
 def _level_weights(n: int, flavor: str) -> Weights:
@@ -303,8 +306,8 @@ def _level_weights(n: int, flavor: str) -> Weights:
     raise ValueError(f"unknown symmetrizer flavor {flavor!r}")
 
 
-def _symmetrized_word(word: Word, weights: Weights, columns: list) -> dict[Word, Poly]:
-    """Weighted sum of a basis word's images; each image's Poly is built once.
+def _symmetrized_word(word: Word, weights: Weights, columns: list) -> list[tuple[Word, Poly]]:
+    """Weighted images of a basis word, each image's Poly built once.
     The word is spread once per flipped mask; each element permutes the spreads."""
     spreads: dict[int, list[tuple[Word, RationalLike]]] = {}
     gathered: dict[Word, dict[Exponent, RationalLike]] = {}
@@ -315,7 +318,7 @@ def _symmetrized_word(word: Word, weights: Weights, columns: list) -> dict[Word,
         for source, coeff in spread:
             entry = gathered.setdefault(take(source), {})
             entry[key] = entry.get(key, 0) + coeff
-    return {image: Poly(entry) for image, entry in gathered.items()}
+    return [(image, Poly(entry)) for image, entry in gathered.items()]
 
 
 def basis_words(d: int, n: int) -> list[Word]:
@@ -327,19 +330,25 @@ def _guard_matrix_dim(d: int, n: int) -> None:
         raise ResourceLimitError(f"matrix dimension d^n = {d**n} exceeds {MAX_MATRIX_DIM}")
 
 
+def _level_matrix(column: Column, d: int, n_in: int, n_out: int) -> Matrix:
+    """Matrix (rows: level-n_out words, cols: level-n_in words) of a word map."""
+    _guard_matrix_dim(d, max(n_in, n_out))
+    rows = {word: k for k, word in enumerate(basis_words(d, n_out))}
+    cols = basis_words(d, n_in)
+    out = zero_matrix(len(rows), len(cols))
+    for j, word in enumerate(cols):
+        for image, value in column(word):
+            out[rows[image]][j] = value
+    return out
+
+
 def matrix_of_level_map(
     fn: Callable[[FockVector], FockVector], space: SpaceSpec, n_in: int, n_out: int
 ) -> Matrix:
     """Matrix (rows: level-n_out words, cols: level-n_in words) of a level map."""
-    _guard_matrix_dim(space.d, max(n_in, n_out))
-    cols = basis_words(space.d, n_in)
-    rows = {word: k for k, word in enumerate(basis_words(space.d, n_out))}
-    out = zero_matrix(len(rows), len(cols))
-    for j, word in enumerate(cols):
-        image = fn(FockVector.basis(space, word))
-        for w, coeff in image.coeffs.items():
-            out[rows[w]][j] = coeff
-    return out
+    return _level_matrix(
+        lambda word: fn(FockVector.basis(space, word)).coeffs.items(), space.d, n_in, n_out
+    )
 
 
 def symmetrizer(n: int, space: SpaceSpec, flavor: str = "alpha-q") -> Matrix:
@@ -349,43 +358,27 @@ def symmetrizer(n: int, space: SpaceSpec, flavor: str = "alpha-q") -> Matrix:
         raise ValueError(f"level {n} is negative")
     if n > space.truncation:
         raise ValueError(f"level {n} exceeds truncation {space.truncation}")
-    _guard_matrix_dim(space.d, n)
-    weights = _level_weights(n, flavor)
-    columns = _involution_columns(space)
-    cols = basis_words(space.d, n)
-    index = {word: k for k, word in enumerate(cols)}
-    out = zero_matrix(len(cols), len(cols))
-    for j, word in enumerate(cols):
-        for image, value in _symmetrized_word(word, weights, columns).items():
-            out[index[image]][j] = value
-    return out
+    _guard_matrix_dim(space.d, n)  # before B_n is enumerated
+    weights, columns = _level_weights(n, flavor), _involution_columns(space)
+    return _level_matrix(lambda word: _symmetrized_word(word, weights, columns), space.d, n, n)
 
 
 def r_operator(n: int, space: SpaceSpec) -> Matrix:
-    """The recursion factor: identity plus q-weighted cycle words plus the
-    sign-flip branch, assembled exactly as displayed.
+    """The recursion factor as displayed, 2n weighted generator words replayed
+    and summed in one ``_collect``: the q-weighted cycle words and the sign-flip branch.
 
     R = 1 + sum_{k=1..n-1} q^k pi_{n-1}···pi_{n-k}
         + a q^(n-1) pi_{n-1}···pi_1 pi_0 (1 + sum_{k=1..n-1} q^k pi_1···pi_k)
     """
     if not 1 <= n <= space.truncation:
         raise ValueError(f"level {n} out of range")
-
-    def apply(v: FockVector) -> FockVector:
-        result = v
-        for k in range(1, n):
-            result = result + Poly.monomial(1, eq=k) * act_word(
-                list(range(n - 1, n - k - 1, -1)), v
-            )
-        branch = v
-        for k in range(1, n):
-            branch = branch + Poly.monomial(1, eq=k) * act_word(
-                list(range(1, k + 1)), v
-            )
-        branch = act_word(list(range(n - 1, 0, -1)) + [0], branch)
-        return result + Poly.monomial(1, ea=1, eq=n - 1) * branch
-
-    return matrix_of_level_map(apply, space, n, n)
+    flip = [*range(n - 1, 0, -1), 0]
+    words = [(Poly.monomial(1, eq=k), [*range(n - 1, n - k - 1, -1)]) for k in range(n)]
+    words += [(Poly.monomial(1, ea=1, eq=n - 1 + k), [*flip, *range(1, k + 1)]) for k in range(n)]
+    return matrix_of_level_map(lambda v: _collect(space, (
+        (image, weight * coeff)
+        for weight, gens in words for image, coeff in act_word(gens, v).coeffs.items()
+    )), space, n, n)
 
 
 # -- operators -----------------------------------------------------------------
@@ -426,14 +419,6 @@ def type_b(
     x: Sequence[Fraction], t: Sequence[Sequence[Fraction]], lam: Fraction | int = 0
 ) -> OpSpec:
     return OpSpec("b", x=frac_vector(x), t=frac_matrix(t), lam=Fraction(lam))
-
-
-def _collect(space: SpaceSpec, terms: Iterable[tuple[Word, Poly]]) -> FockVector:
-    """Gather the terms by word and sum each word's terms once."""
-    grouped: dict[Word, list[Poly]] = {}
-    for word, value in terms:
-        grouped.setdefault(word, []).append(value)
-    return FockVector(space, {word: Poly.sum(values) for word, values in grouped.items()})
 
 
 # the (q,t) kinds run the type-B kernel with the (q,t) slot weight; Y is b with λ = 0
@@ -581,17 +566,9 @@ def apply_operator(op: OpSpec, v: FockVector, horizon: int | None = None) -> Foc
 
 def free_annihilator_matrix(x: FracVector, n: int, space: SpaceSpec) -> Matrix:
     """Matrix of the free right annihilator (removes the last slot) at level n."""
-
-    def apply(v: FockVector) -> FockVector:
-        out: dict[Word, Poly] = {}
-        for word, coeff in v.coeffs.items():
-            entry = x[word[-1]]
-            if entry:
-                key = word[:-1]
-                out[key] = out.get(key, ZERO) + coeff * entry
-        return FockVector(space, out)
-
-    return matrix_of_level_map(apply, space, n, n - 1)
+    if not 1 <= n <= space.truncation:
+        raise ValueError(f"level {n} out of range")
+    return _level_matrix(lambda word: [(word[:-1], Poly.const(x[word[-1]]))], space.d, n, n - 1)
 
 
 # -- inner products and the vacuum state --------------------------------------
@@ -601,11 +578,7 @@ def apply_symmetrizer(v: FockVector, flavor: str) -> FockVector:
     """Level-wise application of the flavor's symmetrizer."""
     weights = {n: _level_weights(n, flavor) for n in {0, *v.levels()}}
     columns = _involution_columns(v.space)
-    return _collect(v.space, (
-        (image, value * coeff)
-        for word, coeff in v.coeffs.items()
-        for image, value in _symmetrized_word(word, weights[len(word)], columns).items()
-    ))
+    return _images(lambda word: _symmetrized_word(word, weights[len(word)], columns), v)
 
 
 def inner(u: FockVector, v: FockVector, flavor: str = "alpha-q") -> Poly:

@@ -441,15 +441,13 @@ def colored_wick_moment(prob: MomentProblem) -> Poly:
     """
     if prob.n > _MAX_COLORED_WICK_N:
         raise ResourceLimitError(f"colored_wick_moment is guarded at n <= {_MAX_COLORED_WICK_N}")
-    total = ZERO
+    terms = []
     for p in enumerate_colored(prob.n):
         value = cumulant_partition(p, prob)
-        if value.is_zero:
-            continue
-        stats = statistics(p)
-        weight = Poly.monomial(1, ea=stats.narc, eq=stats.rc + 2 * stats.rnarc)
-        total = total + weight * value
-    return total
+        if not value.is_zero:
+            stats = statistics(p)
+            terms.append(Poly.monomial(1, ea=stats.narc, eq=stats.rc + 2 * stats.rnarc) * value)
+    return Poly.sum(terms)
 
 
 def vector_formula(eps: Sequence[str], prob: MomentProblem) -> FockVector:
@@ -524,13 +522,13 @@ def corollary_gaussian(prob: MomentProblem) -> Poly:
     """Specialized sum at T = 0, lambda = 0: colored pair partitions only."""
     _require_zero_lams(prob)
     chain = _chain_values(prob)
-    total = ZERO
+    terms = []
     for p in enumerate_colored(prob.n, "pairs-only"):
         value = prod(chain(block, colors) for block, colors in zip(p.blocks, p.colors))
         if value:
             stats = statistics(p)
-            total = total + Poly.monomial(value, ea=stats.narc, eq=stats.rc + 2 * stats.rnarc)
-    return total
+            terms.append(Poly.monomial(value, ea=stats.narc, eq=stats.rc + 2 * stats.rnarc))
+    return Poly.sum(terms)
 
 
 def corollary_free_alpha(prob: MomentProblem) -> Poly:

@@ -52,7 +52,7 @@ def alphaq_poisson_b(negate_alpha: bool = False) -> JacobiParams:
 
     return JacobiParams(
         name="alphaq-poisson-B" + ("-neg" if negate_alpha else ""),
-        beta=lambda n: coefficient(n) if n >= 1 else ZERO,
+        beta=coefficient,
         gamma=lambda n: coefficient(n + 1),
     )
 
@@ -60,7 +60,7 @@ def alphaq_poisson_b(negate_alpha: bool = False) -> JacobiParams:
 def qt_poisson() -> JacobiParams:
     return JacobiParams(
         name="qt-poisson",
-        beta=lambda n: qtint(n) if n >= 1 else ZERO,
+        beta=qtint,
         gamma=lambda n: qtint(n + 1),
     )
 
@@ -97,16 +97,11 @@ def polys(jp: JacobiParams, upto: int) -> list[YPoly]:
     table: list[YPoly] = [[ONE]]
     if upto >= 1:
         table.append([-jp.beta(0), ONE])
-    for n in range(1, upto):
-        shifted = [ZERO] + table[n]  # y * P_n
-        out = [ZERO] * (n + 2)
-        for k, coeff in enumerate(shifted):
-            out[k] = out[k] + coeff
-        for k, coeff in enumerate(table[n]):
-            out[k] = out[k] - jp.beta(n) * coeff
-        for k, coeff in enumerate(table[n - 1]):
-            out[k] = out[k] - jp.gamma(n - 1) * coeff
-        table.append(out)
+    for n in range(1, upto):  # P_{n+1} = y P_n - beta_n P_n - gamma_{n-1} P_{n-1}
+        beta, gamma = -jp.beta(n), -jp.gamma(n - 1)
+        rows = zip([ZERO, *table[n]], [*table[n], ZERO], [*table[n - 1], ZERO, ZERO])
+        table.append([Poly.sum((shifted, beta * current, gamma * previous))
+                      for shifted, current, previous in rows])
     return table[: upto + 1]
 
 
@@ -118,17 +113,11 @@ def moments_from_jacobi(jp: JacobiParams, upto: int) -> list[Poly]:
     # state: current row vector e_0^T J^k, truncated
     row = [ONE] + [ZERO] * (size - 1)
     moments = [ONE]
-    for _ in range(upto):
-        nxt = [ZERO] * size
-        for i, value in enumerate(row):
-            if value.is_zero:
-                continue
-            nxt[i] = nxt[i] + value * beta[i]
-            if i + 1 < size:
-                nxt[i + 1] = nxt[i + 1] + value  # superdiagonal 1
-            if i > 0:
-                nxt[i - 1] = nxt[i - 1] + value * gamma[i - 1]
-        row = nxt
+    for _ in range(upto):  # entry i of row·J: row[i] beta_i + row[i-1] + row[i+1] gamma_i
+        row = [
+            Poly.sum((value * b, before, after * g))
+            for before, value, after, b, g in zip([ZERO, *row], row, [*row[1:], ZERO], beta, gamma)
+        ]
         moments.append(row[0])
     return moments
 

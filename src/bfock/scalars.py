@@ -360,17 +360,10 @@ def zero_matrix(rows: int, cols: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = zero_matrix(rows, cols)
-    for i in range(rows):
-        for k in range(inner):
-            aik = a[i][k]
-            if aik.is_zero:
-                continue
-            for j in range(cols):
-                if not b[k][j].is_zero:
-                    out[i][j] = out[i][j] + aik * b[k][j]
-    return out
+    """a·b, each entry one ``Poly.sum`` over its nonzero products."""
+    columns = [[(k, x) for k, x in enumerate(col) if not x.is_zero] for col in zip(*b)]
+    return [[Poly.sum(row[k] * x for k, x in col if not row[k].is_zero) for col in columns]
+            for row in a]
 
 
 def mat_kron(a: Matrix, b: Matrix) -> Matrix:

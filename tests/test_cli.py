@@ -207,6 +207,61 @@ def test_qt_substituted_values_out_of_range(capsys, values):
     assert code == 0
 
 
+UNREAD_OPTIONS = [
+    ("fock --n 1 --alpha 5", "--alpha"),
+    ("fock --n 1 --q 1/2", "--q"),
+    ("moment --n 2 --alpha 1/2", "--alpha"),
+    ("moment --n 3 --signature +-", "--signature"),
+    ("qt --n 3 --t 1/2 --t-symbolic", "--t"),
+    ("orthopoly --family alsalam-ismail --N 3 --mode rational --t 1/3 --alpha 5", "--alpha"),
+    ("orthopoly --family alsalam-ismail --N 3 --mode rational --t 1/3 --q 1/5", "--q"),
+    ("orthopoly --family alphaq-poisson-B --N 3 --mode rational --t 1/2", "--t"),
+    ("orthopoly --family qt-poisson --N 3 --mode rational --t 1/2 --alpha 1/3", "--alpha"),
+    ("orthopoly --family qt-poisson --N 3 --q 1/5", "--q"),
+]
+
+
+@pytest.mark.parametrize("command, option", UNREAD_OPTIONS, ids=[c for c, _ in UNREAD_OPTIONS])
+def test_an_option_the_command_does_not_read_exits_2(capsys, command, option):
+    with pytest.raises(SystemExit) as exc:
+        main(command.split())
+    assert exc.value.code == 2
+    assert f"error: {option} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "orthopoly --family alphaq-poisson-B --N 3 --mode rational --alpha 2",
+        "orthopoly --family alphaq-poisson-B --N 3 --mode rational --q=-1",
+        "orthopoly --family qt-poisson --N 3 --mode rational --t 7 --q 9",
+        "orthopoly --family qt-poisson --N 3 --mode rational --q 3/4 --t 1/2",
+        "orthopoly --family qt-poisson --N 3 --mode rational",  # t defaults to 0
+        "orthopoly --family alsalam-ismail --N 3 --mode rational --t 1",
+    ],
+)
+def test_orthopoly_rational_values_out_of_range_exit_2(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command.split())
+    assert exc.value.code == 2
+    assert "require" in capsys.readouterr().err
+
+
+def test_orthopoly_rational_reads_its_family_parameters(capsys):
+    tables = set()
+    for values in (("--alpha", "1/3", "--q", "1/2"), ("--alpha", "1/3", "--q", "1/4")):
+        code, out = run_cli(capsys, "orthopoly", "--family", "alphaq-poisson-B", "--N", "3",
+                            "--mode", "rational", *values)
+        assert code == 0
+        tables.add(out)
+    code, out = run_cli(capsys, "orthopoly", "--family", "qt-poisson", "--N", "3",
+                        "--mode", "rational", "--q", "1/5", "--t", "1/2")
+    assert code == 0
+    # beta_2 = gamma_1 = [2]_{q,t} = q + t
+    assert json.loads(out)["beta"][2] == "7/10"
+    assert len(tables) == 2
+
+
 def test_qt_has_no_mode_option():
     with pytest.raises(SystemExit) as exc:
         main(["qt", "--n", "2", "--mode", "rational"])

@@ -227,8 +227,19 @@ def test_act_sigma_matches_word_replay(space, n):
         assert act_sigma(record, v) == act_word(record.word, v)
 
 
-@pytest.mark.parametrize("space", [D1, D2])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+# (space, top level): the diagonal spaces, then non-diagonal J, where R(n)'s
+# generator replay and P(n)'s slot table read J two different ways
+FACTORIZATION_SPACES = [(D1, 4), (D2, 4), (SWAP, 4), (REFLECTION, 4), (SpaceSpec.diagonal("+--", 3), 3)]
+
+
+@pytest.mark.parametrize(
+    "space,n",
+    [
+        pytest.param(space, n, id=f"{n}-space{k}")
+        for k, (space, top) in enumerate(FACTORIZATION_SPACES)
+        for n in range(1, top + 1)
+    ],
+)
 def test_factorization(space, n):
     lhs = symmetrizer(n, space)
     prev = symmetrizer(n - 1, space)
@@ -287,14 +298,15 @@ TWO_SPACES = pytest.mark.parametrize("space", [D2, REFLECTION], ids=["+-", "refl
 
 @TWO_SPACES
 def test_annihilator_factorization(space):
-    # matrix of annihilate(x) at level n equals free right annihilator · R
-    x = (F(2, 3), F(-1, 5))
-    for n in (1, 2, 3, 4):
-        lhs = matrix_of_level_map(
-            lambda v: apply_operator(annihilate(x), v), space, n, n - 1
-        )
-        rhs = mat_mul(free_annihilator_matrix(x, n, space), r_operator(n, space))
-        assert mat_eq(lhs, rhs)
+    # matrix of annihilate(x) at level n equals free right annihilator · R;
+    # the second x reaches the free annihilator's zero entries
+    for x in ((F(2, 3), F(-1, 5)), (F(2, 3), F(0))):
+        for n in (1, 2, 3, 4):
+            lhs = matrix_of_level_map(
+                lambda v: apply_operator(annihilate(x), v), space, n, n - 1
+            )
+            rhs = mat_mul(free_annihilator_matrix(x, n, space), r_operator(n, space))
+            assert mat_eq(lhs, rhs)
 
 
 def test_adjointness_of_creation():
