@@ -99,7 +99,7 @@ class SpaceSpec:
         if self.d < 1 or self.truncation < 1:
             raise ValueError("dimension and truncation must be positive")
         j = self.involution
-        if len(j) != self.d:
+        if len(j) != self.d or any(len(row) != self.d for row in j):
             raise ValueError("involution dimension mismatch")
         if not is_symmetric(j):
             raise ValueError("involution must be symmetric")

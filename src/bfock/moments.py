@@ -46,7 +46,7 @@ partition layer and the Fraction chain only: ``set_partitions`` with
 partitions (rc == 0) and their outer arcs (cover 0);
 ``enumerate_colored(n, "pairs-only")`` with ``statistics`` for the Gaussian
 case; ``closed_chain_value`` for every block, computed once per (block,
-colors) in a dict local to the call.  None of them goes through
+colors) in a ``functools.cache`` local to the call.  None of them goes through
 ``_open_arc_steps`` or ``_color_summed_sum``, so a fault in the kernel's
 moves, state merges or integer sums cannot cancel out of the comparison.
 
@@ -68,6 +68,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
@@ -450,11 +451,16 @@ def colored_wick_moment(prob: MomentProblem) -> Poly:
     return Poly.sum(terms)
 
 
+def _check_eps(eps: Sequence[str], prob: MomentProblem) -> None:
+    """The one check of a symbol word, for both sides of the vector identity."""
+    if prob.n != len(eps) or any(symbol not in EPS_ALPHABET for symbol in eps):
+        raise ValueError("eps must be over {*, 1, '} with one symbol per point")
+
+
 def vector_formula(eps: Sequence[str], prob: MomentProblem) -> FockVector:
     """Extended-partition expansion of b^eps(n)···b^eps(1) Ω: the partition
     sum with q^f_in (I + a q^(2(c + f_left)) J) at every arc."""
-    if prob.n != len(eps) or any(symbol not in EPS_ALPHABET for symbol in eps):
-        raise ValueError("eps must be over {*, 1, '} with one symbol per point")
+    _check_eps(eps, prob)
     if prob.n > MAX_VECTOR_N:
         raise ResourceLimitError(f"vector_formula is guarded at n <= {MAX_VECTOR_N}")
     return FockVector(prob.space, _color_summed_sum(prob, _type_b_choices(prob.space), eps))
@@ -473,6 +479,7 @@ def eps_operator(symbol: str, point: int, prob: MomentProblem) -> OpSpec:
 
 def eps_word_vector(eps: Sequence[str], prob: MomentProblem) -> FockVector:
     """Operator side: apply the symbol word to the vacuum, first symbol first."""
+    _check_eps(eps, prob)
     ops = [eps_operator(symbol, point, prob) for point, symbol in enumerate(eps, start=1)]
     return _apply_product(ops[::-1], FockVector.vacuum(prob.space), None)
 
@@ -489,18 +496,10 @@ def _chain_values(prob: MomentProblem) -> Callable[[tuple[int, ...], tuple[int, 
     """``closed_chain_value`` on prob, computed once per (block, colors).
 
     A block's chain does not depend on the rest of the partition.  Each
-    evaluator call makes its own, so no values are shared between calls or
-    with the kernel.
+    evaluator call makes its own cache, so no values are shared between calls
+    or with the kernel.
     """
-    values: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
-
-    def value(block: tuple[int, ...], colors: tuple[int, ...]) -> Fraction:
-        key = (block, colors)
-        if key not in values:
-            values[key] = closed_chain_value(block, colors, prob)
-        return values[key]
-
-    return value
+    return cache(lambda block, colors: closed_chain_value(block, colors, prob))
 
 
 def _plain_chains(blocks: Sequence[tuple[int, ...]], chain: Callable[..., Fraction]) -> Fraction:

@@ -9,8 +9,9 @@ Families:
 
 Moments come from powers of the truncated monic tridiagonal operator
 (superdiagonal 1, diagonal beta, subdiagonal gamma), whose (0,0) entries are
-the weighted Motzkin path sums; the classical continued fraction carries the
-same data and is kept as a secondary cross-check at rational parameters.
+the weighted Motzkin path sums.  The classical J-fraction carries the same
+data; ``continued_fraction_moments`` solves it level by level as a power
+series and is kept as a secondary cross-check at rational parameters.
 
 The identities against the operator model return ``moments.VerifyReport``s:
 the first failing comparison, which names its level and first difference,
@@ -124,59 +125,28 @@ def moments_from_jacobi(jp: JacobiParams, upto: int) -> list[Poly]:
 
 # -- continued-fraction cross-check (rational parameters) ----------------------
 
-Series = list[Fraction]  # univariate polynomial in z, index = power
-
-
-def _poly_mul_z(a: Series, b: Series, order: int) -> Series:
-    out = [Fraction(0)] * (order + 1)
-    for i, ca in enumerate(a):
-        if i > order or not ca:
-            continue
-        for j, cb in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ca * cb
-    return out
-
-
-def _series_div(num: Series, den: Series, order: int) -> Series:
-    if not den or den[0] == 0:
-        raise ZeroDivisionError("denominator has no constant term")
-    out = [Fraction(0)] * (order + 1)
-    num = num + [Fraction(0)] * (order + 1 - len(num))
-    for k in range(order + 1):
-        acc = num[k]
-        for i in range(1, k + 1):
-            if i < len(den):
-                acc -= den[i] * out[k - i]
-        out[k] = acc / den[0]
-    return out
-
 
 def continued_fraction_moments(
     jp: JacobiParams, depth: int, at: tuple[Fraction, Fraction, Fraction], count: int
 ) -> list[Fraction]:
     """Taylor coefficients of the depth-truncated continued fraction.
 
-    Level j of the fraction is 1 - beta_j z - gamma_j z^2 / (next level); the
-    truncation stops at level ``depth`` with its tail dropped.  The first
-    2*depth coefficients agree with the moment sequence.
+    Level j of the J-fraction is S_j = 1 / (1 - beta_j z - gamma_j z^2 S_{j+1}),
+    cut at level ``depth`` with S_{depth+1} = 0.  Each level is solved as the
+    series S_j = 1 + beta_j z S_j + gamma_j z^2 S_{j+1} S_j, one coefficient at
+    a time, from level ``depth`` up to level 0.  The first 2*depth + 2
+    coefficients of S_0 agree with the moment sequence (Flajolet 1980).
     """
-    order = count - 1
-    alpha_v, q_v, t_v = at
-    beta = [jp.beta(j).evaluate(alpha_v, q_v, t_v) for j in range(depth + 1)]
-    gamma = [jp.gamma(j).evaluate(alpha_v, q_v, t_v) for j in range(depth + 1)]
-    # build from the innermost level outward as num/den rational functions
-    num: Series = [Fraction(1)]
-    den: Series = [Fraction(1), -beta[depth]]
-    for j in range(depth - 1, -1, -1):
-        # 1/(1 - beta_j z - gamma_j z^2 * num/den)
-        new_den = [Fraction(1), -beta[j]]
-        term = _poly_mul_z([Fraction(0), Fraction(0), -gamma[j]], num, order + 2)
-        base = _poly_mul_z(new_den, den, order + 2)
-        den_next = [x + y for x, y in zip(base, term + [Fraction(0)] * (len(base) - len(term)))]
-        num, den = den, den_next
-    return _series_div(num, den, order)[:count]
+    beta = [jp.beta(j).evaluate(*at) for j in range(depth + 1)]
+    gamma = [jp.gamma(j).evaluate(*at) for j in range(depth + 1)]
+    deeper = [Fraction(0)] * count  # S_{depth+1}
+    for j in range(depth, -1, -1):
+        level = [Fraction(1)]
+        for k in range(1, count):
+            convolution = sum(deeper[i] * level[k - 2 - i] for i in range(k - 1))
+            level.append(beta[j] * level[k - 1] + gamma[j] * convolution)
+        deeper = level
+    return deeper[:count]
 
 
 # -- identities against the operator model -------------------------------------

@@ -31,8 +31,9 @@ construction, and a test rebuilds every one of them through the public
 constructors.  Every other construction keeps its full validation.
 
 Enumeration order is deterministic: uncolored partitions in restricted-
-growth-string order, colorings in binary order (+1 before -1), markings in
-subset-mask order.
+growth-string order, colorings in binary order (+1 before -1) from the one
+``_colorings``, markings in subset-mask order; ``enumerate_extended_eps``
+grows only the uncolored blocks its word allows before coloring them.
 """
 
 from __future__ import annotations
@@ -346,43 +347,33 @@ def eps_compatible(p: ExtendedPartition, eps: Sequence[str]) -> bool:
 def enumerate_extended_eps(eps: Sequence[str]) -> Iterator[ExtendedPartition]:
     """Extended partitions compatible with eps, built by direct construction.
 
-    Walks positions left to right: a star opens a singleton; a one closes
-    any open block; a prime extends any open block keeping it open.  Each
-    attachment happens with both arc colors.
+    Point by point, a star opens a block, a prime joins an open block, and a
+    one joins an open block and closes it.  The blocks are then ordered by
+    their maxima, the ones still open with two or more points are marked,
+    and ``_colorings`` colors them.
     """
     n = len(eps)
     if n > MAX_EXTENDED_N or n < 0:
         raise ResourceLimitError(f"extended enumeration supports 0 <= n <= {MAX_EXTENDED_N}")
     if any(symbol not in EPS_ALPHABET for symbol in eps):
         raise ValueError("eps must be over {*, 1, '}")
+    per_block: dict[int, tuple[Colors, ...]] = {}
 
-    # state entries: (block elements, arc colors, still open)
-    def recurse(pos: int, state: tuple[tuple[Block, Colors, bool], ...]):
-        if pos == n:
-            ordered = sorted(range(len(state)), key=lambda b: max(state[b][0]))
-            blocks = tuple(state[b][0] for b in ordered)
-            colors = tuple(state[b][1] for b in ordered)
-            marked = frozenset(
-                rank
-                for rank, b in enumerate(ordered)
-                if state[b][2] and len(state[b][0]) > 1
-            )
-            yield _extended(_colored(n, blocks, colors), marked)
+    # state: (block, still open) pairs in order of minima
+    def grow(point: int, state: tuple[tuple[Block, bool], ...]) -> Iterator[ExtendedPartition]:
+        if point > n:
+            ordered = sorted(state, key=lambda entry: entry[0][-1])
+            blocks = tuple(block for block, _ in ordered)
+            marked = frozenset(b for b, (block, is_open) in enumerate(ordered) if is_open and len(block) > 1)
+            for colors in _colorings(blocks, per_block):
+                yield _extended(_colored(n, blocks, colors), marked)
             return
-        symbol = eps[pos]
-        point = pos + 1
+        symbol = eps[point - 1]
         if symbol == STAR:
-            yield from recurse(pos + 1, state + (((point,), (), True),))
+            yield from grow(point + 1, state + (((point,), True),))
             return
-        for b, (block, colors, is_open) in enumerate(state):
-            if not is_open:
-                continue
-            for color in (1, -1):
-                grown = (
-                    block + (point,),
-                    colors + (color,),
-                    symbol == PRIME,
-                )
-                yield from recurse(pos + 1, state[:b] + (grown,) + state[b + 1 :])
+        for b, (block, is_open) in enumerate(state):
+            if is_open:
+                yield from grow(point + 1, (*state[:b], (block + (point,), symbol == PRIME), *state[b + 1 :]))
 
-    yield from recurse(0, ())
+    yield from grow(1, ())

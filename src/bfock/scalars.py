@@ -359,15 +359,24 @@ def zero_matrix(rows: int, cols: int) -> Matrix:
     return [[ZERO] * cols for _ in range(rows)]
 
 
+def _shape(m: Matrix) -> tuple[int, int]:
+    """(rows, columns) of a matrix with at least one row, all of one length."""
+    if not m or any(len(row) != len(m[0]) for row in m):
+        raise ValueError("a matrix needs at least one row and rows of one length")
+    return len(m), len(m[0])
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """a·b, each entry one ``Poly.sum`` over its nonzero products."""
+    if _shape(a)[1] != _shape(b)[0]:
+        raise ValueError(f"cannot multiply a {_shape(a)} matrix by a {_shape(b)} one")
     columns = [[(k, x) for k, x in enumerate(col) if not x.is_zero] for col in zip(*b)]
     return [[Poly.sum(row[k] * x for k, x in col if not row[k].is_zero) for col in columns]
             for row in a]
 
 
 def mat_kron(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca, rb, cb = len(a), len(a[0]), len(b), len(b[0])
+    (ra, ca), (rb, cb) = _shape(a), _shape(b)
     out = zero_matrix(ra * rb, ca * cb)
     for i in range(ra):
         for j in range(ca):

@@ -120,6 +120,11 @@ def test_act_sigma_reduced_word_independence():
         assert len(images) == 1
 
 
+def test_involution_rows_must_have_d_entries():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        SpaceSpec(2, ((1, 0), (0,)), 3)
+
+
 def test_symmetrizer_level_one():
     assert mat_eq(symmetrizer(1, D1), [[ONE + ALPHA]])
     expected = [[ONE + ALPHA, ZERO], [ZERO, ONE - ALPHA]]

@@ -324,6 +324,14 @@ def test_vector_formula_is_guarded_and_checks_its_word():
         vector_formula(("*", "1"), unit_problem(3))
 
 
+@pytest.mark.parametrize("eps", [("*",), ("*", "*", "*"), ("*", "x")], ids=["short", "long", "bad-symbol"])
+def test_both_sides_of_the_vector_identity_check_the_word(eps):
+    prob = unit_problem(2)
+    for side in (eps_word_vector, vector_formula, verify_vector_identity):
+        with pytest.raises(ValueError, match="one symbol per point"):
+            side(eps, prob)
+
+
 def test_vector_star_gives_x1():
     prob = unit_problem(1)
     v = vector_formula(("*",), prob)

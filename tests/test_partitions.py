@@ -1,6 +1,7 @@
 """Colored/extended partition enumeration and statistics."""
 
 import tracemalloc
+from collections import Counter, defaultdict
 from itertools import permutations, product
 
 import pytest
@@ -9,6 +10,9 @@ import oracles
 from bfock.errors import ResourceLimitError
 from bfock.partitions import (
     EPS_ALPHABET,
+    ONE_SYM,
+    PRIME,
+    STAR,
     ColoredPartition,
     ExtendedPartition,
     arc_covers,
@@ -232,28 +236,32 @@ def test_eps_unbalanced_prefix_is_empty():
     assert list(enumerate_extended_eps(["'", "*"])) == []
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_eps_enumeration_matches_compatibility_filter(n):
-    from itertools import product
+def own_word(p):
+    """The one eps word p is compatible with: a star at each block minimum,
+    a one at each unmarked block's maximum, and a prime elsewhere."""
+    symbols = [PRIME] * p.base.n
+    for b, block in enumerate(p.base.blocks):
+        if b not in p.marked:
+            symbols[block[-1] - 1] = ONE_SYM
+        symbols[block[0] - 1] = STAR
+    return tuple(symbols)
 
-    everything = list(enumerate_extended(n))
-    for eps in product("*1'", repeat=n):
-        direct = {
-            (p.base.blocks, p.base.colors, p.marked)
-            for p in enumerate_extended_eps(eps)
-        }
-        filtered = {
-            (p.base.blocks, p.base.colors, p.marked)
-            for p in everything
-            if eps_compatible(p, eps)
-        }
-        assert direct == filtered
-    # every extended partition is compatible with exactly one eps word
-    for p in everything:
-        count = sum(
-            1 for eps in product("*1'", repeat=n) if eps_compatible(p, eps)
-        )
-        assert count == 1
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_eps_enumeration_matches_compatibility_filter(n):
+    # key every extended partition by its own word, then hold each word's
+    # direct enumeration to the multiset of partitions keyed by it
+    by_word = defaultdict(Counter)
+    for p in enumerate_extended(n):
+        eps = own_word(p)
+        if n <= 4:  # every extended partition is compatible with exactly one eps word
+            assert [w for w in product(EPS_ALPHABET, repeat=n) if eps_compatible(p, w)] == [eps]
+        else:
+            assert eps_compatible(p, eps)
+        by_word[eps][p.base.blocks, p.base.colors, p.marked] += 1
+    for eps in product(EPS_ALPHABET, repeat=n):
+        direct = Counter((p.base.blocks, p.base.colors, p.marked) for p in enumerate_extended_eps(eps))
+        assert direct == by_word.get(eps, Counter())
 
 
 def test_block_order_validation():

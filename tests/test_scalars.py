@@ -16,6 +16,8 @@ from bfock.scalars import (
     ZERO,
     Poly,
     is_semidefinite,
+    mat_kron,
+    mat_mul,
     mat_to_int,
     qint,
     qtint,
@@ -294,3 +296,18 @@ def test_exact_gram_verdict_matches_the_float_eigenvalue(n):
             if abs(smallest) > 1e-9:
                 exact = is_semidefinite(mat_to_int(gram, alpha, q)[0], definite=True)
                 assert exact == (smallest > 0), (alpha, q)
+
+
+@pytest.mark.parametrize(
+    "product,a,b",
+    [
+        (mat_mul, [[ONE, Q]], [[ONE]]),
+        (mat_mul, [[ONE, ONE]], [[ONE, Q], [ONE]]),
+        (mat_kron, [[ONE], [ONE, Q]], [[ONE]]),
+        (mat_kron, [], [[ONE]]),
+    ],
+    ids=["mul-inner-mismatch", "mul-ragged", "kron-ragged", "kron-empty"],
+)
+def test_matrix_products_reject_shapes_that_do_not_fit(product, a, b):
+    with pytest.raises(ValueError, match="matri"):
+        product(a, b)
