@@ -48,7 +48,7 @@ from .moments import (
     verify_vector_identity,
     wick_moment,
 )
-from .partitions import enumerate_colored, enumerate_extended, statistics
+from .partitions import EPS_ALPHABET, enumerate_colored, enumerate_extended, statistics
 from .qt import QtSpec, qt_wick, qt_y_moment
 from .scalars import (
     T, Matrix, Poly, frac_identity, frac_matrix, identity_matrix, is_semidefinite, mat_kron,
@@ -291,10 +291,7 @@ def cmd_orthopoly(args: argparse.Namespace) -> int:
     elif args.mode == "rational":
         _require_qt_range(args.t or Fraction(0), args.q)
     render = _render(args)
-    kwargs = {}
-    if args.family == "alsalam-ismail":
-        kwargs = {"a": Fraction(-1), "b": T * T}
-    jp = orthopoly.family(args.family, **kwargs)
+    jp = orthopoly.family(args.family)
     table = orthopoly.polys(jp, args.N)
     moments = orthopoly.moments_from_jacobi(jp, args.N)
     payload = {
@@ -327,7 +324,7 @@ def _vector_checks(n_max: int, seed: int) -> list[Check]:
     def run(n: int) -> Iterator[VerifyReport]:
         space = SpaceSpec.diagonal("+-", truncation=n)
         prob = random_problem(random.Random(seed + 100 + n), n, space)
-        for eps in product("*1'", repeat=n):
+        for eps in product(EPS_ALPHABET, repeat=n):
             yield verify_vector_identity(eps, prob)
 
     return [(f"vector-n{n}", partial(run, n)) for n in range(1, n_max + 1)]

@@ -13,7 +13,7 @@ permutation w in B_n moves slot k of a level-n word to slot |w(k)|, through J
 when w(k) < 0; a level's slot table holds each element's slot sources, mask of
 slots sent through J, and exponent.  A basis word is spread through J once per
 mask and each element only permutes the spreads, for every symmetrizer (matrix,
-vector action, both flavors) and ``act_sigma``.  The generators replay a word
+vector action, both flavors).  The generators replay a word
 letter by letter and read J through ``SpaceSpec.involve_basis``, never the slot
 table: ``r_operator`` is built from them, so the factorization
 P(n) = (P(n-1) ⊗ I) R(n) holds two independent paths against each other.
@@ -52,7 +52,7 @@ from math import lcm, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .coxeter import GroupElementRecord, Window, enumerate_group
+from .coxeter import Window, enumerate_group
 from .errors import ResourceLimitError, TruncationError
 from .scalars import (
     ONE,
@@ -65,6 +65,7 @@ from .scalars import (
     Matrix,
     ZERO,
     _OVERFLOW,
+    _as_fraction,
     _normal,
     _pack,
     _unpack,
@@ -101,6 +102,8 @@ class SpaceSpec:
         j = self.involution
         if len(j) != self.d or any(len(row) != self.d for row in j):
             raise ValueError("involution dimension mismatch")
+        for entry in chain(*j):
+            _as_fraction(entry)  # a float raises TypeError here
         if not is_symmetric(j):
             raise ValueError("involution must be symmetric")
         if frac_mat_mul(j, j) != frac_identity(self.d):
@@ -277,18 +280,6 @@ def _spread(word: Word, flipped: int, columns: list) -> list[tuple[Word, Rationa
             for picks in product(*choices)]
 
 
-def act_sigma(record: GroupElementRecord, v: FockVector) -> FockVector:
-    """Action of a group element on a level-n vector.
-
-    Slot k of each word moves to slot |w(k)|, through J when w(k) < 0.
-    """
-    n = record.perm.n
-    if any(level != n for level in v.levels()):
-        raise ValueError(f"vector has words of length != {n}")
-    weights, columns = [(*_slot_entry(record.perm.window), (0, 0, 0))], _involution_columns(v.space)
-    return _images(lambda word: _symmetrized_word(word, weights, columns), v)
-
-
 def _level_weights(n: int, flavor: str) -> Weights:
     """(take, flipped, exponent) of every element in the flavor's level-n
     symmetrizer, in ``enumerate_group`` order.
@@ -418,7 +409,7 @@ def gauge(t: Sequence[Sequence[Fraction]]) -> OpSpec:
 def type_b(
     x: Sequence[Fraction], t: Sequence[Sequence[Fraction]], lam: Fraction | int = 0
 ) -> OpSpec:
-    return OpSpec("b", x=frac_vector(x), t=frac_matrix(t), lam=Fraction(lam))
+    return OpSpec("b", x=frac_vector(x), t=frac_matrix(t), lam=_as_fraction(lam))
 
 
 # the (q,t) kinds run the type-B kernel with the (q,t) slot weight; Y is b with λ = 0
@@ -427,7 +418,8 @@ _QT_KINDS = {"qt-create": "create", "qt-annihilate": "annihilate", "qt-gauge": "
 
 def check_dimensions(op: OpSpec, space: SpaceSpec) -> None:
     """Raise ValueError unless the kind is known, the operator has the vector and
-    matrix its kind reads and no field it does not read, and they fit the space."""
+    matrix its kind reads and no field it does not read, and they fit the space;
+    TypeError unless every entry of x, T and lambda is an int or a Fraction."""
     kind = _QT_KINDS.get(op.kind, op.kind)
     if kind not in ("create", "annihilate", "gauge", "b"):
         raise ValueError(f"unknown operator kind {op.kind!r}")
@@ -446,6 +438,8 @@ def check_dimensions(op: OpSpec, space: SpaceSpec) -> None:
         raise ValueError(f"{op.kind}: vector has {len(op.x)} coordinates, the space has d = {d}")
     if op.t is not None and (len(op.t) != d or any(len(row) != d for row in op.t)):
         raise ValueError(f"{op.kind}: coefficient operator is not {d}x{d}")
+    for entry in chain(op.x or (), *(op.t or ()), (op.lam,)):
+        _as_fraction(entry)
 
 
 # a vector on the operator kernel: word -> {packed exponent: int numerator},
@@ -564,13 +558,6 @@ def apply_operator(op: OpSpec, v: FockVector, horizon: int | None = None) -> Foc
     return _apply_product([op], v, horizon)
 
 
-def free_annihilator_matrix(x: FracVector, n: int, space: SpaceSpec) -> Matrix:
-    """Matrix of the free right annihilator (removes the last slot) at level n."""
-    if not 1 <= n <= space.truncation:
-        raise ValueError(f"level {n} out of range")
-    return _level_matrix(lambda word: [(word[:-1], Poly.const(x[word[-1]]))], space.d, n, n - 1)
-
-
 # -- inner products and the vacuum state --------------------------------------
 
 
@@ -604,14 +591,17 @@ def vacuum_expectation(ops: Sequence[OpSpec], space: SpaceSpec) -> Poly:
 
 # -- float spectral values ------------------------------------------------------
 #
-# verify certifies Gram positivity and the norm bound of R exactly (through
-# scalars.is_semidefinite); these floats are the tests' independent oracle.
+# verify and the tests certify Gram positivity and the norm bounds of R and of
+# the gauge exactly (through scalars.is_semidefinite).  These floats stay only
+# because the benchmark's tracer wraps them as its fock.spectral metric.
 
 
 def gram_min_eigenvalue(space: SpaceSpec, n: int, alpha: float, q: float) -> float:
     """Smallest eigenvalue of the level-n Gram matrix at float parameters.
 
-    The tests' float oracle; imports numpy on call.
+    Nothing in the library, the CLI or the tests calls it; the benchmark traces
+    it as ``fock.spectral``, and it is deleted with that metric.  Imports numpy
+    on call.
     """
     import numpy as np
 
@@ -624,7 +614,9 @@ def gram_min_eigenvalue(space: SpaceSpec, n: int, alpha: float, q: float) -> flo
 def r_operator_norm(space: SpaceSpec, n: int, alpha: float, q: float) -> float:
     """Spectral norm of R at level n, w.r.t. the undeformed inner product.
 
-    The tests' float oracle; imports numpy on call.
+    Nothing in the library, the CLI or the tests calls it; the benchmark traces
+    it as ``fock.spectral``, and it is deleted with that metric.  Imports numpy
+    on call.
     """
     import numpy as np
 
@@ -636,8 +628,10 @@ def gauge_norm_deformed(
 ) -> float:
     """Operator norm of gauge(T) on level n w.r.t. the deformed inner product.
 
-    T must be symmetric (as for every gauge OpSpec).  The tests' float oracle;
-    imports numpy on call.
+    T must be symmetric (as for every gauge OpSpec).  Nothing in the library,
+    the CLI or the tests calls it; the benchmark traces it as
+    ``fock.spectral``, and it is deleted with that metric.  Imports numpy on
+    call.
     """
     import numpy as np
 

@@ -33,11 +33,11 @@ choices at an arc and an optional eps word: ``wick_moment`` and
 ``vector_formula`` share the type-B choices above (f = 0 without a word),
 and ``qt.qt_wick`` has the one choice (I, t^c).
 
-``colored_wick_moment`` keeps the colored sum itself, term by term; it is
-the small-n oracle the tests hold ``wick_moment`` to, and
-``tests/oracles.py`` keeps the vector formula one colored extended partition
-at a time.  ``set_partitions`` with ``arc_covers``, and
-``enumerate_extended_eps``, are the oracles for the moves.
+``tests/oracles.py`` keeps both colored sums term by term, the moment one
+colored partition at a time and the vector formula one colored extended
+partition at a time: the small-n oracles the tests hold the kernel to.
+``set_partitions`` with ``arc_covers``, and ``enumerate_extended_eps``, are
+the oracles for the moves.
 
 The corollary evaluators are the paper's three specialisations, summed
 term by term as independent oracles for ``wick_moment``.  They read the
@@ -76,12 +76,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import ResourceLimitError
 from .fock import FockVector, OpSpec, SpaceSpec, Word, _apply_product, type_b, vacuum_expectation
 from .partitions import (
-    EPS_ALPHABET,
     ONE_SYM,
     PRIME,
     STAR,
     ColoredPartition,
     arc_covers,
+    check_eps,
     enumerate_colored,
     set_partitions,
     statistics,
@@ -95,6 +95,7 @@ from .scalars import (
     FracMatrix,
     FracVector,
     _FIELD,
+    _as_fraction,
     _normal,
     _pack,
     frac_dot,
@@ -106,7 +107,6 @@ from .scalars import (
 
 MAX_WICK_N = 10
 MAX_VECTOR_N = 6
-_MAX_COLORED_WICK_N = 8
 
 
 @dataclass(frozen=True)
@@ -126,6 +126,9 @@ class MomentProblem:
             len(t) != d or any(len(row) != d for row in t) for t in self.ts
         ):
             raise ValueError("vector/operator dimensions must match the space")
+        rows = (*self.xs, *(row for t in self.ts for row in t), self.lams)
+        for entry in (value for row in rows for value in row):
+            _as_fraction(entry)  # a float raises TypeError here
 
     @classmethod
     def build(
@@ -138,7 +141,7 @@ class MomentProblem:
         return cls(
             xs=tuple(frac_vector(x) for x in xs),
             ts=tuple(frac_matrix(t) for t in ts),
-            lams=tuple(Fraction(lam) for lam in lams),
+            lams=tuple(_as_fraction(lam) for lam in lams),
             space=space,
         )
 
@@ -430,37 +433,16 @@ def wick_moment(prob: MomentProblem) -> Poly:
     """Exact color-summed partition sum for phi(B(x_n)···B(x_1)).
 
     The partition sum with (I + a q^(2c) J), both colors of an arc of cover
-    count c, at every arc.  Equals ``colored_wick_moment``.
+    count c, at every arc.  Equals the term-by-term colored sum
+    (``tests/oracles.py``).
     """
     return _color_summed_sum(prob, _type_b_choices(prob.space)).get((), ZERO)
-
-
-def colored_wick_moment(prob: MomentProblem) -> Poly:
-    """The colored-partition sum for phi(B(x_n)···B(x_1)), term by term.
-
-    Visits every colored partition; the small-n oracle for ``wick_moment``.
-    """
-    if prob.n > _MAX_COLORED_WICK_N:
-        raise ResourceLimitError(f"colored_wick_moment is guarded at n <= {_MAX_COLORED_WICK_N}")
-    terms = []
-    for p in enumerate_colored(prob.n):
-        value = cumulant_partition(p, prob)
-        if not value.is_zero:
-            stats = statistics(p)
-            terms.append(Poly.monomial(1, ea=stats.narc, eq=stats.rc + 2 * stats.rnarc) * value)
-    return Poly.sum(terms)
-
-
-def _check_eps(eps: Sequence[str], prob: MomentProblem) -> None:
-    """The one check of a symbol word, for both sides of the vector identity."""
-    if prob.n != len(eps) or any(symbol not in EPS_ALPHABET for symbol in eps):
-        raise ValueError("eps must be over {*, 1, '} with one symbol per point")
 
 
 def vector_formula(eps: Sequence[str], prob: MomentProblem) -> FockVector:
     """Extended-partition expansion of b^eps(n)···b^eps(1) Ω: the partition
     sum with q^f_in (I + a q^(2(c + f_left)) J) at every arc."""
-    _check_eps(eps, prob)
+    check_eps(eps, prob.n)
     if prob.n > MAX_VECTOR_N:
         raise ResourceLimitError(f"vector_formula is guarded at n <= {MAX_VECTOR_N}")
     return FockVector(prob.space, _color_summed_sum(prob, _type_b_choices(prob.space), eps))
@@ -479,7 +461,7 @@ def eps_operator(symbol: str, point: int, prob: MomentProblem) -> OpSpec:
 
 def eps_word_vector(eps: Sequence[str], prob: MomentProblem) -> FockVector:
     """Operator side: apply the symbol word to the vacuum, first symbol first."""
-    _check_eps(eps, prob)
+    check_eps(eps, prob.n)
     ops = [eps_operator(symbol, point, prob) for point, symbol in enumerate(eps, start=1)]
     return _apply_product(ops[::-1], FockVector.vacuum(prob.space), None)
 

@@ -4,14 +4,14 @@ Families:
 
 * ``alphaq_poisson_b`` - beta_n = gamma_{n-1} = [n]_q (1 + a q^(n-1)), beta_0 = 0
 * ``qt_poisson``       - beta_n = gamma_{n-1} = [n]_{q,t}, beta_0 = 0
-* ``al_salam_ismail``  - y U_n = U_{n+1} - a t^n U_n + b t^(n-1) U_{n-1},
-  with the monic start U_1 = y (so beta_0 = 0)
+* ``al_salam_ismail``  - y U_n = U_{n+1} - a t^n U_n + b t^(n-1) U_{n-1} at
+  a = -1, b = t^2, with the monic start U_1 = y (so beta_0 = 0)
 
 Moments come from powers of the truncated monic tridiagonal operator
 (superdiagonal 1, diagonal beta, subdiagonal gamma), whose (0,0) entries are
 the weighted Motzkin path sums.  The classical J-fraction carries the same
-data; ``continued_fraction_moments`` solves it level by level as a power
-series and is kept as a secondary cross-check at rational parameters.
+data; the tests solve it level by level as a power series
+(``tests/oracles.py``), a second route to the moments at rational parameters.
 
 The identities against the operator model return ``moments.VerifyReport``s:
 the first failing comparison, which names its level and first difference,
@@ -28,7 +28,7 @@ from .errors import ResourceLimitError
 from .fock import FockVector, OpSpec, SpaceSpec, apply_operator, type_b
 from .moments import VerifyReport, compare
 from .qt import QtSpec, qt_y
-from .scalars import ALPHA, ONE, T, Poly, PolyLike, ZERO, qint, qtint
+from .scalars import ALPHA, ONE, Poly, ZERO, qint, qtint
 
 MAX_VACUUM_IDENTITY_N = 6
 MAX_SUBSTITUTION_N = 10
@@ -66,24 +66,23 @@ def qt_poisson() -> JacobiParams:
     )
 
 
-def al_salam_ismail(a: PolyLike, b: PolyLike) -> JacobiParams:
-    """The displayed recurrence with the monic start U_0 = 1, U_1 = y."""
-    a_poly = Poly._coerce(a)
-    b_poly = Poly._coerce(b)
+def al_salam_ismail() -> JacobiParams:
+    """The displayed recurrence at a = -1, b = t^2 with the monic start U_0 = 1,
+    U_1 = y: beta_n = -a t^n = t^n for n >= 1 and gamma_n = b t^n = t^(n+2)."""
     return JacobiParams(
         name="al-salam-ismail",
-        beta=lambda n: -a_poly * Poly.monomial(1, et=n) if n >= 1 else ZERO,
-        gamma=lambda n: b_poly * Poly.monomial(1, et=n),
+        beta=lambda n: Poly.monomial(1, et=n) if n >= 1 else ZERO,
+        gamma=lambda n: Poly.monomial(1, et=n + 2),
     )
 
 
-def family(which: str, **kwargs) -> JacobiParams:
+def family(which: str) -> JacobiParams:
     if which == "alphaq-poisson-B":
-        return alphaq_poisson_b(**kwargs)
+        return alphaq_poisson_b()
     if which == "qt-poisson":
         return qt_poisson()
     if which == "alsalam-ismail":
-        return al_salam_ismail(**kwargs)
+        return al_salam_ismail()
     raise ValueError(f"unknown family {which!r}")
 
 
@@ -121,32 +120,6 @@ def moments_from_jacobi(jp: JacobiParams, upto: int) -> list[Poly]:
         ]
         moments.append(row[0])
     return moments
-
-
-# -- continued-fraction cross-check (rational parameters) ----------------------
-
-
-def continued_fraction_moments(
-    jp: JacobiParams, depth: int, at: tuple[Fraction, Fraction, Fraction], count: int
-) -> list[Fraction]:
-    """Taylor coefficients of the depth-truncated continued fraction.
-
-    Level j of the J-fraction is S_j = 1 / (1 - beta_j z - gamma_j z^2 S_{j+1}),
-    cut at level ``depth`` with S_{depth+1} = 0.  Each level is solved as the
-    series S_j = 1 + beta_j z S_j + gamma_j z^2 S_{j+1} S_j, one coefficient at
-    a time, from level ``depth`` up to level 0.  The first 2*depth + 2
-    coefficients of S_0 agree with the moment sequence (Flajolet 1980).
-    """
-    beta = [jp.beta(j).evaluate(*at) for j in range(depth + 1)]
-    gamma = [jp.gamma(j).evaluate(*at) for j in range(depth + 1)]
-    deeper = [Fraction(0)] * count  # S_{depth+1}
-    for j in range(depth, -1, -1):
-        level = [Fraction(1)]
-        for k in range(1, count):
-            convolution = sum(deeper[i] * level[k - 2 - i] for i in range(k - 1))
-            level.append(beta[j] * level[k - 1] + gamma[j] * convolution)
-        deeper = level
-    return deeper[:count]
 
 
 # -- identities against the operator model -------------------------------------
@@ -205,7 +178,7 @@ def operator_moments(which: str, upto: int, sign: str = "+") -> list[Poly]:
 
 
 def substitution_check(upto: int) -> VerifyReport:
-    """U_n(y t, -1, t^2) is divisible by t^n with quotient the (0,t) family.
+    """U_n(y t) (a = -1, b = t^2) is divisible by t^n with quotient the (0,t) family.
 
     The coefficient of y^k in U_n(yt) is u_{n,k}(t) t^k; each is divided by
     t^n symbolically and compared with the (0,t) entry, so a failure names
@@ -213,8 +186,7 @@ def substitution_check(upto: int) -> VerifyReport:
     """
     if upto > MAX_SUBSTITUTION_N:
         raise ResourceLimitError(f"guarded at n <= {MAX_SUBSTITUTION_N}")
-    asi = al_salam_ismail(a=Fraction(-1), b=T * T)
-    u_table = polys(asi, upto)
+    u_table = polys(al_salam_ismail(), upto)
     qt = qt_poisson()
     target = polys(JacobiParams(
         qt.name, lambda n: qt.beta(n).subs(q=0), lambda n: qt.gamma(n).subs(q=0)

@@ -320,6 +320,12 @@ def enumerate_extended(n: int) -> Iterator[ExtendedPartition]:
             yield _extended(colored, marked)
 
 
+def check_eps(eps: Sequence[str], n: int) -> None:
+    """The one check of a symbol word: one symbol of ``EPS_ALPHABET`` per point of [n]."""
+    if len(eps) != n or any(symbol not in EPS_ALPHABET for symbol in eps):
+        raise ValueError("eps must be over {*, 1, '} with one symbol per point")
+
+
 def eps_compatible(p: ExtendedPartition, eps: Sequence[str]) -> bool:
     """Whether the extended partition is produced by the symbol word eps.
 
@@ -329,8 +335,7 @@ def eps_compatible(p: ExtendedPartition, eps: Sequence[str]) -> bool:
     are unmarked star positions.
     """
     base = p.base
-    if len(eps) != base.n or any(symbol not in EPS_ALPHABET for symbol in eps):
-        raise ValueError("eps must be over {*, 1, '} with length n")
+    check_eps(eps, base.n)
     for b, block in enumerate(base.blocks):
         if eps[block[0] - 1] != STAR:
             return False
@@ -355,8 +360,7 @@ def enumerate_extended_eps(eps: Sequence[str]) -> Iterator[ExtendedPartition]:
     n = len(eps)
     if n > MAX_EXTENDED_N or n < 0:
         raise ResourceLimitError(f"extended enumeration supports 0 <= n <= {MAX_EXTENDED_N}")
-    if any(symbol not in EPS_ALPHABET for symbol in eps):
-        raise ValueError("eps must be over {*, 1, '}")
+    check_eps(eps, n)
     per_block: dict[int, tuple[Colors, ...]] = {}
 
     # state: (block, still open) pairs in order of minima

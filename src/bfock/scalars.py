@@ -35,7 +35,9 @@ denominator, and ``Poly.evaluate`` is its 1x1 case.  Spectral facts are
 certified exactly: ``is_semidefinite`` runs fraction-free elimination on the
 cleared matrix.  How a value is shown (symbolic, rational or float) is the
 CLI's concern, not this module's.
-The float view ``mat_to_float`` is the tests' independent oracle; it imports
+Nothing in the library, the CLI or the tests calls the float view
+``mat_to_float``: only ``fock``'s float spectral helpers, which the benchmark
+traces as ``fock.spectral``, use it, and it is deleted with them.  It imports
 numpy when called, so importing this module does not.
 """
 
@@ -397,7 +399,7 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 
 def mat_to_float(a: Matrix, alpha: float, q: float, t: float = 0.0) -> np.ndarray:
-    """Float view of a at a point: the tests' float oracle; imports numpy on call."""
+    """Float view of a at a point, for ``fock``'s float spectral helpers only; imports numpy on call."""
     import numpy as np
 
     return np.array(

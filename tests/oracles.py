@@ -1,5 +1,6 @@
-"""Small-n oracles: the Poly-level operator path, the per-partition vector
-formula, and the enumeration orders of the partition and group layers.
+"""Small-n oracles: the Poly-level operator path, the colored-partition sums
+one partition at a time, the J-fraction, single group elements and the free
+annihilator, and the enumeration orders of the partition and group layers.
 
 ``bfock.fock`` applies operators on packed int dicts with one denominator.
 This module keeps the path it replaced: every (word, slot, row) term is a
@@ -8,10 +9,21 @@ are summed once.  It clears no denominators and shares no scaling code with
 the kernel or with ``moments``, so a wrong scale in either cannot cancel out
 of a comparison with it.
 
-``colored_vector_formula`` is the vector-level theorem summed one colored
-extended partition at a time: ``partitions.statistics`` gives each weight and
-the ``Fraction`` chains of ``moments`` give each block, so it shares none of
-the moves, frozen counts or integer sums of ``moments.vector_formula``.
+``colored_wick_moment`` and ``colored_vector_formula`` are the moment and the
+vector-level theorem summed one colored (extended) partition at a time:
+``partitions.statistics`` gives each weight and the ``Fraction`` chains of
+``moments`` give each block, so they share none of the moves, frozen counts
+or integer sums of ``moments.wick_moment`` and ``moments.vector_formula``.
+
+``continued_fraction_moments`` reads the moments off the J-fraction of a
+family, a second route to what ``orthopoly.moments_from_jacobi`` computes as
+the powers of the tridiagonal operator.  ``act_sigma`` applies one element of
+B_n through ``bfock.fock``'s slot table, for comparison with its generator
+word replayed, and ``free_annihilator_matrix`` is the free right annihilator,
+the left factor of a deformed annihilator's matrix (annihilator = free · R).
+``leading_minors`` is plain ``Fraction`` elimination, the test side of
+Sylvester's criterion and of the Hankel determinants; it shares nothing with
+the pivoted fraction-free elimination of ``scalars.is_semidefinite``.
 
 The enumerators keep the algorithms that ``bfock.partitions`` and
 ``bfock.coxeter`` replaced, so the tests can hold the faster ones to the same
@@ -27,11 +39,24 @@ from fractions import Fraction
 from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Sequence
 
-from bfock.errors import TruncationError
-from bfock.fock import FockVector, OpSpec, SpaceSpec, _collect, check_dimensions
-from bfock.moments import MomentProblem, closed_chain_value, open_chain_vector
-from bfock.partitions import enumerate_extended_eps, statistics
-from bfock.scalars import ONE, FracVector, Poly
+from bfock.coxeter import GroupElementRecord
+from bfock.errors import ResourceLimitError, TruncationError
+from bfock.fock import (
+    FockVector,
+    OpSpec,
+    SpaceSpec,
+    _collect,
+    _images,
+    _involution_columns,
+    _level_matrix,
+    _slot_entry,
+    _symmetrized_word,
+    check_dimensions,
+)
+from bfock.moments import MomentProblem, closed_chain_value, cumulant_partition, open_chain_vector
+from bfock.orthopoly import JacobiParams
+from bfock.partitions import enumerate_colored, enumerate_extended_eps, statistics
+from bfock.scalars import ONE, FracVector, Matrix, Poly, RationalLike
 
 Word = tuple[int, ...]
 Terms = Iterator[tuple[Word, Poly]]
@@ -125,6 +150,44 @@ def vacuum_expectation(ops: Sequence[OpSpec], space: SpaceSpec) -> Poly:
     return apply_product(ops, FockVector.vacuum(space), 0).coeff(())
 
 
+def act_sigma(record: GroupElementRecord, v: FockVector) -> FockVector:
+    """Action of a group element on a level-n vector.
+
+    Slot k of each word moves to slot |w(k)|, through J when w(k) < 0.
+    """
+    n = record.perm.n
+    if any(level != n for level in v.levels()):
+        raise ValueError(f"vector has words of length != {n}")
+    weights, columns = [(*_slot_entry(record.perm.window), (0, 0, 0))], _involution_columns(v.space)
+    return _images(lambda word: _symmetrized_word(word, weights, columns), v)
+
+
+def free_annihilator_matrix(x: FracVector, n: int, space: SpaceSpec) -> Matrix:
+    """Matrix of the free right annihilator (removes the last slot) at level n."""
+    if not 1 <= n <= space.truncation:
+        raise ValueError(f"level {n} out of range")
+    return _level_matrix(lambda word: [(word[:-1], Poly.const(x[word[-1]]))], space.d, n, n - 1)
+
+
+_MAX_COLORED_WICK_N = 8
+
+
+def colored_wick_moment(prob: MomentProblem) -> Poly:
+    """The colored-partition sum for phi(B(x_n)···B(x_1)), term by term.
+
+    Visits every colored partition; the small-n oracle for ``wick_moment``.
+    """
+    if prob.n > _MAX_COLORED_WICK_N:
+        raise ResourceLimitError(f"colored_wick_moment is guarded at n <= {_MAX_COLORED_WICK_N}")
+    terms = []
+    for p in enumerate_colored(prob.n):
+        value = cumulant_partition(p, prob)
+        if not value.is_zero:
+            stats = statistics(p)
+            terms.append(Poly.monomial(1, ea=stats.narc, eq=stats.rc + 2 * stats.rnarc) * value)
+    return Poly.sum(terms)
+
+
 def colored_vector_formula(eps: Sequence[str], prob: MomentProblem) -> FockVector:
     """b^eps(n)···b^eps(1) Ω as the sum over the eps-compatible extended partitions
     of a^narc q^(rc + max_c + 2 rnarc + 2 max_l) times the closed blocks' chains
@@ -152,6 +215,47 @@ def colored_vector_formula(eps: Sequence[str], prob: MomentProblem) -> FockVecto
         for word, coeff in tensor.items():
             gathered.setdefault(word, []).append(coeff * scalar)
     return FockVector(prob.space, {word: Poly.sum(terms) for word, terms in gathered.items()})
+
+
+def continued_fraction_moments(
+    jp: JacobiParams, depth: int, at: tuple[Fraction, Fraction, Fraction], count: int
+) -> list[Fraction]:
+    """Taylor coefficients of the depth-truncated continued fraction.
+
+    Level j of the J-fraction is S_j = 1 / (1 - beta_j z - gamma_j z^2 S_{j+1}),
+    cut at level ``depth`` with S_{depth+1} = 0.  Each level is solved as the
+    series S_j = 1 + beta_j z S_j + gamma_j z^2 S_{j+1} S_j, one coefficient at
+    a time, from level ``depth`` up to level 0.  The first 2*depth + 2
+    coefficients of S_0 agree with the moment sequence (Flajolet 1980).
+    """
+    beta = [jp.beta(j).evaluate(*at) for j in range(depth + 1)]
+    gamma = [jp.gamma(j).evaluate(*at) for j in range(depth + 1)]
+    deeper = [Fraction(0)] * count  # S_{depth+1}
+    for j in range(depth, -1, -1):
+        level = [Fraction(1)]
+        for k in range(1, count):
+            convolution = sum(deeper[i] * level[k - 2 - i] for i in range(k - 1))
+            level.append(beta[j] * level[k - 1] + gamma[j] * convolution)
+        deeper = level
+    return deeper[:count]
+
+
+def leading_minors(m: Sequence[Sequence[RationalLike]]) -> list[Fraction]:
+    """det of the leading k x k block of m for k = 1, 2, ..., by Fraction
+    elimination with no row exchange: minor k is the product of the first k
+    pivots.  It stops at the first zero minor, after which a pivot is undefined."""
+    a = [[Fraction(x) for x in row] for row in m]
+    minors, det = [], Fraction(1)
+    for k, pivot_row in enumerate(a):
+        det *= pivot_row[k]
+        minors.append(det)
+        if not det:
+            break
+        for row in a[k + 1 :]:
+            factor = row[k] / pivot_row[k]
+            for j in range(k, len(row)):
+                row[j] -= factor * pivot_row[j]
+    return minors
 
 
 # -- enumeration orders ----------------------------------------------------------

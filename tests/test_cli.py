@@ -396,6 +396,8 @@ def test_out_file(tmp_path, capsys):
         ["orthopoly", "--family", "qt-poisson", "--N", "-1"],
         ["verify", "--n", "-3"],
         pytest.param(["verify", "--n", "0"], id="verify-zero"),
+        pytest.param(["fock", "--n", "x"], id="not-an-integer"),
+        pytest.param(["fock", "--n", "1", "--mode", "rational", "--q", "abc"], id="not-a-rational"),
     ],
     ids=lambda argv: argv[0],
 )

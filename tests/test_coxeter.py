@@ -175,3 +175,18 @@ def test_resource_guard():
 def test_compose_size_mismatch():
     with pytest.raises(ValueError):
         SignedPermutation.identity(2) * SignedPermutation.identity(3)
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: SignedPermutation((1, 1)), "not a signed permutation window"),
+        (lambda: SignedPermutation((1, 3)), "not a signed permutation window"),
+        (lambda: SignedPermutation.generator(2, 2), "generator index 2 out of range"),
+        (lambda: SignedPermutation.generator(2, -1), "generator index -1 out of range"),
+    ],
+    ids=["repeated-entry", "entry-past-n", "generator-past-n", "negative-generator"],
+)
+def test_signed_permutations_reject_bad_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

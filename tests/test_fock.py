@@ -11,21 +11,16 @@ from bfock.fock import (
     OpSpec,
     SpaceSpec,
     act_generator,
-    act_sigma,
     act_word,
     annihilate,
     apply_operator,
     apply_symmetrizer,
     basis_words,
     create,
-    free_annihilator_matrix,
     gauge,
-    gauge_norm_deformed,
-    gram_min_eigenvalue,
     inner,
     matrix_of_level_map,
     r_operator,
-    r_operator_norm,
     symmetrizer,
     type_b,
     vacuum_expectation,
@@ -38,12 +33,15 @@ from bfock.scalars import (
     Poly,
     ZERO,
     frac_identity,
+    is_semidefinite,
     mat_eq,
     mat_kron,
     mat_mul,
+    mat_to_int,
     norm_at_most,
     qint,
 )
+from oracles import act_sigma, free_annihilator_matrix
 
 F = Fraction
 
@@ -123,6 +121,33 @@ def test_act_sigma_reduced_word_independence():
 def test_involution_rows_must_have_d_entries():
     with pytest.raises(ValueError, match="dimension mismatch"):
         SpaceSpec(2, ((1, 0), (0,)), 3)
+
+
+@pytest.mark.parametrize(
+    "call,error,match",
+    [
+        (lambda: SpaceSpec(0, (), 3), ValueError, "must be positive"),
+        (lambda: SpaceSpec(1, ((1,),), 0), ValueError, "must be positive"),
+        (lambda: SpaceSpec(2, ((0, 1), (-1, 0)), 3), ValueError, "must be symmetric"),
+        (lambda: SpaceSpec(2, ((1, 1), (1, 1)), 3), ValueError, "square to the identity"),
+        (lambda: SpaceSpec.diagonal("+x", 3), ValueError, "bad signature character 'x'"),
+        (lambda: FockVector(D2, {(0,) * 7: ONE}), TruncationError, "length 7 exceeds truncation 6"),
+        (lambda: FockVector(D2, {(0, 2): ONE}), ValueError, "letter out of range"),
+        (lambda: FockVector.vacuum(D1) + FockVector.vacuum(D2), ValueError, "different spaces"),
+        (lambda: act_generator(6, FockVector.vacuum(D2)), ValueError, "generator index 6 out of range"),
+        (lambda: r_operator(0, D2), ValueError, "level 0 out of range"),
+        (lambda: r_operator(7, D2), ValueError, "level 7 out of range"),
+        (lambda: OpSpec("gauge", t=((F(0), F(1)), (F(0), F(0)))), ValueError, "must be symmetric"),
+    ],
+    ids=[
+        "zero-dimension", "zero-truncation", "antisymmetric-involution", "involution-squares-to-2J",
+        "signature-character", "word-too-long", "letter-out-of-range", "different-spaces",
+        "generator-index", "r-level-zero", "r-level-past-truncation", "antisymmetric-gauge",
+    ],
+)
+def test_spaces_vectors_and_operators_reject_bad_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_symmetrizer_level_one():
@@ -429,45 +454,52 @@ def test_apply_operator_rejects_an_unknown_kind(kind):
         apply_operator(OpSpec(kind, x=UNIT, t=ID1), v)
 
 
-@pytest.mark.parametrize("alpha,q", [(0.4, 0.3), (0.4, -0.3), (-0.4, 0.3), (-0.4, -0.3)])
-def test_float_bounds_and_positivity(alpha, q):
-    for n in (1, 2, 3, 4):
-        bound = (1 + abs(alpha) * abs(q) ** (n - 1)) * qint(n).eval_float(0, abs(q))
-        assert r_operator_norm(D2, n, alpha, q) <= bound + 1e-9
-        assert gram_min_eigenvalue(D2, n, alpha, q) > 0
-
-
 POINTS = [(F(a, 5), F(q, 10)) for a in (2, -2) for q in (3, -3)]
 
 
-def test_exact_norm_bound_is_attained_where_the_float_test_needs_slack():
-    # b = (1 + |a||q|^(n-1)) [n]_|q| is certified with zero slack at all 16
+def test_exact_norm_bound_is_attained_with_zero_slack():
+    # b = (1 + |a||q|^(n-1)) [n]_|q| is certified with zero slack at all 20
     # cases; shrunk by 1e-12 it fails wherever it is attained: at n = 1
     # (R = I + aJ, norm 1 + |a|) and at q = 3/10 for every n.
     shrink = 1 - F(1, 10**12)
     refuted = set()
-    for n in range(1, 5):
+    for n in range(1, 6):
         r = r_operator(n, D2)
         for alpha, q in POINTS:
             bound = (1 + abs(alpha) * abs(q) ** (n - 1)) * qint(n).evaluate(0, abs(q))
             assert norm_at_most(r, bound, alpha, q)
             if not norm_at_most(r, bound * shrink, alpha, q):
                 refuted.add((n, alpha, q))
-    assert refuted == {(n, a, q) for n in range(1, 5) for a, q in POINTS if n == 1 or q > 0}
+    assert refuted == {(n, a, q) for n in range(1, 6) for a, q in POINTS if n == 1 or q > 0}
 
 
-def test_r_norm_level_five():
-    alpha, q = 0.4, 0.3
-    bound = (1 + abs(alpha) * abs(q) ** 4) * qint(5).eval_float(0, abs(q))
-    assert r_operator_norm(D2, 5, alpha, q) <= bound + 1e-9
+def deformed_norm_at_most(m, gram, c2, alpha, q):
+    """Whether ||M|| <= c in the inner product <u, v> = u^T G v at (alpha, q),
+    exactly: c^2 G - M^T G M >= 0, times the positive denominators of c^2, M and G."""
+    g, _ = mat_to_int(gram, alpha, q)
+    m, m_den = mat_to_int(m, alpha, q)
+    size = range(len(m))
+    gm = [[sum(g[i][k] * m[k][j] for k in size) for j in size] for i in size]
+    return is_semidefinite([
+        [c2.numerator * m_den**2 * g[i][j] - c2.denominator * sum(m[k][i] * gm[k][j] for k in size)
+         for j in size]
+        for i in size
+    ])
 
 
-@pytest.mark.parametrize("alpha,q", [(0.4, 0.3), (-0.4, -0.3)])
+@pytest.mark.parametrize(
+    "alpha,q",
+    [pytest.param(F(2, 5), F(3, 10), id="0.4-0.3"), pytest.param(F(-2, 5), F(-3, 10), id="-0.4--0.3")],
+)
 def test_gauge_norm_bound(alpha, q):
-    import numpy as np
-
-    t = ((F(1), F(1, 2)), (F(1, 2), F(-1),))
-    t_norm = float(np.linalg.norm(np.array(t, dtype=float), ord=2))
-    bound = (1 + abs(alpha)) * max(1.0, 1.0 / (1.0 - q)) * t_norm
+    # ||gauge(T)|| <= c = (1 + |a|) max(1, 1/(1-q)) ||T|| in the deformed inner
+    # product of P(n), certified exactly; T is symmetric with eigenvalues
+    # ±sqrt(5)/2, so c^2 is rational.  The norm is above c/2 in every case,
+    # so the certificate refutes c/2.
+    t = ((F(1), F(1, 2)), (F(1, 2), F(-1)))
+    c2 = ((1 + abs(alpha)) * max(F(1), 1 / (1 - q))) ** 2 * F(5, 4)
     for n in (1, 2, 3):
-        assert gauge_norm_deformed(D2, t, n, alpha, q) <= bound + 1e-9
+        m = matrix_of_level_map(lambda v: apply_operator(gauge(t), v), D2, n, n)
+        gram = symmetrizer(n, D2)
+        assert deformed_norm_at_most(m, gram, c2, alpha, q), n
+        assert not deformed_norm_at_most(m, gram, c2 / 4, alpha, q), n

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from bfock import moments
 from bfock.errors import ResourceLimitError
-from bfock.fock import FockVector, SpaceSpec, apply_operator, vacuum_expectation
+from bfock.fock import FockVector, OpSpec, SpaceSpec, apply_operator, type_b, vacuum_expectation
 from bfock.moments import (
     MAX_VECTOR_N,
     MAX_WICK_N,
@@ -21,7 +21,6 @@ from bfock.moments import (
     _arc_fields,
     _open_arc_steps,
     closed_chain_value,
-    colored_wick_moment,
     compare,
     corollary_cases,
     cumulant_block,
@@ -124,7 +123,7 @@ def test_color_summed_moment_matches_colored_sum_and_operators(which):
         prob = involution_problem(500 + n, n, which)
         assert all(prob.lams)
         summed = wick_moment(prob)
-        assert summed == colored_wick_moment(prob), (which, n)
+        assert summed == oracles.colored_wick_moment(prob), (which, n)
         assert summed == vacuum_expectation(prob.operators(), prob.space), (which, n)
 
 
@@ -246,14 +245,40 @@ def fuzz_problems(draw):
 @settings(max_examples=50, deadline=None)
 @given(fuzz_problems())
 def test_wick_moment_matches_the_colored_sum(prob):
-    assert wick_moment(prob) == colored_wick_moment(prob)
+    assert wick_moment(prob) == oracles.colored_wick_moment(prob)
+
+
+LINE = SpaceSpec.diagonal("+", truncation=2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: type_b((F(1),), ((F(1),),), 0.1),
+        lambda: MomentProblem.build([(F(1),)], [((F(1),),)], [0.1], LINE),
+        lambda: vacuum_expectation([OpSpec("b", x=(F(1),), t=((F(1),),), lam=0.25)], LINE),
+        lambda: apply_operator(OpSpec("create", x=(0.5,)), FockVector.vacuum(LINE)),
+        lambda: SpaceSpec(1, ((1.0,),), 1),
+        lambda: MomentProblem(xs=((0.5,),), ts=(((F(1),),),), lams=(F(0),), space=LINE),
+    ],
+    ids=["type-b-lambda", "build-lambda", "op-lambda", "op-vector", "involution", "problem-vector"],
+)
+def test_floats_are_refused_at_the_exact_boundary(call):
+    # a float is never turned into a Fraction, nor let into the integer kernels
+    with pytest.raises(TypeError, match="not a rational value"):
+        call()
+
+
+def test_moment_problem_needs_one_vector_operator_and_shift_per_point():
+    with pytest.raises(ValueError, match="equal lengths"):
+        MomentProblem.build([(F(1),)], [], [F(0)], LINE)
 
 
 def test_partition_sums_are_guarded():
     with pytest.raises(ResourceLimitError, match=f"n <= {MAX_WICK_N}"):
         wick_moment(unit_problem(MAX_WICK_N + 1))
     with pytest.raises(ResourceLimitError, match="n <= 8"):
-        colored_wick_moment(unit_problem(9))
+        oracles.colored_wick_moment(unit_problem(9))
 
 
 def unpruned_vacuum_expectation(prob):

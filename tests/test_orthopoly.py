@@ -3,13 +3,11 @@
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
 import pytest
 
 from bfock.orthopoly import (
     al_salam_ismail,
     alphaq_poisson_b,
-    continued_fraction_moments,
     family,
     moments_from_jacobi,
     operator_moments,
@@ -21,6 +19,7 @@ from bfock.orthopoly import (
 from bfock.fock import FockVector, SpaceSpec, apply_operator, type_b
 from bfock.qt import QtSpec, qt_y
 from bfock.scalars import ALPHA, ONE, Q, T, ZERO
+from oracles import continued_fraction_moments, leading_minors
 
 F = Fraction
 
@@ -79,8 +78,8 @@ def test_polys_first_steps():
 
 def test_al_salam_ismail_one_step():
     # oracle = one step of the displayed recurrence with a=-1, b=t^2:
-    # U_2 = y U_1 + t U_1 - t^2 U_0 = y^2 - t y - t^2
-    jp = al_salam_ismail(a=F(-1), b=T * T)
+    # U_2 = y U_1 - t U_1 - t^2 U_0 = y^2 - t y - t^2
+    jp = al_salam_ismail()
     table = polys(jp, 2)
     assert table[2] == [-(T**2), -T, ONE]
 
@@ -183,16 +182,20 @@ def test_substitution_small_values():
     assert p2_at_q0 == [-ONE, -ONE, ONE]
 
 
-def test_hankel_positivity_float():
-    # Hankel determinants of the moment matrix are positive for gamma > 0
+def test_hankel_determinants_are_the_gamma_products():
+    # det(m_{i+j})_{i,j < size} = prod_{k=1}^{size-1} gamma_0 ··· gamma_{k-1}
+    # (Krattenthaler, Advanced determinant calculus, 1999), and it is > 0 where
+    # every gamma is, at one point inside each family's range
     for which, at in (
-        ("alphaq-poisson-B", (0.4, 0.3, 0.0)),
-        ("qt-poisson", (0.0, 0.2, 0.7)),
+        ("alphaq-poisson-B", (F(2, 5), F(3, 10), F(0))),
+        ("qt-poisson", (F(0), F(1, 5), F(7, 10))),
     ):
         jp = family(which)
-        moments = [m.eval_float(*at) for m in moments_from_jacobi(jp, 8)]
-        for size in range(1, 6):
-            hankel = np.array(
-                [[moments[i + j] for j in range(size)] for i in range(size)]
-            )
-            assert np.linalg.det(hankel) > 0
+        moments = [m.evaluate(*at) for m in moments_from_jacobi(jp, 8)]
+        expected, running = [F(1)], F(1)
+        for k in range(4):
+            running *= jp.gamma(k).evaluate(*at)
+            expected.append(expected[-1] * running)
+        hankel = [[moments[i + j] for j in range(5)] for i in range(5)]
+        assert leading_minors(hankel) == expected, which
+        assert all(det > 0 for det in expected), which

@@ -1,5 +1,6 @@
 """Colored/extended partition enumeration and statistics."""
 
+import re
 import tracemalloc
 from collections import Counter, defaultdict
 from itertools import permutations, product
@@ -274,6 +275,30 @@ def test_block_order_validation():
             base=ColoredPartition(n=1, blocks=((1,),), colors=((),)),
             marked=frozenset({0}),
         )
+
+
+@pytest.mark.parametrize(
+    "blocks,colors,match",
+    [
+        (((1,),), ((),), "do not partition"),
+        (((2, 1),), ((1,),), "sorted ascending"),
+        (((1, 2),), ((),), "one color per"),
+    ],
+    ids=["missing-point", "unsorted-block", "missing-color"],
+)
+def test_colored_partition_validation(blocks, colors, match):
+    with pytest.raises(ValueError, match=match):
+        ColoredPartition(n=2, blocks=blocks, colors=colors)
+
+
+def test_the_partition_layer_checks_a_word_as_the_moments_do():
+    message = re.escape("eps must be over {*, 1, '} with one symbol per point")
+    p = next(enumerate_extended(2))
+    for eps in (("*",), ("*", "x")):
+        with pytest.raises(ValueError, match=message):
+            eps_compatible(p, eps)
+    with pytest.raises(ValueError, match=message):
+        next(enumerate_extended_eps(("*", "x")))
 
 
 @pytest.mark.parametrize("marked", [5, 2, -1])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfock.fock import SpaceSpec, gram_min_eigenvalue, r_operator, symmetrizer
+from bfock.fock import SpaceSpec, r_operator, symmetrizer
 from bfock.scalars import (
     ALPHA,
     ONE,
@@ -15,6 +15,8 @@ from bfock.scalars import (
     T,
     ZERO,
     Poly,
+    frac_matrix,
+    frac_vector,
     is_semidefinite,
     mat_kron,
     mat_mul,
@@ -23,6 +25,7 @@ from bfock.scalars import (
     qtint,
 )
 from fraction_poly import FractionPoly
+from oracles import leading_minors
 
 F = Fraction
 
@@ -108,6 +111,23 @@ def test_canonical_str():
     assert str(ONE - Q) == "-q + 1"
     assert str(F(3, 5) * ALPHA * Q - ONE) == "3/5*a*q - 1"
     assert str(ALPHA**2 * Q + 2 * ALPHA * Q + ONE) == "a^2*q + 2*a*q + 1"
+
+
+@pytest.mark.parametrize(
+    "call,error,match",
+    [
+        (lambda: frac_vector([F(1), 0.5]), TypeError, "not a rational value: 0.5"),
+        (lambda: Poly.monomial(1, eq=-1), ValueError, "negative exponents"),
+        (lambda: Q**-1, ValueError, "nonnegative integer"),
+        (lambda: Q**F(1, 2), ValueError, "nonnegative integer"),
+        (lambda: qint(-1), ValueError, "nonnegative"),
+        (lambda: qtint(-1), ValueError, "nonnegative"),
+    ],
+    ids=["float-entry", "negative-exponent", "negative-power", "fractional-power", "qint", "qtint"],
+)
+def test_scalars_reject_values_outside_their_domain(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_pow_and_coercion():
@@ -286,16 +306,27 @@ def test_mat_to_int_matches_the_oracle_with_t_and_on_zero():
 GRID = [F(k, 10) for k in range(-9, 10, 3)] + [F(-19, 20), F(19, 20)]
 
 
+# (alpha, q, levels) outside the unit square where the Gram matrix is not definite
+OUTSIDE = [
+    (F(3, 2), F(1, 2), (1, 2, 3)),
+    (F(1), F(0), (1, 2, 3)),
+    (F(-1), F(1, 2), (1, 2, 3)),
+    (F(1, 2), F(3, 2), (2, 3)),
+]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_exact_gram_verdict_matches_the_float_eigenvalue(n):
+def test_exact_gram_verdict_matches_sylvesters_criterion(n):
+    # the pivoted fraction-free verdict against every leading principal minor
+    # > 0: definite on the grid inside the unit square, not at the points outside
     space = SpaceSpec.diagonal("+-", truncation=3)
     gram = symmetrizer(n, space)
-    for alpha in GRID:
-        for q in GRID:
-            smallest = gram_min_eigenvalue(space, n, float(alpha), float(q))
-            if abs(smallest) > 1e-9:
-                exact = is_semidefinite(mat_to_int(gram, alpha, q)[0], definite=True)
-                assert exact == (smallest > 0), (alpha, q)
+    points = [(alpha, q, True) for alpha in GRID for q in GRID]
+    points += [(alpha, q, False) for alpha, q, levels in OUTSIDE if n in levels]
+    for alpha, q, definite in points:
+        m, _ = mat_to_int(gram, alpha, q)
+        sylvester = all(minor > 0 for minor in leading_minors(m))
+        assert is_semidefinite(m, definite=True) == sylvester == definite, (alpha, q)
 
 
 @pytest.mark.parametrize(
@@ -305,8 +336,9 @@ def test_exact_gram_verdict_matches_the_float_eigenvalue(n):
         (mat_mul, [[ONE, ONE]], [[ONE, Q], [ONE]]),
         (mat_kron, [[ONE], [ONE, Q]], [[ONE]]),
         (mat_kron, [], [[ONE]]),
+        (lambda a, _: frac_matrix(a), [[1, 2]], None),
     ],
-    ids=["mul-inner-mismatch", "mul-ragged", "kron-ragged", "kron-empty"],
+    ids=["mul-inner-mismatch", "mul-ragged", "kron-ragged", "kron-empty", "frac-not-square"],
 )
 def test_matrix_products_reject_shapes_that_do_not_fit(product, a, b):
     with pytest.raises(ValueError, match="matri"):
