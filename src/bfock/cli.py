@@ -196,8 +196,6 @@ def cmd_partitions(args: argparse.Namespace) -> int:
 def cmd_fock(args: argparse.Namespace) -> int:
     _require_type_b_range(args)
     render = _render(args)
-    if args.d is not None and args.d != len(args.signature):
-        raise ValueError("--d must equal the signature length")
     space = SpaceSpec.diagonal(args.signature, truncation=max(args.n, 1))
     payload = {
         "version": REPORT_VERSION,
@@ -482,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("group", help="enumerate the signed-permutation group")
     p.add_argument("--n", type=_nonnegative_int, required=True)
-    p.add_argument("--stats", action="store_true", help="included for compatibility; stats are always emitted")
     common(p)
     p.set_defaults(func=cmd_group)
 
@@ -492,13 +489,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--filter", choices=["all", "no-singletons", "pairs-only"], default="all"
     )
     p.add_argument("--extended", action="store_true")
-    p.add_argument("--stats", action="store_true", help="included for compatibility; stats are always emitted")
     common(p)
     p.set_defaults(func=cmd_partitions)
 
     p = sub.add_parser("fock", help="emit symmetrizer and recursion-factor matrices")
     p.add_argument("--n", type=_nonnegative_int, required=True)
-    p.add_argument("--d", type=int, default=None, help="defaults to len(signature)")
     p.add_argument("--signature", default="+")
     p.add_argument("--alpha", type=_fraction, default=None, help="numeric modes only, default 0")
     p.add_argument("--q", type=_fraction, default=None, help="numeric modes only, default 0")
@@ -536,11 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qt)
 
     p = sub.add_parser("orthopoly", help="polynomial tables and moment sequences")
-    p.add_argument(
-        "--family",
-        choices=["alphaq-poisson-B", "qt-poisson", "alsalam-ismail"],
-        required=True,
-    )
+    p.add_argument("--family", choices=list(_ORTHOPOLY_READS), required=True)
     p.add_argument("--N", type=_nonnegative_int, required=True)
     for name in ("alpha", "q", "t"):
         readers = ", ".join(family for family, names in _ORTHOPOLY_READS.items() if name in names)

@@ -75,7 +75,6 @@ from .scalars import (
     frac_matrix,
     frac_vector,
     is_symmetric,
-    mat_eq,
     mat_to_float,
     mat_transpose,
     zero_matrix,
@@ -569,11 +568,11 @@ def apply_symmetrizer(v: FockVector, flavor: str) -> FockVector:
 
 
 def inner(u: FockVector, v: FockVector, flavor: str = "alpha-q") -> Poly:
-    """Graded bilinear form; 'zero-zero' is word-orthonormal, the deformed
-    flavors apply their symmetrizer to the right argument."""
+    """The flavor's deformed inner product: the word-orthonormal pairing of u
+    with the flavor's symmetrizer applied to v (alpha-q: the type-B space,
+    qt: the (q,t) model)."""
     u._check_space(v)
-    if flavor != "zero-zero":
-        v = apply_symmetrizer(v, flavor)
+    v = apply_symmetrizer(v, flavor)
     return Poly.sum(coeff * v.coeffs[word] for word, coeff in u.coeffs.items() if word in v.coeffs)
 
 
@@ -606,7 +605,7 @@ def gram_min_eigenvalue(space: SpaceSpec, n: int, alpha: float, q: float) -> flo
     import numpy as np
 
     p = symmetrizer(n, space)
-    if not mat_eq(p, mat_transpose(p)):  # exact symmetry, so eigvalsh is safe
+    if p != mat_transpose(p):  # exact symmetry, so eigvalsh is safe
         raise AssertionError("symmetrizer matrix is not symmetric")
     return float(np.linalg.eigvalsh(mat_to_float(p, alpha, q)).min())
 

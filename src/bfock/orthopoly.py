@@ -37,9 +37,9 @@ MAX_POLYS_N = 19  # the largest N whose tables take under about 10 s
 
 @dataclass(frozen=True)
 class JacobiParams:
-    """Monic recurrence data: y P_n = P_{n+1} + beta_n P_n + gamma_{n-1} P_{n-1}."""
+    """Monic recurrence data: y P_n = P_{n+1} + beta_n P_n + gamma_{n-1} P_{n-1}.
+    It carries no name: a family is named by its key in ``family``."""
 
-    name: str
     beta: Callable[[int], Poly]
     gamma: Callable[[int], Poly]
 
@@ -51,26 +51,17 @@ def alphaq_poisson_b(negate_alpha: bool = False) -> JacobiParams:
     def coefficient(n: int) -> Poly:
         return qint(n) * (ONE + a * Poly.monomial(1, eq=n - 1)) if n >= 1 else ZERO
 
-    return JacobiParams(
-        name="alphaq-poisson-B" + ("-neg" if negate_alpha else ""),
-        beta=coefficient,
-        gamma=lambda n: coefficient(n + 1),
-    )
+    return JacobiParams(beta=coefficient, gamma=lambda n: coefficient(n + 1))
 
 
 def qt_poisson() -> JacobiParams:
-    return JacobiParams(
-        name="qt-poisson",
-        beta=qtint,
-        gamma=lambda n: qtint(n + 1),
-    )
+    return JacobiParams(beta=qtint, gamma=lambda n: qtint(n + 1))
 
 
 def al_salam_ismail() -> JacobiParams:
     """The displayed recurrence at a = -1, b = t^2 with the monic start U_0 = 1,
     U_1 = y: beta_n = -a t^n = t^n for n >= 1 and gamma_n = b t^n = t^(n+2)."""
     return JacobiParams(
-        name="al-salam-ismail",
         beta=lambda n: Poly.monomial(1, et=n) if n >= 1 else ZERO,
         gamma=lambda n: Poly.monomial(1, et=n + 2),
     )
@@ -188,9 +179,8 @@ def substitution_check(upto: int) -> VerifyReport:
         raise ResourceLimitError(f"guarded at n <= {MAX_SUBSTITUTION_N}")
     u_table = polys(al_salam_ismail(), upto)
     qt = qt_poisson()
-    target = polys(JacobiParams(
-        qt.name, lambda n: qt.beta(n).subs(q=0), lambda n: qt.gamma(n).subs(q=0)
-    ), upto)
+    zero_q = JacobiParams(lambda n: qt.beta(n).subs(q=0), lambda n: qt.gamma(n).subs(q=0))
+    target = polys(zero_q, upto)
     name = "al-salam-ismail-substitution"
     for n, (u_row, p_row) in enumerate(zip(u_table, target)):
         for k in range(n + 1):

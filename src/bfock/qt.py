@@ -4,8 +4,8 @@ The (q,t)-symmetrizer is the t^C(n,2)-rescaling of the sign-free symmetrizer
 at deformation q/t.  Since every surviving group element is an ordinary
 permutation with l2 <= C(n,2), the rescaling clears all denominators and the
 matrix entries are genuine polynomials in q and t: each sigma contributes
-q^l2 t^(C(n,2) - l2).  ``qt_symmetrizer`` is the ``qt`` flavor of
-``fock.symmetrizer``.
+q^l2 t^(C(n,2) - l2).  It is ``fock.symmetrizer(n, spec.space, "qt")``, and
+``fock.inner(u, v, "qt")`` is the model's inner product.
 
 The operators run ``fock``'s one operator kernel with the (q,t) slot
 weight: the slot-k term of a length-n word carries q^(n-k) t^(k-1), and the
@@ -22,17 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .fock import (
-    FockVector,
-    OpSpec,
-    SpaceSpec,
-    apply_operator,
-    inner,
-    symmetrizer,
-    vacuum_expectation,
-)
+from .fock import FockVector, OpSpec, SpaceSpec, apply_operator, vacuum_expectation
 from .moments import MomentProblem, _color_summed_sum
-from .scalars import ZERO, Poly, Matrix, frac_identity, frac_matrix, frac_vector
+from .scalars import ZERO, Poly, frac_identity, frac_matrix, frac_vector
 
 
 @dataclass(frozen=True)
@@ -48,12 +40,6 @@ class QtSpec:
     @classmethod
     def make(cls, d: int, truncation: int) -> QtSpec:
         return cls(SpaceSpec.diagonal("+" * d, truncation))
-
-
-def qt_symmetrizer(n: int, spec: QtSpec) -> Matrix:
-    """t^C(n,2) P^(n)_{0, q/t} assembled without division: the qt flavor of
-    ``fock.symmetrizer``."""
-    return symmetrizer(n, spec.space, "qt")
 
 
 def qt_create(x: Sequence[Fraction]) -> OpSpec:
@@ -77,10 +63,6 @@ def qt_apply(op: OpSpec, v: FockVector, horizon: int | None = None) -> FockVecto
     if not op.kind.startswith("qt-"):
         raise ValueError(f"not a (q,t) operator kind: {op.kind!r}")
     return apply_operator(op, v, horizon)
-
-
-def qt_inner(u: FockVector, v: FockVector) -> Poly:
-    return inner(u, v, "qt")
 
 
 def qt_vacuum_expectation(ops: Sequence[OpSpec], spec: QtSpec) -> Poly:

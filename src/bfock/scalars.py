@@ -144,9 +144,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._num
 
-    def coefficient(self, ea: int = 0, eq: int = 0, et: int = 0) -> Fraction:
-        return self.terms.get((ea, eq, et), Fraction(0))
-
     # -- ring operations ---------------------------------------------------
 
     @staticmethod
@@ -392,10 +389,6 @@ def mat_kron(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_transpose(a: Matrix) -> Matrix:
     return [list(row) for row in zip(*a)]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
 def mat_to_float(a: Matrix, alpha: float, q: float, t: float = 0.0) -> np.ndarray:

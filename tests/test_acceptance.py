@@ -43,7 +43,6 @@ from bfock.scalars import (
     Poly,
     identity_matrix,
     is_semidefinite,
-    mat_eq,
     mat_kron,
     mat_mul,
     mat_to_int,
@@ -184,7 +183,7 @@ def test_criterion_6_factorization_and_bounds():
                 mat_kron(symmetrizer(n - 1, space), identity_matrix(space.d)),
                 r_operator(n, space),
             )
-            if not mat_eq(lhs, rhs):
+            if lhs != rhs:
                 failures.append(f"factorization n={n} sig={signature}")
     space = SpaceSpec.diagonal("+-", truncation=5)
     points = [(F(a, 5), F(q, 10)) for a in (2, -2) for q in (3, -3)]

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -29,7 +30,7 @@ def run_cli(capsys, *argv):
 
 
 def test_group_csv(capsys):
-    code, out = run_cli(capsys, "group", "--n", "2", "--stats")
+    code, out = run_cli(capsys, "group", "--n", "2")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "window,l1,l2,word"
@@ -187,6 +188,32 @@ def test_qt_fixture(capsys):
     assert payload["wick"] == "t^2 + 2*t + 3"
 
 
+def readme_cli_examples():
+    """(argv, comment) for each line of README.md's CLI block."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        program, *argv = shlex.split(command)
+        assert program == "bfock"
+        examples.append((argv, comment.strip()))
+    return examples
+
+
+README_EXAMPLES = readme_cli_examples()
+
+
+@pytest.mark.parametrize("argv, comment", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES])
+def test_readme_cli_examples_run(capsys, argv, comment):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    if argv[0] == "qt":
+        assert comment == "prints t^2 + 2*t + 3"
+        assert json.loads(out)["wick"] == "t^2 + 2*t + 3"
+
+
 def test_qt_check(capsys):
     code, out = run_cli(
         capsys, "qt", "--n", "4", "--t-symbolic", "--check"
@@ -262,10 +289,24 @@ def test_orthopoly_rational_reads_its_family_parameters(capsys):
     assert len(tables) == 2
 
 
-def test_qt_has_no_mode_option():
+# options no command has, since they would change nothing: qt has one mode,
+# the CSVs always carry the statistics, and fock reads d off --signature
+ABSENT_OPTIONS = [
+    ("qt --n 2 --mode rational", "--mode"),
+    ("group --n 2 --stats", "--stats"),
+    ("partitions --n 2 --stats", "--stats"),
+    ("fock --n 1 --d 1", "--d"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, option", ABSENT_OPTIONS, ids=["qt-mode", "group-stats", "partitions-stats", "fock-d"]
+)
+def test_an_option_without_an_effect_is_unrecognized(capsys, command, option):
     with pytest.raises(SystemExit) as exc:
-        main(["qt", "--n", "2", "--mode", "rational"])
+        main(command.split())
     assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def test_orthopoly_tables(capsys):

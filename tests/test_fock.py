@@ -25,7 +25,7 @@ from bfock.fock import (
     type_b,
     vacuum_expectation,
 )
-from bfock.qt import QtSpec, qt_symmetrizer
+from bfock.qt import QtSpec
 from bfock.scalars import (
     ALPHA,
     ONE,
@@ -34,7 +34,6 @@ from bfock.scalars import (
     ZERO,
     frac_identity,
     is_semidefinite,
-    mat_eq,
     mat_kron,
     mat_mul,
     mat_to_int,
@@ -151,30 +150,30 @@ def test_spaces_vectors_and_operators_reject_bad_input(call, error, match):
 
 
 def test_symmetrizer_level_one():
-    assert mat_eq(symmetrizer(1, D1), [[ONE + ALPHA]])
+    assert symmetrizer(1, D1) == [[ONE + ALPHA]]
     expected = [[ONE + ALPHA, ZERO], [ZERO, ONE - ALPHA]]
-    assert mat_eq(symmetrizer(1, D2), expected)
+    assert symmetrizer(1, D2) == expected
 
 
 def test_symmetrizer_level_two_d1():
     # oracle: direct sum over the 8 elements of Sigma(2) with BFS (l1, l2)
     oracle = sigma_sum_oracle(2, D1)
-    assert mat_eq(symmetrizer(2, D1), oracle)
+    assert symmetrizer(2, D1) == oracle
     expected = (ONE + ALPHA) * (ONE + ALPHA * Q) * (ONE + Q)
     assert symmetrizer(2, D1)[0][0] == expected
 
 
 def test_symmetrizer_zero_level():
-    assert mat_eq(symmetrizer(0, D2), [[ONE]])
+    assert symmetrizer(0, D2) == [[ONE]]
 
 
 def test_symmetrizer_rejects_a_negative_level():
-    qt_space = QtSpec.make(2, truncation=6)
-    for build, space in ((symmetrizer, D2), (qt_symmetrizer, qt_space)):
+    qt_space = QtSpec.make(2, truncation=6).space
+    for space, flavor in ((D2, "alpha-q"), (qt_space, "qt")):
         with pytest.raises(ValueError, match="negative"):
-            build(-1, space)
+            symmetrizer(-1, space, flavor)
         with pytest.raises(ValueError, match="exceeds truncation 6"):
-            build(7, space)
+            symmetrizer(7, space, flavor)
 
 
 SWAP = SpaceSpec(2, ((F(0), F(1)), (F(1), F(0))), truncation=4)
@@ -191,15 +190,15 @@ ORACLE_CASES = [("+-", D2, n) for n in range(1, 5)] + [
     [pytest.param(space, n, id=f"{name}-n{n}") for name, space, n in ORACLE_CASES],
 )
 def test_symmetrizer_matches_word_replay(space, n):
-    assert mat_eq(symmetrizer(n, space), sigma_sum_oracle(n, space))
+    assert symmetrizer(n, space) == sigma_sum_oracle(n, space)
 
 
 PLUS_PLUS = SpaceSpec.diagonal("++", truncation=4)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_qt_symmetrizer_matches_word_replay(n):
-    assert mat_eq(qt_symmetrizer(n, QtSpec(PLUS_PLUS)), sigma_sum_oracle(n, PLUS_PLUS, qt_weight))
+def test_qt_flavor_matches_word_replay(n):
+    assert symmetrizer(n, PLUS_PLUS, "qt") == sigma_sum_oracle(n, PLUS_PLUS, qt_weight)
 
 
 def level_by_level(v, level_matrix):
@@ -220,7 +219,7 @@ def level_by_level(v, level_matrix):
     [
         ("alpha-q", D2, lambda n: symmetrizer(n, D2)),
         ("alpha-q", REFLECTION, lambda n: symmetrizer(n, REFLECTION)),
-        ("qt", PLUS_PLUS, lambda n: qt_symmetrizer(n, QtSpec(PLUS_PLUS))),
+        ("qt", PLUS_PLUS, lambda n: symmetrizer(n, PLUS_PLUS, "qt")),
     ],
     ids=["alpha-q-+-", "alpha-q-reflection", "qt-++"],
 )
@@ -274,7 +273,7 @@ def test_factorization(space, n):
     lhs = symmetrizer(n, space)
     prev = symmetrizer(n - 1, space)
     rhs = mat_mul(mat_kron(prev, [[ONE] * 1]) if space.d == 1 else mat_kron(prev, _eye(space.d)), r_operator(n, space))
-    assert mat_eq(lhs, rhs)
+    assert lhs == rhs
 
 
 def _eye(d):
@@ -282,18 +281,21 @@ def _eye(d):
 
 
 def test_r_operator_level_one():
-    assert mat_eq(r_operator(1, D1), [[ONE + ALPHA]])
-    assert mat_eq(r_operator(1, D1_MINUS), [[ONE - ALPHA]])
+    assert r_operator(1, D1) == [[ONE + ALPHA]]
+    assert r_operator(1, D1_MINUS) == [[ONE - ALPHA]]
 
 
 def test_inner_products():
     omega = FockVector.vacuum(D1)
-    for flavor in ("zero-zero", "alpha-q", "qt"):
+    for flavor in ("alpha-q", "qt"):
         assert inner(omega, omega, flavor) == ONE
     x = FockVector.basis(D1, (0,))
     assert inner(x, x, "alpha-q") == ONE + ALPHA
     xx = FockVector.basis(D1, (0, 0))
     assert inner(xx, xx, "alpha-q") == (ONE + ALPHA) * (ONE + ALPHA * Q) * (ONE + Q)
+    # P(n) at a = q = 0 is the identity: the word-orthonormal pairing
+    for v in (x, xx):
+        assert inner(v, v, "alpha-q").subs(alpha=0, q=0) == ONE
 
 
 def test_annihilate_and_gauge_kill_vacuum():
@@ -336,7 +338,7 @@ def test_annihilator_factorization(space):
                 lambda v: apply_operator(annihilate(x), v), space, n, n - 1
             )
             rhs = mat_mul(free_annihilator_matrix(x, n, space), r_operator(n, space))
-            assert mat_eq(lhs, rhs)
+            assert lhs == rhs
 
 
 def test_adjointness_of_creation():
@@ -373,7 +375,7 @@ def test_gauge_symmetry_matrix_form_level_four(space):
     for n in (1, 2, 3, 4):
         gram = symmetrizer(n, space)
         a = matrix_of_level_map(lambda v: apply_operator(op, v), space, n, n)
-        assert mat_eq(mat_mul(mat_transpose(a), gram), mat_mul(gram, a))
+        assert mat_mul(mat_transpose(a), gram) == mat_mul(gram, a)
 
 
 @TWO_SPACES
@@ -391,7 +393,7 @@ def test_adjointness_matrix_form_up_to_level_four(space):
         )
         lhs = mat_mul(mat_transpose(c), symmetrizer(n + 1, space))
         rhs = mat_mul(symmetrizer(n, space), a)
-        assert mat_eq(lhs, rhs)
+        assert lhs == rhs
 
 
 def test_vacuum_expectation_examples():

@@ -29,14 +29,12 @@ from bfock.qt import (
     qt_apply,
     qt_create,
     qt_gauge,
-    qt_inner,
-    qt_symmetrizer,
     qt_vacuum_expectation,
     qt_wick,
     qt_y,
     qt_y_moment,
 )
-from bfock.scalars import ONE, Q, T, Poly, frac_identity, frac_matrix, mat_eq
+from bfock.scalars import ONE, Q, T, Poly, frac_identity, frac_matrix
 
 F = Fraction
 
@@ -47,14 +45,14 @@ UNIT = (F(1),)
 ID1 = ((F(1),),)
 
 
-def test_qt_symmetrizer_small():
-    assert mat_eq(qt_symmetrizer(1, SPEC2), [[ONE, Poly()], [Poly(), ONE]])
-    assert mat_eq(qt_symmetrizer(2, SPEC1), [[T + Q]])
+def test_qt_flavor_symmetrizer_small():
+    assert symmetrizer(1, SPEC2.space, "qt") == [[ONE, Poly()], [Poly(), ONE]]
+    assert symmetrizer(2, SPEC1.space, "qt") == [[T + Q]]
 
 
-def test_qt_symmetrizer_t1_recovers_type_b_alpha0():
+def test_qt_flavor_symmetrizer_t1_recovers_type_b_alpha0():
     for n in (1, 2, 3):
-        lhs = qt_symmetrizer(n, SPEC2)
+        lhs = symmetrizer(n, SPEC2.space, "qt")
         rhs = symmetrizer(n, SPEC2.space)
         for row_l, row_r in zip(lhs, rhs):
             for a, b in zip(row_l, row_r):
@@ -103,8 +101,8 @@ def test_qt_gauge_adjointness():
             for v_word in basis_words(2, n):
                 u = FockVector.basis(SPEC2.space, u_word)
                 v = FockVector.basis(SPEC2.space, v_word)
-                assert qt_inner(qt_apply(qt_gauge(t), u), v) == qt_inner(
-                    u, qt_apply(qt_gauge(t), v)
+                assert inner(qt_apply(qt_gauge(t), u), v, "qt") == inner(
+                    u, qt_apply(qt_gauge(t), v), "qt"
                 )
 
 
@@ -115,8 +113,8 @@ def test_qt_creation_annihilation_adjointness():
             for v_word in basis_words(2, n + 1):
                 u = FockVector.basis(SPEC2.space, u_word)
                 v = FockVector.basis(SPEC2.space, v_word)
-                assert qt_inner(qt_apply(qt_create(x), u), v) == qt_inner(
-                    u, qt_apply(qt_annihilate(x), v)
+                assert inner(qt_apply(qt_create(x), u), v, "qt") == inner(
+                    u, qt_apply(qt_annihilate(x), v), "qt"
                 )
 
 
