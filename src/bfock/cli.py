@@ -30,7 +30,6 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache, partial
-from itertools import product
 from math import factorial
 from typing import Callable, Iterator, Sequence
 
@@ -39,16 +38,17 @@ from .coxeter import enumerate_group
 from .errors import ResourceLimitError, TruncationError
 from .fock import SpaceSpec, r_operator, symmetrizer, vacuum_expectation
 from .moments import (
+    MAX_VECTOR_N,
     MomentProblem,
     VerifyReport,
     compare,
     corollary_cases,
     random_problem,
     verify_moment_identity,
-    verify_vector_identity,
+    verify_vector_identities,
     wick_moment,
 )
-from .partitions import EPS_ALPHABET, enumerate_colored, enumerate_extended, statistics
+from .partitions import enumerate_colored, enumerate_extended, statistics
 from .qt import QtSpec, qt_wick, qt_y_moment
 from .scalars import (
     T, Matrix, Poly, frac_identity, frac_matrix, identity_matrix, is_semidefinite, mat_kron,
@@ -321,9 +321,7 @@ def _wick_checks(n_max: int, seed: int) -> list[Check]:
 def _vector_checks(n_max: int, seed: int) -> list[Check]:
     def run(n: int) -> Iterator[VerifyReport]:
         space = SpaceSpec.diagonal("+-", truncation=n)
-        prob = random_problem(random.Random(seed + 100 + n), n, space)
-        for eps in product(EPS_ALPHABET, repeat=n):
-            yield verify_vector_identity(eps, prob)
+        yield from verify_vector_identities(random_problem(random.Random(seed + 100 + n), n, space))
 
     return [(f"vector-n{n}", partial(run, n)) for n in range(1, n_max + 1)]
 
@@ -433,7 +431,7 @@ def _group_checks() -> list[Check]:
 
 SUITES: dict[str, Callable[[int, int], list[Check]]] = {
     "wick": lambda n, seed: _wick_checks(min(n, 4), seed),
-    "vector": lambda n, seed: _vector_checks(min(n, 4), seed),
+    "vector": lambda n, seed: _vector_checks(min(n, MAX_VECTOR_N), seed),
     "corollaries": lambda n, seed: _corollary_checks(min(n, 5), seed),
     "qt": lambda n, seed: _qt_checks(min(n, 5), seed),
     "factorization": lambda n, seed: _factorization_checks(),

@@ -15,8 +15,10 @@ slots sent through J, and exponent.  A basis word is spread through J once per
 mask and each element only permutes the spreads, for every symmetrizer (matrix,
 vector action, both flavors).  The generators replay a word
 letter by letter and read J through ``SpaceSpec.involve_basis``, never the slot
-table: ``r_operator`` is built from them, so the factorization
-P(n) = (P(n-1) ⊗ I) R(n) holds two independent paths against each other.
+table: ``r_operator`` replays its generator words on (word, coefficient)
+pairs through them, so the factorization P(n) = (P(n-1) ⊗ I) R(n) holds two
+independent paths against each other.  The (q,t) flavor, like the (q,t)
+operator kinds, is defined only on a space with the trivial involution.
 
 Operators follow the right-creator convention: creation appends at the
 right end of a word, the free right annihilator removes the rightmost slot,
@@ -29,10 +31,12 @@ by their lcm L, J by its integer form delta J, and every term the factor
 makes carries L delta, so the product of factors divides out once, when each
 word's ``Poly`` is built at the end.  ``apply_operator`` is the one-factor
 case; ``vacuum_expectation`` and ``moments.eps_word_vector`` run all their
-factors through it without leaving ints.  The annihilator (the row x,
-appending nothing) and the gauge (the rows T_m, appending m) share the slot
-loop; the two models differ only in the weight of the slot-k term of a
-length-n word, read off a row and J·row (J is symmetric, so (TJ)[m] = J T_m):
+factors through it without leaving ints, and ``moments.eps_word_vectors``
+takes one step of it per edge of its walk over eps-word prefixes.  The
+annihilator (the row x, appending nothing) and the gauge (the rows T_m,
+appending m) share the slot loop; the two models differ only in the weight
+of the slot-k term of a length-n word, read off a row and J·row (J is
+symmetric, so (TJ)[m] = J T_m):
 
 * type B:  q^(n-k) on x plus a q^(n+k-2) on Jx (on T_m and J T_m for the gauge);
 * (q,t):   q^(n-k) t^(k-1) on x (on T_m), with no involution term.
@@ -248,7 +252,8 @@ def act_generator(i: int, v: FockVector) -> FockVector:
 
 
 def act_word(gens: Sequence[int], v: FockVector) -> FockVector:
-    """Apply a generator word as an operator product (rightmost letter first)."""
+    """Apply a generator word as an operator product (rightmost letter first);
+    the tests' oracle for ``r_operator``'s replay on (word, coefficient) pairs."""
     for g in reversed(gens):
         v = act_generator(g, v)
     return v
@@ -315,6 +320,13 @@ def basis_words(d: int, n: int) -> list[Word]:
     return list(product(range(d), repeat=n))
 
 
+def _require_trivial_involution(space: SpaceSpec) -> None:
+    """The (q,t) model has no involution term, so its flavor and kinds are
+    defined on a space with J = I only; raise ValueError on any other."""
+    if space.involution != frac_identity(space.d):
+        raise ValueError("(q,t) model requires the trivial involution")
+
+
 def _guard_matrix_dim(d: int, n: int) -> None:
     if d**n > MAX_MATRIX_DIM:
         raise ResourceLimitError(f"matrix dimension d^n = {d**n} exceeds {MAX_MATRIX_DIM}")
@@ -349,26 +361,43 @@ def symmetrizer(n: int, space: SpaceSpec, flavor: str = "alpha-q") -> Matrix:
     if n > space.truncation:
         raise ValueError(f"level {n} exceeds truncation {space.truncation}")
     _guard_matrix_dim(space.d, n)  # before B_n is enumerated
+    if flavor == "qt":
+        _require_trivial_involution(space)
     weights, columns = _level_weights(n, flavor), _involution_columns(space)
     return _level_matrix(lambda word: _symmetrized_word(word, weights, columns), space.d, n, n)
 
 
 def r_operator(n: int, space: SpaceSpec) -> Matrix:
-    """The recursion factor as displayed, 2n weighted generator words replayed
-    and summed in one ``_collect``: the q-weighted cycle words and the sign-flip branch.
+    """The recursion factor as displayed, 2n weighted generator words: the
+    q-weighted cycle words and the sign-flip branch.
 
     R = 1 + sum_{k=1..n-1} q^k pi_{n-1}···pi_{n-k}
         + a q^(n-1) pi_{n-1}···pi_1 pi_0 (1 + sum_{k=1..n-1} q^k pi_1···pi_k)
+
+    Each basis word is replayed through every generator word as (word,
+    coefficient) pairs, rightmost generator first, by ``_generator_images``;
+    each image gathers its exponents and builds its Poly once, as in
+    ``_symmetrized_word``.
     """
     if not 1 <= n <= space.truncation:
         raise ValueError(f"level {n} out of range")
     flip = [*range(n - 1, 0, -1), 0]
-    words = [(Poly.monomial(1, eq=k), [*range(n - 1, n - k - 1, -1)]) for k in range(n)]
-    words += [(Poly.monomial(1, ea=1, eq=n - 1 + k), [*flip, *range(1, k + 1)]) for k in range(n)]
-    return matrix_of_level_map(lambda v: _collect(space, (
-        (image, weight * coeff)
-        for weight, gens in words for image, coeff in act_word(gens, v).coeffs.items()
-    )), space, n, n)
+    words = [((0, k, 0), [*range(n - 1, n - k - 1, -1)]) for k in range(n)]
+    words += [((1, n - 1 + k, 0), [*flip, *range(1, k + 1)]) for k in range(n)]
+
+    def column(word: Word) -> list[tuple[Word, Poly]]:
+        gathered: dict[Word, dict[Exponent, RationalLike]] = {}
+        for key, gens in words:
+            terms: list[tuple[Word, RationalLike]] = [(word, 1)]
+            for g in reversed(gens):
+                terms = [(image, c * e) for source, c in terms
+                         for image, e in _generator_images(g, source, space)]
+            for image, c in terms:
+                entry = gathered.setdefault(image, {})
+                entry[key] = entry.get(key, 0) + c
+        return [(image, Poly(entry)) for image, entry in gathered.items()]
+
+    return _level_matrix(column, space.d, n, n)
 
 
 # -- operators -----------------------------------------------------------------
@@ -417,8 +446,9 @@ _QT_KINDS = {"qt-create": "create", "qt-annihilate": "annihilate", "qt-gauge": "
 
 def check_dimensions(op: OpSpec, space: SpaceSpec) -> None:
     """Raise ValueError unless the kind is known, the operator has the vector and
-    matrix its kind reads and no field it does not read, and they fit the space;
-    TypeError unless every entry of x, T and lambda is an int or a Fraction."""
+    matrix its kind reads and no field it does not read, they fit the space,
+    and a (q,t) kind's space has the trivial involution; TypeError unless every
+    entry of x, T and lambda is an int or a Fraction."""
     kind = _QT_KINDS.get(op.kind, op.kind)
     if kind not in ("create", "annihilate", "gauge", "b"):
         raise ValueError(f"unknown operator kind {op.kind!r}")
@@ -432,6 +462,8 @@ def check_dimensions(op: OpSpec, space: SpaceSpec) -> None:
         raise ValueError(f"{op.kind}: reads no coefficient operator T")
     if op.lam and op.kind != "b":
         raise ValueError(f"{op.kind}: reads no shift lambda, got {op.lam}")
+    if op.kind in _QT_KINDS:
+        _require_trivial_involution(space)
     d = space.d
     if op.x is not None and len(op.x) != d:
         raise ValueError(f"{op.kind}: vector has {len(op.x)} coordinates, the space has d = {d}")
@@ -543,12 +575,22 @@ def _apply_product(ops: Sequence[OpSpec], v: FockVector, horizon: int | None) ->
     den = lcm(*(p._den for p in v.coeffs.values()))
     vec = {word: {key: c * (den // p._den) for key, c in p._num.items()}
            for word, p in v.coeffs.items()}
-    delta = lcm(*(e.denominator for row in space.involution for e in row))
-    j_int = [_scaled(row, delta) for row in space.involution]
+    j_int, delta = _int_involution(space)
     for i in range(len(ops) - 1, -1, -1):
         vec, scale = _int_step(ops[i], vec, space, j_int, delta,
                                None if horizon is None else horizon + i)
         den *= scale
+    return _poly_vector(space, vec, den)
+
+
+def _int_involution(space: SpaceSpec) -> tuple[list[list[int]], int]:
+    """(delta J, delta): J over the lcm delta of its denominators, as ints."""
+    delta = lcm(*(e.denominator for row in space.involution for e in row))
+    return [_scaled(row, delta) for row in space.involution], delta
+
+
+def _poly_vector(space: SpaceSpec, vec: _IntVector, den: int) -> FockVector:
+    """The kernel's int vector over den as a FockVector, each word's Poly built once."""
     return FockVector(space, {word: _normal(num, den) for word, num in vec.items()})
 
 
@@ -562,6 +604,8 @@ def apply_operator(op: OpSpec, v: FockVector, horizon: int | None = None) -> Foc
 
 def apply_symmetrizer(v: FockVector, flavor: str) -> FockVector:
     """Level-wise application of the flavor's symmetrizer."""
+    if flavor == "qt":
+        _require_trivial_involution(v.space)
     weights = {n: _level_weights(n, flavor) for n in {0, *v.levels()}}
     columns = _involution_columns(v.space)
     return _images(lambda word: _symmetrized_word(word, weights[len(word)], columns), v)

@@ -33,6 +33,17 @@ choices at an arc and an optional eps word: ``wick_moment`` and
 ``vector_formula`` share the type-B choices above (f = 0 without a word),
 and ``qt.qt_wick`` has the one choice (I, t^c).
 
+``verify_vector_identities`` checks the vector-level theorem on all 3^n eps
+words.  Both sides take point 1 first, so words with a common prefix share
+all the work up to its end, and each side walks the tree of word prefixes
+once, depth first, yielding one vector per word in ``product(EPS_ALPHABET,
+repeat=n)`` order: ``eps_word_vectors`` takes one ``fock._int_step`` per
+edge, and ``vector_formulas`` one level step of the kernel, with ``room``
+bounded by the points left.  A prefix whose vector or level is zero yields
+zero for its whole subtree.  Each side shares only its own prefixes, so
+the two stay independent, and the per-call ``eps_word_vector`` and
+``vector_formula``, which run the same steps, are their small-n oracles.
+
 ``tests/oracles.py`` keeps both colored sums term by term, the moment one
 colored partition at a time and the vector formula one colored extended
 partition at a time: the small-n oracles the tests hold the kernel to.
@@ -50,11 +61,11 @@ colors) in a ``functools.cache`` local to the call.  None of them goes through
 ``_open_arc_steps`` or ``_color_summed_sum``, so a fault in the kernel's
 moves, state merges or integer sums cannot cancel out of the comparison.
 
-The operator side of every comparison, ``vacuum_expectation`` and
-``eps_word_vector``, runs on ``fock``'s operator kernel: integer numerators
-over one denominator, cleared factor by factor with its own exact code.  It
-shares no scaling with ``_color_summed_sum``, so a wrong scale on either side
-shows as a difference instead of cancelling out.
+The operator side of every comparison, ``vacuum_expectation``,
+``eps_word_vector`` and ``eps_word_vectors``, runs on ``fock``'s operator
+kernel: integer numerators over one denominator, cleared factor by factor
+with its own exact code.  It shares no scaling with ``_color_summed_sum``, so
+a wrong scale on either side shows as a difference instead of cancelling out.
 
 Every comparison of the harness, here, in ``orthopoly`` and in ``bfock
 verify``, is a ``VerifyReport`` from ``compare``, which renders failures only.
@@ -69,13 +80,28 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import lcm, prod
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ResourceLimitError
-from .fock import FockVector, OpSpec, SpaceSpec, Word, _apply_product, type_b, vacuum_expectation
+from .fock import (
+    FockVector,
+    OpSpec,
+    SpaceSpec,
+    Word,
+    _apply_product,
+    _int_involution,
+    _int_step,
+    _IntVector,
+    _poly_vector,
+    check_dimensions,
+    type_b,
+    vacuum_expectation,
+)
 from .partitions import (
+    EPS_ALPHABET,
     ONE_SYM,
     PRIME,
     STAR,
@@ -209,6 +235,9 @@ _ArcChoice = tuple[FracMatrix, Callable[[int, int, int], Exponent]]
 # frozen.  An active block also keeps the frozen count at its last point.
 _Block = tuple[int, tuple[int, ...]]
 _Active = tuple[int, tuple[int, ...], int]
+# the scan's partial sums after a point: per frozen count, the int dict of
+# each state of active blocks
+_Level = list[dict[tuple[_Active, ...], dict[int, int]]]
 _ARC_BITS = 4
 _WORD_BIT = 3 * _FIELD  # the letters of a word ride above a packed key's exponents
 
@@ -244,13 +273,14 @@ def _open_arc_steps(
 
     Yields (the next active blocks, the block ended at j or None, the new
     restricted crossings); the ended block is frozen under ``*`` and ``'``,
-    closed otherwise.  ``room`` counts the later points that can end a block
+    closed otherwise.  ``room`` bounds the later points that can end a block
     (all of them, or an eps word's later non-``*`` points), and no move leaves
-    more active blocks than that, so every move sequence ends with none
-    active, blocks ended in the order of their maxima.
+    more active blocks than that.  With the exact count every move sequence
+    ends with none active, blocks ended in the order of their maxima; with a
+    looser bound some end with blocks still active, and a sum keeps only the
+    sequences that end with none.
     """
-    # h <= room + 1 holds on entry (h <= room at a star), so ending a block
-    # always leaves enough points
+    # h <= room + 1 holds on entry, so ending a block leaves enough points
     h = len(opened)
     bit = 1 << (j - 1)
     now = frozen << 2 * _ARC_BITS
@@ -304,12 +334,33 @@ def _color_summed_sum(
       frozen block's vector, whose letter each key carries in the word's
       next field above the exponents, and by q^crossings.  A zero factor adds
       nothing, so a state that no move reaches with a nonzero factor is never
-      made.
+      made.  One level step of ``_color_summed_kernel`` takes the states
+      after point j - 1 to those after point j.
     """
     n = prob.n
     if n > MAX_WICK_N:
         raise ResourceLimitError(f"the color-summed partition sum is guarded at n <= {MAX_WICK_N}")
     symbols = (None,) * n if eps is None else tuple(eps)
+    step, words = _color_summed_kernel(prob, choices, symbols)
+    level: _Level = [{(): {0: 1}}]
+    for j, symbol in enumerate(symbols, start=1):
+        level = step(level, j, symbol, sum(s != STAR for s in symbols[j:]))
+    return words(level)
+
+
+def _color_summed_kernel(
+    prob: MomentProblem, choices: Sequence[_ArcChoice], symbols: Sequence[str | None]
+) -> tuple[Callable[[_Level, int, str | None, int], _Level], Callable[[_Level], dict[Word, Poly]]]:
+    """The level step and the final gather of ``_color_summed_sum`` on prob.
+
+    ``step(level, j, symbol, room)`` makes the moves of ``_open_arc_steps`` at
+    point j and returns the next level; ``words(level)`` divides the states
+    with no active block out, per word.  A point's tables are built only if
+    its symbol can read them (a None symbol: any), and the block caches hold
+    values of a block's points only, so any sequence of steps that the tables
+    cover can share them.
+    """
+    n = prob.n
     scales = [
         lcm(*(v.denominator for v in x), *(v.denominator for row in t for v in row), lam.denominator)
         for x, t, lam in zip(prob.xs, prob.ts, prob.lams)
@@ -330,7 +381,6 @@ def _color_summed_sum(
     keyed: dict[tuple[int, ...], list[int]] = {(): [0]}
     vectors: dict[int, list[list[int]]] = {}
     tables: dict[int, list[int]] = {}
-    ended: dict[_Block, dict[int, int]] = {}
 
     def open_vectors(mask: int) -> list[list[int]]:
         """T_last F ··· F x_min of a block, one vector per choice at each arc."""
@@ -370,16 +420,14 @@ def _color_summed_sum(
         columns = enumerate(zip(*open_vectors(mask)))
         return {key + (e << field): c for e, column in columns for key, c in weighted(arcs, column).items()}
 
-    unit = {0: 1}
-    q_step = _pack(0, 1, 0)
-    level: list[dict[tuple[_Active, ...], dict[int, int]]] = [{(): unit}]  # by frozen count
-    for j, symbol in enumerate(symbols, start=1):
-        room = sum(s != STAR for s in symbols[j:])
+    def step(level: _Level, j: int, symbol: str | None, room: int) -> _Level:
+        unit = {0: 1}
+        q_step = _pack(0, 1, 0)
         freezes = symbol in (STAR, PRIME)
-        nxt: list[dict[tuple[_Active, ...], dict[int, int]]] = [{} for _ in range(len(level) + freezes)]
-        tables.clear()  # a block ends at its maximum, so its factor is needed at one level only
+        nxt: _Level = [{} for _ in range(len(level) + freezes)]
+        tables.clear()  # a block ends at its maximum, so its factor is needed in one step only
         for frozen, states in enumerate(level):
-            ended.clear()  # a block frozen here fills the word's next letter
+            ended: dict[_Block, dict[int, int]] = {}  # a block frozen here fills the word's next letter
             for opened, running in states.items():
                 for state, block, crossed in _open_arc_steps(j, room, opened, frozen, symbol):
                     if block is None:
@@ -401,14 +449,21 @@ def _color_summed_sum(
                         for ka, ca in running.items():
                             k = ka + kb
                             out[k] = get(k, 0) + ca * cb
-        level = nxt
-    den = prod(scales) * delta**n
-    words: dict[Word, dict[int, int]] = {}
-    for frozen, states in enumerate(level):
-        for key, c in states.get((), {}).items():
-            word = tuple(key >> _WORD_BIT + k * width & (1 << width) - 1 for k in range(frozen))
-            words.setdefault(word, {})[key & (1 << _WORD_BIT) - 1] = c
-    return {word: _normal(num, den) for word, num in words.items()}
+        return nxt
+
+    def words(level: _Level) -> dict[Word, Poly]:
+        den = prod(scales) * delta**n
+        out: dict[Word, Poly] = {}
+        for frozen, states in enumerate(level):
+            by_letters: dict[int, dict[int, int]] = {}  # the word's fields, unpacked once per word
+            for key, c in states.get((), {}).items():
+                by_letters.setdefault(key >> _WORD_BIT, {})[key & (1 << _WORD_BIT) - 1] = c
+            for letters, num in by_letters.items():
+                word = tuple(letters >> k * width & (1 << width) - 1 for k in range(frozen))
+                out[word] = _normal(num, den)
+        return out
+
+    return step, words
 
 
 def _cleared(values: Sequence[Fraction], scale: int) -> list[int]:
@@ -443,9 +498,13 @@ def vector_formula(eps: Sequence[str], prob: MomentProblem) -> FockVector:
     """Extended-partition expansion of b^eps(n)···b^eps(1) Ω: the partition
     sum with q^f_in (I + a q^(2(c + f_left)) J) at every arc."""
     check_eps(eps, prob.n)
-    if prob.n > MAX_VECTOR_N:
-        raise ResourceLimitError(f"vector_formula is guarded at n <= {MAX_VECTOR_N}")
+    _guard_vector_n(prob, "vector_formula")
     return FockVector(prob.space, _color_summed_sum(prob, _type_b_choices(prob.space), eps))
+
+
+def _guard_vector_n(prob: MomentProblem, name: str) -> None:
+    if prob.n > MAX_VECTOR_N:
+        raise ResourceLimitError(f"{name} is guarded at n <= {MAX_VECTOR_N}")
 
 
 def eps_operator(symbol: str, point: int, prob: MomentProblem) -> OpSpec:
@@ -464,6 +523,82 @@ def eps_word_vector(eps: Sequence[str], prob: MomentProblem) -> FockVector:
     check_eps(eps, prob.n)
     ops = [eps_operator(symbol, point, prob) for point, symbol in enumerate(eps, start=1)]
     return _apply_product(ops[::-1], FockVector.vacuum(prob.space), None)
+
+
+# -- shared-prefix sweeps over all eps words ------------------------------------
+
+_State = TypeVar("_State")
+
+
+def _sweep(
+    prob: MomentProblem,
+    root: _State,
+    step: Callable[[int, str, _State], _State | None],
+    leaf: Callable[[_State], FockVector],
+) -> Iterator[FockVector]:
+    """leaf(state) for every eps word of length n, in ``product(EPS_ALPHABET,
+    repeat=n)`` order, from one depth-first walk over the word prefixes.
+
+    A prefix's state is step(j, symbol, state) of its parent's, symbol being
+    its last (the j-th) one, so words that share a prefix share its steps.  A
+    step that returns None (the zero vector) ends the walk below it: every
+    word there yields the zero vector.
+    """
+    n, space = prob.n, prob.space
+
+    def walk(j: int, state: _State | None) -> Iterator[FockVector]:
+        if state is None:
+            for _ in range(len(EPS_ALPHABET) ** (n - j)):
+                yield FockVector(space)
+        elif j == n:
+            yield leaf(state)
+        else:
+            for symbol in EPS_ALPHABET:
+                yield from walk(j + 1, step(j + 1, symbol, state))
+
+    return walk(0, root)
+
+
+def eps_word_vectors(prob: MomentProblem) -> Iterator[FockVector]:
+    """``eps_word_vector`` of every eps word of length n, in product order.
+
+    One ``fock._int_step`` per edge of the prefix walk, on the operators of
+    every (point, symbol), each checked once.  A word that begins with ``1``
+    or ``'`` annihilates the vacuum, so its whole subtree ends at the first
+    edge.
+    """
+    _guard_vector_n(prob, "eps_word_vectors")
+    space = prob.space
+    ops = [{symbol: eps_operator(symbol, point, prob) for symbol in EPS_ALPHABET}
+           for point in range(1, prob.n + 1)]
+    for point_ops in ops:
+        for op in point_ops.values():
+            check_dimensions(op, space)
+    j_int, delta = _int_involution(space)
+
+    def step(j: int, symbol: str, state: tuple[_IntVector, int]) -> tuple[_IntVector, int] | None:
+        vec, scale = _int_step(ops[j - 1][symbol], state[0], space, j_int, delta, None)
+        return (vec, state[1] * scale) if vec else None
+
+    return _sweep(prob, ({(): {0: 1}}, 1), step, lambda state: _poly_vector(space, *state))
+
+
+def vector_formulas(prob: MomentProblem) -> Iterator[FockVector]:
+    """``vector_formula`` of every eps word of length n, in product order.
+
+    One level step of the partition sum per edge of the prefix walk.  The
+    later symbols are not known there, so ``room`` counts every later point;
+    a state that can no longer close lives on until the final gather drops it.
+    """
+    _guard_vector_n(prob, "vector_formulas")
+    n, space = prob.n, prob.space
+    level_step, words = _color_summed_kernel(prob, _type_b_choices(space), (None,) * n)
+
+    def step(j: int, symbol: str, level: _Level) -> _Level | None:
+        level = level_step(level, j, symbol, n - j)
+        return level if any(level) else None
+
+    return _sweep(prob, [{(): {0: 1}}], step, lambda level: FockVector(space, words(level)))
 
 
 # -- independent corollary evaluators -------------------------------------------
@@ -610,6 +745,14 @@ def verify_vector_identity(eps: Sequence[str], prob: MomentProblem) -> VerifyRep
     lhs = eps_word_vector(eps, prob)
     rhs = vector_formula(eps, prob)
     return compare(f"vector-identity-{''.join(eps)}", lhs, rhs)
+
+
+def verify_vector_identities(prob: MomentProblem) -> Iterator[VerifyReport]:
+    """``verify_vector_identity`` for every eps word of length n, in product
+    order: each side is one sweep, and the two advance one word at a time."""
+    words = product(EPS_ALPHABET, repeat=prob.n)
+    for eps, lhs, rhs in zip(words, eps_word_vectors(prob), vector_formulas(prob), strict=True):
+        yield compare(f"vector-identity-{''.join(eps)}", lhs, rhs)
 
 
 def random_problem(

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .fock import FockVector, OpSpec, SpaceSpec, apply_operator, vacuum_expectation
+from .fock import (
+    FockVector, OpSpec, SpaceSpec, _require_trivial_involution, apply_operator, vacuum_expectation,
+)
 from .moments import MomentProblem, _color_summed_sum
 from .scalars import ZERO, Poly, frac_identity, frac_matrix, frac_vector
 
@@ -34,8 +36,7 @@ class QtSpec:
     space: SpaceSpec
 
     def __post_init__(self) -> None:
-        if self.space.involution != frac_identity(self.space.d):
-            raise ValueError("(q,t) model requires the trivial involution")
+        _require_trivial_involution(self.space)
 
     @classmethod
     def make(cls, d: int, truncation: int) -> QtSpec:

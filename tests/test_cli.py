@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,9 @@ import bfock
 import oracles
 from bfock import cli, moments, partitions
 from bfock.cli import main
-from bfock.fock import SpaceSpec
+from bfock.fock import FockVector, SpaceSpec
 from bfock.moments import random_problem, wick_moment
+from bfock.partitions import EPS_ALPHABET
 from bfock.scalars import ALPHA, T
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -380,6 +382,35 @@ def test_a_failing_check_names_its_instance(monkeypatch, capsys):
     assert failed["lhs"] == f"moment-identity-n3: {wick_moment(prob)}"
     assert failed["rhs"] == str(wick_moment(prob) + 1)
     assert all(row["lhs"] == row["rhs"] == "" for row in rows if row["status"] == "pass")
+
+
+def test_a_failing_vector_row_names_its_word(monkeypatch, capsys):
+    """One word's vector on the partition side of vector-n3 is off by one basis
+    vector: only that row fails, and it names the word."""
+    eps = ("*", "'", "*")
+    word_index = list(product(EPS_ALPHABET, repeat=3)).index(eps)
+    original = moments.vector_formulas
+
+    def perturbed(prob):
+        for k, v in enumerate(original(prob)):
+            yield v + FockVector.basis(prob.space, (0,)) if prob.n == 3 and k == word_index else v
+
+    monkeypatch.setattr(moments, "vector_formulas", perturbed)
+    code, out = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 1
+    rows = json.loads(out)["checks"]
+    assert [row["name"] for row in rows if row["status"] == "fail"] == ["vector-n3"]
+    # the check's instance, as the vector suite draws it: seed 7 + 100 + n on "+-"
+    prob = random_problem(random.Random(7 + 100 + 3), 3, SpaceSpec.diagonal("+-", truncation=3))
+    expected = moments.eps_word_vector(eps, prob)
+    (failed,) = [row for row in rows if row["name"] == "vector-n3"]
+    assert failed["lhs"] == f"vector-identity-*'*: {moments._vector_str(expected)}"
+    assert failed["rhs"] == moments._vector_str(expected + FockVector.basis(prob.space, (0,)))
+
+
+def test_the_vector_suite_runs_up_to_the_guard():
+    names = [name for name, _ in cli.SUITES["vector"](moments.MAX_VECTOR_N + 3, 7)]
+    assert names == [f"vector-n{n}" for n in range(1, moments.MAX_VECTOR_N + 1)]
 
 
 def test_colored_count_follows_the_stirling_recurrence():

@@ -280,6 +280,31 @@ def _eye(d):
     return [[ONE if i == j else ZERO for j in range(d)] for i in range(d)]
 
 
+@pytest.mark.parametrize(
+    "space,n",
+    [
+        pytest.param(space, n, id=f"{n}-{name}")
+        for name, space in (("+", D1), ("+-", D2), ("+--", SpaceSpec.diagonal("+--", 4)),
+                            ("reflection", REFLECTION))
+        for n in range(1, 5)
+    ],
+)
+def test_r_operator_matches_the_act_word_replay(space, n):
+    """R(n) as displayed, each generator word applied to whole vectors by
+    ``act_word`` and summed: the oracle of r_operator's word-level replay."""
+    flip = [*range(n - 1, 0, -1), 0]
+    words = [(Poly.monomial(1, eq=k), [*range(n - 1, n - k - 1, -1)]) for k in range(n)]
+    words += [(Poly.monomial(1, ea=1, eq=n - 1 + k), [*flip, *range(1, k + 1)]) for k in range(n)]
+
+    def replay(v):
+        out = FockVector(space)
+        for weight, gens in words:
+            out = out + act_word(gens, v) * weight
+        return out
+
+    assert r_operator(n, space) == matrix_of_level_map(replay, space, n, n)
+
+
 def test_r_operator_level_one():
     assert r_operator(1, D1) == [[ONE + ALPHA]]
     assert r_operator(1, D1_MINUS) == [[ONE - ALPHA]]

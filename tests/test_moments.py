@@ -25,13 +25,22 @@ from bfock.moments import (
     corollary_cases,
     cumulant_block,
     eps_word_vector,
+    eps_word_vectors,
     random_problem,
     vector_formula,
+    vector_formulas,
     verify_moment_identity,
+    verify_vector_identities,
     verify_vector_identity,
     wick_moment,
 )
-from bfock.partitions import arc_covers, enumerate_colored, enumerate_extended_eps, set_partitions
+from bfock.partitions import (
+    EPS_ALPHABET,
+    arc_covers,
+    enumerate_colored,
+    enumerate_extended_eps,
+    set_partitions,
+)
 from bfock.scalars import ALPHA, ONE, Q, Poly
 
 F = Fraction
@@ -347,6 +356,35 @@ def test_vector_formula_is_guarded_and_checks_its_word():
         vector_formula(("*", "x"), unit_problem(2))
     with pytest.raises(ValueError, match="one symbol per point"):
         vector_formula(("*", "1"), unit_problem(3))
+
+
+@pytest.mark.parametrize("which", ["diagonal", "reflection"])
+@pytest.mark.parametrize("n", range(MAX_VECTOR_N + 1))
+def test_the_sweeps_equal_the_per_call_functions_on_every_word(which, n):
+    """Each sweep yields one vector per word, 3^n in product order, and each
+    is the per-call function's vector for that word."""
+    prob = involution_problem(900 + n, n, which)
+    words = list(product(EPS_ALPHABET, repeat=n))
+    operator_side, partition_side = list(eps_word_vectors(prob)), list(vector_formulas(prob))
+    assert len(operator_side) == len(partition_side) == 3**n
+    assert operator_side == [eps_word_vector(eps, prob) for eps in words]
+    assert partition_side == [vector_formula(eps, prob) for eps in words]
+
+
+def test_the_vector_identities_report_every_word_in_product_order():
+    prob = involution_problem(905, 3, "reflection")
+    reports = list(verify_vector_identities(prob))
+    assert reports == [verify_vector_identity(eps, prob) for eps in product(EPS_ALPHABET, repeat=3)]
+    assert [report.name for report in reports[:4]] == [
+        "vector-identity-***", "vector-identity-**1", "vector-identity-**'", "vector-identity-*1*",
+    ]
+
+
+@pytest.mark.parametrize("sweep", [eps_word_vectors, vector_formulas, verify_vector_identities])
+def test_the_sweeps_are_guarded(sweep):
+    next(iter(sweep(unit_problem(MAX_VECTOR_N))))
+    with pytest.raises(ResourceLimitError, match=f"n <= {MAX_VECTOR_N}"):
+        next(iter(sweep(unit_problem(MAX_VECTOR_N + 1))))
 
 
 @pytest.mark.parametrize("eps", [("*",), ("*", "*", "*"), ("*", "x")], ids=["short", "long", "bad-symbol"])

@@ -19,6 +19,8 @@ SPACES = (
     SpaceSpec.diagonal("+--", truncation=6),
     SpaceSpec(2, ((F(3, 5), F(4, 5)), (F(4, 5), F(-3, 5))), truncation=6),
 )
+# the (q,t) kinds are defined on a space with the trivial involution only
+QT_SPACES = (SpaceSpec.diagonal("++", truncation=6), SpaceSpec.diagonal("+++", truncation=6))
 KINDS = ("create", "annihilate", "gauge", "b", "qt-create", "qt-annihilate", "qt-gauge", "qt-y")
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
@@ -36,9 +38,9 @@ def operators_and_vectors(draw):
     """An operator of any kind with only the fields it reads, a vector with words
     of length <= 5 whose coefficients have fractional values and a/q/t powers,
     and a horizon (None or 0..5)."""
-    space = draw(st.sampled_from(SPACES))
-    d = space.d
     kind = draw(st.sampled_from(KINDS))
+    space = draw(st.sampled_from(QT_SPACES if kind.startswith("qt-") else SPACES))
+    d = space.d
     x = tuple(draw(rationals) for _ in range(d)) if not kind.endswith("gauge") else None
     t = symmetric(draw, d) if kind.endswith(("gauge", "b", "y")) else None
     lam = draw(rationals) if kind == "b" else F(0)

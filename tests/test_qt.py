@@ -260,3 +260,26 @@ def test_qt_pruned_vacuum_expectation_matches_unpruned_loop():
 def test_qt_requires_trivial_involution():
     with pytest.raises(ValueError):
         QtSpec(SpaceSpec.diagonal("+-", truncation=2))
+
+
+MINUS = SpaceSpec.diagonal("-", truncation=3)
+X1 = FockVector.basis(MINUS, (0,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: symmetrizer(1, MINUS, "qt"),
+        lambda: inner(X1, X1, "qt"),
+        lambda: apply_operator(qt_create((F(1),)), FockVector.vacuum(MINUS)),
+        lambda: apply_operator(qt_annihilate((F(1),)), X1),
+        lambda: apply_operator(qt_gauge(((F(1),),)), X1),
+        lambda: apply_operator(qt_y((F(1),), ((F(1),),)), X1),
+    ],
+    ids=["symmetrizer", "inner", "qt-create", "qt-annihilate", "qt-gauge", "qt-y"],
+)
+def test_the_qt_flavor_and_kinds_reject_a_nontrivial_involution(call):
+    """The (q,t) model has no involution term: on a space with J != I its flavor
+    and kinds raise rather than drop J."""
+    with pytest.raises(ValueError, match="trivial involution"):
+        call()
