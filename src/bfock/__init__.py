@@ -9,7 +9,7 @@ Everything is immutable after construction and operations are pure functions,
 so values can be shared freely across threads.
 """
 
-from .coxeter import SignedPermutation, enumerate_group, length_stats
+from .coxeter import SignedPermutation, enumerate_group
 from .errors import ResourceLimitError, TruncationError
 from .fock import (
     FockVector,
@@ -27,11 +27,10 @@ from .fock import (
 )
 from .moments import (
     MomentProblem,
-    corollary_cases,
     cumulant_block,
+    eps_word_vector,
     vector_formula,
     verify_moment_identity,
-    verify_vector_identity,
     wick_moment,
 )
 from .orthopoly import (
@@ -50,7 +49,7 @@ from .partitions import (
     enumerate_extended_eps,
     statistics,
 )
-from .qt import QtSpec, qt_apply, qt_wick, qt_y, qt_y_moment
+from .qt import QtSpec, qt_annihilate, qt_apply, qt_create, qt_gauge, qt_wick, qt_y, qt_y_moment
 from .scalars import ALPHA, ONE, Poly, Q, T, ZERO, qint, qtint
 
 __version__ = "0.1.0"
@@ -60,12 +59,12 @@ __all__ = [
     "ColoredPartition", "ExtendedPartition", "FockVector", "JacobiParams",
     "MomentProblem", "OpSpec", "Poly", "QtSpec", "ResourceLimitError",
     "SignedPermutation", "SpaceSpec", "TruncationError",
-    "annihilate", "apply_operator", "corollary_cases", "create",
-    "cumulant_block", "enumerate_colored", "enumerate_extended",
-    "enumerate_extended_eps", "enumerate_group", "family", "gauge", "inner",
-    "length_stats", "moments_from_jacobi", "polys", "qint", "qt_apply",
-    "qt_wick", "qt_y", "qt_y_moment", "qtint", "r_operator", "statistics",
-    "substitution_check", "symmetrizer", "type_b", "vacuum_expectation",
-    "vacuum_polynomial_identity", "vector_formula", "verify_moment_identity",
-    "verify_vector_identity", "wick_moment",
+    "annihilate", "apply_operator", "create", "cumulant_block",
+    "enumerate_colored", "enumerate_extended", "enumerate_extended_eps",
+    "enumerate_group", "eps_word_vector", "family", "gauge", "inner",
+    "moments_from_jacobi", "polys", "qint", "qt_annihilate", "qt_apply",
+    "qt_create", "qt_gauge", "qt_wick", "qt_y", "qt_y_moment", "qtint",
+    "r_operator", "statistics", "substitution_check", "symmetrizer", "type_b",
+    "vacuum_expectation", "vacuum_polynomial_identity", "vector_formula",
+    "verify_moment_identity", "wick_moment",
 ]

@@ -42,7 +42,9 @@ from .moments import (
     MomentProblem,
     VerifyReport,
     compare,
-    corollary_cases,
+    corollary_free_alpha,
+    corollary_gaussian,
+    corollary_q_case,
     random_problem,
     verify_moment_identity,
     verify_vector_identities,
@@ -332,12 +334,10 @@ def _corollary_checks(n_max: int, seed: int) -> list[Check]:
             space = SpaceSpec.diagonal("++", truncation=n)
             prob = random_problem(random.Random(seed + 200 + n), n, space, zero_lams=True)
             full = wick_moment(prob)
-            yield compare(f"q-case n={n}", full.subs(alpha=0), corollary_cases("q-case", prob))
-            yield compare(f"free-alpha n={n}", full.subs(q=0), corollary_cases("free-alpha", prob))
+            yield compare(f"q-case n={n}", full.subs(alpha=0), corollary_q_case(prob))
+            yield compare(f"free-alpha n={n}", full.subs(q=0), corollary_free_alpha(prob))
             gaussian = replace(prob, ts=(frac_matrix([[0, 0], [0, 0]]),) * n)
-            yield compare(
-                f"gaussian n={n}", wick_moment(gaussian), corollary_cases("gaussian", gaussian)
-            )
+            yield compare(f"gaussian n={n}", wick_moment(gaussian), corollary_gaussian(gaussian))
 
     return [("corollaries", run)]
 

@@ -14,9 +14,11 @@ Prop. 8.1.2), and a shorter neighbour was recorded one level earlier.
 Skipping descents leaves every word and the record order unchanged.  The
 statistics l1 (count of pi_0 letters) and l2 (count of pi_i, i >= 1, letters)
 are read off that word; they are invariants of the element, which the test
-suite checks exhaustively for small n rather than assuming.  The table's
-windows are valid by construction, so its records skip the validation of
-``SignedPermutation``; a test rebuilds each one through the public constructors.
+suite checks exhaustively for small n rather than assuming, against every
+reduced word (``tests/oracles.py`` keeps the reduced words and the replay of
+a word as a signed permutation).  The table's windows are valid by
+construction, so its records skip the validation of ``SignedPermutation``; a
+test rebuilds each one through the public constructors.
 
 A word (g_1, ..., g_k) denotes the product pi_{g_1} · pi_{g_2} ··· pi_{g_k},
 i.e. the rightmost letter acts first.
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import ResourceLimitError
 
@@ -54,18 +55,6 @@ class SignedPermutation:
     def identity(cls, n: int) -> SignedPermutation:
         return cls(tuple(range(1, n + 1)))
 
-    @classmethod
-    def generator(cls, n: int, i: int) -> SignedPermutation:
-        """pi_0 flips the sign of 1; pi_i (1 <= i <= n-1) swaps i and i+1."""
-        if not 0 <= i <= n - 1:
-            raise ValueError(f"generator index {i} out of range for n={n}")
-        window = list(range(1, n + 1))
-        if i == 0:
-            window[0] = -1
-        else:
-            window[i - 1], window[i] = window[i], window[i - 1]
-        return cls(tuple(window))
-
     def apply(self, k: int) -> int:
         """Image of the signed point k."""
         if k > 0:
@@ -77,18 +66,6 @@ class SignedPermutation:
         if self.n != other.n:
             raise ValueError("cannot compose signed permutations of different sizes")
         return SignedPermutation(tuple(self.apply(v) for v in other.window))
-
-    def inverse(self) -> SignedPermutation:
-        window = [0] * self.n
-        for k, v in enumerate(self.window, start=1):
-            if v > 0:
-                window[v - 1] = k
-            else:
-                window[-v - 1] = -k
-        return SignedPermutation(tuple(window))
-
-    def negative_entries(self) -> int:
-        return sum(1 for v in self.window if v < 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,7 +89,7 @@ def _right_multiply(window: Window, g: int) -> Window:
 
 
 @lru_cache(maxsize=None)
-def _group_table(n: int) -> tuple[tuple[GroupElementRecord, ...], dict[Window, GroupElementRecord]]:
+def _group_table(n: int) -> tuple[GroupElementRecord, ...]:
     start = SignedPermutation.identity(n).window
     words: dict[Window, tuple[int, ...]] = {start: ()}
     order: list[Window] = [start]
@@ -131,60 +108,18 @@ def _group_table(n: int) -> tuple[tuple[GroupElementRecord, ...], dict[Window, G
         object.__setattr__(perm, "window", window)
         l1 = word.count(0)
         records.append(GroupElementRecord(perm, l1, len(word) - l1, word))
-    return tuple(records), {record.perm.window: record for record in records}
+    return tuple(records)
 
 
 def _check_rank(n: int) -> None:
-    if not 1 <= n <= MAX_GROUP_RANK:
+    if not 0 <= n <= MAX_GROUP_RANK:
         raise ResourceLimitError(
-            f"group enumeration supports 1 <= n <= {MAX_GROUP_RANK}, got {n}"
+            f"group enumeration supports 0 <= n <= {MAX_GROUP_RANK}, got {n}"
         )
 
 
 def enumerate_group(n: int) -> tuple[GroupElementRecord, ...]:
-    """All 2^n n! elements in BFS discovery order, with minimal words."""
+    """All 2^n n! elements in BFS discovery order, with minimal words; B_0 is
+    the trivial group, its one element the empty window."""
     _check_rank(n)
-    return _group_table(n)[0]
-
-
-def element_record(perm: SignedPermutation) -> GroupElementRecord:
-    _check_rank(perm.n)
-    return _group_table(perm.n)[1][perm.window]
-
-
-def length_stats(perm: SignedPermutation) -> tuple[int, int]:
-    """(l1, l2) of any minimal word for perm."""
-    record = element_record(perm)
-    return record.l1, record.l2
-
-
-def word_to_permutation(word: tuple[int, ...], n: int) -> SignedPermutation:
-    perm = SignedPermutation.identity(n)
-    for g in word:
-        perm = perm * SignedPermutation.generator(n, g)
-    return perm
-
-
-def reduced_words(perm: SignedPermutation) -> Iterator[tuple[int, ...]]:
-    """All reduced words of perm.
-
-    Exhaustive; the count grows violently with n, so this is guarded at
-    n <= 4 and meant for the small well-definedness checks only.
-    """
-    if perm.n > 4:
-        raise ResourceLimitError("reduced-word enumeration is guarded at n <= 4")
-    _, table = _group_table(perm.n)
-
-    def recurse(window: Window) -> Iterator[tuple[int, ...]]:
-        record = table[window]
-        if not record.word:
-            yield ()
-            return
-        length = len(record.word)
-        for g in range(perm.n):
-            shorter = _right_multiply(window, g)
-            if len(table[shorter].word) == length - 1:
-                for prefix in recurse(shorter):
-                    yield prefix + (g,)
-
-    return recurse(perm.window)
+    return _group_table(n)

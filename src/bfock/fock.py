@@ -13,12 +13,14 @@ permutation w in B_n moves slot k of a level-n word to slot |w(k)|, through J
 when w(k) < 0; a level's slot table holds each element's slot sources, mask of
 slots sent through J, and exponent.  A basis word is spread through J once per
 mask and each element only permutes the spreads, for every symmetrizer (matrix,
-vector action, both flavors).  The generators replay a word
-letter by letter and read J through ``SpaceSpec.involve_basis``, never the slot
-table: ``r_operator`` replays its generator words on (word, coefficient)
-pairs through them, so the factorization P(n) = (P(n-1) ⊗ I) R(n) holds two
-independent paths against each other.  The (q,t) flavor, like the (q,t)
-operator kinds, is defined only on a space with the trivial involution.
+vector action, both flavors).  The generators replay a word letter by letter
+and read J through ``SpaceSpec.involve_basis``, never the slot table:
+``r_operator`` replays its generator words on (word, coefficient) pairs
+through them, so the factorization P(n) = (P(n-1) ⊗ I) R(n) holds two
+independent paths against each other.  ``tests/oracles.py`` keeps the
+generators' action on whole vectors (``act_generator``, ``act_word``) as the
+oracle of that replay.  The (q,t) flavor, like the (q,t) operator kinds, is
+defined only on a space with the trivial involution.
 
 Operators follow the right-creator convention: creation appends at the
 right end of a word, the free right annihilator removes the rightmost slot,
@@ -231,32 +233,12 @@ def _images(column: Column, v: FockVector) -> FockVector:
 
 
 def _generator_images(i: int, word: Word, space: SpaceSpec) -> list[tuple[Word, RationalLike]]:
-    """pi_i on a basis word: J on slot 1 for i = 0 (read through ``involve_basis``),
-    the swap of slots i and i + 1 otherwise; a word too short for them is fixed."""
-    if len(word) <= i:
-        return [(word, 1)]
+    """pi_i on a basis word of length > i: J on slot 1 for i = 0 (read through
+    ``involve_basis``), the swap of slots i and i + 1 otherwise."""
     if i == 0:
         return [((letter,) + word[1:], entry)
                 for letter, entry in enumerate(space.involve_basis(word[0])) if entry]
     return [(word[: i - 1] + (word[i], word[i - 1]) + word[i + 1 :], 1)]
-
-
-def act_generator(i: int, v: FockVector) -> FockVector:
-    """Tensor action of pi_i: slot swap for i >= 1, involution on slot 1 for i = 0.
-
-    Words too short to contain the affected slots are left fixed.
-    """
-    if i < 0 or i >= v.space.truncation:
-        raise ValueError(f"generator index {i} out of range")
-    return _images(lambda word: _generator_images(i, word, v.space), v)
-
-
-def act_word(gens: Sequence[int], v: FockVector) -> FockVector:
-    """Apply a generator word as an operator product (rightmost letter first);
-    the tests' oracle for ``r_operator``'s replay on (word, coefficient) pairs."""
-    for g in reversed(gens):
-        v = act_generator(g, v)
-    return v
 
 
 def _slot_entry(window: Window) -> tuple[Callable[[Word], Word], int]:
@@ -291,7 +273,7 @@ def _level_weights(n: int, flavor: str) -> Weights:
     alpha-q: a^l1 q^l2 over B_n.  qt: t^C(n,2) P^(n)_{0, q/t}, the l1 = 0 part
     as q^l2 t^(C(n,2) - l2), a polynomial since l2 <= C(n,2).
     """
-    elements = [(r.perm.window, r.l1, r.l2) for r in enumerate_group(n)] if n else [((), 0, 0)]
+    elements = [(r.perm.window, r.l1, r.l2) for r in enumerate_group(n)]
     if flavor == "alpha-q":
         return [(*_slot_entry(window), (l1, l2, 0)) for window, l1, l2 in elements]
     if flavor == "qt":
@@ -375,7 +357,8 @@ def r_operator(n: int, space: SpaceSpec) -> Matrix:
         + a q^(n-1) pi_{n-1}···pi_1 pi_0 (1 + sum_{k=1..n-1} q^k pi_1···pi_k)
 
     Each basis word is replayed through every generator word as (word,
-    coefficient) pairs, rightmost generator first, by ``_generator_images``;
+    coefficient) pairs, rightmost generator first, by ``_generator_images``
+    (every index is below n, so no word is too short for its generator);
     each image gathers its exponents and builds its Poly once, as in
     ``_symmetrized_word``.
     """

@@ -673,16 +673,6 @@ def _require_zero_lams(prob: MomentProblem) -> None:
         raise ValueError("corollary cases require lambda = 0")
 
 
-def corollary_cases(which: str, prob: MomentProblem) -> Poly:
-    if which == "q-case":
-        return corollary_q_case(prob)
-    if which == "gaussian":
-        return corollary_gaussian(prob)
-    if which == "free-alpha":
-        return corollary_free_alpha(prob)
-    raise ValueError(f"unknown corollary case {which!r}")
-
-
 # -- verification harness --------------------------------------------------------
 
 
@@ -740,16 +730,11 @@ def verify_moment_identity(prob: MomentProblem) -> VerifyReport:
     return compare(f"moment-identity-n{prob.n}", lhs, rhs)
 
 
-def verify_vector_identity(eps: Sequence[str], prob: MomentProblem) -> VerifyReport:
-    """Operator word on the vacuum vs the extended-partition expansion."""
-    lhs = eps_word_vector(eps, prob)
-    rhs = vector_formula(eps, prob)
-    return compare(f"vector-identity-{''.join(eps)}", lhs, rhs)
-
-
 def verify_vector_identities(prob: MomentProblem) -> Iterator[VerifyReport]:
-    """``verify_vector_identity`` for every eps word of length n, in product
-    order: each side is one sweep, and the two advance one word at a time."""
+    """The vector-level theorem on every eps word of length n, in product
+    order: the report ``vector-identity-<word>`` compares the operator side
+    with the extended-partition expansion.  Each side is one sweep, and the
+    two advance one word at a time."""
     words = product(EPS_ALPHABET, repeat=prob.n)
     for eps, lhs, rhs in zip(words, eps_word_vectors(prob), vector_formulas(prob), strict=True):
         yield compare(f"vector-identity-{''.join(eps)}", lhs, rhs)

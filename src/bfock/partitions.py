@@ -102,12 +102,9 @@ class ExtendedPartition:
             if len(self.base.blocks[b]) < 2:
                 raise ValueError("only blocks of size >= 2 may be marked")
 
-    def open_block_indices(self) -> list[int]:
-        """Marked blocks and singletons, in block (max) order."""
-        return _open_blocks(self.base.blocks, self.marked)
-
 
 def _open_blocks(blocks: Sequence[Block], marked: frozenset[int]) -> list[int]:
+    """The open blocks, marked ones and singletons, in block (max) order."""
     return [b for b, block in enumerate(blocks) if b in marked or len(block) == 1]
 
 
@@ -324,29 +321,6 @@ def check_eps(eps: Sequence[str], n: int) -> None:
     """The one check of a symbol word: one symbol of ``EPS_ALPHABET`` per point of [n]."""
     if len(eps) != n or any(symbol not in EPS_ALPHABET for symbol in eps):
         raise ValueError("eps must be over {*, 1, '} with one symbol per point")
-
-
-def eps_compatible(p: ExtendedPartition, eps: Sequence[str]) -> bool:
-    """Whether the extended partition is produced by the symbol word eps.
-
-    Per block {i_1 < ... < i_m}: the minimum is created at a star position;
-    marked blocks grow by primes at every later element; unmarked blocks of
-    size >= 2 grow by primes and close with a one at the maximum; singletons
-    are unmarked star positions.
-    """
-    base = p.base
-    check_eps(eps, base.n)
-    for b, block in enumerate(base.blocks):
-        if eps[block[0] - 1] != STAR:
-            return False
-        if len(block) == 1:
-            continue
-        interior = block[1:] if b in p.marked else block[1:-1]
-        if any(eps[i - 1] != PRIME for i in interior):
-            return False
-        if b not in p.marked and eps[block[-1] - 1] != ONE_SYM:
-            return False
-    return True
 
 
 def enumerate_extended_eps(eps: Sequence[str]) -> Iterator[ExtendedPartition]:

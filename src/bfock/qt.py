@@ -66,11 +66,6 @@ def qt_apply(op: OpSpec, v: FockVector, horizon: int | None = None) -> FockVecto
     return apply_operator(op, v, horizon)
 
 
-def qt_vacuum_expectation(ops: Sequence[OpSpec], spec: QtSpec) -> Poly:
-    """Vacuum coefficient of ops[0]···ops[-1] Ω (rightmost applied first)."""
-    return vacuum_expectation(ops, spec.space)
-
-
 def qt_wick(
     xs: Sequence[Sequence[Fraction]],
     ts: Sequence[Sequence[Sequence[Fraction]]],
@@ -89,4 +84,4 @@ def qt_y_moment(
 ) -> Poly:
     """Operator side: vacuum expectation of Y(x_n)···Y(x_1)."""
     ops = [qt_y(x, t) for x, t in zip(reversed(xs), reversed(ts), strict=True)]
-    return qt_vacuum_expectation(ops, spec)
+    return vacuum_expectation(ops, spec.space)

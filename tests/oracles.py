@@ -1,6 +1,7 @@
 """Small-n oracles: the Poly-level operator path, the colored-partition sums
 one partition at a time, the J-fraction, single group elements and the free
-annihilator, and the enumeration orders of the partition and group layers.
+annihilator, the generators on whole vectors, the eps-compatibility test,
+reduced words, and the enumeration orders of the partition and group layers.
 
 ``bfock.fock`` applies operators on packed int dicts with one denominator.
 This module keeps the path it replaced: every (word, slot, row) term is a
@@ -21,6 +22,11 @@ the powers of the tridiagonal operator.  ``act_sigma`` applies one element of
 B_n through ``bfock.fock``'s slot table, for comparison with its generator
 word replayed, and ``free_annihilator_matrix`` is the free right annihilator,
 the left factor of a deformed annihilator's matrix (annihilator = free · R).
+``act_generator`` and ``act_word`` replay a generator word on whole vectors
+(a word too short for a generator is fixed), the oracle of ``r_operator``'s
+replay on (word, coefficient) pairs.  ``eps_compatible`` tests a symbol word
+against an extended partition block by block, the filter that
+``partitions.enumerate_extended_eps`` replaced by direct construction.
 ``leading_minors`` is plain ``Fraction`` elimination, the test side of
 Sylvester's criterion and of the Hankel determinants; it shares nothing with
 the pivoted fraction-free elimination of ``scalars.is_semidefinite``.
@@ -30,7 +36,10 @@ The enumerators keep the algorithms that ``bfock.partitions`` and
 sequences: ``set_partitions`` runs over restricted growth strings and
 regroups each through a dict, ``colorings`` cuts one flat ±1 assignment of
 all arcs into blocks, and ``group_words`` is the breadth-first search that
-multiplies by every generator, descents included.
+multiplies by every generator, descents included.  ``word_to_permutation``
+and ``reduced_words`` read a group element off a word and every reduced word
+off an element through the same ``times_generator`` step, not through
+``bfock.coxeter``.
 """
 
 from __future__ import annotations
@@ -39,13 +48,14 @@ from fractions import Fraction
 from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Sequence
 
-from bfock.coxeter import GroupElementRecord
+from bfock.coxeter import GroupElementRecord, SignedPermutation
 from bfock.errors import ResourceLimitError, TruncationError
 from bfock.fock import (
     FockVector,
     OpSpec,
     SpaceSpec,
     _collect,
+    _generator_images,
     _images,
     _involution_columns,
     _level_matrix,
@@ -55,7 +65,17 @@ from bfock.fock import (
 )
 from bfock.moments import MomentProblem, closed_chain_value, cumulant_partition, open_chain_vector
 from bfock.orthopoly import JacobiParams
-from bfock.partitions import enumerate_colored, enumerate_extended_eps, statistics
+from bfock.partitions import (
+    ONE_SYM,
+    PRIME,
+    STAR,
+    ExtendedPartition,
+    _open_blocks,
+    check_eps,
+    enumerate_colored,
+    enumerate_extended_eps,
+    statistics,
+)
 from bfock.scalars import ONE, FracVector, Matrix, Poly, RationalLike
 
 Word = tuple[int, ...]
@@ -162,6 +182,25 @@ def act_sigma(record: GroupElementRecord, v: FockVector) -> FockVector:
     return _images(lambda word: _symmetrized_word(word, weights, columns), v)
 
 
+def act_generator(i: int, v: FockVector) -> FockVector:
+    """Tensor action of pi_i: slot swap for i >= 1, involution on slot 1 for i = 0.
+
+    Words too short to contain the affected slots are left fixed.
+    """
+    if i < 0 or i >= v.space.truncation:
+        raise ValueError(f"generator index {i} out of range")
+    return _images(
+        lambda word: [(word, 1)] if len(word) <= i else _generator_images(i, word, v.space), v
+    )
+
+
+def act_word(gens: Sequence[int], v: FockVector) -> FockVector:
+    """Apply a generator word as an operator product (rightmost letter first)."""
+    for g in reversed(gens):
+        v = act_generator(g, v)
+    return v
+
+
 def free_annihilator_matrix(x: FracVector, n: int, space: SpaceSpec) -> Matrix:
     """Matrix of the free right annihilator (removes the last slot) at level n."""
     if not 1 <= n <= space.truncation:
@@ -204,7 +243,7 @@ def colored_vector_formula(eps: Sequence[str], prob: MomentProblem) -> FockVecto
         stats = statistics(p)
         eq = stats.rc + stats.max_c + 2 * stats.rnarc + 2 * stats.max_l
         tensor = {(): Poly.monomial(1, ea=stats.narc, eq=eq)}
-        for b in p.open_block_indices():  # ordered by block maxima; a singleton's chain is x_min
+        for b in _open_blocks(base.blocks, p.marked):  # ordered by block maxima; a singleton's chain is x_min
             vec = open_chain_vector(base.blocks[b], base.colors[b], prob)
             tensor = {
                 word + (letter,): coeff * entry
@@ -215,6 +254,29 @@ def colored_vector_formula(eps: Sequence[str], prob: MomentProblem) -> FockVecto
         for word, coeff in tensor.items():
             gathered.setdefault(word, []).append(coeff * scalar)
     return FockVector(prob.space, {word: Poly.sum(terms) for word, terms in gathered.items()})
+
+
+def eps_compatible(p: ExtendedPartition, eps: Sequence[str]) -> bool:
+    """Whether the extended partition is produced by the symbol word eps.
+
+    Per block {i_1 < ... < i_m}: the minimum is created at a star position;
+    marked blocks grow by primes at every later element; unmarked blocks of
+    size >= 2 grow by primes and close with a one at the maximum; singletons
+    are unmarked star positions.
+    """
+    base = p.base
+    check_eps(eps, base.n)
+    for b, block in enumerate(base.blocks):
+        if eps[block[0] - 1] != STAR:
+            return False
+        if len(block) == 1:
+            continue
+        interior = block[1:] if b in p.marked else block[1:-1]
+        if any(eps[i - 1] != PRIME for i in interior):
+            return False
+        if b not in p.marked and eps[block[-1] - 1] != ONE_SYM:
+            return False
+    return True
 
 
 def continued_fraction_moments(
@@ -315,21 +377,25 @@ def extended_partitions(n: int) -> Iterator[tuple[tuple[Block, ...], tuple, froz
             yield blocks, colors, frozenset(b for pos, b in enumerate(eligible) if mask >> pos & 1)
 
 
-def group_words(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+def times_generator(window: Word, g: int) -> Word:
+    """The window of w·pi_g, w applied to the window of pi_g."""
+    n = len(window)
+    if not 0 <= g < n:
+        raise ValueError(f"generator index {g} out of range for n={n}")
+    image = list(range(1, n + 1))  # the window of pi_g
+    if g == 0:
+        image[0] = -1
+    else:
+        image[g - 1], image[g] = image[g], image[g - 1]
+    return tuple(window[v - 1] if v > 0 else -window[-v - 1] for v in image)
+
+
+def group_words(n: int) -> dict[Word, Word]:
     """Window -> minimal word of every element of B_n, in breadth-first discovery order.
 
     Each element is multiplied on the right by every generator, lower index
     first; the first word to reach an element is kept.
     """
-
-    def times_generator(window: tuple[int, ...], g: int) -> tuple[int, ...]:
-        image = list(range(1, n + 1))  # the window of pi_g
-        if g == 0:
-            image[0] = -1
-        else:
-            image[g - 1], image[g] = image[g], image[g - 1]
-        return tuple(window[v - 1] if v > 0 else -window[-v - 1] for v in image)
-
     start = tuple(range(1, n + 1))
     words = {start: ()}
     queue = [start]
@@ -340,3 +406,35 @@ def group_words(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
                 words[neighbor] = words[window] + (g,)
                 queue.append(neighbor)
     return words
+
+
+def word_to_permutation(word: Word, n: int) -> SignedPermutation:
+    """pi_{g_1}···pi_{g_k} of the word (g_1, ..., g_k), one generator at a time."""
+    window = tuple(range(1, n + 1))
+    for g in word:
+        window = times_generator(window, g)
+    return SignedPermutation(window)
+
+
+def reduced_words(perm: SignedPermutation) -> Iterator[Word]:
+    """All reduced words of perm: each ends in a generator that shortens perm.
+
+    Exhaustive; the count grows violently with n, so this is guarded at
+    n <= 4 and meant for the small well-definedness checks only.
+    """
+    if perm.n > 4:
+        raise ResourceLimitError("reduced-word enumeration is guarded at n <= 4")
+    lengths = {window: len(word) for window, word in group_words(perm.n).items()}
+
+    def recurse(window: Word) -> Iterator[Word]:
+        length = lengths[window]
+        if not length:
+            yield ()
+            return
+        for g in range(len(window)):
+            shorter = times_generator(window, g)
+            if lengths[shorter] == length - 1:
+                for prefix in recurse(shorter):
+                    yield prefix + (g,)
+
+    return recurse(perm.window)

@@ -486,7 +486,10 @@ def test_size_zero_is_unchanged(capsys):
     code, out = run_cli(capsys, "moment", "--n", "0")
     assert code == 0
     assert json.loads(out)["partition_side"] == "1"
-    assert main(["group", "--n", "0"]) == 3
+    # B_0 is the trivial group: one row, the empty window with its empty word
+    code, out = run_cli(capsys, "group", "--n", "0")
+    assert code == 0
+    assert out == "window,l1,l2,word\n,0,0,\n"
 
 
 # prints whether numpy is loaded after `import bfock`, the default verify's

@@ -5,17 +5,10 @@ from collections import Counter
 import pytest
 
 import oracles
-from bfock.coxeter import (
-    GroupElementRecord,
-    SignedPermutation,
-    element_record,
-    enumerate_group,
-    length_stats,
-    reduced_words,
-    word_to_permutation,
-)
+from bfock.coxeter import GroupElementRecord, SignedPermutation, enumerate_group
 from bfock.errors import ResourceLimitError
 from bfock.scalars import ALPHA, ONE, Q, Poly, qint
+from oracles import reduced_words, times_generator, word_to_permutation
 
 
 def test_group_sizes():
@@ -49,10 +42,10 @@ def _is_right_descent(window, g):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_a_generator_shortens_exactly_the_right_descents(n):
+    lengths = {record.perm.window: len(record.word) for record in enumerate_group(n)}
     for record in enumerate_group(n):
         for g in range(n):
-            neighbor = element_record(record.perm * SignedPermutation.generator(n, g))
-            step = len(neighbor.word) - len(record.word)
+            step = lengths[times_generator(record.perm.window, g)] - len(record.word)
             assert step == (-1 if _is_right_descent(record.perm.window, g) else 1)
 
 
@@ -106,21 +99,26 @@ def test_table_records_match_the_public_constructors(n):
         assert GroupElementRecord(perm, l1, len(record.word) - l1, record.word) == record
 
 
+def _length_stats(window):
+    """(l1, l2) of the element's record."""
+    record = next(record for record in enumerate_group(len(window)) if record.perm.window == window)
+    return record.l1, record.l2
+
+
 def test_length_stats_of_generators():
-    n = 3
-    assert length_stats(SignedPermutation.identity(n)) == (0, 0)
-    assert length_stats(SignedPermutation.generator(n, 0)) == (1, 0)
-    assert length_stats(SignedPermutation.generator(n, 1)) == (0, 1)
+    assert _length_stats((1, 2, 3)) == (0, 0)
+    assert _length_stats((-1, 2, 3)) == (1, 0)
+    assert _length_stats((2, 1, 3)) == (0, 1)
 
 
 def test_longest_element_sigma2():
-    assert length_stats(SignedPermutation((-1, -2))) == (2, 2)
+    assert _length_stats((-1, -2)) == (2, 2)
 
 
 def test_generator_relations():
     n = 4
     e = SignedPermutation.identity(n)
-    pi = [SignedPermutation.generator(n, i) for i in range(n)]
+    pi = [word_to_permutation((i,), n) for i in range(n)]
     for g in pi:
         assert g * g == e
     assert _power(pi[0] * pi[1], 4) == e
@@ -155,21 +153,23 @@ def test_stats_well_defined_over_all_reduced_words(n):
 def test_l1_equals_negative_entries_empirically(n):
     # spec open question: plausible from type-B theory, verified here, never assumed
     for record in enumerate_group(n):
-        assert record.l1 == record.perm.negative_entries()
+        assert record.l1 == sum(v < 0 for v in record.perm.window)
 
 
 def test_inverse_and_compose():
+    # every generator is an involution, so the reversed word is the inverse
     for record in enumerate_group(3):
-        perm = record.perm
-        assert perm * perm.inverse() == SignedPermutation.identity(3)
-        assert perm.inverse() * perm == SignedPermutation.identity(3)
+        perm, inverse = record.perm, word_to_permutation(record.word[::-1], 3)
+        assert perm * inverse == SignedPermutation.identity(3)
+        assert inverse * perm == SignedPermutation.identity(3)
 
 
 def test_resource_guard():
-    with pytest.raises(ResourceLimitError):
-        enumerate_group(8)
-    with pytest.raises(ResourceLimitError):
-        enumerate_group(0)
+    for n in (-1, 8):
+        with pytest.raises(ResourceLimitError, match="supports 0 <= n <= 7"):
+            enumerate_group(n)
+    # B_0 is the trivial group: its one element is the empty window
+    assert enumerate_group(0) == (GroupElementRecord(SignedPermutation(()), 0, 0, ()),)
 
 
 def test_compose_size_mismatch():
@@ -182,8 +182,8 @@ def test_compose_size_mismatch():
     [
         (lambda: SignedPermutation((1, 1)), "not a signed permutation window"),
         (lambda: SignedPermutation((1, 3)), "not a signed permutation window"),
-        (lambda: SignedPermutation.generator(2, 2), "generator index 2 out of range"),
-        (lambda: SignedPermutation.generator(2, -1), "generator index -1 out of range"),
+        (lambda: word_to_permutation((2,), 2), "generator index 2 out of range"),
+        (lambda: word_to_permutation((-1,), 2), "generator index -1 out of range"),
     ],
     ids=["repeated-entry", "entry-past-n", "generator-past-n", "negative-generator"],
 )

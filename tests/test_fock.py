@@ -4,14 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from bfock.coxeter import enumerate_group, reduced_words
+from bfock.coxeter import enumerate_group
 from bfock.errors import TruncationError
 from bfock.fock import (
     FockVector,
     OpSpec,
     SpaceSpec,
-    act_generator,
-    act_word,
     annihilate,
     apply_operator,
     apply_symmetrizer,
@@ -40,7 +38,7 @@ from bfock.scalars import (
     norm_at_most,
     qint,
 )
-from oracles import act_sigma, free_annihilator_matrix
+from oracles import act_generator, act_sigma, act_word, free_annihilator_matrix, reduced_words
 
 F = Fraction
 
@@ -88,6 +86,7 @@ def test_generator_swap_and_sign():
     assert act_generator(0, v) == v  # first letter has signature +1
     w = FockVector.basis(D2, (1, 0))
     assert act_generator(0, w) == (-1) * w
+    assert act_generator(2, v) == v  # a word too short for pi_2 is fixed
 
 
 def test_generator_involution():

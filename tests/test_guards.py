@@ -6,12 +6,13 @@ import re
 import pytest
 
 from bfock import orthopoly
-from bfock.coxeter import SignedPermutation, reduced_words
+from bfock.coxeter import SignedPermutation
 from bfock.errors import ResourceLimitError
 from bfock.fock import SpaceSpec, symmetrizer
-from bfock.moments import corollary_cases, eps_operator, random_problem
+from bfock.moments import eps_operator, random_problem
 from bfock.partitions import enumerate_colored, enumerate_extended_eps
 from bfock.scalars import Poly
+from oracles import reduced_words
 
 
 def small_problem():
@@ -36,15 +37,13 @@ def small_problem():
         (lambda: orthopoly.operator_moments("qt", 2, "-"), ValueError,
          "the (q,t) model has the trivial involution"),
         (lambda: next(enumerate_colored(3, "bogus")), ValueError, "unknown filter 'bogus'"),
-        (lambda: corollary_cases("bogus", small_problem()), ValueError,
-         "unknown corollary case 'bogus'"),
         (lambda: Poly.const(1).terms[(5, 0, 0)], KeyError, "(5, 0, 0)"),
         (lambda: eps_operator("x", 1, small_problem()), ValueError, "unknown symbol 'x'"),
     ],
     ids=[
         "symmetrizer-dimension", "reduced-words-rank", "vacuum-identity-size",
         "substitution-size", "extended-eps-size", "unknown-family", "unknown-model",
-        "qt-model-sign", "unknown-filter", "unknown-corollary", "absent-term", "unknown-symbol",
+        "qt-model-sign", "unknown-filter", "absent-term", "unknown-symbol",
     ],
 )
 def test_guards_and_unknown_names_raise(call, error, match):

@@ -1,15 +1,22 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every function the package defines is reached from the package or exported."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import bfock
 
-MODULES = sorted(
-    path for path in Path(bfock.__file__).resolve().parent.glob("*.py") if path.name != "__init__.py"
-)
+PACKAGE = Path(bfock.__file__).resolve().parent
+MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+# Functions that nothing in the package calls and ``bfock.__all__`` does not
+# list, kept only because the benchmark's tracer wraps them.  Each entry goes
+# when the tracer stops wrapping it (ROADMAP item 1).
+TRACED_ONLY = {"cumulant_partition", "gauge_norm_deformed", "gram_min_eigenvalue", "r_operator_norm"}
 
 
 def annotation_names(node: ast.AST) -> set[str]:
@@ -50,3 +57,67 @@ def test_every_import_is_used(path):
 def test_the_check_sees_an_unused_import_and_a_quoted_annotation():
     source = "from typing import Sequence\nfrom .scalars import Poly, ZERO\ndef f(x: 'Poly'): pass\n"
     assert unused_imports(source) == ["Sequence", "ZERO"]
+
+
+def definitions(tree: ast.Module) -> list[ast.FunctionDef]:
+    """Top-level functions and the methods of top-level classes, dunders excepted."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out.append(node)
+        elif isinstance(node, ast.ClassDef):
+            out += [sub for sub in node.body if isinstance(sub, ast.FunctionDef)
+                    and not (sub.name.startswith("__") and sub.name.endswith("__"))]
+    return out
+
+
+def names_read(node: ast.AST) -> Counter:
+    """How often each name is read in node, as a bare name or as an attribute."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+    )
+
+
+def unreached(sources: list[str], exported: set[str]) -> list[str]:
+    """The functions and methods defined in sources that no code outside their
+    own definition reads by name and that ``exported`` does not list."""
+    trees = [ast.parse(source) for source in sources]
+    read = sum((names_read(tree) for tree in trees), Counter())
+    return sorted(
+        node.name
+        for tree in trees
+        for node in definitions(tree)
+        if node.name not in exported and read[node.name] == names_read(node)[node.name]
+    )
+
+
+def test_every_function_is_reached_or_exported():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    assert unreached(sources, set(bfock.__all__)) == sorted(TRACED_ONLY)
+
+
+def test_the_check_sees_an_unreached_function_and_method():
+    source = (
+        "def f(): return g()\n"
+        "def g(): return g()\n"  # a recursive call does not reach g
+        "def h(): pass\n"
+        "class C:\n"
+        "    def m(self): pass\n"
+        "    def unused(self): return self.unused()\n"
+        "    def __eq__(self, other): return self.m()\n"
+    )
+    assert unreached([source], exported={"h"}) == ["f", "unused"]
+
+
+def test_every_traced_only_function_is_a_tracer_target():
+    # read without importing the benchmark: TARGETS is a literal tuple of
+    # (name, kind, module, attribute)
+    tree = ast.parse(SPANS.read_text(encoding="utf-8"))
+    assignment = next(
+        node for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS"
+    )
+    targets = {entry.elts[3].value.rpartition(".")[2] for entry in assignment.value.elts}
+    assert TRACED_ONLY <= targets

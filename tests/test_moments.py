@@ -22,7 +22,9 @@ from bfock.moments import (
     _open_arc_steps,
     closed_chain_value,
     compare,
-    corollary_cases,
+    corollary_free_alpha,
+    corollary_gaussian,
+    corollary_q_case,
     cumulant_block,
     eps_word_vector,
     eps_word_vectors,
@@ -31,11 +33,11 @@ from bfock.moments import (
     vector_formulas,
     verify_moment_identity,
     verify_vector_identities,
-    verify_vector_identity,
     wick_moment,
 )
 from bfock.partitions import (
     EPS_ALPHABET,
+    _open_blocks,
     arc_covers,
     enumerate_colored,
     enumerate_extended_eps,
@@ -193,7 +195,7 @@ def extended_walk_key(p):
     f_in those inside it."""
     blocks = p.base.blocks
     rc, covers = arc_covers(blocks)
-    opened = frozenset(p.open_block_indices())
+    opened = frozenset(_open_blocks(blocks, p.marked))
     tops = [blocks[b][-1] for b in opened]
     fields = tuple(
         tuple(
@@ -315,12 +317,17 @@ def test_horizon_only_drops_longer_words():
         v = full
 
 
+def per_word_report(eps, prob):
+    """One report of ``verify_vector_identities`` from the per-call functions."""
+    return compare(f"vector-identity-{''.join(eps)}", eps_word_vector(eps, prob), vector_formula(eps, prob))
+
+
 @pytest.mark.parametrize("which", ["swap", "reflection"])
 def test_vector_identity_general_involution(which):
     for n in range(1, 5):
         prob = involution_problem(700 + n, n, which)
         for eps in product("*1'", repeat=n):
-            report = verify_vector_identity(eps, prob)
+            report = per_word_report(eps, prob)
             assert report.equal, (which, eps, report.first_difference)
 
 
@@ -330,7 +337,7 @@ def test_vector_identity_all_eps(n):
     space = SpaceSpec.diagonal("+-", truncation=max(n, 1))
     prob = random_problem(rng, n, space)
     for eps in product("*1'", repeat=n):
-        report = verify_vector_identity(eps, prob)
+        report = per_word_report(eps, prob)
         assert report.equal, (eps, report.first_difference)
 
 
@@ -374,7 +381,7 @@ def test_the_sweeps_equal_the_per_call_functions_on_every_word(which, n):
 def test_the_vector_identities_report_every_word_in_product_order():
     prob = involution_problem(905, 3, "reflection")
     reports = list(verify_vector_identities(prob))
-    assert reports == [verify_vector_identity(eps, prob) for eps in product(EPS_ALPHABET, repeat=3)]
+    assert reports == [per_word_report(eps, prob) for eps in product(EPS_ALPHABET, repeat=3)]
     assert [report.name for report in reports[:4]] == [
         "vector-identity-***", "vector-identity-**1", "vector-identity-**'", "vector-identity-*1*",
     ]
@@ -390,7 +397,7 @@ def test_the_sweeps_are_guarded(sweep):
 @pytest.mark.parametrize("eps", [("*",), ("*", "*", "*"), ("*", "x")], ids=["short", "long", "bad-symbol"])
 def test_both_sides_of_the_vector_identity_check_the_word(eps):
     prob = unit_problem(2)
-    for side in (eps_word_vector, vector_formula, verify_vector_identity):
+    for side in (eps_word_vector, vector_formula):
         with pytest.raises(ValueError, match="one symbol per point"):
             side(eps, prob)
 
@@ -440,7 +447,7 @@ def test_gauge_zero_reduces_to_gaussian():
         tuple(tuple(F(0) for _ in range(2)) for _ in range(2)) for _ in range(4)
     )
     prob = MomentProblem(xs=base.xs, ts=zero_t, lams=base.lams, space=space)
-    assert wick_moment(prob) == corollary_cases("gaussian", prob)
+    assert wick_moment(prob) == corollary_gaussian(prob)
 
 
 def test_pair_partition_count():
@@ -461,7 +468,7 @@ def test_gaussian_corollary_n2():
     x1, x2 = prob.xs
     direct = sum(a * b for a, b in zip(x1, x2))
     flipped = sum(a * b for a, b in zip(space.involve(x1), x2))
-    assert corollary_cases("gaussian", prob) == Poly.const(direct) + ALPHA * flipped
+    assert corollary_gaussian(prob) == Poly.const(direct) + ALPHA * flipped
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -470,22 +477,26 @@ def test_corollary_specializations_match_wick(n):
     space = SpaceSpec.diagonal("++", truncation=max(n, 1))
     prob = random_problem(rng, n, space, zero_lams=True)
     full = wick_moment(prob)
-    assert full.subs(alpha=0) == corollary_cases("q-case", prob)
-    assert full.subs(q=0) == corollary_cases("free-alpha", prob)
+    assert full.subs(alpha=0) == corollary_q_case(prob)
+    assert full.subs(q=0) == corollary_free_alpha(prob)
     zero_t = tuple(
         tuple(tuple(F(0) for _ in range(2)) for _ in range(2)) for _ in range(n)
     )
     gaussian_prob = MomentProblem(xs=prob.xs, ts=zero_t, lams=prob.lams, space=space)
-    assert wick_moment(gaussian_prob) == corollary_cases("gaussian", gaussian_prob)
+    assert wick_moment(gaussian_prob) == corollary_gaussian(gaussian_prob)
 
 
-@pytest.mark.parametrize("which", ["q-case", "free-alpha", "gaussian"])
-def test_corollaries_compute_each_block_chain_once_per_call(monkeypatch, which):
+@pytest.mark.parametrize(
+    "corollary",
+    [corollary_q_case, corollary_free_alpha, corollary_gaussian],
+    ids=["q-case", "free-alpha", "gaussian"],
+)
+def test_corollaries_compute_each_block_chain_once_per_call(monkeypatch, corollary):
     # a block's chain does not depend on the rest of the partition; each call
     # keeps its own values, so a second call computes them all again
     rng = random.Random(206)
     prob = random_problem(rng, 6, SpaceSpec.diagonal("++", truncation=6), zero_lams=True)
-    expected = corollary_cases(which, prob)
+    expected = corollary(prob)
     calls = []
 
     def counted(block, colors, problem):
@@ -493,17 +504,17 @@ def test_corollaries_compute_each_block_chain_once_per_call(monkeypatch, which):
         return closed_chain_value(block, colors, problem)
 
     monkeypatch.setattr(moments, "closed_chain_value", counted)
-    assert corollary_cases(which, prob) == expected
+    assert corollary(prob) == expected
     assert calls and len(calls) == len(set(calls))
     first = list(calls)
-    assert corollary_cases(which, prob) == expected
+    assert corollary(prob) == expected
     assert calls == first + first
 
 
 def test_free_alpha_outer_arc_structure():
     # unit vector, T = identity: sum over NC>=2(4) of (1+a)^out_arc
     prob = unit_problem(4)
-    got = corollary_cases("free-alpha", prob)
+    got = corollary_free_alpha(prob)
     expected = (ONE + ALPHA) ** 2 + (ONE + ALPHA) + (ONE + ALPHA) ** 3
     assert got == expected
     assert got == wick_moment(prob).subs(q=0)
@@ -511,7 +522,7 @@ def test_free_alpha_outer_arc_structure():
 
 def test_q_case_n3_single_block():
     prob = unit_problem(3)
-    assert corollary_cases("q-case", prob) == ONE
+    assert corollary_q_case(prob) == ONE
     assert wick_moment(prob).subs(alpha=0) == ONE
 
 
@@ -526,13 +537,13 @@ def test_alpha_zero_kills_negative_arcs():
 def test_corollary_precondition_errors():
     prob = unit_problem(2, lam=1)
     with pytest.raises(ValueError):
-        corollary_cases("q-case", prob)
+        corollary_q_case(prob)
     space = SpaceSpec.diagonal("-", truncation=2)
     bad = MomentProblem.build(
         xs=[(F(1),)] * 2, ts=[((F(1),),)] * 2, lams=[F(0)] * 2, space=space
     )
     with pytest.raises(ValueError):
-        corollary_cases("free-alpha", bad)
+        corollary_free_alpha(bad)
 
 
 @pytest.mark.parametrize(
@@ -564,6 +575,13 @@ def test_compare_names_the_first_differing_word():
     assert not report.equal
     assert (report.lhs, report.rhs) == ("[1](1) + [2 1](a)", "[1](1) + [1 2](q) + [2 1](a)")
     assert report.first_difference == "word (0, 1): 0 vs q"
+
+
+def test_compare_renders_the_zero_vector_as_0():
+    space = SpaceSpec.diagonal("+", truncation=1)
+    report = compare("v", FockVector(space), FockVector.basis(space, (0,)))
+    assert (report.lhs, report.rhs) == ("0", "[1](1)")
+    assert report.first_difference == "word (0,): 0 vs 1"
 
 
 def test_compare_names_the_first_differing_matrix_entry():

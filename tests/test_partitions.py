@@ -20,7 +20,6 @@ from bfock.partitions import (
     enumerate_colored,
     enumerate_extended,
     enumerate_extended_eps,
-    eps_compatible,
     set_partitions,
     statistics,
 )
@@ -256,9 +255,9 @@ def test_eps_enumeration_matches_compatibility_filter(n):
     for p in enumerate_extended(n):
         eps = own_word(p)
         if n <= 4:  # every extended partition is compatible with exactly one eps word
-            assert [w for w in product(EPS_ALPHABET, repeat=n) if eps_compatible(p, w)] == [eps]
+            assert [w for w in product(EPS_ALPHABET, repeat=n) if oracles.eps_compatible(p, w)] == [eps]
         else:
-            assert eps_compatible(p, eps)
+            assert oracles.eps_compatible(p, eps)
         by_word[eps][p.base.blocks, p.base.colors, p.marked] += 1
     for eps in product(EPS_ALPHABET, repeat=n):
         direct = Counter((p.base.blocks, p.base.colors, p.marked) for p in enumerate_extended_eps(eps))
@@ -296,7 +295,7 @@ def test_the_partition_layer_checks_a_word_as_the_moments_do():
     p = next(enumerate_extended(2))
     for eps in (("*",), ("*", "x")):
         with pytest.raises(ValueError, match=message):
-            eps_compatible(p, eps)
+            oracles.eps_compatible(p, eps)
     with pytest.raises(ValueError, match=message):
         next(enumerate_extended_eps(("*", "x")))
 

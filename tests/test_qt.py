@@ -20,6 +20,7 @@ from bfock.fock import (
     inner,
     symmetrizer,
     type_b,
+    vacuum_expectation,
 )
 from bfock.moments import MomentProblem, closed_chain_value, random_problem, wick_moment
 from bfock.partitions import arc_covers, set_partitions
@@ -29,7 +30,6 @@ from bfock.qt import (
     qt_apply,
     qt_create,
     qt_gauge,
-    qt_vacuum_expectation,
     qt_wick,
     qt_y,
     qt_y_moment,
@@ -242,8 +242,8 @@ def test_qt_wick_checks_dimensions(xs, ts):
 def test_qt_vacuum_expectation_truncation_guard():
     tight = QtSpec.make(1, truncation=1)
     with pytest.raises(TruncationError):
-        qt_vacuum_expectation([qt_y(UNIT, ID1)] * 3, tight)
-    assert qt_vacuum_expectation([qt_y(UNIT, ID1)], tight) == Poly()
+        vacuum_expectation([qt_y(UNIT, ID1)] * 3, tight.space)
+    assert vacuum_expectation([qt_y(UNIT, ID1)], tight.space) == Poly()
 
 
 def test_qt_pruned_vacuum_expectation_matches_unpruned_loop():
@@ -254,7 +254,7 @@ def test_qt_pruned_vacuum_expectation_matches_unpruned_loop():
         v = FockVector.vacuum(SPEC2.space)
         for op in reversed(ops):
             v = qt_apply(op, v)
-        assert qt_vacuum_expectation(ops, SPEC2) == v.coeff(())
+        assert vacuum_expectation(ops, SPEC2.space) == v.coeff(())
 
 
 def test_qt_requires_trivial_involution():

@@ -21,6 +21,7 @@ from bfock.scalars import (
     mat_kron,
     mat_mul,
     mat_to_int,
+    norm_at_most,
     qint,
     qtint,
 )
@@ -242,6 +243,12 @@ def test_a_singular_semidefinite_matrix_is_not_definite():
     assert not is_semidefinite([[1, 1], [1, 1]], definite=True)
     assert is_semidefinite([[0, 0], [0, 0]])
     assert is_semidefinite([])
+
+
+def test_no_norm_is_at_most_a_negative_bound():
+    # the zero matrix has norm 0: at most 0, but not at most any bound below it
+    assert norm_at_most([[ZERO]], 0, 0, 0)
+    assert not norm_at_most([[ZERO]], F(-1, 2), 0, 0)
 
 
 @pytest.mark.parametrize(
