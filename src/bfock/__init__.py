@@ -9,7 +9,7 @@ Everything is immutable after construction and operations are pure functions,
 so values can be shared freely across threads.
 """
 
-from .coxeter import SignedPermutation, enumerate_group
+from .coxeter import enumerate_group
 from .errors import ResourceLimitError, TruncationError
 from .fock import (
     FockVector,
@@ -58,7 +58,7 @@ __all__ = [
     "ALPHA", "ONE", "Q", "T", "ZERO",
     "ColoredPartition", "ExtendedPartition", "FockVector", "JacobiParams",
     "MomentProblem", "OpSpec", "Poly", "QtSpec", "ResourceLimitError",
-    "SignedPermutation", "SpaceSpec", "TruncationError",
+    "SpaceSpec", "TruncationError",
     "annihilate", "apply_operator", "create", "cumulant_block",
     "enumerate_colored", "enumerate_extended", "enumerate_extended_eps",
     "enumerate_group", "eps_word_vector", "family", "gauge", "inner",

@@ -142,7 +142,7 @@ def cmd_group(args: argparse.Namespace) -> int:
     for record in records:
         writer.writerow(
             [
-                " ".join(str(v) for v in record.perm.window),
+                " ".join(str(v) for v in record.window),
                 record.l1,
                 record.l2,
                 " ".join(str(g) for g in record.word),
@@ -221,7 +221,8 @@ def _moment_problem(args: argparse.Namespace) -> MomentProblem:
         raise ValueError(f"{len(args.lambdas)} --lambda values for n = {n}")
     lams = list(args.lambdas) + [Fraction(0)] * (n - len(args.lambdas))
     if args.seed is not None:
-        space = SpaceSpec.diagonal(args.signature or "+-", truncation=max(n, 1))
+        signature = "+-" if args.signature is None else args.signature
+        space = SpaceSpec.diagonal(signature, truncation=max(n, 1))
         # random_problem draws λ last, so its xs and ts do not depend on zero_lams
         prob = random_problem(random.Random(args.seed), n, space, zero_lams=True)
         return MomentProblem.build(prob.xs, prob.ts, lams, space)
@@ -256,6 +257,8 @@ def _require_qt_range(t: Fraction, q: Fraction | None) -> None:
 def cmd_qt(args: argparse.Namespace) -> int:
     if args.t_symbolic:
         _reject_given(args, ("t",), "is not read with --t-symbolic")
+        if args.q is not None and not abs(args.q) < 1:
+            raise ValueError("(q,t) substitution with a symbolic t requires |q| < 1")
         t = None
     else:
         t = Fraction(1, 2) if args.t is None else args.t

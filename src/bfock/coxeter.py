@@ -1,6 +1,6 @@
 """The hyperoctahedral group: signed permutations with length statistics.
 
-Elements are signed permutations of {±1, ..., ±n} in window notation
+An element of B_n is its window, a signed permutation of {±1, ..., ±n}
 (window[k-1] = image of k; the image of -k is forced by sigma(-k) = -sigma(k)).
 The group is generated by the sign flip pi_0 (1 -> -1) and the adjacent
 transpositions pi_i (i <-> i+1).
@@ -16,9 +16,7 @@ statistics l1 (count of pi_0 letters) and l2 (count of pi_i, i >= 1, letters)
 are read off that word; they are invariants of the element, which the test
 suite checks exhaustively for small n rather than assuming, against every
 reduced word (``tests/oracles.py`` keeps the reduced words and the replay of
-a word as a signed permutation).  The table's windows are valid by
-construction, so its records skip the validation of ``SignedPermutation``; a
-test rebuilds each one through the public constructors.
+a word as a window).
 
 A word (g_1, ..., g_k) denotes the product pi_{g_1} · pi_{g_2} ··· pi_{g_k},
 i.e. the rightmost letter acts first.
@@ -37,42 +35,10 @@ Window = tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
-class SignedPermutation:
-    """A signed permutation in window notation."""
+class GroupElementRecord:
+    """A group element's window with its canonical minimal word and (l1, l2)."""
 
     window: Window
-
-    def __post_init__(self) -> None:
-        n = len(self.window)
-        if sorted(abs(v) for v in self.window) != list(range(1, n + 1)):
-            raise ValueError(f"not a signed permutation window: {self.window}")
-
-    @property
-    def n(self) -> int:
-        return len(self.window)
-
-    @classmethod
-    def identity(cls, n: int) -> SignedPermutation:
-        return cls(tuple(range(1, n + 1)))
-
-    def apply(self, k: int) -> int:
-        """Image of the signed point k."""
-        if k > 0:
-            return self.window[k - 1]
-        return -self.window[-k - 1]
-
-    def __mul__(self, other: SignedPermutation) -> SignedPermutation:
-        """Composition (self ∘ other): apply ``other`` first."""
-        if self.n != other.n:
-            raise ValueError("cannot compose signed permutations of different sizes")
-        return SignedPermutation(tuple(self.apply(v) for v in other.window))
-
-
-@dataclass(frozen=True, slots=True)
-class GroupElementRecord:
-    """A group element with its canonical minimal word and (l1, l2)."""
-
-    perm: SignedPermutation
     l1: int
     l2: int
     word: tuple[int, ...]
@@ -90,7 +56,7 @@ def _right_multiply(window: Window, g: int) -> Window:
 
 @lru_cache(maxsize=None)
 def _group_table(n: int) -> tuple[GroupElementRecord, ...]:
-    start = SignedPermutation.identity(n).window
+    start = tuple(range(1, n + 1))
     words: dict[Window, tuple[int, ...]] = {start: ()}
     order: list[Window] = [start]
     for window in order:  # the list grows while it is read: a breadth-first queue
@@ -104,22 +70,16 @@ def _group_table(n: int) -> tuple[GroupElementRecord, ...]:
                 order.append(neighbor)
     records = []
     for window, word in words.items():  # BFS order
-        perm = object.__new__(SignedPermutation)  # valid by construction: no __post_init__
-        object.__setattr__(perm, "window", window)
         l1 = word.count(0)
-        records.append(GroupElementRecord(perm, l1, len(word) - l1, word))
+        records.append(GroupElementRecord(window, l1, len(word) - l1, word))
     return tuple(records)
-
-
-def _check_rank(n: int) -> None:
-    if not 0 <= n <= MAX_GROUP_RANK:
-        raise ResourceLimitError(
-            f"group enumeration supports 0 <= n <= {MAX_GROUP_RANK}, got {n}"
-        )
 
 
 def enumerate_group(n: int) -> tuple[GroupElementRecord, ...]:
     """All 2^n n! elements in BFS discovery order, with minimal words; B_0 is
     the trivial group, its one element the empty window."""
-    _check_rank(n)
+    if not 0 <= n <= MAX_GROUP_RANK:
+        raise ResourceLimitError(
+            f"group enumeration supports 0 <= n <= {MAX_GROUP_RANK}, got {n}"
+        )
     return _group_table(n)

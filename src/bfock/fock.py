@@ -273,7 +273,7 @@ def _level_weights(n: int, flavor: str) -> Weights:
     alpha-q: a^l1 q^l2 over B_n.  qt: t^C(n,2) P^(n)_{0, q/t}, the l1 = 0 part
     as q^l2 t^(C(n,2) - l2), a polynomial since l2 <= C(n,2).
     """
-    elements = [(r.perm.window, r.l1, r.l2) for r in enumerate_group(n)]
+    elements = [(r.window, r.l1, r.l2) for r in enumerate_group(n)]
     if flavor == "alpha-q":
         return [(*_slot_entry(window), (l1, l2, 0)) for window, l1, l2 in elements]
     if flavor == "qt":

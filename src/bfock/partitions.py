@@ -79,14 +79,6 @@ class ColoredPartition:
             if any(c not in (1, -1) for c in colors):
                 raise ValueError("colors must be ±1")
 
-    def arcs(self) -> list[tuple[int, int, int, int]]:
-        """All arcs as (left, right, color, block_index)."""
-        out = []
-        for b, (block, colors) in enumerate(zip(self.blocks, self.colors)):
-            for k in range(len(block) - 1):
-                out.append((block[k], block[k + 1], colors[k], b))
-        return out
-
 
 @dataclass(frozen=True)
 class ExtendedPartition:

@@ -36,10 +36,10 @@ The enumerators keep the algorithms that ``bfock.partitions`` and
 sequences: ``set_partitions`` runs over restricted growth strings and
 regroups each through a dict, ``colorings`` cuts one flat ±1 assignment of
 all arcs into blocks, and ``group_words`` is the breadth-first search that
-multiplies by every generator, descents included.  ``word_to_permutation``
-and ``reduced_words`` read a group element off a word and every reduced word
-off an element through the same ``times_generator`` step, not through
-``bfock.coxeter``.
+multiplies by every generator, descents included.  An element of B_n is its
+window, as in ``bfock.coxeter``: ``word_to_permutation`` replays a word as a
+window and ``reduced_words`` reads every reduced word off a window, both
+through the same ``times_generator`` step, not through ``bfock.coxeter``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from fractions import Fraction
 from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Sequence
 
-from bfock.coxeter import GroupElementRecord, SignedPermutation
+from bfock.coxeter import GroupElementRecord
 from bfock.errors import ResourceLimitError, TruncationError
 from bfock.fock import (
     FockVector,
@@ -175,10 +175,10 @@ def act_sigma(record: GroupElementRecord, v: FockVector) -> FockVector:
 
     Slot k of each word moves to slot |w(k)|, through J when w(k) < 0.
     """
-    n = record.perm.n
+    n = len(record.window)
     if any(level != n for level in v.levels()):
         raise ValueError(f"vector has words of length != {n}")
-    weights, columns = [(*_slot_entry(record.perm.window), (0, 0, 0))], _involution_columns(v.space)
+    weights, columns = [(*_slot_entry(record.window), (0, 0, 0))], _involution_columns(v.space)
     return _images(lambda word: _symmetrized_word(word, weights, columns), v)
 
 
@@ -408,23 +408,24 @@ def group_words(n: int) -> dict[Word, Word]:
     return words
 
 
-def word_to_permutation(word: Word, n: int) -> SignedPermutation:
-    """pi_{g_1}···pi_{g_k} of the word (g_1, ..., g_k), one generator at a time."""
+def word_to_permutation(word: Word, n: int) -> Word:
+    """The window of pi_{g_1}···pi_{g_k} for the word (g_1, ..., g_k), one
+    generator at a time."""
     window = tuple(range(1, n + 1))
     for g in word:
         window = times_generator(window, g)
-    return SignedPermutation(window)
+    return window
 
 
-def reduced_words(perm: SignedPermutation) -> Iterator[Word]:
-    """All reduced words of perm: each ends in a generator that shortens perm.
+def reduced_words(window: Word) -> Iterator[Word]:
+    """All reduced words of the element: each ends in a generator that shortens it.
 
     Exhaustive; the count grows violently with n, so this is guarded at
     n <= 4 and meant for the small well-definedness checks only.
     """
-    if perm.n > 4:
+    if len(window) > 4:
         raise ResourceLimitError("reduced-word enumeration is guarded at n <= 4")
-    lengths = {window: len(word) for window, word in group_words(perm.n).items()}
+    lengths = {w: len(word) for w, word in group_words(len(window)).items()}
 
     def recurse(window: Word) -> Iterator[Word]:
         length = lengths[window]
@@ -437,4 +438,4 @@ def reduced_words(perm: SignedPermutation) -> Iterator[Word]:
                 for prefix in recurse(shorter):
                     yield prefix + (g,)
 
-    return recurse(perm.window)
+    return recurse(window)

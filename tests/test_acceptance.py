@@ -236,10 +236,10 @@ def test_criterion_8_group_and_partition_counts():
             failures.append(f"|group({n})|")
     for n in range(1, 4):
         for record in enumerate_group(n):
-            for word in reduced_words(record.perm):
+            for word in reduced_words(record.window):
                 if (word.count(0), len(word) - word.count(0)) != (record.l1, record.l2):
                     failures.append(f"(l1,l2) not word-invariant at n={n}")
-                if word_to_permutation(word, n) != record.perm:
+                if word_to_permutation(word, n) != record.window:
                     failures.append(f"bad reduced word at n={n}")
     for n in range(1, 5):
         lhs = Poly()

@@ -17,10 +17,10 @@ import bfock
 import oracles
 from bfock import cli, moments, partitions
 from bfock.cli import main
-from bfock.fock import FockVector, SpaceSpec
+from bfock.fock import FockVector, SpaceSpec, symmetrizer
 from bfock.moments import random_problem, wick_moment
 from bfock.partitions import EPS_ALPHABET
-from bfock.scalars import ALPHA, T
+from bfock.scalars import ALPHA, Poly, T, mat_to_int, qint
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -161,6 +161,15 @@ def test_moment_rejects_more_lambdas_than_points():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["fock --n 2", "moment --seed 1 --n 2"])
+def test_an_empty_signature_exits_2(capsys, command):
+    # an empty signature is a zero-dimensional space, not the default one
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--signature", ""])
+    assert exc.value.code == 2
+    assert "dimension and truncation must be positive" in capsys.readouterr().err
+
+
 def test_moment_seeded_without_lambda_is_unchanged(capsys):
     code, out = run_cli(capsys, "moment", "--n", "3", "--seed", "11")
     assert code == 0
@@ -226,13 +235,19 @@ def test_qt_check(capsys):
 
 @pytest.mark.parametrize(
     "values",
-    [("--q", "5", "--t", "7"), ("--t", "7"), ("--t", "0"), ("--q", "3/4", "--t", "1/2")],
+    [
+        ("--q", "5", "--t", "7"), ("--t", "7"), ("--t", "0"), ("--q", "3/4", "--t", "1/2"),
+        ("--q", "5", "--t-symbolic"),
+    ],
 )
 def test_qt_substituted_values_out_of_range(capsys, values):
     with pytest.raises(SystemExit) as exc:
         main(["qt", "--n", "3", *values])
     assert exc.value.code == 2
+    assert "require" in capsys.readouterr().err
     code, out = run_cli(capsys, "qt", "--n", "3", "--q", "1/4", "--t", "1/2")
+    assert code == 0
+    code, out = run_cli(capsys, "qt", "--n", "3", "--q", "1/4", "--t-symbolic")
     assert code == 0
 
 
@@ -382,6 +397,55 @@ def test_a_failing_check_names_its_instance(monkeypatch, capsys):
     assert failed["lhs"] == f"moment-identity-n3: {wick_moment(prob)}"
     assert failed["rhs"] == str(wick_moment(prob) + 1)
     assert all(row["lhs"] == row["rhs"] == "" for row in rows if row["status"] == "pass")
+
+
+def test_a_failing_factorization_names_its_level_and_signature(monkeypatch, capsys):
+    """P(3) on "+-" gains 1 in entry (0, 0): it no longer factors through R(3),
+    and the gram stays positive definite, so spectral-bounds still passes."""
+    def perturbed(n, space):
+        p = symmetrizer(n, space)
+        if n == 3 and space.d == 2:
+            p = [[p[0][0] + 1, *p[0][1:]], *p[1:]]
+        return p
+
+    monkeypatch.setattr(cli, "symmetrizer", perturbed)
+    code, out = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 1
+    rows = json.loads(out)["checks"]
+    assert [row["name"] for row in rows if row["status"] == "fail"] == ["factorization"]
+    (failed,) = [row for row in rows if row["name"] == "factorization"]
+    space = SpaceSpec.diagonal("+-", truncation=4)
+    assert failed["lhs"] == f"P(3) factorization +-: {moments._matrix_str(perturbed(3, space))}"
+    assert failed["rhs"] == moments._matrix_str(symmetrizer(3, space))
+
+
+def _zero_bound_at_level_3(monkeypatch):
+    monkeypatch.setattr(cli, "qint", lambda n: Poly() if n == 3 else qint(n))
+
+
+def _negated_gram_at_level_3(monkeypatch):
+    def negated(a, alpha, q):
+        m, den = mat_to_int(a, alpha, q)
+        return ([[-x for x in row] for row in m] if len(a) == 8 else m), den
+
+    monkeypatch.setattr(cli, "mat_to_int", negated)
+
+
+@pytest.mark.parametrize(
+    "perturb, instance",
+    [(_zero_bound_at_level_3, "norm bound"), (_negated_gram_at_level_3, "gram positivity")],
+    ids=["norm-bound", "gram-positivity"],
+)
+def test_a_failing_spectral_bound_names_its_level_and_point(monkeypatch, capsys, perturb, instance):
+    """A zero norm bound at n = 3, or the negated n = 3 gram, fails the first
+    point of n = 3 and nothing outside spectral-bounds."""
+    perturb(monkeypatch)
+    code, out = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 1
+    rows = json.loads(out)["checks"]
+    assert [row["name"] for row in rows if row["status"] == "fail"] == ["spectral-bounds"]
+    (failed,) = [row for row in rows if row["name"] == "spectral-bounds"]
+    assert (failed["lhs"], failed["rhs"]) == (f"{instance} n=3 at (2/5,3/10): False", "True")
 
 
 def test_a_failing_vector_row_names_its_word(monkeypatch, capsys):

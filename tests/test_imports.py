@@ -59,37 +59,46 @@ def test_the_check_sees_an_unused_import_and_a_quoted_annotation():
     assert unused_imports(source) == ["Sequence", "ZERO"]
 
 
-def definitions(tree: ast.Module) -> list[ast.FunctionDef]:
-    """Top-level functions and the methods of top-level classes, dunders excepted."""
+def definitions(tree: ast.Module) -> list[tuple[ast.FunctionDef, bool]]:
+    """(node, is_method) for the top-level functions and the methods of
+    top-level classes, dunders excepted."""
     out = []
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            out.append(node)
+            out.append((node, False))
         elif isinstance(node, ast.ClassDef):
-            out += [sub for sub in node.body if isinstance(sub, ast.FunctionDef)
+            out += [(sub, True) for sub in node.body if isinstance(sub, ast.FunctionDef)
                     and not (sub.name.startswith("__") and sub.name.endswith("__"))]
     return out
 
 
-def names_read(node: ast.AST) -> Counter:
-    """How often each name is read in node, as a bare name or as an attribute."""
+def names_read(node: ast.AST, attributes_only: bool = False) -> Counter:
+    """How often each name is read in node, as an attribute (``x.name``) and,
+    unless attributes_only, as a bare name."""
+    kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
     return Counter(
         sub.id if isinstance(sub, ast.Name) else sub.attr
         for sub in ast.walk(node)
-        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+        if isinstance(sub, kinds) and isinstance(sub.ctx, ast.Load)
     )
 
 
 def unreached(sources: list[str], exported: set[str]) -> list[str]:
     """The functions and methods defined in sources that no code outside their
-    own definition reads by name and that ``exported`` does not list."""
+    own definition reads by name and that ``exported`` does not list.  A method
+    is reached only through an attribute read, so a local variable of the same
+    name does not hide it."""
     trees = [ast.parse(source) for source in sources]
-    read = sum((names_read(tree) for tree in trees), Counter())
+    read = {
+        method: sum((names_read(tree, method) for tree in trees), Counter())
+        for method in (False, True)
+    }
     return sorted(
         node.name
         for tree in trees
-        for node in definitions(tree)
-        if node.name not in exported and read[node.name] == names_read(node)[node.name]
+        for node, method in definitions(tree)
+        if node.name not in exported
+        and read[method][node.name] == names_read(node, method)[node.name]
     )
 
 
@@ -107,8 +116,10 @@ def test_the_check_sees_an_unreached_function_and_method():
         "    def m(self): pass\n"
         "    def unused(self): return self.unused()\n"
         "    def __eq__(self, other): return self.m()\n"
+        "    def hidden(self): pass\n"
+        "def k(hidden): return hidden\n"  # a local of the same name does not reach C.hidden
     )
-    assert unreached([source], exported={"h"}) == ["f", "unused"]
+    assert unreached([source], exported={"h", "k"}) == ["f", "hidden", "unused"]
 
 
 def test_every_traced_only_function_is_a_tracer_target():

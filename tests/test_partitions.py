@@ -132,6 +132,15 @@ def test_all_positive_embedding():
             assert stats.rnarc == 0 and stats.narc == 0
 
 
+def arcs(p):
+    """All arcs of a colored partition as (left, right, color, block_index)."""
+    return [
+        (block[k], block[k + 1], colors[k], b)
+        for b, (block, colors) in enumerate(zip(p.blocks, p.colors))
+        for k in range(len(block) - 1)
+    ]
+
+
 def definitional_counts(p):
     """(rc, nest, rnarc, rarc, out_arc) straight from the module docstring.
 
@@ -139,13 +148,13 @@ def definitional_counts(p):
     w starts inside v and ends after it, v covers w when w lies strictly
     inside v; out_arc counts the arcs nothing covers, for noncrossing p only.
     """
-    arcs = p.base.arcs()
-    pairs = [(v, w) for v, w in permutations(arcs, 2) if v[3] != w[3]]
+    all_arcs = arcs(p.base)
+    pairs = [(v, w) for v, w in permutations(all_arcs, 2) if v[3] != w[3]]
     rc = sum(1 for v, w in pairs if v[0] < w[0] < v[1] < w[1])
     nesting = [(v, w) for v, w in pairs if v[0] < w[0] and w[1] < v[1]]
     rnarc = sum(1 for _, w in nesting if w[2] == -1)
     covered = {w for _, w in nesting}
-    out_arc = len(arcs) - len(covered) if rc == 0 else None
+    out_arc = len(all_arcs) - len(covered) if rc == 0 else None
     return rc, len(nesting), rnarc, len(nesting), out_arc
 
 
