@@ -43,7 +43,6 @@ from .orthopoly import (
 )
 from .partitions import (
     ColoredPartition,
-    ExtendedPartition,
     enumerate_colored,
     enumerate_extended,
     enumerate_extended_eps,
@@ -56,7 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALPHA", "ONE", "Q", "T", "ZERO",
-    "ColoredPartition", "ExtendedPartition", "FockVector", "JacobiParams",
+    "ColoredPartition", "FockVector", "JacobiParams",
     "MomentProblem", "OpSpec", "Poly", "QtSpec", "ResourceLimitError",
     "SpaceSpec", "TruncationError",
     "annihilate", "apply_operator", "create", "cumulant_block",

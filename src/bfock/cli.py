@@ -172,25 +172,19 @@ def cmd_partitions(args: argparse.Namespace) -> int:
             "maxc", "maxl", "mleft", "outarc",
         ]
     )
-
-    def write_row(blocks, colors, marked, stats):
+    partitions = enumerate_extended(args.n) if args.extended else enumerate_colored(args.n, args.filter)
+    for p in partitions:
+        stats = statistics(p)
         writer.writerow(
             [
-                _format_blocks(blocks),
-                _format_colors(colors),
-                " ".join(str(b) for b in sorted(marked)),
-                stats.rc, stats.nest, stats.rnarc, stats.narc, stats.rarc,
+                _format_blocks(p.blocks),
+                _format_colors(p.colors),
+                " ".join(str(b) for b in sorted(p.marked)),
+                stats.rc, stats.nest, stats.rnarc, stats.narc, stats.nest,  # rarc is nest
                 stats.max_c, stats.max_l, stats.m_left,
                 "" if stats.out_arc is None else stats.out_arc,
             ]
         )
-
-    if args.extended:
-        for p in enumerate_extended(args.n):
-            write_row(p.base.blocks, p.base.colors, p.marked, statistics(p))
-    else:
-        for p in enumerate_colored(args.n, args.filter):
-            write_row(p.blocks, p.colors, (), statistics(p))
     _emit(args, buffer.getvalue())
     return EXIT_OK
 

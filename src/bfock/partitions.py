@@ -1,17 +1,19 @@
-"""Colored set partitions of type B, extended partitions, and their statistics.
+"""Colored set partitions of type B and their statistics.
 
 A colored partition of [n] = {1, ..., n} assigns a ±1 color to every arc,
 where the arcs of a block are the pairs of consecutive elements; singletons
 carry no arcs (their implicit color is +1).  Blocks are ordered by their
-maxima.  An extended partition additionally marks ("primes") some blocks of
-size at least two; marked blocks and singletons are the *open* blocks.
+maxima.  A partition may also mark ("prime") some blocks of size at least
+two, which makes it an *extended* partition; marked blocks and singletons
+are the *open* blocks.  There is one type, ``ColoredPartition``, and an
+unmarked partition is one whose marking is empty.
 
 Statistics (all counted over pairs of arcs from distinct blocks):
 
 * rc      - interleaving pairs i < i' < j < j'
-* nest    - pairs where one arc strictly covers the other
+* nest    - pairs where one arc strictly covers the other (color-blind;
+            the CSV of ``bfock partitions`` names its column ``rarc``)
 * rnarc   - nesting pairs whose inner arc is colored -1
-* rarc    - all nesting pairs (color-blind)
 * narc    - number of -1 arcs
 * max_c   - (open block V, arc W) pairs with W covering max(V)
 * max_l   - (open block V, -1 arc W) pairs with W entirely right of max(V)
@@ -20,25 +22,26 @@ Statistics (all counted over pairs of arcs from distinct blocks):
 
 ``arc_covers`` is the one pass over pairs of arcs: it gives the color-blind
 part (rc and the per-arc cover counts) of an uncolored partition, for the
-sums that fold the colorings away.  ``statistics`` reads rc, nest = rarc
-(the sum of the covers), rnarc (the covers of the -1 arcs) and out_arc (the
-arcs of cover 0) from the same pass, and relates open blocks to its list of
-arcs.
+sums that fold the colorings away.  ``statistics`` reads rc, nest (the sum
+of the covers), rnarc (the covers of the -1 arcs) and out_arc (the arcs of
+cover 0) from the same pass, and relates open blocks to its list of arcs.
 
-The enumerators build their partitions through ``_colored`` and
-``_extended``, which skip ``__post_init__``: what they build is valid by
-construction, and a test rebuilds every one of them through the public
-constructors.  Every other construction keeps its full validation.
+The enumerators build their partitions through ``_colored``, which skips
+``__post_init__``: what they build is valid by construction, and a test
+rebuilds every one of them through the public constructor.  Every other
+construction keeps its full validation.
 
 Enumeration order is deterministic: uncolored partitions in restricted-
 growth-string order, colorings in binary order (+1 before -1) from the one
-``_colorings``, markings in subset-mask order; ``enumerate_extended_eps``
-grows only the uncolored blocks its word allows before coloring them.
+``_colorings`` (one cached table per arc count), markings in subset-mask
+order; ``enumerate_extended_eps`` grows only the uncolored blocks its word
+allows before coloring them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -57,11 +60,13 @@ Colors = tuple[int, ...]
 
 @dataclass(frozen=True)
 class ColoredPartition:
-    """Set partition of [n] with ±1 arc colors; blocks ordered by maxima."""
+    """Set partition of [n] with ±1 arc colors and a set of marked (open) blocks
+    of size >= 2, by index; blocks ordered by maxima."""
 
     n: int
     blocks: tuple[Block, ...]
     colors: tuple[Colors, ...]
+    marked: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -78,20 +83,10 @@ class ColoredPartition:
                 raise ValueError("one color per consecutive-element arc")
             if any(c not in (1, -1) for c in colors):
                 raise ValueError("colors must be ±1")
-
-
-@dataclass(frozen=True)
-class ExtendedPartition:
-    """Colored partition with a set of marked (open) blocks of size >= 2."""
-
-    base: ColoredPartition
-    marked: frozenset[int]
-
-    def __post_init__(self) -> None:
         for b in self.marked:
-            if b not in range(len(self.base.blocks)):
+            if b not in range(len(self.blocks)):
                 raise ValueError(f"marked block index {b} is out of range")
-            if len(self.base.blocks[b]) < 2:
+            if len(self.blocks[b]) < 2:
                 raise ValueError("only blocks of size >= 2 may be marked")
 
 
@@ -100,24 +95,17 @@ def _open_blocks(blocks: Sequence[Block], marked: frozenset[int]) -> list[int]:
     return [b for b, block in enumerate(blocks) if b in marked or len(block) == 1]
 
 
-# The enumerators' constructors, without ``__post_init__`` (see the module
-# docstring): each field goes straight into the instance dict, which costs
-# far less per object than a keyword call.
-
-
-def _colored(n: int, blocks: tuple[Block, ...], colors: tuple[Colors, ...]) -> ColoredPartition:
+def _colored(
+    n: int, blocks: tuple[Block, ...], colors: tuple[Colors, ...], marked: frozenset[int]
+) -> ColoredPartition:
+    """The enumerators' constructor, without ``__post_init__`` (see the module
+    docstring): each field goes straight into the instance dict, which costs
+    far less per object than a keyword call."""
     p = object.__new__(ColoredPartition)
     fields = p.__dict__
     fields["n"] = n
     fields["blocks"] = blocks
     fields["colors"] = colors
-    return p
-
-
-def _extended(base: ColoredPartition, marked: frozenset[int]) -> ExtendedPartition:
-    p = object.__new__(ExtendedPartition)
-    fields = p.__dict__
-    fields["base"] = base
     fields["marked"] = marked
     return p
 
@@ -128,21 +116,16 @@ class PartitionStats:
     nest: int
     rnarc: int
     narc: int
-    rarc: int
     max_c: int
     max_l: int
     m_left: int
     out_arc: int | None
 
 
-def statistics(p: ColoredPartition | ExtendedPartition) -> PartitionStats:
-    """All partition statistics; a bare ColoredPartition counts as unmarked."""
-    if isinstance(p, ExtendedPartition):
-        base, marked = p.base, p.marked
-    else:
-        base, marked = p, frozenset()
-    rc, covers, arcs = _arc_pass(base.blocks)
-    colors = base.colors
+def statistics(p: ColoredPartition) -> PartitionStats:
+    """All partition statistics; the marking decides only max_c, max_l and m_left."""
+    rc, covers, arcs = _arc_pass(p.blocks)
+    colors = p.colors
     nest = narc = rnarc = out_arc = 0
     for _, _, b, k in arcs:
         cover = covers[b][k]
@@ -153,8 +136,8 @@ def statistics(p: ColoredPartition | ExtendedPartition) -> PartitionStats:
             rnarc += cover
 
     max_c = max_l = m_left = 0
-    for b in _open_blocks(base.blocks, marked):
-        top = base.blocks[b][-1]
+    for b in _open_blocks(p.blocks, p.marked):
+        top = p.blocks[b][-1]
         for i, j, b2, k in arcs:
             if i < top < j:
                 max_c += 1
@@ -168,7 +151,6 @@ def statistics(p: ColoredPartition | ExtendedPartition) -> PartitionStats:
         nest=nest,
         rnarc=rnarc,
         narc=narc,
-        rarc=nest,
         max_c=max_c,
         max_l=max_l,
         m_left=m_left,
@@ -262,51 +244,42 @@ def _passes_filter(blocks: tuple[Block, ...], which: str) -> bool:
     raise ValueError(f"unknown filter {which!r}")
 
 
-def _colorings(
-    blocks: tuple[Block, ...], per_block: dict[int, tuple[Colors, ...]]
-) -> Iterator[tuple[Colors, ...]]:
+@cache
+def _block_colorings(arcs: int) -> tuple[Colors, ...]:
+    """The colorings of one block with ``arcs`` arcs, built the first time a block needs them."""
+    return tuple(product((1, -1), repeat=arcs))
+
+
+def _colorings(blocks: tuple[Block, ...]) -> Iterator[tuple[Colors, ...]]:
     """The colorings of blocks in binary order of their concatenation (+1 before -1).
 
     A product of per-block lexicographic products is the binary order of the
-    concatenated colorings.  ``per_block`` maps an arc count to the colorings
-    of one block with that many arcs; the caller owns it, and each entry is
-    built the first time a block needs it.
+    concatenated colorings.
     """
-    tables = []
-    for block in blocks:
-        arcs = len(block) - 1
-        table = per_block.get(arcs)
-        if table is None:
-            table = per_block[arcs] = tuple(product((1, -1), repeat=arcs))
-        tables.append(table)
-    return product(*tables)
+    return product(*[_block_colorings(len(block) - 1) for block in blocks])
 
 
 def enumerate_colored(n: int, which: str = "all") -> Iterator[ColoredPartition]:
     """All colored partitions of [n]; 2^{#arcs} colorings per partition."""
     if n > MAX_COLORED_N or n < 0:
         raise ResourceLimitError(f"colored enumeration supports 0 <= n <= {MAX_COLORED_N}")
-    per_block: dict[int, tuple[Colors, ...]] = {}
+    unmarked: frozenset[int] = frozenset()
     for blocks in set_partitions(n):
         if not _passes_filter(blocks, which):
             continue
-        for colors in _colorings(blocks, per_block):
-            yield _colored(n, blocks, colors)
+        for colors in _colorings(blocks):
+            yield _colored(n, blocks, colors, unmarked)
 
 
-def enumerate_extended(n: int) -> Iterator[ExtendedPartition]:
+def enumerate_extended(n: int) -> Iterator[ColoredPartition]:
     """Every (partition, coloring, marking) triple; markings in mask order."""
     if n > MAX_EXTENDED_N or n < 0:
         raise ResourceLimitError(f"extended enumeration supports 0 <= n <= {MAX_EXTENDED_N}")
-    for colored in enumerate_colored(n):
-        eligible = [
-            b for b, block in enumerate(colored.blocks) if len(block) >= 2
-        ]
+    for p in enumerate_colored(n):
+        eligible = [b for b, block in enumerate(p.blocks) if len(block) >= 2]
         for mask in range(1 << len(eligible)):
-            marked = frozenset(
-                b for pos, b in enumerate(eligible) if mask >> pos & 1
-            )
-            yield _extended(colored, marked)
+            marked = frozenset(b for pos, b in enumerate(eligible) if mask >> pos & 1)
+            yield _colored(n, p.blocks, p.colors, marked)
 
 
 def check_eps(eps: Sequence[str], n: int) -> None:
@@ -315,7 +288,7 @@ def check_eps(eps: Sequence[str], n: int) -> None:
         raise ValueError("eps must be over {*, 1, '} with one symbol per point")
 
 
-def enumerate_extended_eps(eps: Sequence[str]) -> Iterator[ExtendedPartition]:
+def enumerate_extended_eps(eps: Sequence[str]) -> Iterator[ColoredPartition]:
     """Extended partitions compatible with eps, built by direct construction.
 
     Point by point, a star opens a block, a prime joins an open block, and a
@@ -327,16 +300,15 @@ def enumerate_extended_eps(eps: Sequence[str]) -> Iterator[ExtendedPartition]:
     if n > MAX_EXTENDED_N or n < 0:
         raise ResourceLimitError(f"extended enumeration supports 0 <= n <= {MAX_EXTENDED_N}")
     check_eps(eps, n)
-    per_block: dict[int, tuple[Colors, ...]] = {}
 
     # state: (block, still open) pairs in order of minima
-    def grow(point: int, state: tuple[tuple[Block, bool], ...]) -> Iterator[ExtendedPartition]:
+    def grow(point: int, state: tuple[tuple[Block, bool], ...]) -> Iterator[ColoredPartition]:
         if point > n:
             ordered = sorted(state, key=lambda entry: entry[0][-1])
             blocks = tuple(block for block, _ in ordered)
             marked = frozenset(b for b, (block, is_open) in enumerate(ordered) if is_open and len(block) > 1)
-            for colors in _colorings(blocks, per_block):
-                yield _extended(_colored(n, blocks, colors), marked)
+            for colors in _colorings(blocks):
+                yield _colored(n, blocks, colors, marked)
             return
         symbol = eps[point - 1]
         if symbol == STAR:

@@ -10,7 +10,7 @@ q^l2 t^(C(n,2) - l2).  It is ``fock.symmetrizer(n, spec.space, "qt")``, and
 The operators run ``fock``'s one operator kernel with the (q,t) slot
 weight: the slot-k term of a length-n word carries q^(n-k) t^(k-1), and the
 involution plays no role (the base space must have the trivial involution).
-The moment formula sums q^rc t^rarc over singleton-free uncolored
+The moment formula sums q^rc t^nest over singleton-free uncolored
 partitions: it is ``moments``' one partition-side kernel with no eps word,
 the one choice (I, t^c) at an arc of cover count c, whatever its frozen
 counts, and lambda = 0, so every partition with a singleton drops out.
@@ -71,7 +71,7 @@ def qt_wick(
     ts: Sequence[Sequence[Sequence[Fraction]]],
     spec: QtSpec,
 ) -> Poly:
-    """Sum of q^rc t^rarc weighted chain products over singleton-free partitions."""
+    """Sum of q^rc t^nest weighted chain products over singleton-free partitions."""
     prob = MomentProblem.build(xs, ts, [0] * len(xs), spec.space)
     choices = ((frac_identity(spec.space.d), lambda c, f_left, f_in: (0, 0, c)),)
     return _color_summed_sum(prob, choices).get((), ZERO)

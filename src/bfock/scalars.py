@@ -23,7 +23,7 @@ exponent that left the range; it raises ``ValueError`` rather than wrap.
 Every result is kept in normal form: no zero numerator is stored, the gcd of
 the numerators and the denominator is 1, and zero is the empty dict over 1.
 So equal values have equal representations, which ``==`` and ``hash`` use.
-``terms`` gives the familiar view ``{(e_a, e_q, e_t): Fraction}``.
+``terms`` builds the familiar dict ``{(e_a, e_q, e_t): Fraction}``.
 
 The canonical textual form sorts monomials in descending graded-lexicographic
 order (``a`` before ``q`` before ``t``), e.g. ``t^2 + 2*t + 3``.
@@ -43,7 +43,7 @@ numpy when called, so importing this module does not.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Union
@@ -136,9 +136,10 @@ class Poly:
         return cls({(ea, eq, et): coeff})
 
     @property
-    def terms(self) -> Mapping[Exponent, Fraction]:
-        """Read-only {(e_a, e_q, e_t): Fraction} view of the nonzero terms."""
-        return _Terms(self._num, self._den)
+    def terms(self) -> dict[Exponent, Fraction]:
+        """A new {(e_a, e_q, e_t): Fraction} dict of the nonzero terms."""
+        den = self._den
+        return {_unpack(key): Fraction(c, den) for key, c in self._num.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -299,29 +300,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
-
-
-class _Terms(Mapping):
-    """The terms of num / den as exponent triples and Fractions; its len costs nothing."""
-
-    __slots__ = ("_num", "_den")
-
-    def __init__(self, num: dict[int, int], den: int):
-        self._num = num
-        self._den = den
-
-    def __len__(self) -> int:
-        return len(self._num)
-
-    def __iter__(self) -> Iterator[Exponent]:
-        return map(_unpack, self._num)
-
-    def __getitem__(self, exp: Exponent) -> Fraction:
-        if all(0 <= e < _LIMIT for e in exp):
-            c = self._num.get(_pack(*exp))
-            if c is not None:
-                return Fraction(c, self._den)
-        raise KeyError(exp)
 
 
 ZERO = Poly()

@@ -11,10 +11,12 @@ the kernel or with ``moments``, so a wrong scale in either cannot cancel out
 of a comparison with it.
 
 ``colored_wick_moment`` and ``colored_vector_formula`` are the moment and the
-vector-level theorem summed one colored (extended) partition at a time:
-``partitions.statistics`` gives each weight and the ``Fraction`` chains of
-``moments`` give each block, so they share none of the moves, frozen counts
-or integer sums of ``moments.wick_moment`` and ``moments.vector_formula``.
+vector-level theorem summed one colored partition at a time, the second over
+the extended ones (a ``ColoredPartition`` whose marking, ``p.marked``, picks
+its open blocks): ``partitions.statistics`` gives each weight and the
+``Fraction`` chains of ``moments`` give each block, so they share none of the
+moves, frozen counts or integer sums of ``moments.wick_moment`` and
+``moments.vector_formula``.
 
 ``continued_fraction_moments`` reads the moments off the J-fraction of a
 family, a second route to what ``orthopoly.moments_from_jacobi`` computes as
@@ -25,7 +27,7 @@ the left factor of a deformed annihilator's matrix (annihilator = free · R).
 ``act_generator`` and ``act_word`` replay a generator word on whole vectors
 (a word too short for a generator is fixed), the oracle of ``r_operator``'s
 replay on (word, coefficient) pairs.  ``eps_compatible`` tests a symbol word
-against an extended partition block by block, the filter that
+against a partition's blocks and marking block by block, the filter that
 ``partitions.enumerate_extended_eps`` replaced by direct construction.
 ``leading_minors`` is plain ``Fraction`` elimination, the test side of
 Sylvester's criterion and of the Hankel determinants; it shares nothing with
@@ -69,7 +71,7 @@ from bfock.partitions import (
     ONE_SYM,
     PRIME,
     STAR,
-    ExtendedPartition,
+    ColoredPartition,
     _open_blocks,
     check_eps,
     enumerate_colored,
@@ -233,9 +235,8 @@ def colored_vector_formula(eps: Sequence[str], prob: MomentProblem) -> FockVecto
     and the tensor of the open blocks' vectors, one partition at a time."""
     gathered: dict[Word, list[Poly]] = {}
     for p in enumerate_extended_eps(eps):
-        base = p.base
         scalar = ONE
-        for b, (block, colors) in enumerate(zip(base.blocks, base.colors)):
+        for b, (block, colors) in enumerate(zip(p.blocks, p.colors)):
             if len(block) >= 2 and b not in p.marked:
                 scalar = scalar * closed_chain_value(block, colors, prob)
         if scalar.is_zero:
@@ -243,8 +244,8 @@ def colored_vector_formula(eps: Sequence[str], prob: MomentProblem) -> FockVecto
         stats = statistics(p)
         eq = stats.rc + stats.max_c + 2 * stats.rnarc + 2 * stats.max_l
         tensor = {(): Poly.monomial(1, ea=stats.narc, eq=eq)}
-        for b in _open_blocks(base.blocks, p.marked):  # ordered by block maxima; a singleton's chain is x_min
-            vec = open_chain_vector(base.blocks[b], base.colors[b], prob)
+        for b in _open_blocks(p.blocks, p.marked):  # ordered by block maxima; a singleton's chain is x_min
+            vec = open_chain_vector(p.blocks[b], p.colors[b], prob)
             tensor = {
                 word + (letter,): coeff * entry
                 for word, coeff in tensor.items()
@@ -256,7 +257,7 @@ def colored_vector_formula(eps: Sequence[str], prob: MomentProblem) -> FockVecto
     return FockVector(prob.space, {word: Poly.sum(terms) for word, terms in gathered.items()})
 
 
-def eps_compatible(p: ExtendedPartition, eps: Sequence[str]) -> bool:
+def eps_compatible(p: ColoredPartition, eps: Sequence[str]) -> bool:
     """Whether the extended partition is produced by the symbol word eps.
 
     Per block {i_1 < ... < i_m}: the minimum is created at a star position;
@@ -264,9 +265,8 @@ def eps_compatible(p: ExtendedPartition, eps: Sequence[str]) -> bool:
     size >= 2 grow by primes and close with a one at the maximum; singletons
     are unmarked star positions.
     """
-    base = p.base
-    check_eps(eps, base.n)
-    for b, block in enumerate(base.blocks):
+    check_eps(eps, p.n)
+    for b, block in enumerate(p.blocks):
         if eps[block[0] - 1] != STAR:
             return False
         if len(block) == 1:

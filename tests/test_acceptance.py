@@ -30,7 +30,6 @@ from bfock.orthopoly import (
 )
 from bfock.partitions import (
     ColoredPartition,
-    ExtendedPartition,
     enumerate_colored,
     set_partitions,
     statistics,
@@ -131,7 +130,6 @@ def test_criterion_3_corollary_specializations():
 def test_criterion_4_paper_partition_fixture():
     blocks = ((2,), (1, 4, 6, 7), (3, 5, 10), (9, 11), (8, 12))
     colors = ((), (-1, 1, -1), (1, -1), (1,), (-1,))
-    base = ColoredPartition(n=12, blocks=blocks, colors=colors)
     cases = [
         (frozenset({2}), (3, 3)),   # {3,5,10} marked
         (frozenset(), (1, 3)),      # nothing marked
@@ -139,7 +137,7 @@ def test_criterion_4_paper_partition_fixture():
     ]
     failures = []
     for marked, (max_c, max_l) in cases:
-        stats = statistics(ExtendedPartition(base=base, marked=marked))
+        stats = statistics(ColoredPartition(n=12, blocks=blocks, colors=colors, marked=marked))
         if (stats.rc, stats.rnarc, stats.narc) != (5, 1, 4):
             failures.append(f"marked={sorted(marked)}: rc/rnarc/narc")
         if (stats.max_c, stats.max_l) != (max_c, max_l):

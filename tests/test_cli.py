@@ -15,12 +15,12 @@ import pytest
 
 import bfock
 import oracles
-from bfock import cli, moments, partitions
+from bfock import cli, moments, orthopoly, partitions
 from bfock.cli import main
 from bfock.fock import FockVector, SpaceSpec, symmetrizer
 from bfock.moments import random_problem, wick_moment
 from bfock.partitions import EPS_ALPHABET
-from bfock.scalars import ALPHA, Poly, T, mat_to_int, qint
+from bfock.scalars import ALPHA, ONE, Poly, T, mat_to_int, qint
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -470,6 +470,60 @@ def test_a_failing_vector_row_names_its_word(monkeypatch, capsys):
     (failed,) = [row for row in rows if row["name"] == "vector-n3"]
     assert failed["lhs"] == f"vector-identity-*'*: {moments._vector_str(expected)}"
     assert failed["rhs"] == moments._vector_str(expected + FockVector.basis(prob.space, (0,)))
+
+
+def test_a_failing_corollary_names_its_evaluator_and_size(monkeypatch, capsys):
+    """corollary_gaussian off by one fails the first Gaussian instance, n = 1,
+    and nothing outside corollaries."""
+    original = cli.corollary_gaussian
+    values = []
+
+    def perturbed(prob):
+        values.append(original(prob))
+        return values[-1] + 1
+
+    monkeypatch.setattr(cli, "corollary_gaussian", perturbed)
+    code, out = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 1
+    rows = json.loads(out)["checks"]
+    assert [row["name"] for row in rows if row["status"] == "fail"] == ["corollaries"]
+    (failed,) = [row for row in rows if row["name"] == "corollaries"]
+    # the check stops at its first failure, where wick_moment agrees with the
+    # unperturbed evaluator
+    (value,) = values
+    assert (failed["lhs"], failed["rhs"]) == (f"gaussian n=1: {value}", str(value + 1))
+
+
+def _constant_beta(jacobi):
+    # beta_n = 1: U_1 = y - 1 has a constant term, which t does not divide
+    return orthopoly.JacobiParams(beta=lambda n: ONE, gamma=jacobi.gamma)
+
+
+def _doubled_gamma(jacobi):
+    # every coefficient keeps its power of t, so each division goes through,
+    # but the first quotient that reads a gamma is off
+    return orthopoly.JacobiParams(beta=jacobi.beta, gamma=lambda n: 2 * jacobi.gamma(n))
+
+
+@pytest.mark.parametrize(
+    "perturb, lhs, rhs",
+    [
+        (_constant_beta, "al-salam-ismail-substitution n=1 y^0: -1", "a multiple of t^1"),
+        (_doubled_gamma, "al-salam-ismail-substitution n=2 y^0: -2", "-1"),
+    ],
+    ids=["not-divisible", "wrong-quotient"],
+)
+def test_a_failing_substitution_names_its_degree_and_power(monkeypatch, capsys, perturb, lhs, rhs):
+    """A perturbed Al-Salam-Ismail recurrence fails orthopoly-substitution at
+    the first U_n coefficient it changes, and nothing else."""
+    original = orthopoly.al_salam_ismail
+    monkeypatch.setattr(orthopoly, "al_salam_ismail", lambda: perturb(original()))
+    code, out = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 1
+    rows = json.loads(out)["checks"]
+    assert [row["name"] for row in rows if row["status"] == "fail"] == ["orthopoly-substitution"]
+    (failed,) = [row for row in rows if row["name"] == "orthopoly-substitution"]
+    assert (failed["lhs"], failed["rhs"]) == (lhs, rhs)
 
 
 def test_the_vector_suite_runs_up_to_the_guard():

@@ -193,7 +193,7 @@ def extended_walk_key(p):
     blocks (the marked ones and the singletons), rc and each arc's (c, f_left,
     f_in), where f_left counts the open blocks' maxima left of the arc and
     f_in those inside it."""
-    blocks = p.base.blocks
+    blocks = p.blocks
     rc, covers = arc_covers(blocks)
     opened = frozenset(_open_blocks(blocks, p.marked))
     tops = [blocks[b][-1] for b in opened]
@@ -213,7 +213,7 @@ def test_open_arc_walk_matches_the_eps_compatible_extended_partitions(n):
         expected = Counter(
             extended_walk_key(p)
             for p in enumerate_extended_eps(eps)
-            if all(color == 1 for colors in p.base.colors for color in colors)
+            if all(color == 1 for colors in p.colors for color in colors)
         )
         assert walked_partitions(n, eps) == expected, eps
 

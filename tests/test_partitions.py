@@ -15,7 +15,6 @@ from bfock.partitions import (
     PRIME,
     STAR,
     ColoredPartition,
-    ExtendedPartition,
     arc_covers,
     enumerate_colored,
     enumerate_extended,
@@ -27,8 +26,9 @@ from bfock.partitions import (
 
 def colored(blocks, colors, marked=()):
     n = max(max(block) for block in blocks)
-    base = ColoredPartition(n=n, blocks=tuple(map(tuple, blocks)), colors=tuple(map(tuple, colors)))
-    return ExtendedPartition(base=base, marked=frozenset(marked))
+    return ColoredPartition(
+        n=n, blocks=tuple(map(tuple, blocks)), colors=tuple(map(tuple, colors)), marked=frozenset(marked)
+    )
 
 
 # the three bulleted 12-point examples; block order follows block maxima:
@@ -88,7 +88,7 @@ def test_colored_enumeration_keeps_its_order(n, which):
 
 @pytest.mark.parametrize("n", range(6))
 def test_extended_enumeration_keeps_its_order(n):
-    got = [(p.base.blocks, p.base.colors, p.marked) for p in enumerate_extended(n)]
+    got = [(p.blocks, p.colors, p.marked) for p in enumerate_extended(n)]
     assert got == list(oracles.extended_partitions(n))
 
 
@@ -142,27 +142,27 @@ def arcs(p):
 
 
 def definitional_counts(p):
-    """(rc, nest, rnarc, rarc, out_arc) straight from the module docstring.
+    """(rc, nest, rnarc, out_arc) straight from the module docstring.
 
     Every ordered pair (v, w) of arcs from distinct blocks: v crosses w when
     w starts inside v and ends after it, v covers w when w lies strictly
     inside v; out_arc counts the arcs nothing covers, for noncrossing p only.
     """
-    all_arcs = arcs(p.base)
+    all_arcs = arcs(p)
     pairs = [(v, w) for v, w in permutations(all_arcs, 2) if v[3] != w[3]]
     rc = sum(1 for v, w in pairs if v[0] < w[0] < v[1] < w[1])
     nesting = [(v, w) for v, w in pairs if v[0] < w[0] and w[1] < v[1]]
     rnarc = sum(1 for _, w in nesting if w[2] == -1)
     covered = {w for _, w in nesting}
     out_arc = len(all_arcs) - len(covered) if rc == 0 else None
-    return rc, len(nesting), rnarc, len(nesting), out_arc
+    return rc, len(nesting), rnarc, out_arc
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_statistics_match_the_definitions(n):
     for p in enumerate_extended(n):
         stats = statistics(p)
-        got = (stats.rc, stats.nest, stats.rnarc, stats.rarc, stats.out_arc)
+        got = (stats.rc, stats.nest, stats.rnarc, stats.out_arc)
         assert got == definitional_counts(p), p
 
 
@@ -192,7 +192,7 @@ def test_noncrossing_and_nonnesting():
             assert stats.out_arc is not None
         else:
             assert stats.out_arc is None
-        if stats.rarc == 0:
+        if stats.nest == 0:
             assert stats.rnarc == 0
 
 
@@ -208,8 +208,8 @@ def test_noncrossing_counts():
 def test_extended_enumeration_contains_marked_triples():
     found = set()
     for p in enumerate_extended(3):
-        if p.base.blocks == ((1, 2, 3),):
-            found.add((p.base.colors, tuple(sorted(p.marked))))
+        if p.blocks == ((1, 2, 3),):
+            found.add((p.colors, tuple(sorted(p.marked))))
     colorings = {((c1, c2),) for c1 in (1, -1) for c2 in (1, -1)}
     assert {item[0] for item in found if item[1] == ()} == colorings
     assert {item[0] for item in found if item[1] == (0,)} == colorings
@@ -226,17 +226,17 @@ def test_extended_count():
 
 
 def test_eps_single_symbol():
-    assert [p.base.blocks for p in enumerate_extended_eps(["*"])] == [((1,),)]
+    assert [p.blocks for p in enumerate_extended_eps(["*"])] == [((1,),)]
     assert list(enumerate_extended_eps(["1"])) == []
     assert list(enumerate_extended_eps(["'"])) == []
 
 
 def test_eps_star_one_and_star_prime():
     closed = list(enumerate_extended_eps(["*", "1"]))
-    assert {p.base.colors for p in closed} == {((1,),), ((-1,),)}
+    assert {p.colors for p in closed} == {((1,),), ((-1,),)}
     assert all(p.marked == frozenset() for p in closed)
     marked = list(enumerate_extended_eps(["*", "'"]))
-    assert {p.base.colors for p in marked} == {((1,),), ((-1,),)}
+    assert {p.colors for p in marked} == {((1,),), ((-1,),)}
     assert all(p.marked == frozenset({0}) for p in marked)
 
 
@@ -248,8 +248,8 @@ def test_eps_unbalanced_prefix_is_empty():
 def own_word(p):
     """The one eps word p is compatible with: a star at each block minimum,
     a one at each unmarked block's maximum, and a prime elsewhere."""
-    symbols = [PRIME] * p.base.n
-    for b, block in enumerate(p.base.blocks):
+    symbols = [PRIME] * p.n
+    for b, block in enumerate(p.blocks):
         if b not in p.marked:
             symbols[block[-1] - 1] = ONE_SYM
         symbols[block[0] - 1] = STAR
@@ -267,9 +267,9 @@ def test_eps_enumeration_matches_compatibility_filter(n):
             assert [w for w in product(EPS_ALPHABET, repeat=n) if oracles.eps_compatible(p, w)] == [eps]
         else:
             assert oracles.eps_compatible(p, eps)
-        by_word[eps][p.base.blocks, p.base.colors, p.marked] += 1
+        by_word[eps][p.blocks, p.colors, p.marked] += 1
     for eps in product(EPS_ALPHABET, repeat=n):
-        direct = Counter((p.base.blocks, p.base.colors, p.marked) for p in enumerate_extended_eps(eps))
+        direct = Counter((p.blocks, p.colors, p.marked) for p in enumerate_extended_eps(eps))
         assert direct == by_word.get(eps, Counter())
 
 
@@ -278,11 +278,8 @@ def test_block_order_validation():
         ColoredPartition(n=2, blocks=((2,), (1,)), colors=((), ()))
     with pytest.raises(ValueError):
         ColoredPartition(n=2, blocks=((1, 2),), colors=((2,),))
-    with pytest.raises(ValueError):
-        ExtendedPartition(
-            base=ColoredPartition(n=1, blocks=((1,),), colors=((),)),
-            marked=frozenset({0}),
-        )
+    with pytest.raises(ValueError, match="only blocks of size >= 2 may be marked"):
+        ColoredPartition(n=1, blocks=((1,),), colors=((),), marked=frozenset({0}))
 
 
 @pytest.mark.parametrize(
@@ -311,9 +308,8 @@ def test_the_partition_layer_checks_a_word_as_the_moments_do():
 
 @pytest.mark.parametrize("marked", [5, 2, -1])
 def test_marked_index_must_name_a_block(marked):
-    base = ColoredPartition(n=3, blocks=((2,), (1, 3)), colors=((), (1,)))
     with pytest.raises(ValueError, match="out of range"):
-        ExtendedPartition(base=base, marked=frozenset({marked}))
+        ColoredPartition(n=3, blocks=((2,), (1, 3)), colors=((), (1,)), marked=frozenset({marked}))
 
 
 def test_negative_n_is_rejected():
@@ -333,13 +329,11 @@ def test_resource_guards():
 @pytest.mark.parametrize("n", range(7))
 def test_enumerated_partitions_pass_the_public_validation(n):
     # the enumerators skip __post_init__; rebuilding through the public
-    # constructors validates each partition and must give an equal one
+    # constructor validates each partition and must give an equal one
     def rebuilt(p):
-        base = ColoredPartition(n=p.base.n, blocks=p.base.blocks, colors=p.base.colors)
-        return ExtendedPartition(base=base, marked=frozenset(p.marked))
+        return ColoredPartition(n=p.n, blocks=p.blocks, colors=p.colors, marked=frozenset(p.marked))
 
-    for p in enumerate_colored(n):
-        assert ColoredPartition(n=p.n, blocks=p.blocks, colors=p.colors) == p
+    assert all(rebuilt(p) == p for p in enumerate_colored(n))
     extended = list(enumerate_extended(n))
     assert all(rebuilt(p) == p for p in extended)
     by_eps = [p for eps in product(EPS_ALPHABET, repeat=n) for p in enumerate_extended_eps(eps)]
