@@ -31,10 +31,11 @@ One kernel applies every operator, on Python ints: a vector is a dict
 ``scalars``.  Each factor clears its own denominators once: x, T and lambda
 by their lcm L, J by its integer form delta J, and every term the factor
 makes carries L delta, so the product of factors divides out once, when each
-word's ``Poly`` is built at the end.  ``apply_operator`` is the one-factor
-case; ``vacuum_expectation`` and ``moments.eps_word_vector`` run all their
-factors through it without leaving ints, and ``moments.eps_word_vectors``
-takes one step of it per edge of its walk over eps-word prefixes.  The
+word's ``Poly`` is built at the end.  ``_operator_walk`` takes one step of
+it per edge of ``_sweep``'s walk over the prefixes of the products of one
+operator per point, without leaving ints: ``apply_operator`` walks one
+operator, ``vacuum_expectation`` and ``moments.eps_word_vector`` one product,
+and ``moments.eps_word_vectors`` every eps operator at every point.  The
 annihilator (the row x, appending nothing) and the gauge (the rows T_m,
 appending m) share the slot loop; the two models differ only in the weight
 of the slot-k term of a length-n word, read off a row and J·row (J is
@@ -56,7 +57,7 @@ from fractions import Fraction
 from itertools import chain, product
 from math import lcm, prod
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .coxeter import Window, enumerate_group
 from .errors import ResourceLimitError, TruncationError
@@ -544,28 +545,6 @@ def _int_step(
     return out, scale * delta
 
 
-def _apply_product(ops: Sequence[OpSpec], v: FockVector, horizon: int | None) -> FockVector:
-    """ops[0]···ops[-1] v (rightmost factor applied first) on Python ints.
-
-    v's numerators are brought over their lcm once, every factor multiplies
-    the running denominator by its L·delta (see ``_int_step``), and each word's
-    Poly is built once at the end.  With a horizon h, the factor ops[i] forms
-    no word longer than h + i.
-    """
-    space = v.space
-    for op in ops:
-        check_dimensions(op, space)
-    den = lcm(*(p._den for p in v.coeffs.values()))
-    vec = {word: {key: c * (den // p._den) for key, c in p._num.items()}
-           for word, p in v.coeffs.items()}
-    j_int, delta = _int_involution(space)
-    for i in range(len(ops) - 1, -1, -1):
-        vec, scale = _int_step(ops[i], vec, space, j_int, delta,
-                               None if horizon is None else horizon + i)
-        den *= scale
-    return _poly_vector(space, vec, den)
-
-
 def _int_involution(space: SpaceSpec) -> tuple[list[list[int]], int]:
     """(delta J, delta): J over the lcm delta of its denominators, as ints."""
     delta = lcm(*(e.denominator for row in space.involution for e in row))
@@ -577,9 +556,73 @@ def _poly_vector(space: SpaceSpec, vec: _IntVector, den: int) -> FockVector:
     return FockVector(space, {word: _normal(num, den) for word, num in vec.items()})
 
 
+_State = TypeVar("_State")
+_Letter = TypeVar("_Letter")
+_Leaf = TypeVar("_Leaf")
+
+
+def _sweep(
+    alphabets: Sequence[Sequence[_Letter]],
+    root: _State,
+    step: Callable[[int, _Letter, _State], _State | None],
+    leaf: Callable[[_State | None], _Leaf],
+) -> Iterator[_Leaf]:
+    """leaf(state) for every word over the alphabets (alphabets[j - 1] holds
+    the letters at point j), in ``product(*alphabets)`` order, from one
+    depth-first walk over the word prefixes: a prefix's state is step(j,
+    letter, state) of its parent's, so words that share a prefix share its
+    steps.  A step that returns None (a zero state) ends the walk below it:
+    each of the ∏ len(alphabets[j:]) words there yields leaf(None).
+    """
+    n = len(alphabets)
+
+    def walk(j: int, state: _State | None) -> Iterator[_Leaf]:
+        if state is None:
+            for _ in range(prod(map(len, alphabets[j:]))):
+                yield leaf(None)
+        elif j == n:
+            yield leaf(state)
+        else:
+            *letters, last = alphabets[j]
+            for letter in letters:
+                yield from walk(j + 1, step(j + 1, letter, state))
+            subtree = walk(j + 1, step(j + 1, last, state))
+            del state  # so a fold over one word keeps one state alive, not n
+            yield from subtree
+
+    return walk(0, root)
+
+
+def _operator_walk(
+    alphabets: Sequence[Sequence[OpSpec]], v: FockVector, horizon: int | None = None
+) -> Iterator[FockVector]:
+    """The product of one operator per point applied to v, point 1 first, for
+    every word over the alphabets in ``product`` order: one ``_int_step`` per
+    edge of ``_sweep``'s walk.  Each operator is checked once, v's numerators
+    are brought over their lcm once, every step multiplies the denominator by
+    its L·delta, and each leaf builds its words' Polys once.  With a horizon
+    h, the step at point j of n forms no word longer than h + n - j.
+    """
+    space, n = v.space, len(alphabets)
+    for op in chain(*alphabets):
+        check_dimensions(op, space)
+    den = lcm(*(p._den for p in v.coeffs.values()))
+    vec = {word: {key: c * (den // p._den) for key, c in p._num.items()}
+           for word, p in v.coeffs.items()}
+    j_int, delta = _int_involution(space)
+
+    def step(j: int, op: OpSpec, state: tuple[_IntVector, int]) -> tuple[_IntVector, int] | None:
+        out, scale = _int_step(op, state[0], space, j_int, delta,
+                               None if horizon is None else horizon + n - j)
+        return (out, state[1] * scale) if out else None
+
+    return _sweep(alphabets, (vec, den), step,
+                  lambda state: FockVector(space) if state is None else _poly_vector(space, *state))
+
+
 def apply_operator(op: OpSpec, v: FockVector, horizon: int | None = None) -> FockVector:
     """op applied to v; words longer than the horizon (if given) are never formed."""
-    return _apply_product([op], v, horizon)
+    return next(_operator_walk([(op,)], v, horizon))
 
 
 # -- inner products and the vacuum state --------------------------------------
@@ -612,7 +655,7 @@ def vacuum_expectation(ops: Sequence[OpSpec], space: SpaceSpec) -> Poly:
     """
     if len(ops) > space.truncation:
         raise TruncationError("more operator factors than the truncation allows")
-    return _apply_product(ops, FockVector.vacuum(space), 0).coeff(())
+    return next(_operator_walk([(op,) for op in reversed(ops)], FockVector.vacuum(space), 0)).coeff(())
 
 
 # -- float spectral values ------------------------------------------------------

@@ -23,30 +23,32 @@ and the singletons) each give one tensor letter.  Color-summed, an arc of
 cover c with f_left open-block maxima left of it and f_in inside it carries
 q^f_in (I + a q^(2(c + f_left)) J).
 
-One kernel, ``_color_summed_sum`` over the moves of ``_open_arc_steps``,
+One kernel, ``_color_summed_kernel`` over the moves of ``_open_arc_steps``,
 evaluates every partition-side sum: it scans the points left to right with
 the active blocks ordered by last element, so a point that joins the r-th
 oldest of h active blocks makes an arc of cover r and h-1-r crossings, and
 every prefix that leaves the same active blocks and frozen count merges into
-one int dict (930 states at n=8 in place of 10,576 prefixes).  Its parameters are the
-choices at an arc and an optional eps word: ``wick_moment`` and
-``vector_formula`` share the type-B choices above (f = 0 without a word),
-and ``qt.qt_wick`` has the one choice (I, t^c).
+one int dict (930 states at n=8 in place of 10,576 prefixes).  Its
+parameters are the choices at an arc and one alphabet of letters per point:
+``wick_moment`` and ``vector_formula`` share the type-B choices above (f = 0
+under the letter None), and ``qt.qt_wick`` has the one choice (I, t^c).
 
-``verify_vector_identities`` checks the vector-level theorem on all 3^n eps
-words.  Both sides take point 1 first, so words with a common prefix share
-all the work up to its end, and each side walks the tree of word prefixes
-once, depth first, yielding one vector per word in ``product(EPS_ALPHABET,
-repeat=n)`` order: ``eps_word_vectors`` takes one ``fock._int_step`` per
-edge, and ``vector_formulas`` one level step of the kernel, with ``room``
-bounded by the points left.  A prefix whose vector or level is zero yields
-zero for its whole subtree.  Each side shares only its own prefixes, so
-the two stay independent, and the per-call ``eps_word_vector`` and
-``vector_formula``, which run the same steps, are their small-n oracles.
+One walk per side, ``fock._sweep`` over the prefixes of the words over the
+per-point alphabets, runs every entry point: it yields one result per word
+in ``product`` order, words with a common prefix share all the work up to
+its end, and a prefix whose level or vector is zero yields zero for its
+whole subtree.  ``_partition_walk`` takes one level step of the kernel per
+edge: ``wick_moment`` and ``qt.qt_wick`` walk the one word of None letters,
+``vector_formula`` one eps word, and ``vector_formulas`` the eps alphabet at
+every point.  ``fock._operator_walk`` takes one ``fock._int_step`` per edge
+in the same way for ``eps_word_vector`` and ``eps_word_vectors``.
+``verify_vector_identities`` zips the two sweeps to check the vector-level
+theorem on all 3^n eps words.  Each side walks only its own prefixes, so the
+two stay independent.
 
 ``tests/oracles.py`` keeps both colored sums term by term, the moment one
 colored partition at a time and the vector formula one colored extended
-partition at a time: the small-n oracles the tests hold the kernel to.
+partition at a time: the small-n oracles the tests hold both walks to.
 ``set_partitions`` with ``arc_covers``, and ``enumerate_extended_eps``, are
 the oracles for the moves.
 
@@ -58,13 +60,13 @@ partitions (rc == 0) and their outer arcs (cover 0);
 ``enumerate_colored(n, "pairs-only")`` with ``statistics`` for the Gaussian
 case; ``closed_chain_value`` for every block, computed once per (block,
 colors) in a ``functools.cache`` local to the call.  None of them goes through
-``_open_arc_steps`` or ``_color_summed_sum``, so a fault in the kernel's
-moves, state merges or integer sums cannot cancel out of the comparison.
+``_open_arc_steps`` or the kernel, so a fault in the kernel's moves, state
+merges or integer sums cannot cancel out of the comparison.
 
 The operator side of every comparison, ``vacuum_expectation``,
 ``eps_word_vector`` and ``eps_word_vectors``, runs on ``fock``'s operator
 kernel: integer numerators over one denominator, cleared factor by factor
-with its own exact code.  It shares no scaling with ``_color_summed_sum``, so
+with its own exact code.  It shares no scaling with the partition kernel, so
 a wrong scale on either side shows as a difference instead of cancelling out.
 
 Every comparison of the harness, here, in ``orthopoly`` and in ``bfock
@@ -83,7 +85,7 @@ from functools import cache
 from itertools import product
 from math import lcm, prod
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ResourceLimitError
 from .fock import (
@@ -91,12 +93,8 @@ from .fock import (
     OpSpec,
     SpaceSpec,
     Word,
-    _apply_product,
-    _int_involution,
-    _int_step,
-    _IntVector,
-    _poly_vector,
-    check_dimensions,
+    _operator_walk,
+    _sweep,
     type_b,
     vacuum_expectation,
 )
@@ -131,7 +129,7 @@ from .scalars import (
     frac_vector,
 )
 
-MAX_WICK_N = 10
+MAX_WICK_N = 10  # the kernel's 4-bit arc fields (_ARC_BITS) need n < 16
 MAX_VECTOR_N = 6
 
 
@@ -298,21 +296,23 @@ def _open_arc_steps(
             yield opened + ((bit, (), frozen),), None, 0
 
 
-def _color_summed_sum(
-    prob: MomentProblem, choices: Sequence[_ArcChoice], eps: Sequence[str] | None = None
-) -> dict[Word, Poly]:
-    """Sum over the partitions of [n] of q^rc times the block factors, per word.
+def _color_summed_kernel(
+    prob: MomentProblem, choices: Sequence[_ArcChoice], alphabets: Sequence[Sequence[str | None]]
+) -> tuple[Callable[[_Level, int, str | None, int], _Level], Callable[[_Level], dict[Word, Poly]]]:
+    """The level step and the final gather of the partition sum on prob.
 
-    A singleton contributes its lambda, a block {i_1 < ... < i_m} the chain
+    The sum runs over the partitions of [n] of q^rc times the block factors,
+    per word.  A singleton contributes its lambda, a block
+    {i_1 < ... < i_m} the chain
 
         <x_max, F_{m-1} T_{x_{i_{m-1}}} ··· T_{x_{i_2}} F_1 x_min>
 
     where F_k, the factor at the block's k-th arc, is the sum over
     ``choices`` of M monomial(weight(c, f_left, f_in)), each choice a pair
-    (M, weight).  Without ``eps`` nothing freezes and the one word is ().
-    With ``eps`` the sum runs over the eps-compatible extended partitions,
-    and each open block's vector T_max F ··· F x_min (x_j for a singleton)
-    is one more letter of the word.  The sum runs on Python ints:
+    (M, weight).  Under the letter None nothing freezes and the one word is
+    ().  Under an eps word the sum runs over the eps-compatible extended
+    partitions, and each open block's vector T_max F ··· F x_min (x_j for a
+    singleton) is one more letter of the word.  The sum runs on Python ints:
 
     * Each point i enters every term through one factor: x_i at a block end,
       T_i inside a block or at an open block's maximum, lambda_i as a
@@ -334,31 +334,15 @@ def _color_summed_sum(
       frozen block's vector, whose letter each key carries in the word's
       next field above the exponents, and by q^crossings.  A zero factor adds
       nothing, so a state that no move reaches with a nonzero factor is never
-      made.  One level step of ``_color_summed_kernel`` takes the states
-      after point j - 1 to those after point j.
-    """
-    n = prob.n
-    if n > MAX_WICK_N:
-        raise ResourceLimitError(f"the color-summed partition sum is guarded at n <= {MAX_WICK_N}")
-    symbols = (None,) * n if eps is None else tuple(eps)
-    step, words = _color_summed_kernel(prob, choices, symbols)
-    level: _Level = [{(): {0: 1}}]
-    for j, symbol in enumerate(symbols, start=1):
-        level = step(level, j, symbol, sum(s != STAR for s in symbols[j:]))
-    return words(level)
-
-
-def _color_summed_kernel(
-    prob: MomentProblem, choices: Sequence[_ArcChoice], symbols: Sequence[str | None]
-) -> tuple[Callable[[_Level, int, str | None, int], _Level], Callable[[_Level], dict[Word, Poly]]]:
-    """The level step and the final gather of ``_color_summed_sum`` on prob.
+      made.  One level step takes the states after point j - 1 to those
+      after point j.
 
     ``step(level, j, symbol, room)`` makes the moves of ``_open_arc_steps`` at
     point j and returns the next level; ``words(level)`` divides the states
     with no active block out, per word.  A point's tables are built only if
-    its symbol can read them (a None symbol: any), and the block caches hold
-    values of a block's points only, so any sequence of steps that the tables
-    cover can share them.
+    a letter of its alphabet can read them (the letter None: any), and the
+    block caches hold values of a block's points only, so any walk over the
+    alphabets can share them.
     """
     n = prob.n
     scales = [
@@ -370,13 +354,13 @@ def _color_summed_kernel(
     ts = [[_cleared(row, s) for row in t] for t, s in zip(prob.ts, scales)]
     lams = [lam.numerator * (s // lam.denominator) * delta for lam, s in zip(prob.lams, scales)]
     # per point p and choice M: T_p M, which extends a block through p, and
-    # x_p^T M, which closes one at p; in an eps word only a prime does the
-    # one and only a one the other
+    # x_p^T M, which closes one at p; among the eps letters only a prime does
+    # the one and only a one the other
     transposed = [[_cleared(col, delta) for col in zip(*m)] for m, _ in choices]
-    steps = [[[_int_mat_vec(mt, row) for row in t] for mt in transposed] if symbol in (None, PRIME) else []
-             for t, symbol in zip(ts, symbols)]
-    ends = [[_int_mat_vec(mt, x) for mt in transposed] if symbol in (None, ONE_SYM) else []
-            for x, symbol in zip(xs, symbols)]
+    steps = [[[_int_mat_vec(mt, row) for row in t] for mt in transposed]
+             if None in alphabet or PRIME in alphabet else [] for t, alphabet in zip(ts, alphabets)]
+    ends = [[_int_mat_vec(mt, x) for mt in transposed]
+            if None in alphabet or ONE_SYM in alphabet else [] for x, alphabet in zip(xs, alphabets)]
     width = prob.space.d.bit_length()  # bits per letter
     keyed: dict[tuple[int, ...], list[int]] = {(): [0]}
     vectors: dict[int, list[list[int]]] = {}
@@ -466,6 +450,29 @@ def _color_summed_kernel(
     return step, words
 
 
+def _partition_walk(
+    prob: MomentProblem, choices: Sequence[_ArcChoice], alphabets: Sequence[Sequence[str | None]]
+) -> Iterator[dict[Word, Poly]]:
+    """The kernel's sum per word of every word over the alphabets, in
+    ``product`` order: one level step per edge of ``fock._sweep``'s walk.
+    ``room`` at point j counts the later points whose alphabet holds a letter
+    other than ``*``: exact for one letter per point, all of them for the eps
+    alphabet, where a state that can no longer close lives on until the final
+    gather drops it.
+    """
+    n = prob.n
+    if n > MAX_WICK_N:
+        raise ResourceLimitError(f"the color-summed partition sum is guarded at n <= {MAX_WICK_N}")
+    level_step, words = _color_summed_kernel(prob, choices, alphabets)
+    rooms = [sum(any(s != STAR for s in alphabet) for alphabet in alphabets[j:]) for j in range(1, n + 1)]
+
+    def step(j: int, symbol: str | None, level: _Level) -> _Level | None:
+        level = level_step(level, j, symbol, rooms[j - 1])
+        return level if any(level) else None
+
+    return _sweep(alphabets, [{(): {0: 1}}], step, lambda level: {} if level is None else words(level))
+
+
 def _cleared(values: Sequence[Fraction], scale: int) -> list[int]:
     """scale times each value, for a scale that each denominator divides; the
     operator side clears with its own ``fock._scaled``, so no scaling is shared."""
@@ -491,7 +498,7 @@ def wick_moment(prob: MomentProblem) -> Poly:
     count c, at every arc.  Equals the term-by-term colored sum
     (``tests/oracles.py``).
     """
-    return _color_summed_sum(prob, _type_b_choices(prob.space)).get((), ZERO)
+    return next(_partition_walk(prob, _type_b_choices(prob.space), ((None,),) * prob.n)).get((), ZERO)
 
 
 def vector_formula(eps: Sequence[str], prob: MomentProblem) -> FockVector:
@@ -499,7 +506,8 @@ def vector_formula(eps: Sequence[str], prob: MomentProblem) -> FockVector:
     sum with q^f_in (I + a q^(2(c + f_left)) J) at every arc."""
     check_eps(eps, prob.n)
     _guard_vector_n(prob, "vector_formula")
-    return FockVector(prob.space, _color_summed_sum(prob, _type_b_choices(prob.space), eps))
+    walk = _partition_walk(prob, _type_b_choices(prob.space), [(symbol,) for symbol in eps])
+    return FockVector(prob.space, next(walk))
 
 
 def _guard_vector_n(prob: MomentProblem, name: str) -> None:
@@ -521,84 +529,28 @@ def eps_operator(symbol: str, point: int, prob: MomentProblem) -> OpSpec:
 def eps_word_vector(eps: Sequence[str], prob: MomentProblem) -> FockVector:
     """Operator side: apply the symbol word to the vacuum, first symbol first."""
     check_eps(eps, prob.n)
-    ops = [eps_operator(symbol, point, prob) for point, symbol in enumerate(eps, start=1)]
-    return _apply_product(ops[::-1], FockVector.vacuum(prob.space), None)
+    alphabets = [(eps_operator(symbol, point, prob),) for point, symbol in enumerate(eps, start=1)]
+    return next(_operator_walk(alphabets, FockVector.vacuum(prob.space)))
 
 
 # -- shared-prefix sweeps over all eps words ------------------------------------
 
-_State = TypeVar("_State")
-
-
-def _sweep(
-    prob: MomentProblem,
-    root: _State,
-    step: Callable[[int, str, _State], _State | None],
-    leaf: Callable[[_State], FockVector],
-) -> Iterator[FockVector]:
-    """leaf(state) for every eps word of length n, in ``product(EPS_ALPHABET,
-    repeat=n)`` order, from one depth-first walk over the word prefixes.
-
-    A prefix's state is step(j, symbol, state) of its parent's, symbol being
-    its last (the j-th) one, so words that share a prefix share its steps.  A
-    step that returns None (the zero vector) ends the walk below it: every
-    word there yields the zero vector.
-    """
-    n, space = prob.n, prob.space
-
-    def walk(j: int, state: _State | None) -> Iterator[FockVector]:
-        if state is None:
-            for _ in range(len(EPS_ALPHABET) ** (n - j)):
-                yield FockVector(space)
-        elif j == n:
-            yield leaf(state)
-        else:
-            for symbol in EPS_ALPHABET:
-                yield from walk(j + 1, step(j + 1, symbol, state))
-
-    return walk(0, root)
-
 
 def eps_word_vectors(prob: MomentProblem) -> Iterator[FockVector]:
-    """``eps_word_vector`` of every eps word of length n, in product order.
-
-    One ``fock._int_step`` per edge of the prefix walk, on the operators of
-    every (point, symbol), each checked once.  A word that begins with ``1``
-    or ``'`` annihilates the vacuum, so its whole subtree ends at the first
-    edge.
-    """
+    """``eps_word_vector`` of every eps word of length n, in product order:
+    one operator walk over every point's creator, annihilator and gauge."""
     _guard_vector_n(prob, "eps_word_vectors")
-    space = prob.space
-    ops = [{symbol: eps_operator(symbol, point, prob) for symbol in EPS_ALPHABET}
-           for point in range(1, prob.n + 1)]
-    for point_ops in ops:
-        for op in point_ops.values():
-            check_dimensions(op, space)
-    j_int, delta = _int_involution(space)
-
-    def step(j: int, symbol: str, state: tuple[_IntVector, int]) -> tuple[_IntVector, int] | None:
-        vec, scale = _int_step(ops[j - 1][symbol], state[0], space, j_int, delta, None)
-        return (vec, state[1] * scale) if vec else None
-
-    return _sweep(prob, ({(): {0: 1}}, 1), step, lambda state: _poly_vector(space, *state))
+    alphabets = [[eps_operator(symbol, point, prob) for symbol in EPS_ALPHABET]
+                 for point in range(1, prob.n + 1)]
+    return _operator_walk(alphabets, FockVector.vacuum(prob.space))
 
 
 def vector_formulas(prob: MomentProblem) -> Iterator[FockVector]:
-    """``vector_formula`` of every eps word of length n, in product order.
-
-    One level step of the partition sum per edge of the prefix walk.  The
-    later symbols are not known there, so ``room`` counts every later point;
-    a state that can no longer close lives on until the final gather drops it.
-    """
+    """``vector_formula`` of every eps word of length n, in product order:
+    one partition walk over the eps alphabet at every point."""
     _guard_vector_n(prob, "vector_formulas")
-    n, space = prob.n, prob.space
-    level_step, words = _color_summed_kernel(prob, _type_b_choices(space), (None,) * n)
-
-    def step(j: int, symbol: str, level: _Level) -> _Level | None:
-        level = level_step(level, j, symbol, n - j)
-        return level if any(level) else None
-
-    return _sweep(prob, [{(): {0: 1}}], step, lambda level: FockVector(space, words(level)))
+    walk = _partition_walk(prob, _type_b_choices(prob.space), (EPS_ALPHABET,) * prob.n)
+    return (FockVector(prob.space, sums) for sums in walk)
 
 
 # -- independent corollary evaluators -------------------------------------------

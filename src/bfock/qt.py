@@ -11,8 +11,8 @@ The operators run ``fock``'s one operator kernel with the (q,t) slot
 weight: the slot-k term of a length-n word carries q^(n-k) t^(k-1), and the
 involution plays no role (the base space must have the trivial involution).
 The moment formula sums q^rc t^nest over singleton-free uncolored
-partitions: it is ``moments``' one partition-side kernel with no eps word,
-the one choice (I, t^c) at an arc of cover count c, whatever its frozen
+partitions: it is ``moments``' partition walk over one word of None letters,
+with the one choice (I, t^c) at an arc of cover count c, whatever its frozen
 counts, and lambda = 0, so every partition with a singleton drops out.
 """
 
@@ -25,7 +25,7 @@ from typing import Sequence
 from .fock import (
     FockVector, OpSpec, SpaceSpec, _require_trivial_involution, apply_operator, vacuum_expectation,
 )
-from .moments import MomentProblem, _color_summed_sum
+from .moments import MomentProblem, _partition_walk
 from .scalars import ZERO, Poly, frac_identity, frac_matrix, frac_vector
 
 
@@ -74,7 +74,7 @@ def qt_wick(
     """Sum of q^rc t^nest weighted chain products over singleton-free partitions."""
     prob = MomentProblem.build(xs, ts, [0] * len(xs), spec.space)
     choices = ((frac_identity(spec.space.d), lambda c, f_left, f_in: (0, 0, c)),)
-    return _color_summed_sum(prob, choices).get((), ZERO)
+    return next(_partition_walk(prob, choices, ((None,),) * prob.n)).get((), ZERO)
 
 
 def qt_y_moment(

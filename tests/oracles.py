@@ -15,8 +15,9 @@ vector-level theorem summed one colored partition at a time, the second over
 the extended ones (a ``ColoredPartition`` whose marking, ``p.marked``, picks
 its open blocks): ``partitions.statistics`` gives each weight and the
 ``Fraction`` chains of ``moments`` give each block, so they share none of the
-moves, frozen counts or integer sums of ``moments.wick_moment`` and
-``moments.vector_formula``.
+moves, frozen counts or integer sums of the partition walk behind
+``moments.wick_moment``, ``moments.vector_formula`` and the sweep
+``moments.vector_formulas``.
 
 ``continued_fraction_moments`` reads the moments off the J-fraction of a
 family, a second route to what ``orthopoly.moments_from_jacobi`` computes as

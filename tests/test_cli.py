@@ -526,6 +526,92 @@ def test_a_failing_substitution_names_its_degree_and_power(monkeypatch, capsys, 
     assert (failed["lhs"], failed["rhs"]) == (lhs, rhs)
 
 
+def _shifted_moment(side, n):
+    """One side of wick-n<n> plus 1 on its instance: the partition side
+    ``wick_moment(prob)`` or the operator side ``vacuum_expectation(ops, space)``."""
+    def perturb(monkeypatch):
+        original = getattr(moments, side)
+        size = (lambda prob: prob.n) if side == "wick_moment" else (lambda ops, space: len(ops))
+        monkeypatch.setattr(moments, side, lambda *args: original(*args) + (1 if size(*args) == n else 0))
+    return perturb
+
+
+def _shifted_vector(sweep, word):
+    """One side of vector-n<len(word)> off by the basis vector |1> at that word."""
+    def perturb(monkeypatch):
+        original = getattr(moments, sweep)
+
+        def shifted(prob):
+            for eps, v in zip(product(EPS_ALPHABET, repeat=prob.n), original(prob), strict=True):
+                yield v + FockVector.basis(prob.space, (0,)) if eps == word else v
+
+        monkeypatch.setattr(moments, sweep, shifted)
+    return perturb
+
+
+def _shifted_qt_y_moment(monkeypatch):
+    original = cli.qt_y_moment
+    monkeypatch.setattr(cli, "qt_y_moment", lambda *args: original(*args) + T)
+
+
+def _shifted_qt_wick_on_the_line(monkeypatch):
+    # qt-identity runs on d = 2, the fixture on d = 1
+    original = cli.qt_wick
+    monkeypatch.setattr(
+        cli, "qt_wick", lambda xs, ts, spec: original(xs, ts, spec) + (T if spec.space.d == 1 else 0)
+    )
+
+
+def _vacuum_added_to_each_step(monkeypatch):
+    # P_1(B) Ω gains Ω; the check stops there, before operator_moments reads it
+    original = orthopoly.apply_operator
+    monkeypatch.setattr(
+        orthopoly, "apply_operator",
+        lambda op, v, horizon=None: original(op, v, horizon) + FockVector.vacuum(v.space),
+    )
+
+
+def _shifted_qt_operator_moment(monkeypatch):
+    original = orthopoly.operator_moments
+
+    def shifted(which, upto, sign="+"):
+        values = original(which, upto, sign)
+        return [m + 1 if which == "qt" and k == 3 else m for k, m in enumerate(values)]
+
+    monkeypatch.setattr(orthopoly, "operator_moments", shifted)
+
+
+@pytest.mark.parametrize(
+    "perturb, row, instance",
+    [
+        (_shifted_moment("wick_moment", 1), "wick-n1", "moment-identity-n1"),
+        (_shifted_moment("vacuum_expectation", 2), "wick-n2", "moment-identity-n2"),
+        (_shifted_moment("wick_moment", 4), "wick-n4", "moment-identity-n4"),
+        (_shifted_vector("eps_word_vectors", ("*",)), "vector-n1", "vector-identity-*"),
+        (_shifted_vector("vector_formulas", ("*", "'")), "vector-n2", "vector-identity-*'"),
+        (_shifted_vector("eps_word_vectors", ("*", "*", "1", "'")), "vector-n4", "vector-identity-**1'"),
+        (_vacuum_added_to_each_step, "orthopoly-identities", "vacuum-polynomial-alphaq-+ P_1"),
+        (_shifted_qt_operator_moment, "orthopoly-identities", "qt-poisson m_3"),
+        (_shifted_qt_y_moment, "qt-identity", "qt n=1"),
+        (_shifted_qt_wick_on_the_line, "qt-y5-fixture", "qt-y5 at q=0"),
+    ],
+    ids=[
+        "wick-n1", "wick-n2", "wick-n4", "vector-n1", "vector-n2", "vector-n4",
+        "orthopoly-vacuum-polynomial", "orthopoly-moments", "qt-identity", "qt-y5-fixture",
+    ],
+)
+def test_each_default_check_fails_on_its_own_instance(monkeypatch, capsys, perturb, row, instance):
+    """One side of one default check is perturbed: verify exits 1, only that
+    row fails, and its lhs names the instance where the sides part."""
+    perturb(monkeypatch)
+    code, out = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 1
+    rows = json.loads(out)["checks"]
+    assert [r["name"] for r in rows if r["status"] == "fail"] == [row]
+    (failed,) = [r for r in rows if r["name"] == row]
+    assert failed["lhs"].startswith(f"{instance}: ")
+
+
 def test_the_vector_suite_runs_up_to_the_guard():
     names = [name for name, _ in cli.SUITES["vector"](moments.MAX_VECTOR_N + 3, 7)]
     assert names == [f"vector-n{n}" for n in range(1, moments.MAX_VECTOR_N + 1)]

@@ -1,6 +1,7 @@
 """Fock space core: generator actions, symmetrizer factorization, operators."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,6 +11,7 @@ from bfock.fock import (
     FockVector,
     OpSpec,
     SpaceSpec,
+    _sweep,
     annihilate,
     apply_operator,
     apply_symmetrizer,
@@ -529,3 +531,23 @@ def test_gauge_norm_bound(alpha, q):
         gram = symmetrizer(n, D2)
         assert deformed_norm_at_most(m, gram, c2, alpha, q), n
         assert not deformed_norm_at_most(m, gram, c2 / 4, alpha, q), n
+
+
+def test_the_walk_yields_product_order_and_a_zero_subtree_per_word():
+    """Mixed alphabets with a trivial step that spells the prefix; the step
+    ends the prefix b with None, so each of the 1 * 3 words below it yields
+    leaf(None), and the other words spell themselves in product order."""
+    alphabets = (("a", "b"), ("c",), ("d", "e", "f"))
+    steps = []
+
+    def step(j, letter, state):
+        steps.append((j, state + letter))
+        return None if state + letter == "b" else state + letter
+
+    leaves = list(_sweep(alphabets, "", step, lambda state: "zero" if state is None else state))
+    words = ["".join(word) for word in product(*alphabets)]
+    assert leaves == [word if word[0] == "a" else "zero" for word in words]
+    # a shared prefix steps once
+    assert steps == [(1, "a"), (2, "ac"), (3, "acd"), (3, "ace"), (3, "acf"), (1, "b")]
+    assert list(_sweep((), "root", step, str.upper)) == ["ROOT"]
+    assert list(_sweep(alphabets, None, step, lambda state: state)) == [None] * 6

@@ -18,6 +18,7 @@ from bfock.moments import (
     MAX_WICK_N,
     MomentProblem,
     VerifyReport,
+    _ARC_BITS,
     _arc_fields,
     _open_arc_steps,
     closed_chain_value,
@@ -292,6 +293,11 @@ def test_partition_sums_are_guarded():
         oracles.colored_wick_moment(unit_problem(9))
 
 
+def test_the_wick_guard_fits_the_arc_fields():
+    # an arc's cover, f_left and frozen count each take one 4-bit field
+    assert MAX_WICK_N < 1 << _ARC_BITS
+
+
 def unpruned_vacuum_expectation(prob):
     v = FockVector.vacuum(prob.space)
     for op in reversed(prob.operators()):
@@ -369,13 +375,30 @@ def test_vector_formula_is_guarded_and_checks_its_word():
 @pytest.mark.parametrize("n", range(MAX_VECTOR_N + 1))
 def test_the_sweeps_equal_the_per_call_functions_on_every_word(which, n):
     """Each sweep yields one vector per word, 3^n in product order, and each
-    is the per-call function's vector for that word."""
+    is the per-call function's vector for that word: on the partition side,
+    the sweep's room counts every later point and the one-word walk's only
+    the later non-star points."""
     prob = involution_problem(900 + n, n, which)
     words = list(product(EPS_ALPHABET, repeat=n))
     operator_side, partition_side = list(eps_word_vectors(prob)), list(vector_formulas(prob))
     assert len(operator_side) == len(partition_side) == 3**n
     assert operator_side == [eps_word_vector(eps, prob) for eps in words]
     assert partition_side == [vector_formula(eps, prob) for eps in words]
+
+
+@pytest.mark.parametrize("which", ["diagonal", "reflection"])
+@pytest.mark.parametrize("n", range(6))
+def test_the_sweeps_equal_the_term_by_term_oracles_on_every_word(which, n):
+    """The one-word functions walk the same code as the sweeps, so each sweep
+    is also held to an oracle that shares none of it: the colored extended sum
+    one partition at a time, and the Poly-level operator product."""
+    prob = involution_problem(900 + n, n, which)
+    vacuum = FockVector.vacuum(prob.space)
+    words = product(EPS_ALPHABET, repeat=n)
+    for eps, lhs, rhs in zip(words, eps_word_vectors(prob), vector_formulas(prob), strict=True):
+        ops = [moments.eps_operator(symbol, point, prob) for point, symbol in enumerate(eps, start=1)]
+        assert lhs == oracles.apply_product(ops[::-1], vacuum), eps
+        assert rhs == oracles.colored_vector_formula(eps, prob), eps
 
 
 def test_the_vector_identities_report_every_word_in_product_order():
