@@ -560,8 +560,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (TruncationError, ValueError) as exc:
-        parser.error(str(exc))
-        return 2  # unreachable; parser.error exits
+        parser.error(str(exc))  # raises SystemExit(2)
 
 
 if __name__ == "__main__":

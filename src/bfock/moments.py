@@ -150,9 +150,8 @@ class MomentProblem:
             len(t) != d or any(len(row) != d for row in t) for t in self.ts
         ):
             raise ValueError("vector/operator dimensions must match the space")
-        rows = (*self.xs, *(row for t in self.ts for row in t), self.lams)
-        for entry in (value for row in rows for value in row):
-            _as_fraction(entry)  # a float raises TypeError here
+        # the point operators refuse a float (TypeError) and a T that is not symmetric (ValueError)
+        self.operators()
 
     @classmethod
     def build(

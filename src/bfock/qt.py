@@ -59,11 +59,11 @@ def qt_y(x: Sequence[Fraction], t: Sequence[Sequence[Fraction]]) -> OpSpec:
     return OpSpec("qt-y", x=frac_vector(x), t=frac_matrix(t))
 
 
-def qt_apply(op: OpSpec, v: FockVector, horizon: int | None = None) -> FockVector:
-    """op applied to v; words longer than the horizon (if given) are never formed."""
+def qt_apply(op: OpSpec, v: FockVector) -> FockVector:
+    """op applied to v, for a (q,t) kind only."""
     if not op.kind.startswith("qt-"):
         raise ValueError(f"not a (q,t) operator kind: {op.kind!r}")
-    return apply_operator(op, v, horizon)
+    return apply_operator(op, v)
 
 
 def qt_wick(

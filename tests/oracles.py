@@ -51,6 +51,7 @@ from fractions import Fraction
 from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Sequence
 
+from bfock import fock
 from bfock.coxeter import GroupElementRecord
 from bfock.errors import ResourceLimitError, TruncationError
 from bfock.fock import (
@@ -171,6 +172,19 @@ def apply_product(ops: Sequence[OpSpec], v: FockVector, horizon: int | None = No
 def vacuum_expectation(ops: Sequence[OpSpec], space: SpaceSpec) -> Poly:
     """Vacuum coefficient of ops[0]···ops[-1] Ω, with the horizon pruning."""
     return apply_product(ops, FockVector.vacuum(space), 0).coeff(())
+
+
+def vacuum_coefficients(ops: Sequence[OpSpec], space: SpaceSpec) -> list[Poly]:
+    """The Ω coefficient of Ω and of each ops[-k]···ops[-1] Ω, one factor at a
+    time through ``fock.apply_operator`` with no horizon, so every word is
+    formed: the unpruned loop behind ``fock.vacuum_expectation`` (the last
+    entry) and ``orthopoly.operator_moments`` (the list, one operator repeated)."""
+    v = FockVector.vacuum(space)
+    out = [v.coeff(())]
+    for op in reversed(ops):
+        v = fock.apply_operator(op, v)
+        out.append(v.coeff(()))
+    return out
 
 
 def act_sigma(record: GroupElementRecord, v: FockVector) -> FockVector:

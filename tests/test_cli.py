@@ -20,7 +20,7 @@ from bfock.cli import main
 from bfock.fock import FockVector, SpaceSpec, symmetrizer
 from bfock.moments import random_problem, wick_moment
 from bfock.partitions import EPS_ALPHABET
-from bfock.scalars import ALPHA, ONE, Poly, T, mat_to_int, qint
+from bfock.scalars import ALPHA, ONE, Poly, T, frac_matrix, mat_to_int, qint
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -133,8 +133,10 @@ def test_a_check_mismatch_exits_1_with_both_sides(monkeypatch, capsys, command, 
 
 
 def test_fock_range_enforcement(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["fock", "--n", "1", "--mode", "rational", "--alpha", "2"])
+    assert exc.value.code == 2
+    assert "type-B numeric modes require |alpha| < 1 and |q| < 1" in capsys.readouterr().err
 
 
 def test_moment_check_unit(capsys):
@@ -383,40 +385,82 @@ def test_default_checks_compare_every_instance():
     assert counts == DEFAULT_REPORT_COUNTS
 
 
-def test_a_failing_check_names_its_instance(monkeypatch, capsys):
-    monkeypatch.setattr(
-        moments, "wick_moment", lambda prob: wick_moment(prob) + (1 if prob.n == 3 else 0)
-    )
-    code, out = run_cli(capsys, "verify", "--suite", "all")
-    assert code == 1
-    rows = json.loads(out)["checks"]
-    assert [row["name"] for row in rows if row["status"] == "fail"] == ["wick-n3"]
-    # the check's instance, as the wick suite draws it: seed 7 + n on "+-"
-    prob = random_problem(random.Random(7 + 3), 3, SpaceSpec.diagonal("+-", truncation=3))
-    (failed,) = [row for row in rows if row["name"] == "wick-n3"]
-    assert failed["lhs"] == f"moment-identity-n3: {wick_moment(prob)}"
-    assert failed["rhs"] == str(wick_moment(prob) + 1)
-    assert all(row["lhs"] == row["rhs"] == "" for row in rows if row["status"] == "pass")
+def _shifted_moment(side, n):
+    """wick-n<n> with one side plus 1 on its instance: the partition side
+    ``wick_moment(prob)`` or the operator side ``vacuum_expectation(ops, space)``,
+    which is the row's lhs."""
+    def perturb(monkeypatch):
+        original = getattr(moments, side)
+        size = (lambda prob: prob.n) if side == "wick_moment" else (lambda ops, space: len(ops))
+        monkeypatch.setattr(moments, side, lambda *args: original(*args) + (1 if size(*args) == n else 0))
+
+    def sides():
+        # the wick suite's draw at the verify defaults: seed 7 + n on "+-"
+        value = wick_moment(random_problem(random.Random(7 + n), n, SpaceSpec.diagonal("+-", truncation=n)))
+        lhs, rhs = (value, value + 1) if side == "wick_moment" else (value + 1, value)
+        return f"moment-identity-n{n}: {lhs}", str(rhs)
+
+    return pytest.param(perturb, f"wick-n{n}", sides, id=f"wick-n{n}")
 
 
-def test_a_failing_factorization_names_its_level_and_signature(monkeypatch, capsys):
-    """P(3) on "+-" gains 1 in entry (0, 0): it no longer factors through R(3),
-    and the gram stays positive definite, so spectral-bounds still passes."""
-    def perturbed(n, space):
-        p = symmetrizer(n, space)
-        if n == 3 and space.d == 2:
-            p = [[p[0][0] + 1, *p[0][1:]], *p[1:]]
-        return p
+def _shifted_vector(sweep, word):
+    """vector-n<len(word)> with one sweep off by the basis vector |1> at that word:
+    the operator side ``eps_word_vectors``, which is the row's lhs, or the
+    partition side ``vector_formulas``."""
+    n = len(word)
 
-    monkeypatch.setattr(cli, "symmetrizer", perturbed)
-    code, out = run_cli(capsys, "verify", "--suite", "all")
-    assert code == 1
-    rows = json.loads(out)["checks"]
-    assert [row["name"] for row in rows if row["status"] == "fail"] == ["factorization"]
-    (failed,) = [row for row in rows if row["name"] == "factorization"]
+    def perturb(monkeypatch):
+        original = getattr(moments, sweep)
+
+        def shifted(prob):
+            for eps, v in zip(product(EPS_ALPHABET, repeat=prob.n), original(prob), strict=True):
+                yield v + FockVector.basis(prob.space, (0,)) if eps == word else v
+
+        monkeypatch.setattr(moments, sweep, shifted)
+
+    def sides():
+        # the vector suite's draw at the verify defaults: seed 7 + 100 + n on "+-"
+        prob = random_problem(random.Random(7 + 100 + n), n, SpaceSpec.diagonal("+-", truncation=n))
+        value = moments.eps_word_vector(word, prob)
+        shifted = value + FockVector.basis(prob.space, (0,))
+        lhs, rhs = (shifted, value) if sweep == "eps_word_vectors" else (value, shifted)
+        return f"vector-identity-{''.join(word)}: {moments._vector_str(lhs)}", moments._vector_str(rhs)
+
+    return pytest.param(perturb, f"vector-n{n}", sides, id=f"vector-n{n}")
+
+
+def _shifted_corollary(label, evaluator):
+    """corollaries with one evaluator off by one: the check stops at that
+    evaluator's first instance, n = 1, where the unperturbed one agrees with
+    wick_moment."""
+    def perturb(monkeypatch):
+        original = getattr(cli, evaluator)
+        monkeypatch.setattr(cli, evaluator, lambda prob: original(prob) + 1)
+
+    def sides():
+        # the corollary suite's draw at the verify defaults: seed 7 + 200 + n on "++"
+        prob = random_problem(random.Random(7 + 200 + 1), 1, SpaceSpec.diagonal("++", truncation=1), zero_lams=True)
+        if label == "gaussian":
+            prob = replace(prob, ts=(frac_matrix([[0, 0], [0, 0]]),))
+        value = getattr(moments, evaluator)(prob)
+        return f"{label} n=1: {value}", str(value + 1)
+
+    return pytest.param(perturb, "corollaries", sides, id=f"corollaries-{label}")
+
+
+def _symmetrizer_off_at_level_3(n, space):
+    """P(3) on "+-" with 1 added to entry (0, 0): it no longer factors through
+    R(3), and the gram stays positive definite, so spectral-bounds still passes."""
+    p = symmetrizer(n, space)
+    if n == 3 and space.d == 2:
+        p = [[p[0][0] + 1, *p[0][1:]], *p[1:]]
+    return p
+
+
+def _factorization_sides():
     space = SpaceSpec.diagonal("+-", truncation=4)
-    assert failed["lhs"] == f"P(3) factorization +-: {moments._matrix_str(perturbed(3, space))}"
-    assert failed["rhs"] == moments._matrix_str(symmetrizer(3, space))
+    lhs = moments._matrix_str(_symmetrizer_off_at_level_3(3, space))
+    return f"P(3) factorization +-: {lhs}", moments._matrix_str(symmetrizer(3, space))
 
 
 def _zero_bound_at_level_3(monkeypatch):
@@ -431,67 +475,11 @@ def _negated_gram_at_level_3(monkeypatch):
     monkeypatch.setattr(cli, "mat_to_int", negated)
 
 
-@pytest.mark.parametrize(
-    "perturb, instance",
-    [(_zero_bound_at_level_3, "norm bound"), (_negated_gram_at_level_3, "gram positivity")],
-    ids=["norm-bound", "gram-positivity"],
-)
-def test_a_failing_spectral_bound_names_its_level_and_point(monkeypatch, capsys, perturb, instance):
-    """A zero norm bound at n = 3, or the negated n = 3 gram, fails the first
-    point of n = 3 and nothing outside spectral-bounds."""
-    perturb(monkeypatch)
-    code, out = run_cli(capsys, "verify", "--suite", "all")
-    assert code == 1
-    rows = json.loads(out)["checks"]
-    assert [row["name"] for row in rows if row["status"] == "fail"] == ["spectral-bounds"]
-    (failed,) = [row for row in rows if row["name"] == "spectral-bounds"]
-    assert (failed["lhs"], failed["rhs"]) == (f"{instance} n=3 at (2/5,3/10): False", "True")
-
-
-def test_a_failing_vector_row_names_its_word(monkeypatch, capsys):
-    """One word's vector on the partition side of vector-n3 is off by one basis
-    vector: only that row fails, and it names the word."""
-    eps = ("*", "'", "*")
-    word_index = list(product(EPS_ALPHABET, repeat=3)).index(eps)
-    original = moments.vector_formulas
-
-    def perturbed(prob):
-        for k, v in enumerate(original(prob)):
-            yield v + FockVector.basis(prob.space, (0,)) if prob.n == 3 and k == word_index else v
-
-    monkeypatch.setattr(moments, "vector_formulas", perturbed)
-    code, out = run_cli(capsys, "verify", "--suite", "all")
-    assert code == 1
-    rows = json.loads(out)["checks"]
-    assert [row["name"] for row in rows if row["status"] == "fail"] == ["vector-n3"]
-    # the check's instance, as the vector suite draws it: seed 7 + 100 + n on "+-"
-    prob = random_problem(random.Random(7 + 100 + 3), 3, SpaceSpec.diagonal("+-", truncation=3))
-    expected = moments.eps_word_vector(eps, prob)
-    (failed,) = [row for row in rows if row["name"] == "vector-n3"]
-    assert failed["lhs"] == f"vector-identity-*'*: {moments._vector_str(expected)}"
-    assert failed["rhs"] == moments._vector_str(expected + FockVector.basis(prob.space, (0,)))
-
-
-def test_a_failing_corollary_names_its_evaluator_and_size(monkeypatch, capsys):
-    """corollary_gaussian off by one fails the first Gaussian instance, n = 1,
-    and nothing outside corollaries."""
-    original = cli.corollary_gaussian
-    values = []
-
-    def perturbed(prob):
-        values.append(original(prob))
-        return values[-1] + 1
-
-    monkeypatch.setattr(cli, "corollary_gaussian", perturbed)
-    code, out = run_cli(capsys, "verify", "--suite", "all")
-    assert code == 1
-    rows = json.loads(out)["checks"]
-    assert [row["name"] for row in rows if row["status"] == "fail"] == ["corollaries"]
-    (failed,) = [row for row in rows if row["name"] == "corollaries"]
-    # the check stops at its first failure, where wick_moment agrees with the
-    # unperturbed evaluator
-    (value,) = values
-    assert (failed["lhs"], failed["rhs"]) == (f"gaussian n=1: {value}", str(value + 1))
+def _perturbed_al_salam_ismail(jacobi_params):
+    def perturb(monkeypatch):
+        original = orthopoly.al_salam_ismail
+        monkeypatch.setattr(orthopoly, "al_salam_ismail", lambda: jacobi_params(original()))
+    return perturb
 
 
 def _constant_beta(jacobi):
@@ -503,63 +491,6 @@ def _doubled_gamma(jacobi):
     # every coefficient keeps its power of t, so each division goes through,
     # but the first quotient that reads a gamma is off
     return orthopoly.JacobiParams(beta=jacobi.beta, gamma=lambda n: 2 * jacobi.gamma(n))
-
-
-@pytest.mark.parametrize(
-    "perturb, lhs, rhs",
-    [
-        (_constant_beta, "al-salam-ismail-substitution n=1 y^0: -1", "a multiple of t^1"),
-        (_doubled_gamma, "al-salam-ismail-substitution n=2 y^0: -2", "-1"),
-    ],
-    ids=["not-divisible", "wrong-quotient"],
-)
-def test_a_failing_substitution_names_its_degree_and_power(monkeypatch, capsys, perturb, lhs, rhs):
-    """A perturbed Al-Salam-Ismail recurrence fails orthopoly-substitution at
-    the first U_n coefficient it changes, and nothing else."""
-    original = orthopoly.al_salam_ismail
-    monkeypatch.setattr(orthopoly, "al_salam_ismail", lambda: perturb(original()))
-    code, out = run_cli(capsys, "verify", "--suite", "all")
-    assert code == 1
-    rows = json.loads(out)["checks"]
-    assert [row["name"] for row in rows if row["status"] == "fail"] == ["orthopoly-substitution"]
-    (failed,) = [row for row in rows if row["name"] == "orthopoly-substitution"]
-    assert (failed["lhs"], failed["rhs"]) == (lhs, rhs)
-
-
-def _shifted_moment(side, n):
-    """One side of wick-n<n> plus 1 on its instance: the partition side
-    ``wick_moment(prob)`` or the operator side ``vacuum_expectation(ops, space)``."""
-    def perturb(monkeypatch):
-        original = getattr(moments, side)
-        size = (lambda prob: prob.n) if side == "wick_moment" else (lambda ops, space: len(ops))
-        monkeypatch.setattr(moments, side, lambda *args: original(*args) + (1 if size(*args) == n else 0))
-    return perturb
-
-
-def _shifted_vector(sweep, word):
-    """One side of vector-n<len(word)> off by the basis vector |1> at that word."""
-    def perturb(monkeypatch):
-        original = getattr(moments, sweep)
-
-        def shifted(prob):
-            for eps, v in zip(product(EPS_ALPHABET, repeat=prob.n), original(prob), strict=True):
-                yield v + FockVector.basis(prob.space, (0,)) if eps == word else v
-
-        monkeypatch.setattr(moments, sweep, shifted)
-    return perturb
-
-
-def _shifted_qt_y_moment(monkeypatch):
-    original = cli.qt_y_moment
-    monkeypatch.setattr(cli, "qt_y_moment", lambda *args: original(*args) + T)
-
-
-def _shifted_qt_wick_on_the_line(monkeypatch):
-    # qt-identity runs on d = 2, the fixture on d = 1
-    original = cli.qt_wick
-    monkeypatch.setattr(
-        cli, "qt_wick", lambda xs, ts, spec: original(xs, ts, spec) + (T if spec.space.d == 1 else 0)
-    )
 
 
 def _vacuum_added_to_each_step(monkeypatch):
@@ -581,35 +512,112 @@ def _shifted_qt_operator_moment(monkeypatch):
     monkeypatch.setattr(orthopoly, "operator_moments", shifted)
 
 
-@pytest.mark.parametrize(
-    "perturb, row, instance",
-    [
-        (_shifted_moment("wick_moment", 1), "wick-n1", "moment-identity-n1"),
-        (_shifted_moment("vacuum_expectation", 2), "wick-n2", "moment-identity-n2"),
-        (_shifted_moment("wick_moment", 4), "wick-n4", "moment-identity-n4"),
-        (_shifted_vector("eps_word_vectors", ("*",)), "vector-n1", "vector-identity-*"),
-        (_shifted_vector("vector_formulas", ("*", "'")), "vector-n2", "vector-identity-*'"),
-        (_shifted_vector("eps_word_vectors", ("*", "*", "1", "'")), "vector-n4", "vector-identity-**1'"),
-        (_vacuum_added_to_each_step, "orthopoly-identities", "vacuum-polynomial-alphaq-+ P_1"),
-        (_shifted_qt_operator_moment, "orthopoly-identities", "qt-poisson m_3"),
-        (_shifted_qt_y_moment, "qt-identity", "qt n=1"),
-        (_shifted_qt_wick_on_the_line, "qt-y5-fixture", "qt-y5 at q=0"),
-    ],
-    ids=[
-        "wick-n1", "wick-n2", "wick-n4", "vector-n1", "vector-n2", "vector-n4",
-        "orthopoly-vacuum-polynomial", "orthopoly-moments", "qt-identity", "qt-y5-fixture",
-    ],
-)
-def test_each_default_check_fails_on_its_own_instance(monkeypatch, capsys, perturb, row, instance):
+def _shifted_qt_y_moment(monkeypatch):
+    original = cli.qt_y_moment
+    monkeypatch.setattr(cli, "qt_y_moment", lambda *args: original(*args) + T)
+
+
+def _shifted_qt_wick_on_the_line(monkeypatch):
+    # qt-identity runs on d = 2, the fixture on d = 1
+    original = cli.qt_wick
+    monkeypatch.setattr(
+        cli, "qt_wick", lambda xs, ts, spec: original(xs, ts, spec) + (T if spec.space.d == 1 else 0)
+    )
+
+
+def _group_without_its_last_element(monkeypatch):
+    original = cli.enumerate_group
+    monkeypatch.setattr(cli, "enumerate_group", lambda n: original(n)[:-1])
+
+
+def _set_partitions_without_n_alone(monkeypatch):
+    # loses colored partitions; the expected count is taken from no partition walk
+    original = partitions.set_partitions
+    monkeypatch.setattr(
+        partitions, "set_partitions", lambda n: (p for p in original(n) if (n,) not in p)
+    )
+
+
+# one row per way a default check is made to fail: the perturbation, the row
+# that must fail, and its (lhs, rhs), or a function computing them from the
+# unperturbed library
+FAILING_ROWS = [
+    _shifted_moment("wick_moment", 1),
+    _shifted_moment("vacuum_expectation", 2),
+    _shifted_moment("wick_moment", 3),
+    _shifted_moment("wick_moment", 4),
+    _shifted_vector("eps_word_vectors", ("*",)),
+    _shifted_vector("vector_formulas", ("*", "'")),
+    _shifted_vector("vector_formulas", ("*", "'", "*")),
+    _shifted_vector("eps_word_vectors", ("*", "*", "1", "'")),
+    _shifted_corollary("q-case", "corollary_q_case"),
+    _shifted_corollary("free-alpha", "corollary_free_alpha"),
+    _shifted_corollary("gaussian", "corollary_gaussian"),
+    pytest.param(
+        lambda monkeypatch: monkeypatch.setattr(cli, "symmetrizer", _symmetrizer_off_at_level_3),
+        "factorization", _factorization_sides, id="factorization",
+    ),
+    # a zero norm bound at n = 3, or the negated n = 3 gram, fails the first point of n = 3
+    pytest.param(
+        _zero_bound_at_level_3, "spectral-bounds",
+        ("norm bound n=3 at (2/5,3/10): False", "True"), id="spectral-norm-bound",
+    ),
+    pytest.param(
+        _negated_gram_at_level_3, "spectral-bounds",
+        ("gram positivity n=3 at (2/5,3/10): False", "True"), id="spectral-gram-positivity",
+    ),
+    pytest.param(
+        _vacuum_added_to_each_step, "orthopoly-identities",
+        ("vacuum-polynomial-alphaq-+ P_1: [](1) + [1](1)", "[1](1)"), id="orthopoly-vacuum-polynomial",
+    ),
+    pytest.param(
+        _shifted_qt_operator_moment, "orthopoly-identities", ("qt-poisson m_3: 1", "2"),
+        id="orthopoly-moments",
+    ),
+    # the Al-Salam-Ismail recurrence fails at the first U_n coefficient it changes
+    pytest.param(
+        _perturbed_al_salam_ismail(_constant_beta), "orthopoly-substitution",
+        ("al-salam-ismail-substitution n=1 y^0: -1", "a multiple of t^1"),
+        id="substitution-not-divisible",
+    ),
+    pytest.param(
+        _perturbed_al_salam_ismail(_doubled_gamma), "orthopoly-substitution",
+        ("al-salam-ismail-substitution n=2 y^0: -2", "-1"), id="substitution-wrong-quotient",
+    ),
+    pytest.param(_shifted_qt_y_moment, "qt-identity", ("qt n=1: t", "0"), id="qt-identity"),
+    pytest.param(
+        _shifted_qt_wick_on_the_line, "qt-y5-fixture",
+        ("qt-y5 at q=0: t^2 + 3*t + 3", "t^2 + 2*t + 3"), id="qt-y5-fixture",
+    ),
+    pytest.param(
+        _group_without_its_last_element, "group-partition-counts", ("|group(1)|: 1", "2"),
+        id="group-order",
+    ),
+    pytest.param(
+        _set_partitions_without_n_alone, "group-partition-counts", ("colored count n=1: 0", "1"),
+        id="group-partition-counts",
+    ),
+]
+
+
+def test_every_default_check_has_a_failing_row():
+    assert {row.values[1] for row in FAILING_ROWS} == set(DEFAULT_REPORT_COUNTS)
+
+
+@pytest.mark.parametrize("perturb, row, sides", FAILING_ROWS)
+def test_each_default_check_fails_on_its_own_instance(monkeypatch, capsys, perturb, row, sides):
     """One side of one default check is perturbed: verify exits 1, only that
-    row fails, and its lhs names the instance where the sides part."""
+    row fails, with the sides of the instance where they part, and every
+    passing row keeps both sides empty."""
+    lhs, rhs = sides() if callable(sides) else sides
     perturb(monkeypatch)
     code, out = run_cli(capsys, "verify", "--suite", "all")
     assert code == 1
     rows = json.loads(out)["checks"]
     assert [r["name"] for r in rows if r["status"] == "fail"] == [row]
     (failed,) = [r for r in rows if r["name"] == row]
-    assert failed["lhs"].startswith(f"{instance}: ")
+    assert (failed["lhs"], failed["rhs"]) == (lhs, rhs)
+    assert all(r["lhs"] == r["rhs"] == "" for r in rows if r["status"] == "pass")
 
 
 def test_the_vector_suite_runs_up_to_the_guard():
@@ -622,19 +630,6 @@ def test_colored_count_follows_the_stirling_recurrence():
     for n in range(10):
         expected = sum(2 ** (n - len(blocks)) for blocks in oracles.set_partitions(n))
         assert cli._colored_count(n) == expected
-
-
-def test_group_check_sees_lost_set_partitions(monkeypatch, capsys):
-    """A set_partitions that never yields n as a singleton loses colored partitions,
-    and the expected count, taken from no partition walk, shows it."""
-    original = partitions.set_partitions
-    monkeypatch.setattr(
-        partitions, "set_partitions", lambda n: (p for p in original(n) if (n,) not in p)
-    )
-    code, out = run_cli(capsys, "verify", "--suite", "group")
-    assert code == 1
-    (row,) = json.loads(out)["checks"]
-    assert (row["lhs"], row["rhs"]) == ("colored count n=1: 0", "1")
 
 
 def test_verify_deterministic(capsys):

@@ -25,7 +25,6 @@ from bfock.fock import (
     type_b,
     vacuum_expectation,
 )
-from bfock.qt import QtSpec
 from bfock.scalars import (
     ALPHA,
     ONE,
@@ -82,6 +81,12 @@ def sigma_sum_oracle(n, space, weight=alpha_q_weight):
     return out
 
 
+def test_repr_and_a_foreign_comparison():
+    assert repr(FockVector(D2)) == "FockVector(0)"
+    assert repr(FockVector(D2, {(): ONE, (0, 1): ONE + ALPHA})) == "FockVector((1)|Ω⟩ + (a + 1)|12⟩)"
+    assert FockVector.vacuum(D2) != "Ω"  # __eq__ returns NotImplemented, so Python compares identities
+
+
 def test_generator_swap_and_sign():
     v = FockVector.basis(D2, (0, 1))
     assert act_generator(1, v) == FockVector.basis(D2, (1, 0))
@@ -116,11 +121,6 @@ def test_act_sigma_reduced_word_independence():
         v = FockVector.basis(D2, base_word)
         images = {tuple(sorted(act_word(w, v).coeffs.items())) for w in words}
         assert len(images) == 1
-
-
-def test_involution_rows_must_have_d_entries():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        SpaceSpec(2, ((1, 0), (0,)), 3)
 
 
 @pytest.mark.parametrize(
@@ -166,15 +166,6 @@ def test_symmetrizer_level_two_d1():
 
 def test_symmetrizer_zero_level():
     assert symmetrizer(0, D2) == [[ONE]]
-
-
-def test_symmetrizer_rejects_a_negative_level():
-    qt_space = QtSpec.make(2, truncation=6).space
-    for space, flavor in ((D2, "alpha-q"), (qt_space, "qt")):
-        with pytest.raises(ValueError, match="negative"):
-            symmetrizer(-1, space, flavor)
-        with pytest.raises(ValueError, match="exceeds truncation 6"):
-            symmetrizer(7, space, flavor)
 
 
 SWAP = SpaceSpec(2, ((F(0), F(1)), (F(1), F(0))), truncation=4)
@@ -231,14 +222,6 @@ def test_apply_symmetrizer_equals_the_level_matrices(flavor, space, level_matrix
             coeffs[word] = Poly({(0, m, 0): F(m + 1), (1, 0, n): F(-1, n)})
     v = FockVector(space, coeffs)
     assert apply_symmetrizer(v, flavor) == level_by_level(v, level_matrix)
-
-
-def test_unknown_flavor_raises_on_the_vacuum():
-    omega = FockVector.vacuum(D2)
-    with pytest.raises(ValueError, match="unknown symmetrizer flavor"):
-        apply_symmetrizer(omega, "bogus")
-    with pytest.raises(ValueError, match="unknown symmetrizer flavor"):
-        inner(omega, omega, "bogus")
 
 
 def slot_separating_vector(space, n):
@@ -429,32 +412,23 @@ def test_vacuum_expectation_examples():
     assert vacuum_expectation([type_b(UNIT, t)] * 3, D1) == (ONE + ALPHA) ** 2
 
 
-def test_truncation_guard():
-    tight = SpaceSpec.diagonal("+", truncation=1)
-    x = FockVector.basis(tight, (0,))
-    with pytest.raises(TruncationError):
-        apply_operator(create(UNIT), x)
-    with pytest.raises(TruncationError):
-        vacuum_expectation([create(UNIT)] * 2, tight)
-
-
 @pytest.mark.parametrize(
-    "op",
+    "op,match",
     [
-        create(UNIT),
-        annihilate(UNIT),
-        annihilate((F(1), F(0), F(1))),
-        gauge(ID1),
-        type_b(UNIT, frac_identity(2)),
-        type_b((F(1), F(1)), ID1),
+        (create(UNIT), "^create: vector has 1 coordinates, the space has d = 2$"),
+        (annihilate(UNIT), "^annihilate: vector has 1 coordinates, the space has d = 2$"),
+        (annihilate((F(1), F(0), F(1))), "^annihilate: vector has 3 coordinates, the space has d = 2$"),
+        (gauge(ID1), "^gauge: coefficient operator is not 2x2$"),
+        (type_b(UNIT, frac_identity(2)), "^b: vector has 1 coordinates, the space has d = 2$"),
+        (type_b((F(1), F(1)), ID1), "^b: coefficient operator is not 2x2$"),
     ],
     ids=["create", "annihilate-short", "annihilate-long", "gauge", "b-vector", "b-matrix"],
 )
-def test_operator_dimensions_must_match_the_space(op):
+def test_operator_dimensions_must_match_the_space(op, match):
     v = FockVector.basis(D2, (1, 1))
-    with pytest.raises(ValueError, match="d = 2|2x2"):
+    with pytest.raises(ValueError, match=match):
         apply_operator(op, v)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=match):
         vacuum_expectation([op, op], D2)
 
 

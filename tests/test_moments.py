@@ -1,6 +1,7 @@
 """Moment formulas: cumulants, the colored-partition identity, corollaries."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -277,20 +278,8 @@ LINE = SpaceSpec.diagonal("+", truncation=2)
 )
 def test_floats_are_refused_at_the_exact_boundary(call):
     # a float is never turned into a Fraction, nor let into the integer kernels
-    with pytest.raises(TypeError, match="not a rational value"):
+    with pytest.raises(TypeError, match="^not a rational value: "):
         call()
-
-
-def test_moment_problem_needs_one_vector_operator_and_shift_per_point():
-    with pytest.raises(ValueError, match="equal lengths"):
-        MomentProblem.build([(F(1),)], [], [F(0)], LINE)
-
-
-def test_partition_sums_are_guarded():
-    with pytest.raises(ResourceLimitError, match=f"n <= {MAX_WICK_N}"):
-        wick_moment(unit_problem(MAX_WICK_N + 1))
-    with pytest.raises(ResourceLimitError, match="n <= 8"):
-        oracles.colored_wick_moment(unit_problem(9))
 
 
 def test_the_wick_guard_fits_the_arc_fields():
@@ -298,18 +287,13 @@ def test_the_wick_guard_fits_the_arc_fields():
     assert MAX_WICK_N < 1 << _ARC_BITS
 
 
-def unpruned_vacuum_expectation(prob):
-    v = FockVector.vacuum(prob.space)
-    for op in reversed(prob.operators()):
-        v = apply_operator(op, v)
-    return v.coeff(())
-
-
 @pytest.mark.parametrize("which", sorted(INVOLUTIONS))
 def test_pruned_vacuum_expectation_matches_unpruned_loop(which):
+    # vacuum_expectation passes each factor a horizon; the oracle forms every word
     for n in range(7):
         prob = involution_problem(600 + n, n, which)
-        assert vacuum_expectation(prob.operators(), prob.space) == unpruned_vacuum_expectation(prob)
+        ops = prob.operators()
+        assert vacuum_expectation(ops, prob.space) == oracles.vacuum_coefficients(ops, prob.space)[-1]
 
 
 def test_horizon_only_drops_longer_words():
@@ -362,15 +346,6 @@ def test_vector_formula_matches_the_colored_extended_sum_fuzzed(prob, data):
     assert vector_formula(eps, prob) == oracles.colored_vector_formula(eps, prob)
 
 
-def test_vector_formula_is_guarded_and_checks_its_word():
-    with pytest.raises(ResourceLimitError, match=f"n <= {MAX_VECTOR_N}"):
-        vector_formula("*" * (MAX_VECTOR_N + 1), unit_problem(MAX_VECTOR_N + 1))
-    with pytest.raises(ValueError, match="eps must be over"):
-        vector_formula(("*", "x"), unit_problem(2))
-    with pytest.raises(ValueError, match="one symbol per point"):
-        vector_formula(("*", "1"), unit_problem(3))
-
-
 @pytest.mark.parametrize("which", ["diagonal", "reflection"])
 @pytest.mark.parametrize("n", range(MAX_VECTOR_N + 1))
 def test_the_sweeps_equal_the_per_call_functions_on_every_word(which, n):
@@ -421,7 +396,7 @@ def test_the_sweeps_are_guarded(sweep):
 def test_both_sides_of_the_vector_identity_check_the_word(eps):
     prob = unit_problem(2)
     for side in (eps_word_vector, vector_formula):
-        with pytest.raises(ValueError, match="one symbol per point"):
+        with pytest.raises(ValueError, match=re.escape("eps must be over {*, 1, '} with one symbol per point")):
             side(eps, prob)
 
 
@@ -557,18 +532,6 @@ def test_alpha_zero_kills_negative_arcs():
     assert all(exp[0] == 0 for exp in specialized.terms)
 
 
-def test_corollary_precondition_errors():
-    prob = unit_problem(2, lam=1)
-    with pytest.raises(ValueError):
-        corollary_q_case(prob)
-    space = SpaceSpec.diagonal("-", truncation=2)
-    bad = MomentProblem.build(
-        xs=[(F(1),)] * 2, ts=[((F(1),),)] * 2, lams=[F(0)] * 2, space=space
-    )
-    with pytest.raises(ValueError):
-        corollary_free_alpha(bad)
-
-
 @pytest.mark.parametrize(
     "t",
     [((F(1), F(0), F(0)), (F(0), F(1), F(0))), ((F(1),), (F(0),))],
@@ -579,7 +542,7 @@ def test_moment_problem_rejects_a_t_of_the_wrong_shape(t):
     # the kernels zip rows with vectors, so a wrong shape would go unnoticed
     space = SpaceSpec.diagonal("+-", truncation=3)
     x = (F(1), F(1))
-    with pytest.raises(ValueError, match="dimensions"):
+    with pytest.raises(ValueError, match="^vector/operator dimensions must match the space$"):
         MomentProblem(xs=(x, x, x), ts=(t, t, t), lams=(F(0),) * 3, space=space)
 
 

@@ -96,14 +96,6 @@ def test_qt_y_moment_matches_the_poly_oracle(n):
     assert qt_y_moment(xs, ts, spec) == oracles.vacuum_expectation(ops, spec.space)
 
 
-def test_an_exponent_reaching_two_to_the_twenty_raises():
-    # slot 1 of a length-3 word adds q^2 to q^(2^20 - 2)
-    space = SpaceSpec.diagonal("+", truncation=4)
-    v = FockVector(space, {(0, 0, 0): Poly.monomial(F(1, 3), eq=2**20 - 2)})
-    with pytest.raises(ValueError, match="2\\^20"):
-        apply_operator(OpSpec("annihilate", x=(F(1),)), v)
-
-
 X2 = (F(1), F(2))
 T2 = ((F(1), F(0)), (F(0), F(1)))
 

@@ -1,6 +1,5 @@
 """Colored/extended partition enumeration and statistics."""
 
-import re
 import tracemalloc
 from collections import Counter, defaultdict
 from itertools import permutations, product
@@ -8,7 +7,6 @@ from itertools import permutations, product
 import pytest
 
 import oracles
-from bfock.errors import ResourceLimitError
 from bfock.partitions import (
     EPS_ALPHABET,
     ONE_SYM,
@@ -273,15 +271,6 @@ def test_eps_enumeration_matches_compatibility_filter(n):
         assert direct == by_word.get(eps, Counter())
 
 
-def test_block_order_validation():
-    with pytest.raises(ValueError):
-        ColoredPartition(n=2, blocks=((2,), (1,)), colors=((), ()))
-    with pytest.raises(ValueError):
-        ColoredPartition(n=2, blocks=((1, 2),), colors=((2,),))
-    with pytest.raises(ValueError, match="only blocks of size >= 2 may be marked"):
-        ColoredPartition(n=1, blocks=((1,),), colors=((),), marked=frozenset({0}))
-
-
 @pytest.mark.parametrize(
     "blocks,colors,match",
     [
@@ -296,34 +285,10 @@ def test_colored_partition_validation(blocks, colors, match):
         ColoredPartition(n=2, blocks=blocks, colors=colors)
 
 
-def test_the_partition_layer_checks_a_word_as_the_moments_do():
-    message = re.escape("eps must be over {*, 1, '} with one symbol per point")
-    p = next(enumerate_extended(2))
-    for eps in (("*",), ("*", "x")):
-        with pytest.raises(ValueError, match=message):
-            oracles.eps_compatible(p, eps)
-    with pytest.raises(ValueError, match=message):
-        next(enumerate_extended_eps(("*", "x")))
-
-
 @pytest.mark.parametrize("marked", [5, 2, -1])
 def test_marked_index_must_name_a_block(marked):
     with pytest.raises(ValueError, match="out of range"):
         ColoredPartition(n=3, blocks=((2,), (1, 3)), colors=((), (1,)), marked=frozenset({marked}))
-
-
-def test_negative_n_is_rejected():
-    with pytest.raises(ValueError, match="negative"):
-        next(set_partitions(-1))
-    with pytest.raises(ValueError, match="negative"):
-        ColoredPartition(n=-1, blocks=(), colors=())
-
-
-def test_resource_guards():
-    with pytest.raises(ResourceLimitError):
-        list(enumerate_colored(11))
-    with pytest.raises(ResourceLimitError):
-        list(enumerate_extended(9))
 
 
 @pytest.mark.parametrize("n", range(7))

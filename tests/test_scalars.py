@@ -1,5 +1,6 @@
 """Scalar ring: arithmetic, evaluation homomorphism, q-integers, the Fraction oracle."""
 
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -47,8 +48,12 @@ def test_eval_substitution():
     p = (ONE + ALPHA) * (ONE + Q)
     assert p.evaluate(F(-2, 5), F(3, 10)) == F(3, 5) * F(13, 10)
     assert p.evaluate(F(-2, 5), F(3, 10)) == F(39, 50)
-    with pytest.raises(TypeError):
-        ZERO.evaluate(0.5, F(1, 3))
+
+
+def test_repr_and_a_foreign_comparison():
+    assert repr(ZERO) == "Poly(0)"
+    assert repr(ONE + Q) == "Poly(q + 1)"
+    assert ONE != "1"  # __eq__ returns NotImplemented, so Python compares identities
 
 
 def test_arith_basics():
@@ -178,21 +183,6 @@ def test_poly_matches_the_fraction_oracle(a, b, c, scalar, k):
     assert hash(p + r) == hash(r + p)  # equal values, terms in another order
 
 
-def test_exponent_bound_raises_at_construction():
-    with pytest.raises(ValueError):
-        Poly.monomial(1, eq=2**20)
-    with pytest.raises(ValueError):
-        Poly({(0, 0, -1): 1})
-
-
-def test_exponent_bound_raises_in_a_product():
-    half = Poly.monomial(1, eq=2**19)
-    with pytest.raises(ValueError):
-        half * half
-    with pytest.raises(ValueError):
-        Poly.monomial(1, ea=2**20 - 1) * ALPHA
-
-
 def test_power_does_not_square_past_its_last_bit():
     assert Q ** (2**19) == Poly.monomial(1, eq=2**19)
     assert (ALPHA * T) ** (2**20 - 1) == Poly.monomial(1, ea=2**20 - 1, et=2**20 - 1)
@@ -267,13 +257,6 @@ def test_an_indefinite_matrix_is_refuted(m):
     assert not is_semidefinite(m, definite=True)
 
 
-def test_the_certificate_needs_a_symmetric_matrix():
-    with pytest.raises(ValueError, match="symmetric"):
-        is_semidefinite([[1, 2], [0, 1]])
-    with pytest.raises(ValueError, match="symmetric"):
-        is_semidefinite([[1, 0]])
-
-
 def test_mat_to_int_clears_one_common_denominator():
     m, den = mat_to_int([[ALPHA, Q], [ONE, ALPHA * Q]], F(2, 5), F(3, 10))
     assert den == 50
@@ -336,17 +319,20 @@ def test_exact_gram_verdict_matches_sylvesters_criterion(n):
         assert is_semidefinite(m, definite=True) == sylvester == definite, (alpha, q)
 
 
+RAGGED = "^a matrix needs at least one row and rows of one length$"
+
+
 @pytest.mark.parametrize(
-    "product,a,b",
+    "product,a,b,match",
     [
-        (mat_mul, [[ONE, Q]], [[ONE]]),
-        (mat_mul, [[ONE, ONE]], [[ONE, Q], [ONE]]),
-        (mat_kron, [[ONE], [ONE, Q]], [[ONE]]),
-        (mat_kron, [], [[ONE]]),
-        (lambda a, _: frac_matrix(a), [[1, 2]], None),
+        (mat_mul, [[ONE, Q]], [[ONE]], re.escape("cannot multiply a (1, 2) matrix by a (1, 1) one")),
+        (mat_mul, [[ONE, ONE]], [[ONE, Q], [ONE]], RAGGED),
+        (mat_kron, [[ONE], [ONE, Q]], [[ONE]], RAGGED),
+        (mat_kron, [], [[ONE]], RAGGED),
+        (lambda a, _: frac_matrix(a), [[1, 2]], None, "^matrix must be square$"),
     ],
     ids=["mul-inner-mismatch", "mul-ragged", "kron-ragged", "kron-empty", "frac-not-square"],
 )
-def test_matrix_products_reject_shapes_that_do_not_fit(product, a, b):
-    with pytest.raises(ValueError, match="matri"):
+def test_matrix_products_reject_shapes_that_do_not_fit(product, a, b, match):
+    with pytest.raises(ValueError, match=match):
         product(a, b)
