@@ -48,7 +48,7 @@ from .partitions import (
     enumerate_extended_eps,
     statistics,
 )
-from .qt import QtSpec, qt_annihilate, qt_apply, qt_create, qt_gauge, qt_wick, qt_y, qt_y_moment
+from .qt import QtSpec, qt_apply, qt_wick, qt_y_moment
 from .scalars import ALPHA, ONE, Poly, Q, T, ZERO, qint, qtint
 
 __version__ = "0.1.0"
@@ -61,8 +61,7 @@ __all__ = [
     "annihilate", "apply_operator", "create", "cumulant_block",
     "enumerate_colored", "enumerate_extended", "enumerate_extended_eps",
     "enumerate_group", "eps_word_vector", "family", "gauge", "inner",
-    "moments_from_jacobi", "polys", "qint", "qt_annihilate", "qt_apply",
-    "qt_create", "qt_gauge", "qt_wick", "qt_y", "qt_y_moment", "qtint",
+    "moments_from_jacobi", "polys", "qint", "qt_apply", "qt_wick", "qt_y_moment", "qtint",
     "r_operator", "statistics", "substitution_check", "symmetrizer", "type_b",
     "vacuum_expectation", "vacuum_polynomial_identity", "vector_formula",
     "verify_moment_identity", "wick_moment",

@@ -528,10 +528,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orthopoly", help="polynomial tables and moment sequences")
     p.add_argument("--family", choices=list(_ORTHOPOLY_READS), required=True)
     p.add_argument("--N", type=_nonnegative_int, required=True)
-    for name in ("alpha", "q", "t"):
+    needs = {"alpha": "default 0", "q": "default 0", "t": "required there, with 0 < t < 1"}
+    for name, need in needs.items():
         readers = ", ".join(family for family, names in _ORTHOPOLY_READS.items() if name in names)
         p.add_argument(f"--{name}", type=_fraction, default=None,
-                       help=f"--mode rational only, read by {readers}; default 0")
+                       help=f"--mode rational only, read by {readers}; {need}")
     p.add_argument("--mode", choices=["symbolic", "rational"], default="symbolic")
     common(p)
     p.set_defaults(func=cmd_orthopoly)

@@ -2,6 +2,11 @@
 
 The base space H is a d-dimensional rational vector space carrying a
 symmetric involution J with J^2 = I (default: a diagonal ±1 signature).
+``SpaceSpec.model`` is the one switch between the two deformed spaces:
+``"alpha-q"``, the type-B (α,q)-Fock space, and ``"qt"``, Blitvić's
+(q,t)-Fock space, which has no involution term and so exists only for J = I.
+Every symmetrizer, inner product and operator reads the model from the space
+it acts on, so an operator of one model cannot meet a space of the other.
 A :class:`FockVector` stores a finite linear combination of basis words
 (tuples over ``range(d)``, length at most the truncation) with ``Poly``
 coefficients, so every operator identity can be asserted exactly.
@@ -13,14 +18,15 @@ permutation w in B_n moves slot k of a level-n word to slot |w(k)|, through J
 when w(k) < 0; a level's slot table holds each element's slot sources, mask of
 slots sent through J, and exponent.  A basis word is spread through J once per
 mask and each element only permutes the spreads, for every symmetrizer (matrix,
-vector action, both flavors).  The generators replay a word letter by letter
+vector action, both models).  The generators replay a word letter by letter
 and read J through ``SpaceSpec.involve_basis``, never the slot table:
 ``r_operator`` replays its generator words on (word, coefficient) pairs
 through them, so the factorization P(n) = (P(n-1) ⊗ I) R(n) holds two
 independent paths against each other.  ``tests/oracles.py`` keeps the
 generators' action on whole vectors (``act_generator``, ``act_word``) as the
-oracle of that replay.  The (q,t) flavor, like the (q,t) operator kinds, is
-defined only on a space with the trivial involution.
+oracle of that replay.  ``r_operator``, like the vector formulas and the
+corollaries of ``moments``, is a type-B result and refuses a (q,t) space
+through ``_require_type_b``.
 
 Operators follow the right-creator convention: creation appends at the
 right end of a word, the free right annihilator removes the rightmost slot,
@@ -37,7 +43,7 @@ operator per point, without leaving ints: ``apply_operator`` walks one
 operator, ``vacuum_expectation`` and ``moments.eps_word_vector`` one product,
 and ``moments.eps_word_vectors`` every eps operator at every point.  The
 annihilator (the row x, appending nothing) and the gauge (the rows T_m,
-appending m) share the slot loop; the two models differ only in the weight
+appending m) share the slot loop; the space's model sets only the weight
 of the slot-k term of a length-n word, read off a row and J·row (J is
 symmetric, so (TJ)[m] = J T_m):
 
@@ -96,13 +102,16 @@ Weights = list[tuple[Callable[[Word], Word], int, Exponent]]
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """Dimension, involution and truncation level of the coefficient space."""
+    """Dimension, involution, truncation and model ("alpha-q", or "qt" with J = I) of the space."""
 
     d: int
     involution: FracMatrix
     truncation: int
+    model: str = "alpha-q"
 
     def __post_init__(self) -> None:
+        if self.model not in ("alpha-q", "qt"):
+            raise ValueError(f"unknown model {self.model!r}")
         if self.d < 1 or self.truncation < 1:
             raise ValueError("dimension and truncation must be positive")
         j = self.involution
@@ -114,9 +123,11 @@ class SpaceSpec:
             raise ValueError("involution must be symmetric")
         if frac_mat_mul(j, j) != frac_identity(self.d):
             raise ValueError("involution must square to the identity")
+        if self.model == "qt" and frac_matrix(j) != frac_identity(self.d):
+            raise ValueError("(q,t) model requires the trivial involution")
 
     @classmethod
-    def diagonal(cls, signature: str, truncation: int) -> SpaceSpec:
+    def diagonal(cls, signature: str, truncation: int, model: str = "alpha-q") -> SpaceSpec:
         """Signature string over '+'/'-', e.g. '+-' for diag(1, -1)."""
         signs = []
         for ch in signature:
@@ -128,7 +139,7 @@ class SpaceSpec:
             tuple(signs[i] if i == k else Fraction(0) for k in range(d))
             for i in range(d)
         )
-        return cls(d=d, involution=j, truncation=truncation)
+        return cls(d=d, involution=j, truncation=truncation, model=model)
 
     def involve_basis(self, letter: int) -> FracVector:
         """J e_letter as a coordinate vector (column of J)."""
@@ -267,21 +278,19 @@ def _spread(word: Word, flipped: int, columns: list) -> list[tuple[Word, Rationa
             for picks in product(*choices)]
 
 
-def _level_weights(n: int, flavor: str) -> Weights:
-    """(take, flipped, exponent) of every element in the flavor's level-n
+def _level_weights(n: int, model: str) -> Weights:
+    """(take, flipped, exponent) of every element in the model's level-n
     symmetrizer, in ``enumerate_group`` order.
 
     alpha-q: a^l1 q^l2 over B_n.  qt: t^C(n,2) P^(n)_{0, q/t}, the l1 = 0 part
     as q^l2 t^(C(n,2) - l2), a polynomial since l2 <= C(n,2).
     """
     elements = [(r.window, r.l1, r.l2) for r in enumerate_group(n)]
-    if flavor == "alpha-q":
-        return [(*_slot_entry(window), (l1, l2, 0)) for window, l1, l2 in elements]
-    if flavor == "qt":
+    if model == "qt":
         top = n * (n - 1) // 2
         return [(*_slot_entry(window), (0, l2, top - l2))
                 for window, l1, l2 in elements if l1 == 0]
-    raise ValueError(f"unknown symmetrizer flavor {flavor!r}")
+    return [(*_slot_entry(window), (l1, l2, 0)) for window, l1, l2 in elements]
 
 
 def _symmetrized_word(word: Word, weights: Weights, columns: list) -> list[tuple[Word, Poly]]:
@@ -303,11 +312,11 @@ def basis_words(d: int, n: int) -> list[Word]:
     return list(product(range(d), repeat=n))
 
 
-def _require_trivial_involution(space: SpaceSpec) -> None:
-    """The (q,t) model has no involution term, so its flavor and kinds are
-    defined on a space with J = I only; raise ValueError on any other."""
-    if space.involution != frac_identity(space.d):
-        raise ValueError("(q,t) model requires the trivial involution")
+def _require_type_b(space: SpaceSpec, name: str) -> None:
+    """name is a type-B result (the recursion factor, the vector formulas, the
+    corollaries): raise ValueError on a (q,t) space."""
+    if space.model != "alpha-q":
+        raise ValueError(f"{name} is defined on the type-B (alpha-q) space only")
 
 
 def _guard_matrix_dim(d: int, n: int) -> None:
@@ -336,17 +345,15 @@ def matrix_of_level_map(
     )
 
 
-def symmetrizer(n: int, space: SpaceSpec, flavor: str = "alpha-q") -> Matrix:
-    """The flavor's level-n symmetrizer as a d^n matrix: sum_sigma a^l1 q^l2 sigma
+def symmetrizer(n: int, space: SpaceSpec) -> Matrix:
+    """The space's level-n symmetrizer as a d^n matrix: sum_sigma a^l1 q^l2 sigma
     for alpha-q, t^C(n,2) P^(n)_{0, q/t} for qt (see _level_weights)."""
     if n < 0:
         raise ValueError(f"level {n} is negative")
     if n > space.truncation:
         raise ValueError(f"level {n} exceeds truncation {space.truncation}")
     _guard_matrix_dim(space.d, n)  # before B_n is enumerated
-    if flavor == "qt":
-        _require_trivial_involution(space)
-    weights, columns = _level_weights(n, flavor), _involution_columns(space)
+    weights, columns = _level_weights(n, space.model), _involution_columns(space)
     return _level_matrix(lambda word: _symmetrized_word(word, weights, columns), space.d, n, n)
 
 
@@ -363,6 +370,7 @@ def r_operator(n: int, space: SpaceSpec) -> Matrix:
     each image gathers its exponents and builds its Poly once, as in
     ``_symmetrized_word``.
     """
+    _require_type_b(space, "r_operator")
     if not 1 <= n <= space.truncation:
         raise ValueError(f"level {n} out of range")
     flip = [*range(n - 1, 0, -1), 0]
@@ -391,9 +399,9 @@ def r_operator(n: int, space: SpaceSpec) -> Matrix:
 class OpSpec:
     """An operator on the Fock space, by kind and parameters.
 
-    Kinds: create, annihilate, gauge, b (= annihilate + create + gauge + λ·I),
-    all with the type-B slot weight, and the (q,t) variants qt-create,
-    qt-annihilate, qt-gauge, qt-y (= b with λ = 0), with the (q,t) slot weight.
+    Kinds: create, annihilate, gauge, b (= annihilate + create + gauge + λ·I).
+    The model of the space the operator acts on sets its slot weight: on a
+    (q,t) space, b with λ = 0 is the (q,t) field operator Y.
     """
 
     kind: str
@@ -424,30 +432,23 @@ def type_b(
     return OpSpec("b", x=frac_vector(x), t=frac_matrix(t), lam=_as_fraction(lam))
 
 
-# the (q,t) kinds run the type-B kernel with the (q,t) slot weight; Y is b with λ = 0
-_QT_KINDS = {"qt-create": "create", "qt-annihilate": "annihilate", "qt-gauge": "gauge", "qt-y": "b"}
-
-
 def check_dimensions(op: OpSpec, space: SpaceSpec) -> None:
     """Raise ValueError unless the kind is known, the operator has the vector and
-    matrix its kind reads and no field it does not read, they fit the space,
-    and a (q,t) kind's space has the trivial involution; TypeError unless every
-    entry of x, T and lambda is an int or a Fraction."""
-    kind = _QT_KINDS.get(op.kind, op.kind)
-    if kind not in ("create", "annihilate", "gauge", "b"):
+    matrix its kind reads and no field it does not read, and they fit the
+    space; TypeError unless every entry of x, T and lambda is an int or a
+    Fraction."""
+    if op.kind not in ("create", "annihilate", "gauge", "b"):
         raise ValueError(f"unknown operator kind {op.kind!r}")
-    if op.x is None and kind != "gauge":
+    if op.x is None and op.kind != "gauge":
         raise ValueError(f"{op.kind}: the vector x is missing")
-    if op.t is None and kind in ("gauge", "b"):
+    if op.t is None and op.kind in ("gauge", "b"):
         raise ValueError(f"{op.kind}: the coefficient operator T is missing")
-    if op.x is not None and kind == "gauge":
+    if op.x is not None and op.kind == "gauge":
         raise ValueError(f"{op.kind}: reads no vector x")
-    if op.t is not None and kind in ("create", "annihilate"):
+    if op.t is not None and op.kind in ("create", "annihilate"):
         raise ValueError(f"{op.kind}: reads no coefficient operator T")
     if op.lam and op.kind != "b":
         raise ValueError(f"{op.kind}: reads no shift lambda, got {op.lam}")
-    if op.kind in _QT_KINDS:
-        _require_trivial_involution(space)
     d = space.d
     if op.x is not None and len(op.x) != d:
         raise ValueError(f"{op.kind}: vector has {len(op.x)} coordinates, the space has d = {d}")
@@ -477,17 +478,16 @@ def _int_step(
 
     L clears x, T and lambda, delta J is the integer form of J, and each term
     carries both: L delta x for a creation, L delta lambda, and at slot k of a
-    length-n word L delta row (q^(n-k), times t^(k-1) for the (q,t) kinds) and
+    length-n word L delta row (q^(n-k), times t^(k-1) on a (q,t) space) and
     (delta J)(L row) (a q^(n+k-2), type B only).  Words longer than the
     horizon (if given) are never formed.
     """
-    qt = op.kind in _QT_KINDS
-    kind = _QT_KINDS.get(op.kind, op.kind)
+    qt = space.model == "qt"
     x, t = op.x or (), op.t or ()
     scale = lcm(*(v.denominator for v in chain(x, *t)), op.lam.denominator)
     x_int = _scaled(x, scale)
-    rows = [((), x_int)] if kind in ("annihilate", "b") else []  # the annihilator appends nothing
-    if kind in ("gauge", "b"):
+    rows = [((), x_int)] if op.kind in ("annihilate", "b") else []  # the annihilator appends nothing
+    if op.kind in ("gauge", "b"):
         rows += [((m,), _scaled(row, scale)) for m, row in enumerate(t)]  # the gauge appends m
     # per slot weight (the row: 0, J·row: 1), the (suffix, weights by letter) pairs
     slots: list[list[tuple[Word, list[int]]]] = [
@@ -497,7 +497,7 @@ def _int_step(
     ]
     shortening = [[(suffix, weights) for suffix, weights in weighted if not suffix]
                   for weighted in slots]
-    creating = kind in ("create", "b")
+    creating = op.kind in ("create", "b")
     creates = [(letter, delta * v) for letter, v in enumerate(x_int) if v] if creating else []
     lam = op.lam.numerator * (scale // op.lam.denominator) * delta
 
@@ -628,21 +628,18 @@ def apply_operator(op: OpSpec, v: FockVector, horizon: int | None = None) -> Foc
 # -- inner products and the vacuum state --------------------------------------
 
 
-def apply_symmetrizer(v: FockVector, flavor: str) -> FockVector:
-    """Level-wise application of the flavor's symmetrizer."""
-    if flavor == "qt":
-        _require_trivial_involution(v.space)
-    weights = {n: _level_weights(n, flavor) for n in {0, *v.levels()}}
+def apply_symmetrizer(v: FockVector) -> FockVector:
+    """Level-wise application of the symmetrizer of v's space."""
+    weights = {n: _level_weights(n, v.space.model) for n in {0, *v.levels()}}
     columns = _involution_columns(v.space)
     return _images(lambda word: _symmetrized_word(word, weights[len(word)], columns), v)
 
 
-def inner(u: FockVector, v: FockVector, flavor: str = "alpha-q") -> Poly:
-    """The flavor's deformed inner product: the word-orthonormal pairing of u
-    with the flavor's symmetrizer applied to v (alpha-q: the type-B space,
-    qt: the (q,t) model)."""
+def inner(u: FockVector, v: FockVector) -> Poly:
+    """The deformed inner product of the vectors' space: the word-orthonormal
+    pairing of u with the space's symmetrizer applied to v."""
     u._check_space(v)
-    v = apply_symmetrizer(v, flavor)
+    v = apply_symmetrizer(v)
     return Poly.sum(coeff * v.coeffs[word] for word, coeff in u.coeffs.items() if word in v.coeffs)
 
 

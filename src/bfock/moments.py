@@ -29,16 +29,19 @@ the active blocks ordered by last element, so a point that joins the r-th
 oldest of h active blocks makes an arc of cover r and h-1-r crossings, and
 every prefix that leaves the same active blocks and frozen count merges into
 one int dict (930 states at n=8 in place of 10,576 prefixes).  Its
-parameters are the choices at an arc and one alphabet of letters per point:
-``wick_moment`` and ``vector_formula`` share the type-B choices above (f = 0
-under the letter None), and ``qt.qt_wick`` has the one choice (I, t^c).
+parameters are the choices at an arc and one alphabet of letters per point.
+``wick_moment`` reads them off its space's model: on a type-B space the
+choices above, which ``vector_formula`` shares (f = 0 under the letter None),
+and on a (q,t) space the one choice (I, t^c), the q^rc t^nest weight of
+Blitvić's moment formula.  The vector formulas and the corollaries are
+type-B results and refuse a (q,t) space.
 
 One walk per side, ``fock._sweep`` over the prefixes of the words over the
 per-point alphabets, runs every entry point: it yields one result per word
 in ``product`` order, words with a common prefix share all the work up to
 its end, and a prefix whose level or vector is zero yields zero for its
 whole subtree.  ``_partition_walk`` takes one level step of the kernel per
-edge: ``wick_moment`` and ``qt.qt_wick`` walk the one word of None letters,
+edge: ``wick_moment`` walks the one word of None letters,
 ``vector_formula`` one eps word, and ``vector_formulas`` the eps alphabet at
 every point.  ``fock._operator_walk`` takes one ``fock._int_step`` per edge
 in the same way for ``eps_word_vector`` and ``eps_word_vectors``.
@@ -94,6 +97,7 @@ from .fock import (
     SpaceSpec,
     Word,
     _operator_walk,
+    _require_type_b,
     _sweep,
     type_b,
     vacuum_expectation,
@@ -127,6 +131,7 @@ from .scalars import (
     frac_mat_vec,
     frac_matrix,
     frac_vector,
+    is_symmetric,
 )
 
 MAX_WICK_N = 10  # the kernel's 4-bit arc fields (_ARC_BITS) need n < 16
@@ -150,8 +155,12 @@ class MomentProblem:
             len(t) != d or any(len(row) != d for row in t) for t in self.ts
         ):
             raise ValueError("vector/operator dimensions must match the space")
-        # the point operators refuse a float (TypeError) and a T that is not symmetric (ValueError)
-        self.operators()
+        # what the point operators would refuse: a float (TypeError), a T that is not symmetric
+        for values in (*self.xs, *(row for t in self.ts for row in t), self.lams):
+            for entry in values:
+                _as_fraction(entry)
+        if not all(map(is_symmetric, self.ts)):
+            raise ValueError("gauge coefficient operator must be symmetric")
 
     @classmethod
     def build(
@@ -482,8 +491,9 @@ def _int_mat_vec(m: list[list[int]], vec: list[int]) -> list[int]:
     return [sum(map(mul, row, vec)) for row in m]
 
 
-def _type_b_choices(space: SpaceSpec) -> tuple[_ArcChoice, ...]:
-    """q^f_in (I + a q^(2(c + f_left)) J), both colors of an arc."""
+def _type_b_choices(space: SpaceSpec, name: str) -> tuple[_ArcChoice, ...]:
+    """q^f_in (I + a q^(2(c + f_left)) J), both colors of an arc, for name on a type-B space."""
+    _require_type_b(space, name)
     return (
         (frac_identity(space.d), lambda c, f_left, f_in: (0, f_in, 0)),
         (space.involution, lambda c, f_left, f_in: (1, 2 * (c + f_left) + f_in, 0)),
@@ -491,13 +501,18 @@ def _type_b_choices(space: SpaceSpec) -> tuple[_ArcChoice, ...]:
 
 
 def wick_moment(prob: MomentProblem) -> Poly:
-    """Exact color-summed partition sum for phi(B(x_n)···B(x_1)).
+    """Exact color-summed partition sum for phi(B(x_n)···B(x_1)) in prob's model.
 
-    The partition sum with (I + a q^(2c) J), both colors of an arc of cover
-    count c, at every arc.  Equals the term-by-term colored sum
-    (``tests/oracles.py``).
+    At an arc of cover count c: (I + a q^(2c) J), both colors, on a type-B
+    space, which equals the term-by-term colored sum (``tests/oracles.py``);
+    t^c on a (q,t) space, the q^rc t^nest sum.  Singletons give their lambda.
     """
-    return next(_partition_walk(prob, _type_b_choices(prob.space), ((None,),) * prob.n)).get((), ZERO)
+    space = prob.space
+    if space.model == "qt":
+        choices = ((frac_identity(space.d), lambda c, f_left, f_in: (0, 0, c)),)
+    else:
+        choices = _type_b_choices(space, "wick_moment")
+    return next(_partition_walk(prob, choices, ((None,),) * prob.n)).get((), ZERO)
 
 
 def vector_formula(eps: Sequence[str], prob: MomentProblem) -> FockVector:
@@ -505,7 +520,8 @@ def vector_formula(eps: Sequence[str], prob: MomentProblem) -> FockVector:
     sum with q^f_in (I + a q^(2(c + f_left)) J) at every arc."""
     check_eps(eps, prob.n)
     _guard_vector_n(prob, "vector_formula")
-    walk = _partition_walk(prob, _type_b_choices(prob.space), [(symbol,) for symbol in eps])
+    choices = _type_b_choices(prob.space, "vector_formula")
+    walk = _partition_walk(prob, choices, [(symbol,) for symbol in eps])
     return FockVector(prob.space, next(walk))
 
 
@@ -548,7 +564,8 @@ def vector_formulas(prob: MomentProblem) -> Iterator[FockVector]:
     """``vector_formula`` of every eps word of length n, in product order:
     one partition walk over the eps alphabet at every point."""
     _guard_vector_n(prob, "vector_formulas")
-    walk = _partition_walk(prob, _type_b_choices(prob.space), (EPS_ALPHABET,) * prob.n)
+    choices = _type_b_choices(prob.space, "vector_formulas")
+    walk = _partition_walk(prob, choices, (EPS_ALPHABET,) * prob.n)
     return (FockVector(prob.space, sums) for sums in walk)
 
 
@@ -577,7 +594,7 @@ def _plain_chains(blocks: Sequence[tuple[int, ...]], chain: Callable[..., Fracti
 
 def corollary_q_case(prob: MomentProblem) -> Poly:
     """Specialized sum at alpha = 0, lambda = 0: q^rc over singleton-free partitions."""
-    _require_zero_lams(prob)
+    _require_corollary_case(prob, "corollary_q_case")
     chain = _chain_values(prob)
     return Poly.sum(
         Poly.monomial(_plain_chains(blocks, chain), eq=arc_covers(blocks)[0])
@@ -587,7 +604,7 @@ def corollary_q_case(prob: MomentProblem) -> Poly:
 
 def corollary_gaussian(prob: MomentProblem) -> Poly:
     """Specialized sum at T = 0, lambda = 0: colored pair partitions only."""
-    _require_zero_lams(prob)
+    _require_corollary_case(prob, "corollary_gaussian")
     chain = _chain_values(prob)
     terms = []
     for p in enumerate_colored(prob.n, "pairs-only"):
@@ -605,7 +622,7 @@ def corollary_free_alpha(prob: MomentProblem) -> Poly:
     the arcs of cover 0.  Requires involution-fixed vectors (x̄ = x);
     otherwise the collapsed form does not represent the colored sum.
     """
-    _require_zero_lams(prob)
+    _require_corollary_case(prob, "corollary_free_alpha")
     for x in prob.xs:
         if prob.space.involve(x) != x:
             raise ValueError("free-alpha case requires involution-fixed vectors")
@@ -619,7 +636,8 @@ def corollary_free_alpha(prob: MomentProblem) -> Poly:
     return Poly.sum(terms)
 
 
-def _require_zero_lams(prob: MomentProblem) -> None:
+def _require_corollary_case(prob: MomentProblem, name: str) -> None:
+    _require_type_b(prob.space, name)
     if any(prob.lams):
         raise ValueError("corollary cases require lambda = 0")
 

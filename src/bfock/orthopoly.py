@@ -27,7 +27,6 @@ from typing import Callable
 from .errors import ResourceLimitError
 from .fock import FockVector, OpSpec, SpaceSpec, apply_operator, type_b
 from .moments import VerifyReport, compare
-from .qt import QtSpec, qt_y
 from .scalars import ALPHA, ONE, Poly, ZERO, qint, qtint
 
 MAX_VACUUM_IDENTITY_N = 6
@@ -117,20 +116,11 @@ def moments_from_jacobi(jp: JacobiParams, upto: int) -> list[Poly]:
 
 
 def _line_model(which: str, upto: int, sign: str) -> tuple[SpaceSpec, OpSpec]:
-    """The line (d = 1) truncated at upto + 1 and its operator with x = 1, T = Id.
-
-    which: 'alphaq' is the type-B operator with the ±1 involution of sign;
-    'qt' is the (q,t) operator Y (sign must be '+').
-    """
-    unit = (Fraction(1),)
-    identity = ((Fraction(1),),)
-    if which == "alphaq":
-        return SpaceSpec.diagonal(sign, truncation=upto + 1), type_b(unit, identity)
-    if which == "qt":
-        if sign != "+":
-            raise ValueError("the (q,t) model has the trivial involution")
-        return QtSpec.make(1, truncation=upto + 1).space, qt_y(unit, identity)
-    raise ValueError(f"unknown model {which!r}")
+    """The line (d = 1) with the ±1 involution of sign, truncated at upto + 1,
+    and its field operator with x = 1, T = Id: 'alphaq' on the type-B space,
+    'qt' on the (q,t) space (Y, whose space refuses the sign '-')."""
+    model = {"alphaq": "alpha-q"}.get(which, which)
+    return SpaceSpec.diagonal(sign, upto + 1, model), type_b((Fraction(1),), ((Fraction(1),),))
 
 
 def vacuum_polynomial_identity(which: str, upto: int, sign: str = "+") -> VerifyReport:

@@ -1,19 +1,24 @@
-"""The (q,t)-deformed model: rescaled symmetrizer, operators, Wick formula.
+"""Blitvić's (q,t)-Fock space: a ``fock.SpaceSpec`` with ``model="qt"``.
 
-The (q,t)-symmetrizer is the t^C(n,2)-rescaling of the sign-free symmetrizer
-at deformation q/t.  Since every surviving group element is an ordinary
-permutation with l2 <= C(n,2), the rescaling clears all denominators and the
-matrix entries are genuine polynomials in q and t: each sigma contributes
-q^l2 t^(C(n,2) - l2).  It is ``fock.symmetrizer(n, spec.space, "qt")``, and
-``fock.inner(u, v, "qt")`` is the model's inner product.
+The model is one field of the space, and every layer reads it there:
 
-The operators run ``fock``'s one operator kernel with the (q,t) slot
-weight: the slot-k term of a length-n word carries q^(n-k) t^(k-1), and the
-involution plays no role (the base space must have the trivial involution).
-The moment formula sums q^rc t^nest over singleton-free uncolored
-partitions: it is ``moments``' partition walk over one word of None letters,
-with the one choice (I, t^c) at an arc of cover count c, whatever its frozen
-counts, and lambda = 0, so every partition with a singleton drops out.
+* ``fock.symmetrizer`` and ``fock.inner`` on a (q,t) space are the
+  t^C(n,2)-rescaling of the sign-free symmetrizer at deformation q/t.  Every
+  surviving group element is an ordinary permutation with l2 <= C(n,2), so
+  the rescaling clears all denominators: each sigma contributes
+  q^l2 t^(C(n,2) - l2).
+* ``create``, ``annihilate``, ``gauge`` and ``type_b`` run ``fock``'s one
+  operator kernel with the (q,t) slot weight: the slot-k term of a length-n
+  word carries q^(n-k) t^(k-1), and the involution plays no role (a (q,t)
+  space has J = I).  ``type_b`` with lambda = 0 is the field operator Y.
+* ``moments.wick_moment`` sums q^rc t^nest over the partitions, with the one
+  choice (I, t^c) at an arc of cover count c and lambda at a singleton, so at
+  lambda = 0 only the singleton-free partitions count.
+
+What stays here is the interface the benchmark drives: ``QtSpec`` wraps a
+(q,t) space, ``qt_wick`` and ``qt_y_moment`` are the two sides of the moment
+formula at lambda = 0 on it, and ``qt_apply`` applies an operator to a vector
+of a (q,t) space.
 """
 
 from __future__ import annotations
@@ -22,47 +27,33 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .fock import (
-    FockVector, OpSpec, SpaceSpec, _require_trivial_involution, apply_operator, vacuum_expectation,
-)
-from .moments import MomentProblem, _partition_walk
-from .scalars import ZERO, Poly, frac_identity, frac_matrix, frac_vector
+from .fock import FockVector, OpSpec, SpaceSpec, apply_operator, type_b, vacuum_expectation
+from .moments import MomentProblem, wick_moment
+from .scalars import Poly
+
+
+def _require_qt(space: SpaceSpec) -> None:
+    if space.model != "qt":
+        raise ValueError(f"not a (q,t) space: its model is {space.model!r}")
 
 
 @dataclass(frozen=True)
 class QtSpec:
-    """Space for the (q,t) model; the involution is forced trivial."""
+    """A (q,t) space; the space refuses an involution other than I."""
 
     space: SpaceSpec
 
     def __post_init__(self) -> None:
-        _require_trivial_involution(self.space)
+        _require_qt(self.space)
 
     @classmethod
     def make(cls, d: int, truncation: int) -> QtSpec:
-        return cls(SpaceSpec.diagonal("+" * d, truncation))
-
-
-def qt_create(x: Sequence[Fraction]) -> OpSpec:
-    return OpSpec("qt-create", x=frac_vector(x))
-
-
-def qt_annihilate(x: Sequence[Fraction]) -> OpSpec:
-    return OpSpec("qt-annihilate", x=frac_vector(x))
-
-
-def qt_gauge(t: Sequence[Sequence[Fraction]]) -> OpSpec:
-    return OpSpec("qt-gauge", t=frac_matrix(t))
-
-
-def qt_y(x: Sequence[Fraction], t: Sequence[Sequence[Fraction]]) -> OpSpec:
-    return OpSpec("qt-y", x=frac_vector(x), t=frac_matrix(t))
+        return cls(SpaceSpec.diagonal("+" * d, truncation, "qt"))
 
 
 def qt_apply(op: OpSpec, v: FockVector) -> FockVector:
-    """op applied to v, for a (q,t) kind only."""
-    if not op.kind.startswith("qt-"):
-        raise ValueError(f"not a (q,t) operator kind: {op.kind!r}")
+    """op applied to v, for a vector of a (q,t) space only."""
+    _require_qt(v.space)
     return apply_operator(op, v)
 
 
@@ -72,9 +63,7 @@ def qt_wick(
     spec: QtSpec,
 ) -> Poly:
     """Sum of q^rc t^nest weighted chain products over singleton-free partitions."""
-    prob = MomentProblem.build(xs, ts, [0] * len(xs), spec.space)
-    choices = ((frac_identity(spec.space.d), lambda c, f_left, f_in: (0, 0, c)),)
-    return next(_partition_walk(prob, choices, ((None,),) * prob.n)).get((), ZERO)
+    return wick_moment(MomentProblem.build(xs, ts, [0] * len(xs), spec.space))
 
 
 def qt_y_moment(
@@ -83,5 +72,5 @@ def qt_y_moment(
     spec: QtSpec,
 ) -> Poly:
     """Operator side: vacuum expectation of Y(x_n)···Y(x_1)."""
-    ops = [qt_y(x, t) for x, t in zip(reversed(xs), reversed(ts), strict=True)]
+    ops = [type_b(x, t) for x, t in zip(reversed(xs), reversed(ts), strict=True)]
     return vacuum_expectation(ops, spec.space)

@@ -505,4 +505,4 @@ def frac_mat_mul(a: FracMatrix, b: FracMatrix) -> FracMatrix:
 
 
 def is_symmetric(m: FracMatrix) -> bool:
-    return all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(len(m)))
+    return all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(i))

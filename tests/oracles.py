@@ -85,10 +85,6 @@ from bfock.scalars import ONE, FracVector, Matrix, Poly, RationalLike
 Word = tuple[int, ...]
 Terms = Iterator[tuple[Word, Poly]]
 
-# the (q,t) kinds run the type-B kernels with the (q,t) slot weight; Y is b with λ = 0
-QT_KINDS = {"qt-create": "create", "qt-annihilate": "annihilate", "qt-gauge": "gauge", "qt-y": "b"}
-
-
 def _reach(v: FockVector, horizon: int | None, step: int) -> Iterable[tuple[Word, Poly]]:
     """Terms of v whose words, changed in length by step, stay within the horizon."""
     if horizon is None:
@@ -138,11 +134,10 @@ def _slot_terms(
 
 
 def apply_operator(op: OpSpec, v: FockVector, horizon: int | None = None) -> FockVector:
-    """op applied to v, term by term in Poly arithmetic."""
+    """op applied to v, term by term in Poly arithmetic, with the slot weight
+    of the model of v's space."""
     check_dimensions(op, v.space)
-    kind, weight = op.kind, _type_b_weight
-    if kind in QT_KINDS:
-        kind, weight = QT_KINDS[kind], _qt_weight
+    kind, weight = op.kind, _qt_weight if v.space.model == "qt" else _type_b_weight
     x_row = [((), op.x)]  # the annihilator appends nothing
     t_rows = [((m,), row) for m, row in enumerate(op.t or ())]  # the gauge appends m
     if kind == "create":

@@ -282,7 +282,7 @@ def test_an_option_the_command_does_not_read_exits_2(capsys, command, option):
         "orthopoly --family alphaq-poisson-B --N 3 --mode rational --q=-1",
         "orthopoly --family qt-poisson --N 3 --mode rational --t 7 --q 9",
         "orthopoly --family qt-poisson --N 3 --mode rational --q 3/4 --t 1/2",
-        "orthopoly --family qt-poisson --N 3 --mode rational",  # t defaults to 0
+        "orthopoly --family qt-poisson --N 3 --mode rational",  # t is required here
         "orthopoly --family alsalam-ismail --N 3 --mode rational --t 1",
     ],
 )
@@ -291,6 +291,20 @@ def test_orthopoly_rational_values_out_of_range_exit_2(capsys, command):
         main(command.split())
     assert exc.value.code == 2
     assert "require" in capsys.readouterr().err
+
+
+def test_orthopoly_help_says_what_each_parameter_needs(capsys, monkeypatch):
+    """--alpha and --q fall back to 0; the families that read --t refuse t = 0."""
+    monkeypatch.setenv("COLUMNS", "200")  # one line per option
+    with pytest.raises(SystemExit) as exc:
+        main(["orthopoly", "--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    helps = {line.split()[0]: line.split(maxsplit=2)[2] for line in lines if "rational only" in line}
+    assert helps["--alpha"] == "--mode rational only, read by alphaq-poisson-B; default 0"
+    assert helps["--q"] == "--mode rational only, read by alphaq-poisson-B, qt-poisson; default 0"
+    assert helps["--t"] == ("--mode rational only, read by qt-poisson, alsalam-ismail; "
+                            "required there, with 0 < t < 1")
 
 
 def test_orthopoly_rational_reads_its_family_parameters(capsys):

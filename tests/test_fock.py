@@ -46,6 +46,7 @@ F = Fraction
 D1 = SpaceSpec.diagonal("+", truncation=6)
 D1_MINUS = SpaceSpec.diagonal("-", truncation=6)
 D2 = SpaceSpec.diagonal("+-", truncation=6)
+QT_D1 = SpaceSpec.diagonal("+", truncation=6, model="qt")
 
 UNIT = (F(1),)
 ID1 = ((F(1),),)
@@ -185,12 +186,13 @@ def test_symmetrizer_matches_word_replay(space, n):
     assert symmetrizer(n, space) == sigma_sum_oracle(n, space)
 
 
-PLUS_PLUS = SpaceSpec.diagonal("++", truncation=4)
+QT_PLUS_PLUS = SpaceSpec.diagonal("++", truncation=4, model="qt")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_qt_flavor_matches_word_replay(n):
-    assert symmetrizer(n, PLUS_PLUS, "qt") == sigma_sum_oracle(n, PLUS_PLUS, qt_weight)
+    """The symmetrizer of a (q,t) space against its elements' words replayed."""
+    assert symmetrizer(n, QT_PLUS_PLUS) == sigma_sum_oracle(n, QT_PLUS_PLUS, qt_weight)
 
 
 def level_by_level(v, level_matrix):
@@ -207,21 +209,15 @@ def level_by_level(v, level_matrix):
 
 
 @pytest.mark.parametrize(
-    "flavor,space,level_matrix",
-    [
-        ("alpha-q", D2, lambda n: symmetrizer(n, D2)),
-        ("alpha-q", REFLECTION, lambda n: symmetrizer(n, REFLECTION)),
-        ("qt", PLUS_PLUS, lambda n: symmetrizer(n, PLUS_PLUS, "qt")),
-    ],
-    ids=["alpha-q-+-", "alpha-q-reflection", "qt-++"],
+    "space", [D2, REFLECTION, QT_PLUS_PLUS], ids=["alpha-q-+-", "alpha-q-reflection", "qt-++"]
 )
-def test_apply_symmetrizer_equals_the_level_matrices(flavor, space, level_matrix):
+def test_apply_symmetrizer_equals_the_level_matrices(space):
     coeffs = {(): ONE + Q}
     for n in (1, 2, 3):
         for m, word in enumerate(basis_words(space.d, n)):
             coeffs[word] = Poly({(0, m, 0): F(m + 1), (1, 0, n): F(-1, n)})
     v = FockVector(space, coeffs)
-    assert apply_symmetrizer(v, flavor) == level_by_level(v, level_matrix)
+    assert apply_symmetrizer(v) == level_by_level(v, lambda n: symmetrizer(n, space))
 
 
 def slot_separating_vector(space, n):
@@ -295,16 +291,16 @@ def test_r_operator_level_one():
 
 
 def test_inner_products():
-    omega = FockVector.vacuum(D1)
-    for flavor in ("alpha-q", "qt"):
-        assert inner(omega, omega, flavor) == ONE
+    for space in (D1, QT_D1):
+        omega = FockVector.vacuum(space)
+        assert inner(omega, omega) == ONE
     x = FockVector.basis(D1, (0,))
-    assert inner(x, x, "alpha-q") == ONE + ALPHA
+    assert inner(x, x) == ONE + ALPHA
     xx = FockVector.basis(D1, (0, 0))
-    assert inner(xx, xx, "alpha-q") == (ONE + ALPHA) * (ONE + ALPHA * Q) * (ONE + Q)
+    assert inner(xx, xx) == (ONE + ALPHA) * (ONE + ALPHA * Q) * (ONE + Q)
     # P(n) at a = q = 0 is the identity: the word-orthonormal pairing
     for v in (x, xx):
-        assert inner(v, v, "alpha-q").subs(alpha=0, q=0) == ONE
+        assert inner(v, v).subs(alpha=0, q=0) == ONE
 
 
 def test_annihilate_and_gauge_kill_vacuum():
@@ -433,23 +429,23 @@ def test_operator_dimensions_must_match_the_space(op, match):
 
 
 @pytest.mark.parametrize(
-    "op,missing",
+    "op,missing,space",
     [
-        (OpSpec("create"), "vector x"),
-        (OpSpec("annihilate"), "vector x"),
-        (OpSpec("gauge"), "coefficient operator T"),
-        (OpSpec("b", x=(F(1), F(0))), "coefficient operator T"),
-        (OpSpec("qt-gauge"), "coefficient operator T"),
+        (OpSpec("create"), "vector x", D2),
+        (OpSpec("annihilate"), "vector x", D2),
+        (OpSpec("gauge"), "coefficient operator T", D2),
+        (OpSpec("b", x=(F(1), F(0))), "coefficient operator T", D2),
+        (OpSpec("gauge"), "coefficient operator T", SpaceSpec.diagonal("++", truncation=6, model="qt")),
     ],
     ids=["create", "annihilate", "gauge", "b-without-t", "qt-gauge"],
 )
-def test_operator_without_its_vector_or_matrix_is_rejected(op, missing):
-    v = FockVector.basis(D2, (1, 1))
+def test_operator_without_its_vector_or_matrix_is_rejected(op, missing, space):
+    v = FockVector.basis(space, (1, 1))
     with pytest.raises(ValueError, match=f"^{op.kind}: the {missing} is missing$"):
         apply_operator(op, v)
 
 
-@pytest.mark.parametrize("kind", ["shift", "qt-b"])
+@pytest.mark.parametrize("kind", ["shift", "qt-b", "qt-gauge"])
 def test_apply_operator_rejects_an_unknown_kind(kind):
     v = FockVector.basis(D1, (0,))
     with pytest.raises(ValueError, match="unknown operator kind"):

@@ -10,6 +10,7 @@ one entry point has a row for each.
 """
 
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from bfock.fock import (
     create,
     gauge,
     inner,
+    r_operator,
     symmetrizer,
     type_b,
     vacuum_expectation,
@@ -35,9 +37,11 @@ from bfock.moments import (
     MAX_WICK_N,
     MomentProblem,
     corollary_free_alpha,
+    corollary_gaussian,
     corollary_q_case,
     eps_operator,
     vector_formula,
+    vector_formulas,
     wick_moment,
 )
 from bfock.partitions import (
@@ -47,14 +51,14 @@ from bfock.partitions import (
     enumerate_extended_eps,
     set_partitions,
 )
-from bfock.qt import QtSpec, qt_annihilate, qt_apply, qt_create, qt_gauge, qt_wick
+from bfock.qt import QtSpec, qt_apply, qt_wick
 from bfock.scalars import ALPHA, ONE, ZERO, Poly, is_semidefinite
 from oracles import colored_wick_moment, eps_compatible, reduced_words
 
 F = Fraction
 
 UNIT, ID1 = (F(1),), ((F(1),),)
-X2, T2 = (F(1), F(2)), ((F(1), F(0)), (F(0), F(1)))
+X2 = (F(1), F(2))
 NOT_SYMMETRIC = ((F(1), F(2)), (F(0), F(1)))
 D2 = SpaceSpec.diagonal("+-", truncation=6)
 LINE = SpaceSpec.diagonal("+", truncation=2)
@@ -62,9 +66,9 @@ TIGHT = SpaceSpec.diagonal("+", truncation=1)  # room for one letter
 QT_D2 = QtSpec.make(2, truncation=6).space
 
 
-def unit_problem(n, lam=0, sign="+"):
+def unit_problem(n, lam=0, sign="+", model="alpha-q"):
     """x = 1, T = 1 and the given lambda at each of n points on the line."""
-    space = SpaceSpec.diagonal(sign, truncation=max(n, 1))
+    space = SpaceSpec.diagonal(sign, truncation=max(n, 1), model=model)
     return MomentProblem.build([UNIT] * n, [ID1] * n, [F(lam)] * n, space)
 
 
@@ -126,20 +130,27 @@ REJECTIONS = [
     # -- fock: spaces and vectors -----------------------------------------------
     pytest.param(lambda: SpaceSpec(2, ((1, 0), (0,)), 3), ValueError, "dimension mismatch",
                  id="involution-row-short"),
+    pytest.param(lambda: SpaceSpec.diagonal("+", 2, model="bogus"), ValueError, "^unknown model 'bogus'$",
+                 id="unknown-space-model"),
+    # symmetrizing and the inner product read the model from the vector's space,
+    # and ``replace`` onto an unknown model re-runs the same check
+    pytest.param(lambda: apply_symmetrizer(FockVector.vacuum(replace(D2, model="bogus"))), ValueError,
+                 "^unknown model 'bogus'$", id="unknown-flavor-apply"),
+    pytest.param(lambda: inner(*[FockVector.vacuum(replace(D2, model="bogus"))] * 2), ValueError,
+                 "^unknown model 'bogus'$", id="unknown-flavor-inner"),
     # -- fock: symmetrizers -----------------------------------------------------
     # the d^n guard fires before B_13 is enumerated, so the rank guard never does
     pytest.param(lambda: symmetrizer(13, SpaceSpec.diagonal("+-", 13)), ResourceLimitError,
                  re.escape("matrix dimension d^n = 8192 exceeds 4096"), id="symmetrizer-dimension"),
     *[
-        pytest.param(lambda level=level, space=space, flavor=flavor: symmetrizer(level, space, flavor),
-                     ValueError, match, id=f"{flavor}-symmetrizer-level-{level}")
-        for space, flavor in ((D2, "alpha-q"), (QT_D2, "qt"))
+        pytest.param(lambda level=level, space=space: symmetrizer(level, space),
+                     ValueError, match, id=f"{space.model}-symmetrizer-level-{level}")
+        for space in (D2, QT_D2)
         for level, match in ((-1, "negative"), (7, "exceeds truncation 6"))
     ],
-    pytest.param(lambda: apply_symmetrizer(FockVector.vacuum(D2), "bogus"), ValueError,
-                 "unknown symmetrizer flavor", id="unknown-flavor-apply"),
-    pytest.param(lambda: inner(FockVector.vacuum(D2), FockVector.vacuum(D2), "bogus"), ValueError,
-                 "unknown symmetrizer flavor", id="unknown-flavor-inner"),
+    # the recursion factor, like the vector formulas and the corollaries below, is type B only
+    pytest.param(lambda: r_operator(2, QT_D2), ValueError,
+                 re.escape("r_operator is defined on the type-B (alpha-q) space only"), id="qt-r-operator"),
     # -- fock: operators --------------------------------------------------------
     pytest.param(lambda: apply_operator(create(UNIT), FockVector.basis(TIGHT, (0,))), TruncationError,
                  "^creation at the truncation level$", id="create-past-truncation"),
@@ -171,25 +182,38 @@ REJECTIONS = [
                  "^corollary cases require lambda = 0$", id="q-case-lambda"),
     pytest.param(lambda: corollary_free_alpha(unit_problem(2, sign="-")), ValueError,
                  "^free-alpha case requires involution-fixed vectors$", id="free-alpha-involution"),
+    *[
+        pytest.param(lambda call=call: call(unit_problem(2, model="qt")), ValueError,
+                     re.escape(f"{call.__name__} is defined on the type-B (alpha-q) space only"),
+                     id=f"qt-{call.__name__.replace('_', '-')}")
+        for call in (corollary_q_case, corollary_free_alpha, corollary_gaussian, vector_formulas)
+    ],
+    pytest.param(lambda: vector_formula(("*", "1"), unit_problem(2, model="qt")), ValueError,
+                 re.escape("vector_formula is defined on the type-B (alpha-q) space only"),
+                 id="qt-vector-formula"),
     # -- qt ---------------------------------------------------------------------
-    pytest.param(lambda: QtSpec(SpaceSpec.diagonal("+-", truncation=2)), ValueError, QT_INVOLUTION,
+    # a (q,t) space has no involution term, so it refuses any J other than I
+    pytest.param(lambda: SpaceSpec.diagonal("+-", truncation=2, model="qt"), ValueError, QT_INVOLUTION,
                  id="qt-spec-involution"),
+    pytest.param(lambda: SpaceSpec(2, ((F(3, 5), F(4, 5)), (F(4, 5), F(-3, 5))), 2, model="qt"), ValueError,
+                 QT_INVOLUTION, id="qt-spec-reflection"),
+    pytest.param(lambda: QtSpec(D2), ValueError, re.escape("not a (q,t) space: its model is 'alpha-q'"),
+                 id="qt-spec-alpha-q-space"),
     *[
         pytest.param(lambda op=op: qt_apply(op, FockVector.basis(QT_D2, (1,))), ValueError, match,
-                     id=f"qt-apply-{op.kind}-dimension")
+                     id=f"qt-apply-qt-{op.kind}-dimension")
         for op, match in (
-            (qt_create(UNIT), "^qt-create: vector has 1 coordinates, the space has d = 2$"),
-            (qt_annihilate(UNIT), "^qt-annihilate: vector has 1 coordinates, the space has d = 2$"),
-            (qt_gauge(ID1), "^qt-gauge: coefficient operator is not 2x2$"),
+            (create(UNIT), "^create: vector has 1 coordinates, the space has d = 2$"),
+            (annihilate(UNIT), "^annihilate: vector has 1 coordinates, the space has d = 2$"),
+            (gauge(ID1), "^gauge: coefficient operator is not 2x2$"),
         )
     ],
+    # qt_apply takes a vector of a (q,t) space only
     *[
-        pytest.param(lambda op=op: qt_apply(op, FockVector.basis(QtSpec.make(1, 6).space, (0,))), ValueError,
-                     re.escape("not a (q,t) operator kind"), id=f"qt-apply-{op.kind}")
+        pytest.param(lambda op=op: qt_apply(op, FockVector.basis(LINE, (0,))), ValueError,
+                     re.escape("not a (q,t) space: its model is 'alpha-q'"), id=f"qt-apply-{op.kind}")
         for op in (create(UNIT), annihilate(UNIT), gauge(ID1), type_b(UNIT, ID1))
     ],
-    pytest.param(lambda: qt_apply(OpSpec("qt-y", x=X2, t=T2, lam=F(5)), FockVector.basis(QT_D2, (0, 1))),
-                 ValueError, "^qt-y: reads no shift lambda, got 5$", id="qt-apply-lam-qt-y"),
     pytest.param(lambda: qt_wick([X2] * 2, [NOT_SYMMETRIC] * 2, QtSpec.make(2, truncation=2)), ValueError,
                  SYMMETRIC, id="qt-wick-t-not-symmetric"),
     # -- orthopoly --------------------------------------------------------------
@@ -200,10 +224,10 @@ REJECTIONS = [
     pytest.param(lambda: orthopoly.family("bogus"), ValueError, "unknown family 'bogus'", id="unknown-family"),
     pytest.param(lambda: orthopoly.operator_moments("bogus", 2), ValueError, "unknown model 'bogus'",
                  id="unknown-model"),
-    pytest.param(lambda: orthopoly.operator_moments("qt", 4, "-"), ValueError,
-                 re.escape("the (q,t) model has the trivial involution"), id="qt-model-sign"),
-    pytest.param(lambda: orthopoly.vacuum_polynomial_identity("qt", 4, "-"), ValueError,
-                 re.escape("the (q,t) model has the trivial involution"), id="qt-vacuum-identity-sign"),
+    pytest.param(lambda: orthopoly.operator_moments("qt", 4, "-"), ValueError, QT_INVOLUTION,
+                 id="qt-model-sign"),
+    pytest.param(lambda: orthopoly.vacuum_polynomial_identity("qt", 4, "-"), ValueError, QT_INVOLUTION,
+                 id="qt-vacuum-identity-sign"),
 ]
 
 

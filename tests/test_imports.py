@@ -27,10 +27,7 @@ UNREAD_EXPORTS = {
     "create": "the type-B creation operator b+(x)",
     "annihilate": "the type-B annihilation operator b-(x)",
     "gauge": "the type-B gauge operator p(T)",
-    "inner": "the deformed inner product <u, v> = <u, P v>, of either flavor",
-    "qt_create": "the (q,t) creation operator",
-    "qt_annihilate": "the (q,t) annihilation operator",
-    "qt_gauge": "the (q,t) gauge operator",
+    "inner": "the deformed inner product <u, v> = <u, P v> of the vectors' space, in either model",
     "qt_apply": "a benchmark tracer target (qt.qt_apply in perfbench/spans.py)",
     "enumerate_extended_eps": "a benchmark tracer target (partitions.extended in perfbench/spans.py)",
     "vector_formula": "the partition side of the vector-level theorem for one eps word; "

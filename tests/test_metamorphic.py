@@ -8,7 +8,16 @@ symmetry: ``wick_moment`` scans the points left to right, and
 ``vacuum_expectation`` applies the factors right to left with a horizon that
 shrinks as it goes.  So each side is checked alone, and a fault in one scan can
 break the relation without the other side's help.  Above ``MAX_WICK_N`` only the
-operator side runs, and only a relation like this one can check it there.
+operator side runs, and only a relation like this one can check it there.  The
+relation holds on a (q,t) space too: there T_i is symmetric for the (q,t) inner
+product as well, and J = I.
+
+Cross-model.  On a space with J = I, the (q,t) model at t = 1 equals type B at
+a = 0: the (q,t) slot weight q^(n-k) t^(k-1) becomes q^(n-k), the type-B one
+loses its a-term, and on the partition side the arc choice (I, t^c) becomes
+the identity part of (I + a q^(2c) J).  Each side computes one problem on the
+two spaces that differ only in their model, and singletons carry their
+lambda in both.
 """
 
 import random
@@ -37,12 +46,14 @@ INVOLUTIONS = {
     "+-": ((F(1), F(0)), (F(0), F(-1))),
     "reflection": ((F(3, 5), F(4, 5)), (F(4, 5), F(-3, 5))),
     "householder-122": householder((1, 2, 2)),
+    "qt-++": ((F(1), F(0)), (F(0), F(1))),
 }
 
 
 def problem(which, n, seed):
-    j = INVOLUTIONS[which]
-    return random_problem(random.Random(seed), n, SpaceSpec(len(j), j, truncation=max(n, 1)))
+    j, model = INVOLUTIONS[which], "qt" if which.startswith("qt-") else "alpha-q"
+    space = SpaceSpec(len(j), j, truncation=max(n, 1), model=model)
+    return random_problem(random.Random(seed), n, space)
 
 
 def reversed_points(prob):
@@ -71,3 +82,14 @@ def test_reversal_holds_on_the_operator_side_above_the_wick_guard(which):
     assert n > MAX_WICK_N
     prob = problem(which, n, 12)
     assert operator_side(reversed_points(prob)) == operator_side(prob)
+
+
+@pytest.mark.parametrize("side", sorted(SIDES))
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", range(8))
+def test_the_qt_model_at_t1_is_type_b_at_a0(side, d, n):
+    moment = SIDES[side]
+    prob = random_problem(random.Random(700 + 10 * d + n), n, SpaceSpec.diagonal("+" * d, max(n, 1)))
+    prob = replace(prob, lams=tuple(lam or F(1, 2) for lam in prob.lams))  # every point has a singleton term
+    qt_prob = replace(prob, space=replace(prob.space, model="qt"))
+    assert moment(qt_prob).subs(t=1) == moment(prob).subs(alpha=0)

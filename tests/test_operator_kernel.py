@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bfock.fock import FockVector, OpSpec, SpaceSpec, apply_operator, vacuum_expectation
+from bfock.fock import FockVector, OpSpec, SpaceSpec, apply_operator, type_b, vacuum_expectation
 from bfock.moments import MomentProblem, eps_word_vector, eps_operator
-from bfock.qt import QtSpec, qt_y, qt_y_moment
+from bfock.qt import QtSpec, qt_y_moment
 from bfock.scalars import Poly
 
 F = Fraction
@@ -19,9 +19,9 @@ SPACES = (
     SpaceSpec.diagonal("+--", truncation=6),
     SpaceSpec(2, ((F(3, 5), F(4, 5)), (F(4, 5), F(-3, 5))), truncation=6),
 )
-# the (q,t) kinds are defined on a space with the trivial involution only
-QT_SPACES = (SpaceSpec.diagonal("++", truncation=6), SpaceSpec.diagonal("+++", truncation=6))
-KINDS = ("create", "annihilate", "gauge", "b", "qt-create", "qt-annihilate", "qt-gauge", "qt-y")
+# a (q,t) space has the trivial involution
+QT_SPACES = tuple(SpaceSpec.diagonal(signature, truncation=6, model="qt") for signature in ("++", "+++"))
+KINDS = ("create", "annihilate", "gauge", "b")
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
 
@@ -35,14 +35,14 @@ def symmetric(draw, d):
 
 @st.composite
 def operators_and_vectors(draw):
-    """An operator of any kind with only the fields it reads, a vector with words
-    of length <= 5 whose coefficients have fractional values and a/q/t powers,
-    and a horizon (None or 0..5)."""
+    """An operator of any kind with only the fields it reads, a vector of either
+    model with words of length <= 5 whose coefficients have fractional values
+    and a/q/t powers, and a horizon (None or 0..5)."""
     kind = draw(st.sampled_from(KINDS))
-    space = draw(st.sampled_from(QT_SPACES if kind.startswith("qt-") else SPACES))
+    space = draw(st.sampled_from(SPACES + QT_SPACES))
     d = space.d
-    x = tuple(draw(rationals) for _ in range(d)) if not kind.endswith("gauge") else None
-    t = symmetric(draw, d) if kind.endswith(("gauge", "b", "y")) else None
+    x = tuple(draw(rationals) for _ in range(d)) if kind != "gauge" else None
+    t = symmetric(draw, d) if kind in ("gauge", "b") else None
     lam = draw(rationals) if kind == "b" else F(0)
     n = draw(st.integers(0, 5))
     words = draw(st.lists(
@@ -66,7 +66,7 @@ def test_apply_operator_matches_the_poly_oracle(case):
 
 @st.composite
 def moment_problems(draw):
-    space = draw(st.sampled_from(SPACES))
+    space = draw(st.sampled_from(SPACES + QT_SPACES))
     d = space.d
     n = draw(st.integers(0, 5))
     xs = [tuple(draw(rationals) for _ in range(d)) for _ in range(n)]
@@ -92,7 +92,7 @@ def test_qt_y_moment_matches_the_poly_oracle(n):
     spec = QtSpec.make(2, truncation=max(n, 1))
     xs = [(F(k + 1, 3), F(2 - k, 5)) for k in range(n)]
     ts = [((F(1, 2), F(k, 7)), (F(k, 7), F(-1, 3))) for k in range(n)]
-    ops = [qt_y(x, t) for x, t in zip(reversed(xs), reversed(ts))]
+    ops = [type_b(x, t) for x, t in zip(reversed(xs), reversed(ts))]
     assert qt_y_moment(xs, ts, spec) == oracles.vacuum_expectation(ops, spec.space)
 
 
@@ -100,29 +100,32 @@ X2 = (F(1), F(2))
 T2 = ((F(1), F(0)), (F(0), F(1)))
 
 
+# the id's "qt-" prefix puts the operator on a (q,t) space
+MODEL_SPACES = {"": SPACES[0], "qt-": QT_SPACES[0]}
+
+
 @pytest.mark.parametrize(
-    "op,message",
+    "op,message,space",
     [
-        *[(OpSpec(kind, x=X2, lam=F(1, 2)), f"^{kind}: reads no shift lambda, got 1/2$")
-          for kind in ("create", "annihilate", "qt-create", "qt-annihilate")],
-        *[(OpSpec(kind, t=T2, lam=F(-3)), f"^{kind}: reads no shift lambda, got -3$")
-          for kind in ("gauge", "qt-gauge")],
-        (OpSpec("qt-y", x=X2, t=T2, lam=F(5)), "^qt-y: reads no shift lambda, got 5$"),
-        *[(OpSpec(kind, x=X2, t=T2), f"^{kind}: reads no vector x$")
-          for kind in ("gauge", "qt-gauge")],
-        *[(OpSpec(kind, x=X2, t=T2), f"^{kind}: reads no coefficient operator T$")
-          for kind in ("create", "annihilate", "qt-create", "qt-annihilate")],
+        *[(OpSpec(kind, x=X2, lam=F(1, 2)), f"^{kind}: reads no shift lambda, got 1/2$", space)
+          for space in MODEL_SPACES.values() for kind in ("create", "annihilate")],
+        *[(OpSpec("gauge", t=T2, lam=F(-3)), "^gauge: reads no shift lambda, got -3$", space)
+          for space in MODEL_SPACES.values()],
+        *[(OpSpec("gauge", x=X2, t=T2), "^gauge: reads no vector x$", space)
+          for space in MODEL_SPACES.values()],
+        *[(OpSpec(kind, x=X2, t=T2), f"^{kind}: reads no coefficient operator T$", space)
+          for space in MODEL_SPACES.values() for kind in ("create", "annihilate")],
     ],
     ids=[
-        *[f"lam-{kind}" for kind in ("create", "annihilate", "qt-create", "qt-annihilate")],
-        "lam-gauge", "lam-qt-gauge", "lam-qt-y",
-        "x-gauge", "x-qt-gauge",
-        *[f"t-{kind}" for kind in ("create", "annihilate", "qt-create", "qt-annihilate")],
+        *[f"lam-{prefix}{kind}" for prefix in MODEL_SPACES for kind in ("create", "annihilate")],
+        *[f"lam-{prefix}gauge" for prefix in MODEL_SPACES],
+        *[f"x-{prefix}gauge" for prefix in MODEL_SPACES],
+        *[f"t-{prefix}{kind}" for prefix in MODEL_SPACES for kind in ("create", "annihilate")],
     ],
 )
-def test_a_field_the_kind_does_not_read_is_rejected(op, message):
-    v = FockVector.basis(SPACES[0], (0, 1))
+def test_a_field_the_kind_does_not_read_is_rejected(op, message, space):
+    v = FockVector.basis(space, (0, 1))
     with pytest.raises(ValueError, match=message):
         apply_operator(op, v)
     with pytest.raises(ValueError, match=message):
-        vacuum_expectation([op], SPACES[0])
+        vacuum_expectation([op], space)

@@ -17,7 +17,6 @@ from bfock.orthopoly import (
     vacuum_polynomial_identity,
 )
 from bfock.fock import SpaceSpec, type_b
-from bfock.qt import QtSpec, qt_y
 from bfock.scalars import ALPHA, ONE, Q, T, ZERO
 from oracles import continued_fraction_moments, leading_minors, vacuum_coefficients
 
@@ -133,12 +132,10 @@ def test_operator_moments_negative_sign_variant():
 @pytest.mark.parametrize("which,sign", [("alphaq", "+"), ("alphaq", "-"), ("qt", "+")])
 def test_operator_moments_equal_the_unpruned_loop(which, sign):
     # the line operator, x = 1 and T = 1, on the space operator_moments builds for it
-    unit, identity = (F(1),), ((F(1),),)
+    op = type_b((F(1),), ((F(1),),))
+    model = {"alphaq": "alpha-q"}.get(which, which)
     for upto in range(9):
-        if which == "alphaq":
-            space, op = SpaceSpec.diagonal(sign, truncation=upto + 1), type_b(unit, identity)
-        else:
-            space, op = QtSpec.make(1, truncation=upto + 1).space, qt_y(unit, identity)
+        space = SpaceSpec.diagonal(sign, truncation=upto + 1, model=model)
         assert operator_moments(which, upto, sign=sign) == vacuum_coefficients([op] * upto, space)
 
 

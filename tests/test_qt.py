@@ -1,4 +1,5 @@
-"""(q,t) model: symmetrizer, operators, Wick formula, specializations."""
+"""(q,t) model: symmetrizer, operators, Wick formula, specializations, all on a
+space with ``model="qt"``."""
 
 import random
 from dataclasses import replace
@@ -15,23 +16,16 @@ from bfock.fock import (
     annihilate,
     apply_operator,
     basis_words,
+    create,
     gauge,
     inner,
     symmetrizer,
+    type_b,
     vacuum_expectation,
 )
-from bfock.moments import MomentProblem, closed_chain_value, random_problem, wick_moment
+from bfock.moments import MomentProblem, closed_chain_value, random_problem, verify_moment_identity
 from bfock.partitions import arc_covers, set_partitions
-from bfock.qt import (
-    QtSpec,
-    qt_annihilate,
-    qt_apply,
-    qt_create,
-    qt_gauge,
-    qt_wick,
-    qt_y,
-    qt_y_moment,
-)
+from bfock.qt import QtSpec, qt_apply, qt_wick, qt_y_moment
 from bfock.scalars import ONE, Q, T, Poly, frac_identity, frac_matrix
 
 F = Fraction
@@ -44,14 +38,14 @@ ID1 = ((F(1),),)
 
 
 def test_qt_flavor_symmetrizer_small():
-    assert symmetrizer(1, SPEC2.space, "qt") == [[ONE, Poly()], [Poly(), ONE]]
-    assert symmetrizer(2, SPEC1.space, "qt") == [[T + Q]]
+    assert symmetrizer(1, SPEC2.space) == [[ONE, Poly()], [Poly(), ONE]]
+    assert symmetrizer(2, SPEC1.space) == [[T + Q]]
 
 
 def test_qt_flavor_symmetrizer_t1_recovers_type_b_alpha0():
     for n in (1, 2, 3):
-        lhs = symmetrizer(n, SPEC2.space, "qt")
-        rhs = symmetrizer(n, SPEC2.space)
+        lhs = symmetrizer(n, SPEC2.space)
+        rhs = symmetrizer(n, replace(SPEC2.space, model="alpha-q"))
         for row_l, row_r in zip(lhs, rhs):
             for a, b in zip(row_l, row_r):
                 assert a.subs(t=1) == b.subs(alpha=0)
@@ -59,15 +53,15 @@ def test_qt_flavor_symmetrizer_t1_recovers_type_b_alpha0():
 
 def test_qt_operators_kill_vacuum():
     omega = FockVector.vacuum(SPEC2.space)
-    assert qt_apply(qt_annihilate((F(1), F(0))), omega).is_zero
-    assert qt_apply(qt_gauge(frac_identity(2)), omega).is_zero
+    assert qt_apply(annihilate((F(1), F(0))), omega).is_zero
+    assert qt_apply(gauge(frac_identity(2)), omega).is_zero
 
 
 def test_qt_annihilator_weights():
     # a(x) on x1⊗x2 → t^0 q^1 <x,x1> x2 + t^1 q^0 <x,x2> x1
     v = FockVector.basis(SPEC2.space, (0, 1))
     x = (F(2), F(3))
-    got = qt_apply(qt_annihilate(x), v)
+    got = qt_apply(annihilate(x), v)
     expected = (
         Poly.monomial(2, eq=1) * FockVector.basis(SPEC2.space, (1,))
         + Poly.monomial(3, et=1) * FockVector.basis(SPEC2.space, (0,))
@@ -76,18 +70,21 @@ def test_qt_annihilator_weights():
 
 
 def test_qt_t1_reproduces_alpha0_operators():
+    """One operator on a basis word of the (q,t) space and of the type-B space
+    with the same J = I."""
     rng = random.Random(7)
     space = SPEC2.space
+    type_b_space = replace(space, model="alpha-q")
     prob = random_problem(rng, 1, space)
     x, t = prob.xs[0], prob.ts[0]
     for word in basis_words(2, 3):
-        v = FockVector.basis(space, word)
-        qt_ann = qt_apply(qt_annihilate(x), v)
-        b_ann = apply_operator(annihilate(x), v)
+        v, v_b = FockVector.basis(space, word), FockVector.basis(type_b_space, word)
+        qt_ann = qt_apply(annihilate(x), v)
+        b_ann = apply_operator(annihilate(x), v_b)
         for w in set(qt_ann.coeffs) | set(b_ann.coeffs):
             assert qt_ann.coeff(w).subs(t=1) == b_ann.coeff(w).subs(alpha=0)
-        qt_g = qt_apply(qt_gauge(t), v)
-        b_g = apply_operator(gauge(t), v)
+        qt_g = qt_apply(gauge(t), v)
+        b_g = apply_operator(gauge(t), v_b)
         for w in set(qt_g.coeffs) | set(b_g.coeffs):
             assert qt_g.coeff(w).subs(t=1) == b_g.coeff(w).subs(alpha=0)
 
@@ -99,9 +96,7 @@ def test_qt_gauge_adjointness():
             for v_word in basis_words(2, n):
                 u = FockVector.basis(SPEC2.space, u_word)
                 v = FockVector.basis(SPEC2.space, v_word)
-                assert inner(qt_apply(qt_gauge(t), u), v, "qt") == inner(
-                    u, qt_apply(qt_gauge(t), v), "qt"
-                )
+                assert inner(qt_apply(gauge(t), u), v) == inner(u, qt_apply(gauge(t), v))
 
 
 def test_qt_creation_annihilation_adjointness():
@@ -111,9 +106,7 @@ def test_qt_creation_annihilation_adjointness():
             for v_word in basis_words(2, n + 1):
                 u = FockVector.basis(SPEC2.space, u_word)
                 v = FockVector.basis(SPEC2.space, v_word)
-                assert inner(qt_apply(qt_create(x), u), v, "qt") == inner(
-                    u, qt_apply(qt_annihilate(x), v), "qt"
-                )
+                assert inner(qt_apply(create(x), u), v) == inner(u, qt_apply(annihilate(x), v))
 
 
 def test_qt_wick_pair():
@@ -138,13 +131,15 @@ def test_qt_wick_equals_operator_side(n):
     assert lhs == rhs
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_qt_t1_matches_type_b_alpha0_moments(n):
-    rng = random.Random(400 + n)
-    prob = random_problem(rng, n, SPEC2.space, zero_lams=True)
-    qt_value = qt_wick(prob.xs, prob.ts, SPEC2).subs(t=1)
-    b_value = wick_moment(prob).subs(alpha=0)
-    assert qt_value == b_value
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", range(8))
+def test_the_moment_identity_holds_on_a_qt_space_with_lambda(n, d):
+    """Y + lambda on both sides: the operator kernel's lambda term and the
+    partition walk's singletons, with no t weight on either."""
+    space = QtSpec.make(d, truncation=max(n, 1)).space
+    prob = random_problem(random.Random(600 + 10 * d + n), n, space)
+    prob = replace(prob, lams=tuple(lam or F(1, 2) for lam in prob.lams))  # every point has a singleton term
+    assert verify_moment_identity(prob).equal
 
 
 def reference_terms(prob):
@@ -208,8 +203,8 @@ def test_qt_q0_noncrossing_only():
 @pytest.mark.parametrize(
     "xs,ts,y_match",
     [
-        ([(F(1), F(5))] * 2, [ID1] * 2, "^qt-y: vector has 2 coordinates, the space has d = 1$"),
-        ([UNIT] * 2, [frac_identity(2)] * 2, "^qt-y: coefficient operator is not 1x1$"),
+        ([(F(1), F(5))] * 2, [ID1] * 2, "^b: vector has 2 coordinates, the space has d = 1$"),
+        ([UNIT] * 2, [frac_identity(2)] * 2, "^b: coefficient operator is not 1x1$"),
     ],
     ids=["x-length", "t-size"],
 )
@@ -223,15 +218,15 @@ def test_qt_wick_checks_dimensions(xs, ts, y_match):
 def test_qt_vacuum_expectation_truncation_guard():
     tight = QtSpec.make(1, truncation=1)
     with pytest.raises(TruncationError, match="^more operator factors than the truncation allows$"):
-        vacuum_expectation([qt_y(UNIT, ID1)] * 3, tight.space)
-    assert vacuum_expectation([qt_y(UNIT, ID1)], tight.space) == Poly()
+        vacuum_expectation([type_b(UNIT, ID1)] * 3, tight.space)
+    assert vacuum_expectation([type_b(UNIT, ID1)], tight.space) == Poly()
 
 
 def test_qt_pruned_vacuum_expectation_matches_unpruned_loop():
     rng = random.Random(41)
     for n in range(1, 7):
         prob = random_problem(rng, n, SPEC2.space, zero_lams=True)
-        ops = [qt_y(x, t) for x, t in zip(reversed(prob.xs), reversed(prob.ts))]
+        ops = [type_b(x, t) for x, t in zip(reversed(prob.xs), reversed(prob.ts))]
         v = FockVector.vacuum(SPEC2.space)
         for op in reversed(ops):
             v = qt_apply(op, v)
@@ -239,23 +234,28 @@ def test_qt_pruned_vacuum_expectation_matches_unpruned_loop():
 
 
 MINUS = SpaceSpec.diagonal("-", truncation=3)
-X1 = FockVector.basis(MINUS, (0,))
+
+
+def qt_minus():
+    """MINUS (J = -I) switched to the (q,t) model: ``replace`` re-runs the space's check."""
+    return replace(MINUS, model="qt")
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: symmetrizer(1, MINUS, "qt"),
-        lambda: inner(X1, X1, "qt"),
-        lambda: apply_operator(qt_create((F(1),)), FockVector.vacuum(MINUS)),
-        lambda: apply_operator(qt_annihilate((F(1),)), X1),
-        lambda: apply_operator(qt_gauge(((F(1),),)), X1),
-        lambda: apply_operator(qt_y((F(1),), ((F(1),),)), X1),
+        lambda: symmetrizer(1, qt_minus()),
+        lambda: inner(*[FockVector.basis(qt_minus(), (0,))] * 2),
+        lambda: apply_operator(create(UNIT), FockVector.vacuum(qt_minus())),
+        lambda: apply_operator(annihilate(UNIT), FockVector.basis(qt_minus(), (0,))),
+        lambda: apply_operator(gauge(ID1), FockVector.basis(qt_minus(), (0,))),
+        lambda: apply_operator(type_b(UNIT, ID1), FockVector.basis(qt_minus(), (0,))),
     ],
     ids=["symmetrizer", "inner", "qt-create", "qt-annihilate", "qt-gauge", "qt-y"],
 )
 def test_the_qt_flavor_and_kinds_reject_a_nontrivial_involution(call):
-    """The (q,t) model has no involution term: on a space with J != I its flavor
-    and kinds raise rather than drop J."""
+    """The (q,t) model has no involution term: its symmetrizer, inner product and
+    operators each need a (q,t) space, and a space with J != I raises rather
+    than drop J."""
     with pytest.raises(ValueError, match="trivial involution"):
         call()
