@@ -30,7 +30,10 @@ through ``_require_type_b``.
 
 Operators follow the right-creator convention: creation appends at the
 right end of a word, the free right annihilator removes the rightmost slot,
-and products apply their rightmost factor first.
+and products apply their rightmost factor first.  An ``OpSpec`` refuses at
+construction what no space can apply, through ``_check_point`` for one point's
+x, T and λ (as ``moments.MomentProblem`` does); ``check_dimensions`` adds only
+the fit to a space.
 
 One kernel applies every operator, on Python ints: a vector is a dict
 {word: {packed exponent: int numerator}} over one denominator, as in
@@ -114,16 +117,14 @@ class SpaceSpec:
             raise ValueError(f"unknown model {self.model!r}")
         if self.d < 1 or self.truncation < 1:
             raise ValueError("dimension and truncation must be positive")
-        j = self.involution
-        if len(j) != self.d or any(len(row) != self.d for row in j):
+        if len(self.involution) != self.d or any(len(row) != self.d for row in self.involution):
             raise ValueError("involution dimension mismatch")
-        for entry in chain(*j):
-            _as_fraction(entry)  # a float raises TypeError here
+        j = frac_matrix(self.involution)  # a float raises TypeError here
         if not is_symmetric(j):
             raise ValueError("involution must be symmetric")
         if frac_mat_mul(j, j) != frac_identity(self.d):
             raise ValueError("involution must square to the identity")
-        if self.model == "qt" and frac_matrix(j) != frac_identity(self.d):
+        if self.model == "qt" and j != frac_identity(self.d):
             raise ValueError("(q,t) model requires the trivial involution")
 
     @classmethod
@@ -397,11 +398,11 @@ def r_operator(n: int, space: SpaceSpec) -> Matrix:
 
 @dataclass(frozen=True)
 class OpSpec:
-    """An operator on the Fock space, by kind and parameters.
+    """An operator on the Fock space by kind and parameters, refused at construction if no space can apply it.
 
-    Kinds: create, annihilate, gauge, b (= annihilate + create + gauge + λ·I).
-    The model of the space the operator acts on sets its slot weight: on a
-    (q,t) space, b with λ = 0 is the (q,t) field operator Y.
+    Kinds: create, annihilate, gauge, b (= annihilate + create + gauge + λ·I).  The model
+    of the space the operator acts on sets its slot weight: on a (q,t) space, b with
+    λ = 0 is the (q,t) field operator Y.  ``check_dimensions`` checks the fit to a space's d.
     """
 
     kind: str
@@ -410,8 +411,27 @@ class OpSpec:
     lam: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        if self.t is not None and not is_symmetric(self.t):
-            raise ValueError("gauge coefficient operator must be symmetric")
+        if self.kind not in ("create", "annihilate", "gauge", "b"):
+            raise ValueError(f"unknown operator kind {self.kind!r}")
+        if self.x is None and self.kind != "gauge":
+            raise ValueError(f"{self.kind}: the vector x is missing")
+        if self.t is None and self.kind in ("gauge", "b"):
+            raise ValueError(f"{self.kind}: the coefficient operator T is missing")
+        if self.x is not None and self.kind == "gauge":
+            raise ValueError(f"{self.kind}: reads no vector x")
+        if self.t is not None and self.kind in ("create", "annihilate"):
+            raise ValueError(f"{self.kind}: reads no coefficient operator T")
+        if self.lam and self.kind != "b":
+            raise ValueError(f"{self.kind}: reads no shift lambda, got {self.lam}")
+        _check_point(self.x or (), self.t or (), self.lam)
+
+
+def _check_point(x: Sequence, t: Sequence[Sequence], lam: RationalLike) -> None:
+    """TypeError unless each entry is an int or a Fraction, ValueError unless T is square, then symmetric."""
+    frac_vector(x)
+    _as_fraction(lam)
+    if not is_symmetric(frac_matrix(t)):
+        raise ValueError("gauge coefficient operator must be symmetric")
 
 
 def create(x: Sequence[Fraction]) -> OpSpec:
@@ -433,29 +453,11 @@ def type_b(
 
 
 def check_dimensions(op: OpSpec, space: SpaceSpec) -> None:
-    """Raise ValueError unless the kind is known, the operator has the vector and
-    matrix its kind reads and no field it does not read, and they fit the
-    space; TypeError unless every entry of x, T and lambda is an int or a
-    Fraction."""
-    if op.kind not in ("create", "annihilate", "gauge", "b"):
-        raise ValueError(f"unknown operator kind {op.kind!r}")
-    if op.x is None and op.kind != "gauge":
-        raise ValueError(f"{op.kind}: the vector x is missing")
-    if op.t is None and op.kind in ("gauge", "b"):
-        raise ValueError(f"{op.kind}: the coefficient operator T is missing")
-    if op.x is not None and op.kind == "gauge":
-        raise ValueError(f"{op.kind}: reads no vector x")
-    if op.t is not None and op.kind in ("create", "annihilate"):
-        raise ValueError(f"{op.kind}: reads no coefficient operator T")
-    if op.lam and op.kind != "b":
-        raise ValueError(f"{op.kind}: reads no shift lambda, got {op.lam}")
-    d = space.d
-    if op.x is not None and len(op.x) != d:
-        raise ValueError(f"{op.kind}: vector has {len(op.x)} coordinates, the space has d = {d}")
-    if op.t is not None and (len(op.t) != d or any(len(row) != d for row in op.t)):
-        raise ValueError(f"{op.kind}: coefficient operator is not {d}x{d}")
-    for entry in chain(op.x or (), *(op.t or ()), (op.lam,)):
-        _as_fraction(entry)
+    """Raise ValueError unless x and T (square, as ``OpSpec`` checked) fit the space's d."""
+    if op.x is not None and len(op.x) != space.d:
+        raise ValueError(f"{op.kind}: vector has {len(op.x)} coordinates, the space has d = {space.d}")
+    if op.t is not None and len(op.t) != space.d:
+        raise ValueError(f"{op.kind}: coefficient operator is not {space.d}x{space.d}")
 
 
 # a vector on the operator kernel: word -> {packed exponent: int numerator},
@@ -563,34 +565,30 @@ _Leaf = TypeVar("_Leaf")
 
 def _sweep(
     alphabets: Sequence[Sequence[_Letter]],
-    root: _State,
+    state: _State | None,
     step: Callable[[int, _Letter, _State], _State | None],
     leaf: Callable[[_State | None], _Leaf],
+    j: int = 0,
 ) -> Iterator[_Leaf]:
-    """leaf(state) for every word over the alphabets (alphabets[j - 1] holds
-    the letters at point j), in ``product(*alphabets)`` order, from one
-    depth-first walk over the word prefixes: a prefix's state is step(j,
-    letter, state) of its parent's, so words that share a prefix share its
-    steps.  A step that returns None (a zero state) ends the walk below it:
-    each of the ∏ len(alphabets[j:]) words there yields leaf(None).
+    """leaf(state) for every word over the alphabets (alphabets[j - 1] holds the letters
+    at point j), in ``product(*alphabets)`` order, from one depth-first walk over the word
+    prefixes: a prefix's state is step(j, letter, state) of its parent's, so words that
+    share a prefix share its steps.  A step that returns None (a zero state) ends the walk
+    below it: each of the ∏ len(alphabets[j:]) words there yields leaf(None).  Below a
+    prefix of length j the walk calls itself, so no closure makes a reference cycle.
     """
-    n = len(alphabets)
-
-    def walk(j: int, state: _State | None) -> Iterator[_Leaf]:
-        if state is None:
-            for _ in range(prod(map(len, alphabets[j:]))):
-                yield leaf(None)
-        elif j == n:
-            yield leaf(state)
-        else:
-            *letters, last = alphabets[j]
-            for letter in letters:
-                yield from walk(j + 1, step(j + 1, letter, state))
-            subtree = walk(j + 1, step(j + 1, last, state))
-            del state  # so a fold over one word keeps one state alive, not n
-            yield from subtree
-
-    return walk(0, root)
+    if state is None:
+        for _ in range(prod(map(len, alphabets[j:]))):
+            yield leaf(None)
+    elif j == len(alphabets):
+        yield leaf(state)
+    else:
+        *letters, last = alphabets[j]
+        for letter in letters:
+            yield from _sweep(alphabets, step(j + 1, letter, state), step, leaf, j + 1)
+        subtree = _sweep(alphabets, step(j + 1, last, state), step, leaf, j + 1)
+        del state  # so a fold over one word keeps one state alive, not n
+        yield from subtree
 
 
 def _operator_walk(

@@ -96,6 +96,7 @@ from .fock import (
     OpSpec,
     SpaceSpec,
     Word,
+    _check_point,
     _operator_walk,
     _require_type_b,
     _sweep,
@@ -131,7 +132,6 @@ from .scalars import (
     frac_mat_vec,
     frac_matrix,
     frac_vector,
-    is_symmetric,
 )
 
 MAX_WICK_N = 10  # the kernel's 4-bit arc fields (_ARC_BITS) need n < 16
@@ -151,16 +151,10 @@ class MomentProblem:
         if not len(self.xs) == len(self.ts) == len(self.lams):
             raise ValueError("xs, ts and lams must have equal lengths")
         d = self.space.d
-        if any(len(x) != d for x in self.xs) or any(
-            len(t) != d or any(len(row) != d for row in t) for t in self.ts
-        ):
-            raise ValueError("vector/operator dimensions must match the space")
-        # what the point operators would refuse: a float (TypeError), a T that is not symmetric
-        for values in (*self.xs, *(row for t in self.ts for row in t), self.lams):
-            for entry in values:
-                _as_fraction(entry)
-        if not all(map(is_symmetric, self.ts)):
-            raise ValueError("gauge coefficient operator must be symmetric")
+        for x, t, lam in zip(self.xs, self.ts, self.lams):
+            if len(x) != d or len(t) != d or any(len(row) != d for row in t):
+                raise ValueError("vector/operator dimensions must match the space")
+            _check_point(x, t, lam)  # what the point's operators would refuse
 
     @classmethod
     def build(
@@ -374,22 +368,28 @@ def _color_summed_kernel(
     vectors: dict[int, list[list[int]]] = {}
     tables: dict[int, list[int]] = {}
 
+    # each cache fills in a loop, since a self-calling closure would be a reference cycle
     def open_vectors(mask: int) -> list[list[int]]:
         """T_last F ··· F x_min of a block, one vector per choice at each arc."""
         if mask not in vectors:
-            last = mask.bit_length() - 1
-            rest = mask ^ 1 << last
-            if rest:
-                vectors[mask] = [_int_mat_vec(tm, v) for tm in steps[last] for v in open_vectors(rest)]
-            else:
-                vectors[mask] = [[delta * v for v in xs[last]]]  # the one more delta of the block
+            seen = mask & -mask  # the block's least point, which carries its one more delta
+            vecs = vectors[seen] = [[delta * v for v in xs[seen.bit_length() - 1]]]
+            for p in range(seen.bit_length(), mask.bit_length()):
+                if mask >> p & 1:
+                    seen |= 1 << p
+                    vecs = vectors[seen] = vectors.get(seen) or [
+                        _int_mat_vec(tm, v) for tm in steps[p] for v in vecs]
         return vectors[mask]
 
     def arc_keys(arcs: tuple[int, ...]) -> list[int]:
         """The packed weight of each choice at each arc, the last arc's choice outermost."""
         if arcs not in keyed:
-            weights = [_pack(*weight(*_arc_fields(arcs[-1]))) for _, weight in choices]
-            keyed[arcs] = [key + w for w in weights for key in arc_keys(arcs[:-1])]
+            keys = [0]
+            for end, code in enumerate(arcs, 1):
+                if arcs[:end] not in keyed:
+                    weights = [_pack(*weight(*_arc_fields(code))) for _, weight in choices]
+                    keyed[arcs[:end]] = [key + w for w in weights for key in keys]
+                keys = keyed[arcs[:end]]
         return keyed[arcs]
 
     def weighted(arcs: tuple[int, ...], values: Iterable[int]) -> dict[int, int]:

@@ -235,6 +235,23 @@ def test_qt_check(capsys):
     assert json.loads(out)["equal"] is True
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_qt_with_the_zero_gauge_sums_q_rc_t_nest_over_the_pairings(capsys, n):
+    # T = 0 leaves the pairings only, and with x = 1 each weighs q^rc t^nest;
+    # the sum is taken from the partition layer, not from either kernel
+    code, out = run_cli(capsys, "qt", "--n", str(n), "--T", "zero", "--t-symbolic", "--check")
+    pairings = (blocks for blocks in partitions.set_partitions(n) if all(len(block) == 2 for block in blocks))
+    expected = Poly.sum(
+        Poly.monomial(1, eq=rc, et=sum(map(sum, covers)))
+        for rc, covers in map(partitions.arc_covers, pairings)
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["equal"] is True
+    assert payload["wick"] == payload["operator_side"] == str(expected)
+    if n == 4:
+        assert payload["wick"] == "q + t + 1"
+
+
 @pytest.mark.parametrize(
     "values",
     [

@@ -60,6 +60,7 @@ F = Fraction
 UNIT, ID1 = (F(1),), ((F(1),),)
 X2 = (F(1), F(2))
 NOT_SYMMETRIC = ((F(1), F(2)), (F(0), F(1)))
+RAGGED = ((F(1),), (F(2),))  # two rows of one entry
 D2 = SpaceSpec.diagonal("+-", truncation=6)
 LINE = SpaceSpec.diagonal("+", truncation=2)
 TIGHT = SpaceSpec.diagonal("+", truncation=1)  # room for one letter
@@ -158,6 +159,12 @@ REJECTIONS = [
                  "^more operator factors than the truncation allows$", id="factors-past-truncation"),
     pytest.param(lambda: apply_operator(OpSpec("annihilate", x=UNIT), NEAR_THE_EXPONENT_BOUND), ValueError,
                  "2\\^20", id="kernel-exponent-bound"),
+    # a ragged T is refused by its shape, before its symmetry is read
+    *[
+        pytest.param(call, ValueError, "^matrix must be square$", id=f"{name}-t-ragged")
+        for name, call in (("opspec", lambda: OpSpec("gauge", t=RAGGED)), ("gauge", lambda: gauge(RAGGED)),
+                           ("type-b", lambda: type_b(X2, RAGGED)))
+    ],
     # -- moments ----------------------------------------------------------------
     pytest.param(lambda: MomentProblem.build([UNIT], [], [F(0)], LINE), ValueError, "equal lengths",
                  id="problem-lengths"),
@@ -166,6 +173,9 @@ REJECTIONS = [
                  id="problem-build-t-not-symmetric"),
     pytest.param(lambda: MomentProblem(xs=(X2,), ts=(NOT_SYMMETRIC,), lams=(F(0),), space=D2), ValueError,
                  SYMMETRIC, id="problem-t-not-symmetric"),
+    # a directly built problem checks its dimensions before its points
+    pytest.param(lambda: MomentProblem(xs=(X2,), ts=(RAGGED,), lams=(F(0),), space=D2), ValueError,
+                 "^vector/operator dimensions must match the space$", id="problem-t-ragged"),
     pytest.param(lambda: eps_operator("x", 1, unit_problem(2)), ValueError, "unknown symbol 'x'",
                  id="unknown-symbol"),
     pytest.param(lambda: wick_moment(unit_problem(MAX_WICK_N + 1)), ResourceLimitError, f"n <= {MAX_WICK_N}",

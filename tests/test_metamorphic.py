@@ -12,6 +12,14 @@ operator side runs, and only a relation like this one can check it there.  The
 relation holds on a (q,t) space too: there T_i is symmetric for the (q,t) inner
 product as well, and J = I.
 
+Multilinearity.  The moment is linear in each factor B(x_i), and B(x_i) is
+linear in the point's data (x_i, T_i, lambda_i) taken together, so replacing
+that data by c u + v gives c m(u) + m(v).  Neither side sees this either: the
+partition side reads x_i, T_i and lambda_i in different blocks, and the
+operator side clears each factor's denominators on its own.  The replaced
+point's lambda is nonzero in u and in v, so its singleton terms take part on
+every space, the (q,t) one included.
+
 Cross-model.  On a space with J = I, the (q,t) model at t = 1 equals type B at
 a = 0: the (q,t) slot weight q^(n-k) t^(k-1) becomes q^(n-k), the type-B one
 loses its a-term, and on the partition side the arc choice (I, t^c) becomes
@@ -82,6 +90,32 @@ def test_reversal_holds_on_the_operator_side_above_the_wick_guard(which):
     assert n > MAX_WICK_N
     prob = problem(which, n, 12)
     assert operator_side(reversed_points(prob)) == operator_side(prob)
+
+
+def with_point(prob, i, x, t, lam):
+    """prob with point i + 1's data replaced."""
+    def put(values, value):
+        return values[:i] + (value,) + values[i + 1:]
+    return replace(prob, xs=put(prob.xs, x), ts=put(prob.ts, t), lams=put(prob.lams, lam))
+
+
+@pytest.mark.parametrize("side", sorted(SIDES))
+@settings(max_examples=25, deadline=None)
+@given(which=st.sampled_from(sorted(INVOLUTIONS)), n=st.integers(1, 5), seed=st.integers(0, 2**32),
+       c=st.fractions(min_value=-3, max_value=3, max_denominator=4), data=st.data())
+def test_the_moment_is_linear_in_each_point(side, which, n, seed, c, data):
+    moment = SIDES[side]
+    i = data.draw(st.integers(0, n - 1), label="point")
+    prob, other = problem(which, n, seed), problem(which, n, seed + 1)
+    u = (prob.xs[i], prob.ts[i], prob.lams[i] or F(1, 2))
+    v = (other.xs[i], other.ts[i], other.lams[i] or F(-1, 3))
+    mixed = (
+        tuple(c * a + b for a, b in zip(u[0], v[0])),
+        tuple(tuple(c * a + b for a, b in zip(ra, rb)) for ra, rb in zip(u[1], v[1])),
+        c * u[2] + v[2],
+    )
+    combined = moment(with_point(prob, i, *mixed))
+    assert combined == c * moment(with_point(prob, i, *u)) + moment(with_point(prob, i, *v))
 
 
 @pytest.mark.parametrize("side", sorted(SIDES))

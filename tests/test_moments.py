@@ -1,5 +1,6 @@
 """Moment formulas: cumulants, the colored-partition identity, corollaries."""
 
+import gc
 import random
 import re
 from collections import Counter
@@ -390,6 +391,29 @@ def test_the_sweeps_are_guarded(sweep):
     next(iter(sweep(unit_problem(MAX_VECTOR_N))))
     with pytest.raises(ResourceLimitError, match=f"n <= {MAX_VECTOR_N}"):
         next(iter(sweep(unit_problem(MAX_VECTOR_N + 1))))
+
+
+KERNEL_CALLS = {
+    "wick_moment": wick_moment,
+    "vacuum_expectation": lambda prob: vacuum_expectation(prob.operators(), prob.space),
+    "apply_operator": lambda prob: apply_operator(prob.operators()[0], FockVector.basis(prob.space, (0, 1))),
+    "vector_formulas": lambda prob: list(vector_formulas(prob)),
+    "eps_word_vectors": lambda prob: list(eps_word_vectors(prob)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(KERNEL_CALLS))
+def test_a_kernel_call_leaves_no_reference_cycle(call):
+    # a cycle would keep the call's caches, levels and frames alive until a
+    # full collection; with the collector off, a collection after the call finds nothing
+    prob = involution_problem(3, 4, "reflection")
+    gc.disable()
+    try:
+        gc.collect()
+        KERNEL_CALLS[call](prob)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("eps", [("*",), ("*", "*", "*"), ("*", "x")], ids=["short", "long", "bad-symbol"])

@@ -100,32 +100,19 @@ X2 = (F(1), F(2))
 T2 = ((F(1), F(0)), (F(0), F(1)))
 
 
-# the id's "qt-" prefix puts the operator on a (q,t) space
-MODEL_SPACES = {"": SPACES[0], "qt-": QT_SPACES[0]}
-
-
+# refused at construction, before any space (of either model) is seen
 @pytest.mark.parametrize(
-    "op,message,space",
+    "kind,fields,message",
     [
-        *[(OpSpec(kind, x=X2, lam=F(1, 2)), f"^{kind}: reads no shift lambda, got 1/2$", space)
-          for space in MODEL_SPACES.values() for kind in ("create", "annihilate")],
-        *[(OpSpec("gauge", t=T2, lam=F(-3)), "^gauge: reads no shift lambda, got -3$", space)
-          for space in MODEL_SPACES.values()],
-        *[(OpSpec("gauge", x=X2, t=T2), "^gauge: reads no vector x$", space)
-          for space in MODEL_SPACES.values()],
-        *[(OpSpec(kind, x=X2, t=T2), f"^{kind}: reads no coefficient operator T$", space)
-          for space in MODEL_SPACES.values() for kind in ("create", "annihilate")],
+        *[(kind, {"x": X2, "lam": F(1, 2)}, f"^{kind}: reads no shift lambda, got 1/2$")
+          for kind in ("create", "annihilate")],
+        ("gauge", {"t": T2, "lam": F(-3)}, "^gauge: reads no shift lambda, got -3$"),
+        ("gauge", {"x": X2, "t": T2}, "^gauge: reads no vector x$"),
+        *[(kind, {"x": X2, "t": T2}, f"^{kind}: reads no coefficient operator T$")
+          for kind in ("create", "annihilate")],
     ],
-    ids=[
-        *[f"lam-{prefix}{kind}" for prefix in MODEL_SPACES for kind in ("create", "annihilate")],
-        *[f"lam-{prefix}gauge" for prefix in MODEL_SPACES],
-        *[f"x-{prefix}gauge" for prefix in MODEL_SPACES],
-        *[f"t-{prefix}{kind}" for prefix in MODEL_SPACES for kind in ("create", "annihilate")],
-    ],
+    ids=["lam-create", "lam-annihilate", "lam-gauge", "x-gauge", "t-create", "t-annihilate"],
 )
-def test_a_field_the_kind_does_not_read_is_rejected(op, message, space):
-    v = FockVector.basis(space, (0, 1))
+def test_a_field_the_kind_does_not_read_is_rejected(kind, fields, message):
     with pytest.raises(ValueError, match=message):
-        apply_operator(op, v)
-    with pytest.raises(ValueError, match=message):
-        vacuum_expectation([op], space)
+        OpSpec(kind, **fields)
