@@ -53,7 +53,7 @@ from .moments import (
 from .partitions import enumerate_colored, enumerate_extended, statistics
 from .qt import QtSpec, qt_wick, qt_y_moment
 from .scalars import (
-    T, Matrix, Poly, frac_identity, frac_matrix, identity_matrix, is_semidefinite, mat_kron,
+    T, Matrix, Poly, identity_matrix, is_semidefinite, mat_kron,
     mat_mul, mat_to_int, norm_at_most, qint,
 )
 
@@ -213,7 +213,7 @@ def _moment_problem(args: argparse.Namespace) -> MomentProblem:
     n = args.n
     if len(args.lambdas) > n:
         raise ValueError(f"{len(args.lambdas)} --lambda values for n = {n}")
-    lams = list(args.lambdas) + [Fraction(0)] * (n - len(args.lambdas))
+    lams = list(args.lambdas) + [0] * (n - len(args.lambdas))
     if args.seed is not None:
         signature = "+-" if args.signature is None else args.signature
         space = SpaceSpec.diagonal(signature, truncation=max(n, 1))
@@ -222,12 +222,7 @@ def _moment_problem(args: argparse.Namespace) -> MomentProblem:
         return MomentProblem.build(prob.xs, prob.ts, lams, space)
     _reject_given(args, ("signature",), "applies only to a seeded instance (--seed)")
     space = SpaceSpec.diagonal("+", truncation=max(n, 1))
-    return MomentProblem.build(
-        xs=[(Fraction(1),)] * n,
-        ts=[((Fraction(1),),)] * n,
-        lams=lams,
-        space=space,
-    )
+    return MomentProblem.build(xs=[(1,)] * n, ts=[((1,),)] * n, lams=lams, space=space)
 
 
 def cmd_moment(args: argparse.Namespace) -> int:
@@ -258,8 +253,8 @@ def cmd_qt(args: argparse.Namespace) -> int:
         t = Fraction(1, 2) if args.t is None else args.t
         _require_qt_range(t, args.q)
     spec = QtSpec.make(1, truncation=max(args.n, 1))
-    xs = [(Fraction(1),)] * args.n
-    ts = [frac_identity(1) if args.T == "identity" else ((Fraction(0),),)] * args.n
+    xs = [(1,)] * args.n
+    ts = [((1 if args.T == "identity" else 0,),)] * args.n
 
     def settle(poly: Poly) -> Poly:
         """Substitute --q when given and t unless --t-symbolic; the two sides are
@@ -333,7 +328,7 @@ def _corollary_checks(n_max: int, seed: int) -> list[Check]:
             full = wick_moment(prob)
             yield compare(f"q-case n={n}", full.subs(alpha=0), corollary_q_case(prob))
             yield compare(f"free-alpha n={n}", full.subs(q=0), corollary_free_alpha(prob))
-            gaussian = replace(prob, ts=(frac_matrix([[0, 0], [0, 0]]),) * n)
+            gaussian = replace(prob, ts=(((0, 0), (0, 0)),) * n)
             yield compare(f"gaussian n={n}", wick_moment(gaussian), corollary_gaussian(gaussian))
 
     return [("corollaries", run)]
@@ -349,8 +344,7 @@ def _qt_checks(n_max: int, seed: int) -> list[Check]:
 
     def fixture() -> Iterator[VerifyReport]:
         spec = QtSpec.make(1, truncation=5)
-        unit = (Fraction(1),)
-        value = qt_wick([unit] * 5, [frac_identity(1)] * 5, spec).subs(q=0)
+        value = qt_wick([(1,)] * 5, [((1,),)] * 5, spec).subs(q=0)
         yield compare("qt-y5 at q=0", value, T**2 + 2 * T + 3)
 
     return [("qt-identity", run), ("qt-y5-fixture", fixture)]

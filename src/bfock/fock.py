@@ -33,7 +33,8 @@ right end of a word, the free right annihilator removes the rightmost slot,
 and products apply their rightmost factor first.  An ``OpSpec`` refuses at
 construction what no space can apply, through ``_check_point`` for one point's
 x, T and λ (as ``moments.MomentProblem`` does); ``check_dimensions`` adds only
-the fit to a space.
+the fit to a space.  ``SpaceSpec`` (J) and ``OpSpec`` (what ``_check_point``
+returns) store Fractions in tuples, so equal inputs give equal, hashable values.
 
 One kernel applies every operator, on Python ints: a vector is a dict
 {word: {packed exponent: int numerator}} over one denominator, as in
@@ -120,6 +121,7 @@ class SpaceSpec:
         if len(self.involution) != self.d or any(len(row) != self.d for row in self.involution):
             raise ValueError("involution dimension mismatch")
         j = frac_matrix(self.involution)  # a float raises TypeError here
+        self.__dict__["involution"] = j
         if not is_symmetric(j):
             raise ValueError("involution must be symmetric")
         if frac_mat_mul(j, j) != frac_identity(self.d):
@@ -130,16 +132,11 @@ class SpaceSpec:
     @classmethod
     def diagonal(cls, signature: str, truncation: int, model: str = "alpha-q") -> SpaceSpec:
         """Signature string over '+'/'-', e.g. '+-' for diag(1, -1)."""
-        signs = []
         for ch in signature:
             if ch not in "+-":
                 raise ValueError(f"bad signature character {ch!r}")
-            signs.append(Fraction(1 if ch == "+" else -1))
-        d = len(signs)
-        j = tuple(
-            tuple(signs[i] if i == k else Fraction(0) for k in range(d))
-            for i in range(d)
-        )
+        d = len(signature)
+        j = [[(1 if ch == "+" else -1) if i == k else 0 for k in range(d)] for i, ch in enumerate(signature)]
         return cls(d=d, involution=j, truncation=truncation, model=model)
 
     def involve_basis(self, letter: int) -> FracVector:
@@ -402,7 +399,8 @@ class OpSpec:
 
     Kinds: create, annihilate, gauge, b (= annihilate + create + gauge + λ·I).  The model
     of the space the operator acts on sets its slot weight: on a (q,t) space, b with
-    λ = 0 is the (q,t) field operator Y.  ``check_dimensions`` checks the fit to a space's d.
+    λ = 0 is the (q,t) field operator Y.  It stores x, T and λ as ``_check_point`` returns
+    them (None for a field the kind does not read); ``check_dimensions`` checks the fit to d.
     """
 
     kind: str
@@ -423,33 +421,37 @@ class OpSpec:
             raise ValueError(f"{self.kind}: reads no coefficient operator T")
         if self.lam and self.kind != "b":
             raise ValueError(f"{self.kind}: reads no shift lambda, got {self.lam}")
-        _check_point(self.x or (), self.t or (), self.lam)
+        x, t, lam = _check_point(self.x or (), self.t or (), self.lam)
+        self.__dict__.update(x=None if self.x is None else x, t=None if self.t is None else t, lam=lam)
 
 
-def _check_point(x: Sequence, t: Sequence[Sequence], lam: RationalLike) -> None:
-    """TypeError unless each entry is an int or a Fraction, ValueError unless T is square, then symmetric."""
-    frac_vector(x)
-    _as_fraction(lam)
-    if not is_symmetric(frac_matrix(t)):
+def _check_point(
+    x: Sequence[RationalLike], t: Sequence[Sequence[RationalLike]], lam: RationalLike
+) -> tuple[FracVector, FracMatrix, Fraction]:
+    """(x, T, λ) as Fractions: TypeError unless each entry is an int or a
+    Fraction, ValueError unless T is square, then symmetric."""
+    x, lam, t = frac_vector(x), _as_fraction(lam), frac_matrix(t)
+    if not is_symmetric(t):
         raise ValueError("gauge coefficient operator must be symmetric")
+    return x, t, lam
 
 
-def create(x: Sequence[Fraction]) -> OpSpec:
-    return OpSpec("create", x=frac_vector(x))
+def create(x: Sequence[RationalLike]) -> OpSpec:
+    return OpSpec("create", x=x)
 
 
-def annihilate(x: Sequence[Fraction]) -> OpSpec:
-    return OpSpec("annihilate", x=frac_vector(x))
+def annihilate(x: Sequence[RationalLike]) -> OpSpec:
+    return OpSpec("annihilate", x=x)
 
 
-def gauge(t: Sequence[Sequence[Fraction]]) -> OpSpec:
-    return OpSpec("gauge", t=frac_matrix(t))
+def gauge(t: Sequence[Sequence[RationalLike]]) -> OpSpec:
+    return OpSpec("gauge", t=t)
 
 
 def type_b(
-    x: Sequence[Fraction], t: Sequence[Sequence[Fraction]], lam: Fraction | int = 0
+    x: Sequence[RationalLike], t: Sequence[Sequence[RationalLike]], lam: RationalLike = 0
 ) -> OpSpec:
-    return OpSpec("b", x=frac_vector(x), t=frac_matrix(t), lam=_as_fraction(lam))
+    return OpSpec("b", x=x, t=t, lam=lam)
 
 
 def check_dimensions(op: OpSpec, space: SpaceSpec) -> None:

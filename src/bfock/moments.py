@@ -123,15 +123,13 @@ from .scalars import (
     Exponent,
     FracMatrix,
     FracVector,
+    RationalLike,
     _FIELD,
-    _as_fraction,
     _normal,
     _pack,
     frac_dot,
     frac_identity,
     frac_mat_vec,
-    frac_matrix,
-    frac_vector,
 )
 
 MAX_WICK_N = 10  # the kernel's 4-bit arc fields (_ARC_BITS) need n < 16
@@ -140,7 +138,8 @@ MAX_VECTOR_N = 6
 
 @dataclass(frozen=True)
 class MomentProblem:
-    """Vectors, coefficient operators and shift constants of a mixed moment."""
+    """Vectors, coefficient operators and shift constants of a mixed moment,
+    stored per point as ``fock._check_point`` returns them (tuples of Fractions)."""
 
     xs: tuple[FracVector, ...]
     ts: tuple[FracMatrix, ...]
@@ -150,26 +149,23 @@ class MomentProblem:
     def __post_init__(self) -> None:
         if not len(self.xs) == len(self.ts) == len(self.lams):
             raise ValueError("xs, ts and lams must have equal lengths")
-        d = self.space.d
+        d, points = self.space.d, []
         for x, t, lam in zip(self.xs, self.ts, self.lams):
             if len(x) != d or len(t) != d or any(len(row) != d for row in t):
                 raise ValueError("vector/operator dimensions must match the space")
-            _check_point(x, t, lam)  # what the point's operators would refuse
+            points.append(_check_point(x, t, lam))  # what the point's operators would refuse
+        xs, ts, lams = tuple(zip(*points)) or ((), (), ())
+        self.__dict__.update(xs=xs, ts=ts, lams=lams)
 
     @classmethod
     def build(
         cls,
-        xs: Sequence[Sequence[Fraction]],
-        ts: Sequence[Sequence[Sequence[Fraction]]],
-        lams: Sequence[Fraction | int],
+        xs: Sequence[Sequence[RationalLike]],
+        ts: Sequence[Sequence[Sequence[RationalLike]]],
+        lams: Sequence[RationalLike],
         space: SpaceSpec,
     ) -> MomentProblem:
-        return cls(
-            xs=tuple(frac_vector(x) for x in xs),
-            ts=tuple(frac_matrix(t) for t in ts),
-            lams=tuple(_as_fraction(lam) for lam in lams),
-            space=space,
-        )
+        return cls(xs=xs, ts=ts, lams=lams, space=space)
 
     @property
     def n(self) -> int:
@@ -721,14 +717,14 @@ def random_problem(
         return Fraction(rng.randint(-5, 5), rng.randint(1, 5))
 
     d = space.d
-    xs = [tuple(rational() for _ in range(d)) for _ in range(n)]
+    xs = [[rational() for _ in range(d)] for _ in range(n)]
     ts = []
     for _ in range(n):
-        upper = [[Fraction(0)] * d for _ in range(d)]
+        upper = [[0] * d for _ in range(d)]
         for i in range(d):
             for j in range(i, d):
                 upper[i][j] = rational()
                 upper[j][i] = upper[i][j]
-        ts.append(tuple(tuple(row) for row in upper))
-    lams = [Fraction(0) if zero_lams else rational() for _ in range(n)]
+        ts.append(upper)
+    lams = [0 if zero_lams else rational() for _ in range(n)]
     return MomentProblem.build(xs, ts, lams, space)

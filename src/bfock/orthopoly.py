@@ -21,7 +21,6 @@ or a passing report under the identity's own name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .errors import ResourceLimitError
@@ -120,7 +119,7 @@ def _line_model(which: str, upto: int, sign: str) -> tuple[SpaceSpec, OpSpec]:
     and its field operator with x = 1, T = Id: 'alphaq' on the type-B space,
     'qt' on the (q,t) space (Y, whose space refuses the sign '-')."""
     model = {"alphaq": "alpha-q"}.get(which, which)
-    return SpaceSpec.diagonal(sign, upto + 1, model), type_b((Fraction(1),), ((Fraction(1),),))
+    return SpaceSpec.diagonal(sign, upto + 1, model), type_b((1,), ((1,),))
 
 
 def vacuum_polynomial_identity(which: str, upto: int, sign: str = "+") -> VerifyReport:

@@ -27,9 +27,11 @@ of the covers), rnarc (the covers of the -1 arcs) and out_arc (the arcs of
 cover 0) from the same pass, and relates open blocks to its list of arcs.
 
 The enumerators build their partitions through ``_colored``, which skips
-``__post_init__``: what they build is valid by construction, and a test
-rebuilds every one of them through the public constructor.  Every other
-construction keeps its full validation.
+``__post_init__``: what they build is valid by construction, and it must be
+in the normal form the constructor stores (blocks and colors as tuples, the
+marking as a frozenset), so that equal partitions hash equal.  A test
+rebuilds every one of them from lists through the public constructor.
+Every other construction keeps its full validation.
 
 Enumeration order is deterministic: uncolored partitions in restricted-
 growth-string order, colorings in binary order (+1 before -1) from the one
@@ -61,7 +63,8 @@ Colors = tuple[int, ...]
 @dataclass(frozen=True)
 class ColoredPartition:
     """Set partition of [n] with ±1 arc colors and a set of marked (open) blocks
-    of size >= 2, by index; blocks ordered by maxima."""
+    of size >= 2, by index; blocks ordered by maxima.  Stores blocks and colors
+    as tuples and the marking as a frozenset."""
 
     n: int
     blocks: tuple[Block, ...]
@@ -88,6 +91,8 @@ class ColoredPartition:
                 raise ValueError(f"marked block index {b} is out of range")
             if len(self.blocks[b]) < 2:
                 raise ValueError("only blocks of size >= 2 may be marked")
+        self.__dict__.update(blocks=tuple(map(tuple, self.blocks)),
+                             colors=tuple(map(tuple, self.colors)), marked=frozenset(self.marked))
 
 
 def _open_blocks(blocks: Sequence[Block], marked: frozenset[int]) -> list[int]:
@@ -99,8 +104,8 @@ def _colored(
     n: int, blocks: tuple[Block, ...], colors: tuple[Colors, ...], marked: frozenset[int]
 ) -> ColoredPartition:
     """The enumerators' constructor, without ``__post_init__`` (see the module
-    docstring): each field goes straight into the instance dict, which costs
-    far less per object than a keyword call."""
+    docstring): each field, already in normal form, goes straight into the
+    instance dict, which costs far less per object than a keyword call."""
     p = object.__new__(ColoredPartition)
     fields = p.__dict__
     fields["n"] = n

@@ -423,9 +423,7 @@ def is_semidefinite(m: IntMatrix, definite: bool = False) -> bool:
     only when the whole remaining block is zero, and only for semidefinite.
     """
     size = len(m)
-    if any(len(row) != size for row in m) or any(
-        m[i][j] != m[j][i] for i in range(size) for j in range(i)
-    ):
+    if any(len(row) != size for row in m) or not is_symmetric(m):
         raise ValueError("a semidefinite test needs a symmetric matrix")
     a = [list(row) for row in m]
     previous = 1
@@ -504,5 +502,5 @@ def frac_mat_mul(a: FracMatrix, b: FracMatrix) -> FracMatrix:
     return tuple(tuple(frac_dot(row, col) for col in bt) for row in a)
 
 
-def is_symmetric(m: FracMatrix) -> bool:
+def is_symmetric(m: Sequence[Sequence[RationalLike]]) -> bool:
     return all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(i))

@@ -20,7 +20,7 @@ from bfock.cli import main
 from bfock.fock import FockVector, SpaceSpec, symmetrizer
 from bfock.moments import random_problem, wick_moment
 from bfock.partitions import EPS_ALPHABET
-from bfock.scalars import ALPHA, ONE, Poly, T, frac_matrix, mat_to_int, qint
+from bfock.scalars import ALPHA, ONE, Poly, T, mat_to_int, qint
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -472,7 +472,7 @@ def _shifted_corollary(label, evaluator):
         # the corollary suite's draw at the verify defaults: seed 7 + 200 + n on "++"
         prob = random_problem(random.Random(7 + 200 + 1), 1, SpaceSpec.diagonal("++", truncation=1), zero_lams=True)
         if label == "gaussian":
-            prob = replace(prob, ts=(frac_matrix([[0, 0], [0, 0]]),))
+            prob = replace(prob, ts=(((0, 0), (0, 0)),))
         value = getattr(moments, evaluator)(prob)
         return f"{label} n=1: {value}", str(value + 1)
 

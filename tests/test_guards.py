@@ -6,7 +6,8 @@ module; every other raise-only check is a row here.  A size guard raises
 ``ResourceLimitError``, input past the truncation ``TruncationError``, a float
 where an exact value belongs ``TypeError``, and any other bad input or unknown
 name ``ValueError``.  A bad input that reaches the library through more than
-one entry point has a row for each.
+one entry point has a row for each.  ``VALUES`` is the other side of the
+boundary: what each value type's constructor stores from valid input.
 """
 
 import re
@@ -70,7 +71,7 @@ QT_D2 = QtSpec.make(2, truncation=6).space
 def unit_problem(n, lam=0, sign="+", model="alpha-q"):
     """x = 1, T = 1 and the given lambda at each of n points on the line."""
     space = SpaceSpec.diagonal(sign, truncation=max(n, 1), model=model)
-    return MomentProblem.build([UNIT] * n, [ID1] * n, [F(lam)] * n, space)
+    return MomentProblem.build([UNIT] * n, [ID1] * n, [lam] * n, space)
 
 
 WORD_MESSAGE = re.escape("eps must be over {*, 1, '} with one symbol per point")
@@ -245,3 +246,35 @@ REJECTIONS = [
 def test_guards_and_unknown_names_raise(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def _leaves(value):
+    """The leaves of nested tuples; a list or set anywhere fails."""
+    assert not isinstance(value, (list, set)), value
+    return [leaf for item in value for leaf in _leaves(item)] if isinstance(value, tuple) else [value]
+
+
+# (built from lists and ints, built from tuples and Fractions, the stored
+# fields that must be nested tuples, the type of their leaves)
+VALUES = [
+    pytest.param(lambda: SpaceSpec(2, [[0, 1], [1, 0]], 3), lambda: SpaceSpec(2, ((F(0), F(1)), (F(1), F(0))), 3),
+                 ("involution",), Fraction, id="space"),
+    pytest.param(lambda: OpSpec("create", x=[1, 2]), lambda: create(X2), ("x",), Fraction, id="create"),
+    pytest.param(lambda: OpSpec("b", x=[1, 2], t=[[1, 0], [0, 3]], lam=2),
+                 lambda: type_b(X2, ((F(1), F(0)), (F(0), F(3))), F(2)), ("x", "t", "lam"), Fraction, id="b"),
+    pytest.param(lambda: MomentProblem([[1, 2]], [[[1, 0], [0, 3]]], [2], D2),
+                 lambda: MomentProblem((X2,), (((F(1), F(0)), (F(0), F(3))),), (F(2),), D2),
+                 ("xs", "ts", "lams"), Fraction, id="moment-problem"),
+    pytest.param(lambda: ColoredPartition(3, [[2], [1, 3]], [[], [-1]], [1]),
+                 lambda: ColoredPartition(3, ((2,), (1, 3)), ((), (-1,)), frozenset({1})),
+                 ("blocks", "colors"), int, id="partition"),
+]
+
+
+@pytest.mark.parametrize("from_lists, from_tuples, fields, leaf", VALUES)
+def test_equal_inputs_build_equal_hashable_values(from_lists, from_tuples, fields, leaf):
+    value, normal = from_lists(), from_tuples()
+    assert value == normal and hash(value) == hash(normal)
+    for name in fields:
+        assert all(type(x) is leaf for x in _leaves(getattr(value, name))), name
+    assert not isinstance(value, ColoredPartition) or type(value.marked) is frozenset

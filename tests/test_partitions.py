@@ -293,14 +293,16 @@ def test_marked_index_must_name_a_block(marked):
 
 @pytest.mark.parametrize("n", range(7))
 def test_enumerated_partitions_pass_the_public_validation(n):
-    # the enumerators skip __post_init__; rebuilding through the public
-    # constructor validates each partition and must give an equal one
-    def rebuilt(p):
-        return ColoredPartition(n=p.n, blocks=p.blocks, colors=p.colors, marked=frozenset(p.marked))
+    # the enumerators skip __post_init__; rebuilding from lists through the
+    # public constructor validates each partition and normalizes it to an
+    # equal one with an equal hash
+    def same_when_rebuilt(p):
+        q = ColoredPartition(p.n, [list(b) for b in p.blocks], [list(c) for c in p.colors], set(p.marked))
+        return q == p and hash(q) == hash(p)
 
-    assert all(rebuilt(p) == p for p in enumerate_colored(n))
+    assert all(map(same_when_rebuilt, enumerate_colored(n)))
     extended = list(enumerate_extended(n))
-    assert all(rebuilt(p) == p for p in extended)
+    assert all(map(same_when_rebuilt, extended))
     by_eps = [p for eps in product(EPS_ALPHABET, repeat=n) for p in enumerate_extended_eps(eps)]
-    assert all(rebuilt(p) == p for p in by_eps)
+    assert all(map(same_when_rebuilt, by_eps))
     assert len(by_eps) == len(extended)  # each extended partition has one eps word
