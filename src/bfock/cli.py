@@ -21,8 +21,6 @@ not read), 3 resource-guard violations.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import random
 import sys
@@ -30,8 +28,9 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache, partial
+from itertools import chain
 from math import factorial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import orthopoly
 from .coxeter import enumerate_group
@@ -51,7 +50,6 @@ from .moments import (
     wick_moment,
 )
 from .partitions import enumerate_colored, enumerate_extended, statistics
-from .qt import QtSpec, qt_wick, qt_y_moment
 from .scalars import (
     T, Matrix, Poly, identity_matrix, is_semidefinite, mat_kron,
     mat_mul, mat_to_int, norm_at_most, qint,
@@ -134,21 +132,18 @@ def _emit_sides(
 # -- subcommands ----------------------------------------------------------------
 
 
+def _csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """The header and rows as CSV lines.  No field holds a comma, a quote or a
+    newline, so none is quoted, as ``csv.writer`` would not quote it either."""
+    return "\n".join(",".join(map(str, row)) for row in chain([header], rows)) + "\n"
+
+
 def cmd_group(args: argparse.Namespace) -> int:
-    records = enumerate_group(args.n)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["window", "l1", "l2", "word"])
-    for record in records:
-        writer.writerow(
-            [
-                " ".join(str(v) for v in record.window),
-                record.l1,
-                record.l2,
-                " ".join(str(g) for g in record.word),
-            ]
-        )
-    _emit(args, buffer.getvalue())
+    rows = (
+        (" ".join(map(str, record.window)), record.l1, record.l2, " ".join(map(str, record.word)))
+        for record in enumerate_group(args.n)
+    )
+    _emit(args, _csv(("window", "l1", "l2", "word"), rows))
     return EXIT_OK
 
 
@@ -163,29 +158,26 @@ def _format_colors(colors) -> str:
 def cmd_partitions(args: argparse.Namespace) -> int:
     if args.extended and args.filter != "all":
         raise ValueError(f"--filter {args.filter} does not apply to --extended")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        [
-            "blocks", "colors", "marked",
-            "rc", "nest", "rnarc", "narc", "rarc",
-            "maxc", "maxl", "mleft", "outarc",
-        ]
+    header = (
+        "blocks", "colors", "marked",
+        "rc", "nest", "rnarc", "narc", "rarc",
+        "maxc", "maxl", "mleft", "outarc",
     )
     partitions = enumerate_extended(args.n) if args.extended else enumerate_colored(args.n, args.filter)
+    rows = []
     for p in partitions:
         stats = statistics(p)
-        writer.writerow(
-            [
+        rows.append(
+            (
                 _format_blocks(p.blocks),
                 _format_colors(p.colors),
                 " ".join(str(b) for b in sorted(p.marked)),
                 stats.rc, stats.nest, stats.rnarc, stats.narc, stats.nest,  # rarc is nest
                 stats.max_c, stats.max_l, stats.m_left,
                 "" if stats.out_arc is None else stats.out_arc,
-            ]
+            )
         )
-    _emit(args, buffer.getvalue())
+    _emit(args, _csv(header, rows))
     return EXIT_OK
 
 
@@ -252,9 +244,9 @@ def cmd_qt(args: argparse.Namespace) -> int:
     else:
         t = Fraction(1, 2) if args.t is None else args.t
         _require_qt_range(t, args.q)
-    spec = QtSpec.make(1, truncation=max(args.n, 1))
-    xs = [(1,)] * args.n
+    space = SpaceSpec.diagonal("+", truncation=max(args.n, 1), model="qt")
     ts = [((1 if args.T == "identity" else 0,),)] * args.n
+    prob = MomentProblem.build([(1,)] * args.n, ts, [0] * args.n, space)
 
     def settle(poly: Poly) -> Poly:
         """Substitute --q when given and t unless --t-symbolic; the two sides are
@@ -263,8 +255,8 @@ def cmd_qt(args: argparse.Namespace) -> int:
 
     payload = {"version": REPORT_VERSION, "n": args.n, "T": args.T}
     return _emit_sides(
-        args, payload, "wick", settle(qt_wick(xs, ts, spec)),
-        lambda: settle(qt_y_moment(xs, ts, spec)),
+        args, payload, "wick", settle(wick_moment(prob)),
+        lambda: settle(vacuum_expectation(prob.operators(), space)),
     )
 
 
@@ -336,16 +328,16 @@ def _corollary_checks(n_max: int, seed: int) -> list[Check]:
 
 def _qt_checks(n_max: int, seed: int) -> list[Check]:
     def run() -> Iterator[VerifyReport]:
-        spec = QtSpec.make(2, truncation=n_max)
+        space = SpaceSpec.diagonal("++", truncation=n_max, model="qt")
         for n in range(1, n_max + 1):
-            prob = random_problem(random.Random(seed + 300 + n), n, spec.space, zero_lams=True)
-            lhs, rhs = qt_y_moment(prob.xs, prob.ts, spec), qt_wick(prob.xs, prob.ts, spec)
+            prob = random_problem(random.Random(seed + 300 + n), n, space, zero_lams=True)
+            lhs, rhs = vacuum_expectation(prob.operators(), space), wick_moment(prob)
             yield compare(f"qt n={n}", lhs, rhs)
 
     def fixture() -> Iterator[VerifyReport]:
-        spec = QtSpec.make(1, truncation=5)
-        value = qt_wick([(1,)] * 5, [((1,),)] * 5, spec).subs(q=0)
-        yield compare("qt-y5 at q=0", value, T**2 + 2 * T + 3)
+        space = SpaceSpec.diagonal("+", truncation=5, model="qt")
+        prob = MomentProblem.build([(1,)] * 5, [((1,),)] * 5, [0] * 5, space)
+        yield compare("qt-y5 at q=0", wick_moment(prob).subs(q=0), T**2 + 2 * T + 3)
 
     return [("qt-identity", run), ("qt-y5-fixture", fixture)]
 

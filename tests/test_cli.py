@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import bfock
+import goldens
 import oracles
 from bfock import cli, moments, orthopoly, partitions
 from bfock.cli import main
@@ -87,26 +88,18 @@ def test_fock_rational_mode(capsys):
     assert payload["symmetrizer"] == [["7/3"]]
 
 
-RENDERING_GOLDENS = [
-    ("fock-n3-rational.json", "fock --n 3 --signature +- --mode rational --alpha 1/2 --q=-1/3"),
-    ("fock-n3-float.json", "fock --n 3 --signature +- --mode float --alpha 1/2 --q=-1/3"),
-    (
-        "moment-seed11-n5-rational.json",
-        "moment --seed 11 --n 5 --mode rational --alpha 1/3 --q 1/2 --check",
-    ),
-    (
-        "orthopoly-alsalam-ismail-N6-rational.json",
-        "orthopoly --family alsalam-ismail --N 6 --mode rational --t 1/2",
-    ),
-    ("qt-n6-q-t-check.json", "qt --n 6 --q 1/5 --t 1/2 --check"),
-]
-
-
-@pytest.mark.parametrize("name, command", RENDERING_GOLDENS, ids=[g[0] for g in RENDERING_GOLDENS])
-def test_rendering_modes_match_the_committed_output(capsys, name, command):
-    code, out = run_cli(capsys, *command.split())
+@pytest.mark.parametrize("golden", [g for g in goldens.GOLDENS if g.tier1], ids=lambda g: g.command)
+def test_golden_row_reproduces_its_output(golden):
+    code, got, expected = goldens.run(golden)
     assert code == 0
-    assert out == (DATA / name).read_text(encoding="utf-8")
+    if expected is not None:
+        assert got == expected
+
+
+def test_every_committed_output_is_a_golden_row():
+    files = [g.file for g in goldens.GOLDENS if g.file is not None]
+    assert len(set(files)) == len(files)
+    assert {f"tests/data/{path.name}" for path in DATA.iterdir()} <= set(files)
 
 
 @pytest.mark.parametrize(
@@ -116,7 +109,7 @@ def test_rendering_modes_match_the_committed_output(capsys, name, command):
             "moment --seed 11 --n 3 --mode rational --alpha 1/3 --check",
             "vacuum_expectation", ALPHA, Fraction(1, 3),
         ),
-        ("qt --n 4 --q 1/5 --t 1/2 --check", "qt_y_moment", T, Fraction(1, 2)),
+        ("qt --n 4 --q 1/5 --t 1/2 --check", "vacuum_expectation", T, Fraction(1, 2)),
     ],
 )
 def test_a_check_mismatch_exits_1_with_both_sides(monkeypatch, capsys, command, target, shift, value):
@@ -544,16 +537,15 @@ def _shifted_qt_operator_moment(monkeypatch):
 
 
 def _shifted_qt_y_moment(monkeypatch):
-    original = cli.qt_y_moment
-    monkeypatch.setattr(cli, "qt_y_moment", lambda *args: original(*args) + T)
+    # of the default checks, only qt-identity calls cli's vacuum_expectation
+    original = cli.vacuum_expectation
+    monkeypatch.setattr(cli, "vacuum_expectation", lambda *args: original(*args) + T)
 
 
 def _shifted_qt_wick_on_the_line(monkeypatch):
-    # qt-identity runs on d = 2, the fixture on d = 1
-    original = cli.qt_wick
-    monkeypatch.setattr(
-        cli, "qt_wick", lambda xs, ts, spec: original(xs, ts, spec) + (T if spec.space.d == 1 else 0)
-    )
+    # qt-identity and the corollaries run on d = 2, the fixture on d = 1
+    original = cli.wick_moment
+    monkeypatch.setattr(cli, "wick_moment", lambda prob: original(prob) + (T if prob.space.d == 1 else 0))
 
 
 def _group_without_its_last_element(monkeypatch):

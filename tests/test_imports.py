@@ -13,11 +13,17 @@ import bfock
 PACKAGE = Path(bfock.__file__).resolve().parent
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+WORKLOADS = SPANS.with_name("workloads.py")
 
 # Functions that nothing in the package calls and ``bfock.__all__`` does not
 # list, kept only because the benchmark's tracer wraps them.  Each entry goes
 # when the tracer stops wrapping it (ROADMAP item 1).
 TRACED_ONLY = {"cumulant_partition", "gauge_norm_deformed", "gram_min_eigenvalue", "r_operator_norm"}
+
+# Methods that nothing in the package calls, kept only because the benchmark's
+# workloads call them: ``QtSpec.make`` builds the qt-orthopoly workload's space.
+# Each goes with ``bfock.qt`` (ROADMAP item 14).
+WORKLOAD_ONLY = {"make"}
 
 # Names in ``bfock.__all__`` that nothing in the package reads, so the
 # reachability check counts them as reached only because they are exported;
@@ -29,6 +35,10 @@ UNREAD_EXPORTS = {
     "gauge": "the type-B gauge operator p(T)",
     "inner": "the deformed inner product <u, v> = <u, P v> of the vectors' space, in either model",
     "qt_apply": "a benchmark tracer target (qt.qt_apply in perfbench/spans.py)",
+    "qt_wick": "the partition side of the (q,t) moment formula that the benchmark's qt-orthopoly "
+               "workload calls and its tracer wraps (qt.qt_wick in perfbench/spans.py)",
+    "qt_y_moment": "the operator side of the (q,t) moment formula that the benchmark's qt-orthopoly "
+                   "workload calls and its tracer wraps (qt.qt_y_moment in perfbench/spans.py)",
     "enumerate_extended_eps": "a benchmark tracer target (partitions.extended in perfbench/spans.py)",
     "vector_formula": "the partition side of the vector-level theorem for one eps word; "
                       "the benchmark's vector-n6 workload calls it",
@@ -122,7 +132,7 @@ def unreached(sources: list[str], exported: set[str]) -> list[str]:
 
 def test_every_function_is_reached_or_exported():
     sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
-    assert unreached(sources, set(bfock.__all__)) == sorted(TRACED_ONLY)
+    assert unreached(sources, set(bfock.__all__)) == sorted(TRACED_ONLY | WORKLOAD_ONLY)
 
 
 def unread_exports(sources: list[str], exported: set[str]) -> list[str]:
@@ -168,3 +178,7 @@ def test_every_traced_only_function_is_a_tracer_target():
     )
     targets = {entry.elts[3].value.rpartition(".")[2] for entry in assignment.value.elts}
     assert TRACED_ONLY <= targets
+
+
+def test_every_workload_only_method_is_called_by_a_workload():
+    assert WORKLOAD_ONLY <= set(names_read(ast.parse(WORKLOADS.read_text(encoding="utf-8")), True))
